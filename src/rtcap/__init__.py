@@ -3,6 +3,9 @@ closed-form bounds for deadline-monotonic and earliest-deadline-first
 scheduling, a deterministic packet-level simulator, and sweep harnesses that
 cross-validate the two."""
 
+# set before the submodule imports: experiments reads it at import time
+__version__ = "0.1.0"
+
 from .analytics import (
     APPROXIMATE,
     BALANCED,
@@ -75,5 +78,3 @@ from .topology import (
     save_topology,
     topology_stats,
 )
-
-__version__ = "0.1.0"

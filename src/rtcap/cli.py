@@ -10,7 +10,8 @@ Three commands:
 Options can come from an INI-style config file (sections [analytics],
 [topology], [simulation], [sweep]; flat key = value entries). Command-line
 flags override file values, which override built-in defaults; unknown file
-keys are rejected rather than ignored. Values printed by `analyze` use
+keys are rejected rather than ignored, and file values get the same type and
+choice checks as flags. Values printed by `analyze` use
 repr so they round-trip bit-for-bit to the underlying library results.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 solver or simulation
@@ -23,7 +24,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import replace
+from typing import NamedTuple, Optional
 
 from . import analytics as an
 from . import experiments as ex
@@ -41,27 +42,70 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SCHEMA = {
-    "analytics": {"n": int, "B": float, "u": int, "alpha": float, "N": float,
-                  "m": float, "Kd": float, "sinks": int, "mode": str,
-                  "delta": float},
-    "topology": {"rows": int, "cols": int, "spacing": float, "jitter": float,
-                 "radio_range": float, "sink_mode": str},
-    "simulation": {"rate": float, "duration": float, "packet_size": float,
-                   "deadlines": str, "drop_on_miss": bool, "seed": int,
-                   "reps": int},
-    "sweep": {"kind": str, "values": str, "load_factor": float},
+class _Option(NamedTuple):
+    kind: object        # int, float, str or bool, or a tuple of allowed strings
+    default: object
+    section: str        # config-file section
+    commands: tuple     # commands that take it as a --flag
+    help: Optional[str] = None
+
+
+_A, _S, _W = "analyze", "simulate", "sweep"  # command names, for the table
+
+# The one declaration of every option: the config-file reader, the merge
+# and the flag parsers are all derived from this table.
+_OPTIONS = {
+    "n": _Option(int, 100, "analytics", (_A,)),
+    "B": _Option(float, 250_000.0, "analytics", (_A, _S, _W)),
+    "u": _Option(int, 10, "analytics", (_A,)),
+    "alpha": _Option(float, 2.0, "analytics", (_A, _W)),
+    "N": _Option(float, 5.0, "analytics", (_A,)),
+    "m": _Option(float, 10.0, "analytics", (_A,)),
+    "Kd": _Option(float, 4.0, "analytics", (_A,)),
+    "sinks": _Option(int, 1, "analytics", (_A, _S, _W)),
+    "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, "analytics", (_A, _W)),
+    "delta": _Option(float, 1.0, "analytics", (_A,)),
+    "rows": _Option(int, 20, "topology", (_S, _W)),
+    "cols": _Option(int, 20, "topology", (_S, _W)),
+    "spacing": _Option(float, 10.0, "topology", (_S, _W)),
+    "jitter": _Option(float, 0.25, "topology", (_S, _W)),
+    "radio_range": _Option(float, 20.0, "topology", (_S, _W)),
+    "sink_mode": _Option(("subgrid", "random"), "subgrid", "topology", (_S,)),
+    "rate": _Option(float, 1.0, "simulation", (_S,)),
+    "duration": _Option(float, 30.0, "simulation", (_S, _W)),
+    "packet_size": _Option(float, 1000.0, "simulation", (_S, _W)),
+    "deadlines": _Option(str, "0.5,1.0,2.0", "simulation", (_S,),
+                         "comma-separated deadline set, seconds"),
+    # set from the command line only through simulate's --keep-on-miss
+    "drop_on_miss": _Option(bool, True, "simulation", ()),
+    "seed": _Option(int, 0, "simulation", (_A, _S, _W)),
+    "reps": _Option(int, 10, "simulation", (_S, _W)),
+    "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", "sweep", (_W,)),
+    "values": _Option(str, "", "sweep", (_W,), "comma-separated swept values"),
+    "load_factor": _Option(float, 1.5, "sweep", (_W,)),
 }
 
-_DEFAULTS = {
-    "n": 100, "B": 250_000.0, "u": 10, "alpha": 2.0, "N": 5.0, "m": 10.0,
-    "Kd": 4.0, "sinks": 1, "mode": "exact", "delta": 1.0,
-    "rows": 20, "cols": 20, "spacing": 10.0, "jitter": 0.25,
-    "radio_range": 20.0, "sink_mode": "subgrid",
-    "rate": 1.0, "duration": 30.0, "packet_size": 1000.0,
-    "deadlines": "0.5,1.0,2.0", "drop_on_miss": True, "seed": 0, "reps": 10,
-    "kind": "balanced_curves", "values": "", "load_factor": 1.5,
+_DEFAULT_SWEPT_VALUES = {
+    "balanced_curves": tuple(float(n) for n in range(1, 31)),
+    "convergecast_curves": (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+    "missratio_sweep": ex.load_multiplier_series(),
+    "sink_sweep": (1.0, 2.0, 4.0, 8.0, 16.0),
 }
+
+
+def _file_value(section: str, key: str, raw: str):
+    """Convert one config-file entry with the same checks its flag gets."""
+    kind = _OPTIONS[key].kind
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ValueError(raw)
+            return raw
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise UsageError(f"bad value for {section}.{key}: {raw!r}")
 
 
 def _load_config_file(path) -> dict:
@@ -72,33 +116,23 @@ def _load_config_file(path) -> dict:
     out = {}
     offending = []
     for section in parser.sections():
-        if section not in _SCHEMA:
-            offending.extend(f"{section}.{key}" for key in parser[section])
-            continue
-        schema = _SCHEMA[section]
         for key, raw in parser[section].items():
-            if key not in schema:
+            if key in _OPTIONS and _OPTIONS[key].section == section:
+                out[key] = _file_value(section, key, raw)
+            else:
                 offending.append(f"{section}.{key}")
-                continue
-            kind = schema[key]
-            try:
-                if kind is bool:
-                    out[key] = parser[section].getboolean(key)
-                else:
-                    out[key] = kind(raw)
-            except ValueError:
-                raise UsageError(f"bad value for {section}.{key}: {raw!r}")
     if offending:
         raise UsageError("unknown config keys: " + ", ".join(sorted(offending)))
     return out
 
 
 def _merge(args: argparse.Namespace, file_values: dict) -> dict:
-    """Flag > config file > default, for every key in the schema."""
-    merged = dict(_DEFAULTS)
+    """Flag > config file > default, for every option in the table."""
+    merged = {key: opt.default for key, opt in _OPTIONS.items()}
     merged.update(file_values)
-    for key, value in vars(args).items():
-        if key in merged and value is not None:
+    for key in _OPTIONS:
+        value = getattr(args, key, None)
+        if value is not None:
             merged[key] = value
     return merged
 
@@ -118,60 +152,40 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="INI config file")
     common.add_argument("--out-dir", dest="out_dir",
                         help="output directory (default $RTCAP_OUT_DIR or .)")
-    common.add_argument("--seed", type=int)
     common.add_argument("-v", "--verbose", action="store_true")
 
-    pa = sub.add_parser("analyze", parents=[common],
-                        help="print analytic capacity bounds")
+    commands = {
+        "analyze": sub.add_parser("analyze", parents=[common],
+                                  help="print analytic capacity bounds"),
+        "simulate": sub.add_parser("simulate", parents=[common],
+                                   help="run seeded simulation replications"),
+        "sweep": sub.add_parser("sweep", parents=[common],
+                                help="run a sweep and write CSV"),
+    }
+    for key, opt in _OPTIONS.items():
+        choices = opt.kind if isinstance(opt.kind, tuple) else None
+        for command in opt.commands:
+            commands[command].add_argument(
+                "--" + key.replace("_", "-"), dest=key, help=opt.help,
+                type=None if choices else opt.kind, choices=choices)
+
+    pa = commands["analyze"]
     pa.add_argument("--topology", choices=["balanced", "convergecast"],
                     default="balanced")
     pa.add_argument("--scheduler", choices=["dm", "edf", "both"], default="both")
-    pa.add_argument("--n", type=int)
-    pa.add_argument("--B", type=float)
-    pa.add_argument("--u", type=int)
-    pa.add_argument("--N", type=float)
-    pa.add_argument("--alpha", type=float)
-    pa.add_argument("--m", type=float)
-    pa.add_argument("--Kd", type=float)
-    pa.add_argument("--sinks", type=int)
-    pa.add_argument("--mode", choices=["exact", "approximate"])
     pa.add_argument("--clamp", action="store_true",
                     help="cap saturated sink utilizations at 1")
     pa.add_argument("--ratio", action="store_true",
                     help="print the balanced/convergecast capacity ratio for --Kd")
     pa.add_argument("--vqs", help="comma-separated neighborhood utilizations: "
                                   "print DM and EDF path feasibility reports")
-    pa.add_argument("--delta", type=float)
     pa.add_argument("--csv", help="also write the bounds as CSV")
 
-    ps = sub.add_parser("simulate", parents=[common],
-                        help="run seeded simulation replications")
-    for flag, kind in [("--rows", int), ("--cols", int), ("--spacing", float),
-                       ("--jitter", float), ("--radio-range", float),
-                       ("--sinks", int), ("--rate", float), ("--duration", float),
-                       ("--packet-size", float), ("--B", float),
-                       ("--reps", int)]:
-        ps.add_argument(flag, type=kind, dest=flag.lstrip("-").replace("-", "_"))
-    ps.add_argument("--sink-mode", dest="sink_mode",
-                    choices=["subgrid", "random"])
-    ps.add_argument("--deadlines", help="comma-separated deadline set, seconds")
+    ps = commands["simulate"]
     ps.add_argument("--keep-on-miss", dest="drop_on_miss", action="store_false",
                     default=None, help="keep forwarding packets that missed")
     ps.add_argument("--event-log", dest="event_log",
                     help="write the first replication's event log here")
-
-    pw = sub.add_parser("sweep", parents=[common],
-                        help="run a sweep and write CSV")
-    pw.add_argument("--kind", choices=list(ex.SWEEP_KINDS))
-    pw.add_argument("--values", help="comma-separated swept values")
-    for flag, kind in [("--rows", int), ("--cols", int), ("--spacing", float),
-                       ("--jitter", float), ("--radio-range", float),
-                       ("--sinks", int), ("--rate", float), ("--duration", float),
-                       ("--packet-size", float), ("--B", float),
-                       ("--alpha", float), ("--reps", int),
-                       ("--load-factor", float)]:
-        pw.add_argument(flag, type=kind, dest=flag.lstrip("-").replace("-", "_"))
-    pw.add_argument("--mode", choices=["exact", "approximate"])
 
     return parser
 
@@ -181,6 +195,16 @@ def _params_from(cfg: dict) -> an.AnalyticParams:
         node_count=cfg["n"], bandwidth=cfg["B"], neighborhood_bound=cfg["u"],
         inversion_factor=cfg["alpha"], path_length=cfg["N"],
         nodes_per_disk=cfg["m"], max_hops=cfg["Kd"], sink_count=cfg["sinks"])
+
+
+def _sim_from(cfg: dict, **fields) -> sc.SimConfig:
+    """The workload settings every simulating command shares; `fields`
+    adds the ones only some commands set."""
+    return sc.SimConfig(
+        bandwidth=cfg["B"], packet_size=cfg["packet_size"],
+        deadline_set=_parse_floats(cfg["deadlines"]),
+        duration=cfg["duration"], drop_on_miss=cfg["drop_on_miss"],
+        seed=cfg["seed"], **fields)
 
 
 def _echo_params(cfg: dict, keys, out) -> None:
@@ -235,12 +259,7 @@ def _cmd_analyze(args, cfg, out) -> int:
 
 
 def _cmd_simulate(args, cfg, out) -> int:
-    sim = sc.SimConfig(
-        bandwidth=cfg["B"], packet_size=cfg["packet_size"],
-        deadline_set=_parse_floats(cfg["deadlines"]),
-        arrival_rate=cfg["rate"], duration=cfg["duration"],
-        drop_on_miss=cfg["drop_on_miss"], seed=cfg["seed"],
-        replication_count=cfg["reps"])
+    sim = _sim_from(cfg, arrival_rate=cfg["rate"], replication_count=cfg["reps"])
     topo, routes = tp.make_network(cfg["rows"], cfg["cols"], cfg["spacing"],
                                    cfg["jitter"], cfg["seed"],
                                    cfg["radio_range"], cfg["sinks"],
@@ -285,29 +304,17 @@ def _cmd_sweep(args, cfg, out, out_dir) -> int:
     kind = cfg["kind"]
     if cfg["values"]:
         values = _parse_floats(cfg["values"])
-    elif kind == "balanced_curves":
-        values = tuple(float(n) for n in range(1, 31))
-    elif kind == "convergecast_curves":
-        values = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    elif kind == "missratio_sweep":
-        values = ex.load_multiplier_series()
-    elif kind == "sink_sweep":
-        values = (1.0, 2.0, 4.0, 8.0, 16.0)
+    elif kind in _DEFAULT_SWEPT_VALUES:
+        values = _DEFAULT_SWEPT_VALUES[kind]
     else:
         raise UsageError(f"--values is required for {kind}")
-    if kind in ("sink_sweep",):
+    if kind == "sink_sweep":
         values = tuple(int(v) for v in values)
-    if kind in ("convergecast_curves",) and cfg["mode"] == "exact":
+    if kind == "convergecast_curves" and cfg["mode"] == an.EXACT:
         values = tuple(int(v) for v in values)
 
-    analytic = _params_from(cfg)
-    sim = sc.SimConfig(
-        bandwidth=cfg["B"], packet_size=cfg["packet_size"],
-        deadline_set=_parse_floats(cfg["deadlines"]),
-        arrival_rate=cfg["rate"], duration=cfg["duration"],
-        drop_on_miss=cfg["drop_on_miss"], seed=cfg["seed"])
     spec = ex.SweepSpec(
-        kind=kind, values=values, analytic=analytic, sim=sim,
+        kind=kind, values=values, analytic=_params_from(cfg), sim=_sim_from(cfg),
         rows=cfg["rows"], cols=cfg["cols"], spacing=cfg["spacing"],
         jitter=cfg["jitter"], radio_range=cfg["radio_range"],
         sink_count=cfg["sinks"], sink_mode=cfg["sink_mode"], mode=cfg["mode"],
@@ -340,6 +347,10 @@ def dispatch(argv, out=None) -> int:
             parser.print_help(sys.stderr)
             return 1
         file_values = _load_config_file(args.config) if args.config else {}
+        if args.command == "sweep" and "rate" in file_values:
+            # sweeps load the network at a multiple of its measured bound
+            raise UsageError("sweep does not read simulation.rate; set the load "
+                             "with load_factor (or values for missratio_sweep)")
         cfg = _merge(args, file_values)
         out_dir = args.out_dir or os.environ.get("RTCAP_OUT_DIR", ".")
         if args.command == "analyze":

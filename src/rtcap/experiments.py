@@ -27,11 +27,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import __version__
 from . import analytics as an
 from . import simcore as sc
 from . import topology as tp
-
-TOOL_VERSION = "0.1.0"
 
 SWEEP_KINDS = ("balanced_curves", "convergecast_curves", "radio_sweep",
                "sink_sweep", "missratio_sweep")
@@ -150,50 +149,55 @@ def _measured_bounds(spec: SweepSpec, topo: tp.Topology, routes: tp.RouteTable):
     return stats, dm, edf
 
 
-def _critical_capacity_row(spec: SweepSpec, value, topo, routes) -> ResultRow:
-    """Replicated probe runs above the analytic bound; the row's critical
-    capacity is the minimum first-miss consumption across replications."""
+def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
+    """Build the row's own network, measure its bounds, and run seeded
+    replications at a load that is a multiple of the measured DM bound.
+
+    The swept value is the radio range for radio_sweep, the sink count for
+    sink_sweep, and the load multiple for missratio_sweep; the other kinds
+    load at spec.load_factor and stop each run at its first miss. The row's
+    critical capacity is the minimum first-miss consumption across
+    replications.
+    """
+    radio_range = value if spec.kind == "radio_sweep" else spec.radio_range
+    sink_count = int(value) if spec.kind == "sink_sweep" else spec.sink_count
+    topo, routes = tp.make_network(spec.rows, spec.cols, spec.spacing, spec.jitter,
+                                   spec.base_seed, radio_range, sink_count,
+                                   spec.sink_mode)
     stats, dm, edf = _measured_bounds(spec, topo, routes)
-    rate = probe_rate(spec.load_factor * dm.value, routes, spec.sim.packet_size)
-    cfg = replace(spec.sim, arrival_rate=rate, seed=spec.base_seed,
-                  replication_count=spec.replication_count,
-                  stop_at_first_miss=True)
+    missratio = spec.kind == "missratio_sweep"
+    load = value if missratio else spec.load_factor
+    cfg = replace(spec.sim,
+                  arrival_rate=probe_rate(load * dm.value, routes,
+                                          spec.sim.packet_size),
+                  seed=spec.base_seed, replication_count=spec.replication_count,
+                  stop_at_first_miss=not missratio)
     metrics = sc.run_replications(topo, routes, cfg)
-    critical = sc.critical_capacity(metrics)
     return ResultRow(
         swept_value=value, analytic_dm=dm.value, analytic_edf=edf.value,
-        simulated_critical=critical.value,
+        simulated_critical=sc.critical_capacity(metrics).value,
+        miss_ratio=(float(np.mean([m.miss_ratio for m in metrics]))
+                    if missratio else None),
         offered_demand=float(np.mean([m.offered_demand for m in metrics])),
         neighborhood_bound=stats.neighborhood_bound,
         nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops,
         seed_lo=spec.base_seed, seed_hi=spec.base_seed + spec.replication_count - 1,
-        config_hash=config_hash(spec))
+        config_hash=digest)
 
 
-def _missratio_rows(spec: SweepSpec, digest: str) -> list:
-    topo, routes = tp.make_network(spec.rows, spec.cols, spec.spacing, spec.jitter,
-                                   spec.base_seed, spec.radio_range,
-                                   spec.sink_count, spec.sink_mode)
-    stats, dm, edf = _measured_bounds(spec, topo, routes)
-    rows = []
-    for mult in spec.values:
-        rate = probe_rate(mult * dm.value, routes, spec.sim.packet_size)
-        cfg = replace(spec.sim, arrival_rate=rate, seed=spec.base_seed,
-                      replication_count=spec.replication_count,
-                      stop_at_first_miss=False)
-        metrics = sc.run_replications(topo, routes, cfg)
-        critical = sc.critical_capacity(metrics)
-        rows.append(ResultRow(
-            swept_value=mult, analytic_dm=dm.value, analytic_edf=edf.value,
-            simulated_critical=critical.value,
-            miss_ratio=float(np.mean([m.miss_ratio for m in metrics])),
-            offered_demand=float(np.mean([m.offered_demand for m in metrics])),
-            neighborhood_bound=stats.neighborhood_bound,
-            nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops,
-            seed_lo=spec.base_seed,
-            seed_hi=spec.base_seed + spec.replication_count - 1,
-            config_hash=digest))
-    return rows
+def _analytic_row(spec: SweepSpec, value, digest: str) -> ResultRow:
+    """Closed-form DM and EDF limits at one path length (balanced_curves)
+    or sink hop radius (convergecast_curves)."""
+    if spec.kind == "balanced_curves":
+        params = replace(spec.analytic, path_length=value)
+        dm, edf = (an.rtcc_balanced(s, params) for s in (an.DM, an.EDF))
+    else:
+        params = replace(spec.analytic, max_hops=value)
+        dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
+                   for s in (an.DM, an.EDF))
+    return ResultRow(swept_value=value, analytic_dm=dm.value,
+                     analytic_edf=edf.value, seed_lo=spec.base_seed,
+                     seed_hi=spec.base_seed, config_hash=digest)
 
 
 def run_sweep(spec: SweepSpec) -> list:
@@ -202,57 +206,16 @@ def run_sweep(spec: SweepSpec) -> list:
     Analytic kinds evaluate the closed forms directly. Simulation kinds build
     the network for each swept value, measure its statistics, derive the
     analytic bound from them, and aggregate seeded replications. A failure in
-    one swept value flags that row and the sweep continues.
+    one simulated value flags that row and the sweep continues.
     """
     digest = config_hash(spec)
     rows = []
-
-    if spec.kind == "balanced_curves":
-        for n in spec.values:
-            params = replace(spec.analytic, path_length=n)
-            rows.append(ResultRow(
-                swept_value=n,
-                analytic_dm=an.rtcc_balanced(an.DM, params).value,
-                analytic_edf=an.rtcc_balanced(an.EDF, params).value,
-                seed_lo=spec.base_seed, seed_hi=spec.base_seed,
-                config_hash=digest))
-        return rows
-
-    if spec.kind == "convergecast_curves":
-        for k in spec.values:
-            params = replace(spec.analytic, max_hops=k)
-            rows.append(ResultRow(
-                swept_value=k,
-                analytic_dm=an.rtcc_convergecast(an.DM, params, mode=spec.mode).value,
-                analytic_edf=an.rtcc_convergecast(an.EDF, params, mode=spec.mode).value,
-                seed_lo=spec.base_seed, seed_hi=spec.base_seed,
-                config_hash=digest))
-        return rows
-
-    if spec.kind == "missratio_sweep":
-        return _missratio_rows(spec, digest)
-
-    # radio_sweep / sink_sweep share the critical-capacity pipeline
-    base_topo = None
-    if spec.kind == "sink_sweep":
-        base_topo = tp.generate_perturbed_grid(spec.rows, spec.cols, spec.spacing,
-                                               spec.jitter, spec.base_seed)
-        tp.compute_adjacency(base_topo, spec.radio_range)
-
     for value in spec.values:
+        if spec.kind in _ANALYTIC_KINDS:
+            rows.append(_analytic_row(spec, value, digest))
+            continue
         try:
-            if spec.kind == "radio_sweep":
-                topo = tp.generate_perturbed_grid(spec.rows, spec.cols, spec.spacing,
-                                                  spec.jitter, spec.base_seed)
-                tp.compute_adjacency(topo, float(value))
-                tp.place_sinks(topo, spec.sink_count, seed=spec.base_seed,
-                               mode=spec.sink_mode)
-            else:
-                topo = base_topo
-                tp.place_sinks(topo, int(value), seed=spec.base_seed,
-                               mode=spec.sink_mode)
-            routes = tp.build_routes(topo)
-            rows.append(_critical_capacity_row(spec, value, topo, routes))
+            rows.append(_simulation_row(spec, value, digest))
         except (tp.RoutingError, an.SolverError, sc.InvariantError, ValueError) as err:
             rows.append(ResultRow(
                 swept_value=value, analytic_dm=float("nan"),
@@ -285,7 +248,7 @@ def emit_csv(rows: Iterable, destination, spec: Optional[SweepSpec] = None) -> N
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to write")
-    lines = ["# rtcap sweep results", f"# tool_version={TOOL_VERSION}"]
+    lines = ["# rtcap sweep results", f"# tool_version={__version__}"]
     if spec is not None:
         lines.append(f"# config_hash={config_hash(spec)}")
         for key, value in sorted(dataclasses.asdict(spec).items()):

@@ -131,6 +131,20 @@ class TestConfigFile:
         code, _ = run_cli(["analyze", "--config", "/nonexistent.ini"])
         assert code == 1
 
+    @pytest.mark.parametrize("text, argv, key", [
+        ("[topology]\nsink_mode = grid\n", ["sweep", "--kind", "sink_sweep"],
+         "topology.sink_mode"),
+        ("[analytics]\nmode = exakt\n", ["analyze"], "analytics.mode"),
+    ], ids=["sweep-sink-mode", "analyze-mode"])
+    def test_values_checked_like_flags(self, tmp_path, capsys, text, argv, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        code, _ = run_cli([*argv, "--config", str(cfg),
+                           "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestSimulate:
     def test_small_run(self):
@@ -199,3 +213,15 @@ class TestSweep:
         assert code == 0
         csv = next(tmp_path.glob("sink_sweep_25_*.csv")).read_text()
         assert len(data_lines(csv)) == 3
+
+    def test_rate_rejected(self, tmp_path):
+        # sweeps load the network at a multiple of its measured bound
+        code, _ = run_cli(["sweep", "--kind", "sink_sweep", "--rate", "2",
+                           "--out-dir", str(tmp_path)])
+        assert code == 1
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[simulation]\nrate = 2\n")
+        code, _ = run_cli(["sweep", "--kind", "sink_sweep", "--config", str(cfg),
+                           "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert not list(tmp_path.glob("*.csv"))

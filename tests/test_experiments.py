@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import rtcap
 from rtcap import analytics as an
 from rtcap import experiments as ex
 from rtcap import simcore as sc
@@ -139,13 +140,17 @@ class TestSimulationSweeps:
 
     def test_radio_sweep_flags_disconnected_value(self):
         # 5 m range cannot connect a 10 m grid: the row is flagged, the
-        # sweep continues and the viable value still succeeds
-        spec = small_sim_spec("radio_sweep", (5.0, 15.0))
-        rows = ex.run_sweep(spec)
-        assert rows[0].error is not None and "RoutingError" in rows[0].error
-        assert math.isnan(rows[0].analytic_dm)
-        assert rows[1].error is None
-        assert rows[1].analytic_dm > 0
+        # sweep continues and the viable value still succeeds; a miss-ratio
+        # sweep on the same disconnected network flags its row, too
+        radio = ex.run_sweep(small_sim_spec("radio_sweep", (5.0, 15.0)))
+        knee = ex.run_sweep(small_sim_spec("missratio_sweep", (0.05,),
+                                           radio_range=5.0))
+        for row in (radio[0], knee[0]):
+            assert row.error is not None and "RoutingError" in row.error
+            assert math.isnan(row.analytic_dm)
+            assert row.miss_ratio is None
+        assert radio[1].error is None
+        assert radio[1].analytic_dm > 0
 
     def test_missratio_low_load_no_misses(self):
         spec = small_sim_spec("missratio_sweep", (0.01, 0.05))
@@ -175,7 +180,7 @@ class TestCsv:
         lines = dest.read_text().splitlines()
         comments = [ln for ln in lines if ln.startswith("#")]
         data = [ln for ln in lines if not ln.startswith("#")]
-        assert any("tool_version" in c for c in comments)
+        assert f"# tool_version={rtcap.__version__}" in comments
         assert any("config_hash" in c for c in comments)
         assert any("inversion_factor" in c for c in comments)
         assert data[0].startswith("swept_value,analytic_dm,analytic_edf")
