@@ -50,6 +50,7 @@ from .simcore import (
     ActiveTransmission,
     CriticalCapacity,
     InvariantError,
+    Medium,
     Packet,
     RunMetrics,
     SimConfig,

@@ -78,7 +78,7 @@ _OPTIONS = {
                          "comma-separated deadline set, seconds"),
     # set from the command line only through simulate's --keep-on-miss
     "drop_on_miss": _Option(bool, True, "simulation", ()),
-    "seed": _Option(int, 0, "simulation", (_A, _S, _W)),
+    "seed": _Option(int, 0, "simulation", (_S, _W)),
     "reps": _Option(int, 10, "simulation", (_S, _W)),
     "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", "sweep", (_W,)),
     "values": _Option(str, "", "sweep", (_W,), "comma-separated swept values"),
@@ -150,8 +150,6 @@ def _build_parser() -> _Parser:
 
     common = _Parser(add_help=False)
     common.add_argument("--config", help="INI config file")
-    common.add_argument("--out-dir", dest="out_dir",
-                        help="output directory (default $RTCAP_OUT_DIR or .)")
     common.add_argument("-v", "--verbose", action="store_true")
 
     commands = {
@@ -186,6 +184,10 @@ def _build_parser() -> _Parser:
                     default=None, help="keep forwarding packets that missed")
     ps.add_argument("--event-log", dest="event_log",
                     help="write the first replication's event log here")
+
+    pw = commands["sweep"]
+    pw.add_argument("--out-dir", dest="out_dir",
+                    help="output directory (default $RTCAP_OUT_DIR or .)")
 
     return parser
 
@@ -271,14 +273,11 @@ def _cmd_simulate(args, cfg, out) -> int:
     print(f"# measured u={stats.neighborhood_bound} m={stats.nodes_per_disk} "
           f"Kd={stats.max_hops}", file=out)
 
-    results = []
-    for i in range(sim.replication_count):
-        workload = sc.generate_workload(topo, routes, sim, seed=sim.seed + i)
-        log = [] if (args.event_log and i == 0) else None
-        metrics = sc.run_simulation(topo, routes, workload, sim, event_log=log)
-        if log is not None:
-            sc.write_event_log(log, args.event_log)
-        results.append(metrics)
+    log = [] if args.event_log else None
+    results = sc.run_replications(topo, routes, sim, event_log=log)
+    if log is not None:
+        sc.write_event_log(log, args.event_log)
+    for metrics in results:
         fm = metrics.capacity_consumption_at_first_miss
         print(f"replication seed={metrics.seed}: generated={metrics.packets_generated} "
               f"delivered={metrics.delivered} missed={metrics.missed} "
@@ -300,7 +299,7 @@ def _cmd_simulate(args, cfg, out) -> int:
     return 0
 
 
-def _cmd_sweep(args, cfg, out, out_dir) -> int:
+def _cmd_sweep(args, cfg, out) -> int:
     kind = cfg["kind"]
     if cfg["values"]:
         values = _parse_floats(cfg["values"])
@@ -321,6 +320,7 @@ def _cmd_sweep(args, cfg, out, out_dir) -> int:
         load_factor=cfg["load_factor"], replication_count=cfg["reps"],
         base_seed=cfg["seed"])
     rows = ex.run_sweep(spec)
+    out_dir = args.out_dir or os.environ.get("RTCAP_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
     dest = os.path.join(out_dir, ex.csv_filename(spec))
     ex.emit_csv(rows, dest, spec)
@@ -352,12 +352,11 @@ def dispatch(argv, out=None) -> int:
             raise UsageError("sweep does not read simulation.rate; set the load "
                              "with load_factor (or values for missratio_sweep)")
         cfg = _merge(args, file_values)
-        out_dir = args.out_dir or os.environ.get("RTCAP_OUT_DIR", ".")
         if args.command == "analyze":
             return _cmd_analyze(args, cfg, out)
         if args.command == "simulate":
             return _cmd_simulate(args, cfg, out)
-        return _cmd_sweep(args, cfg, out, out_dir)
+        return _cmd_sweep(args, cfg, out)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

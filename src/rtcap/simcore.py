@@ -9,6 +9,16 @@ the capacity consumed by deadline-live traffic at the instant of the first
 miss (a packet claims capacity from its arrival until its deadline passes;
 a missed packet's claim drops to zero).
 
+Arbitration is incremental. A `Medium` holds the busy endpoints and, per
+node, how many active senders and how many active receivers have that node
+in radio range; each grant and each completion updates it once, in
+O(degree). After a completion frees endpoint x, only backlogged nodes in
+reach[x] = N[x] | {v : next_hop[v] in N[x]} (N[x] the closed
+neighbourhood) are re-arbitrated besides the nodes the instant touched: a
+head (v, next_hop[v]) is blocked by (s, r) only through v or next_hop[v]
+being s or r, v in N(r), or next_hop[v] in N(s), so freeing x unblocks
+nothing outside reach[x].
+
 A single run is strictly sequential and reproducible: identical
 (topology, routes, workload) inputs give bit-identical metrics. Replications
 differ only in the workload seed.
@@ -193,37 +203,65 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
     return Workload(packets=tuple(packets), overloaded=overloaded, seed=use_seed)
 
 
-def admissible_transmissions(candidates: Iterable, active: Iterable,
-                             adjacency: dict) -> list:
+class Medium:
+    """The shared channel: busy endpoints plus, per node, how many active
+    senders (`near_senders`) and active receivers (`near_receivers`) have
+    that node in radio range. Adjacency is open (a node is not its own
+    neighbour); an endpoint's own use of the channel is tracked by `busy`.
+    """
+
+    __slots__ = ("adjacency", "busy", "near_senders", "near_receivers")
+
+    def __init__(self, adjacency: dict):
+        self.adjacency = adjacency
+        self.busy = set()
+        self.near_senders = dict.fromkeys(adjacency, 0)
+        self.near_receivers = dict.fromkeys(adjacency, 0)
+
+    def occupy(self, sender: int, receiver: int) -> None:
+        self.busy.add(sender)
+        self.busy.add(receiver)
+        near_senders, near_receivers = self.near_senders, self.near_receivers
+        for v in self.adjacency[sender]:
+            near_senders[v] += 1
+        for v in self.adjacency[receiver]:
+            near_receivers[v] += 1
+
+    def release(self, sender: int, receiver: int) -> None:
+        self.busy.discard(sender)
+        self.busy.discard(receiver)
+        near_senders, near_receivers = self.near_senders, self.near_receivers
+        for v in self.adjacency[sender]:
+            near_senders[v] -= 1
+        for v in self.adjacency[receiver]:
+            near_receivers[v] -= 1
+
+    def is_idle(self) -> bool:
+        return not (self.busy or any(self.near_senders.values())
+                    or any(self.near_receivers.values()))
+
+
+def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
     """Grant head-of-queue transmissions in global priority order under the
     spatial exclusion rule.
 
     candidates are (packet, sender, receiver) triples. A candidate is granted
     iff its sender is outside radio range of every receiving node, its
     receiver is outside radio range of every sending node (counting both the
-    already-active set and grants made earlier in this pass), and neither
-    endpoint is already engaged. Returns the granted triples.
+    already-active transmissions in `medium` and grants made earlier in this
+    pass), and neither endpoint is already engaged. Each grant occupies the
+    medium. Returns the granted triples in priority order.
     """
-    busy = set()
-    near_sender = set()    # nodes inside some active sender's range
-    near_receiver = set()  # nodes inside some active receiver's range
-    for tx in active:
-        busy.add(tx.sender)
-        busy.add(tx.receiver)
-        near_sender.update(adjacency[tx.sender])
-        near_receiver.update(adjacency[tx.receiver])
-
+    busy = medium.busy
+    near_senders, near_receivers = medium.near_senders, medium.near_receivers
     granted = []
     for packet, sender, receiver in sorted(candidates, key=lambda c: priority_key(c[0])):
         if sender in busy or receiver in busy:
             continue
-        if sender in near_receiver or receiver in near_sender:
+        if near_receivers[sender] or near_senders[receiver]:
             continue
+        medium.occupy(sender, receiver)
         granted.append((packet, sender, receiver))
-        busy.add(sender)
-        busy.add(receiver)
-        near_sender.update(adjacency[sender])
-        near_receiver.update(adjacency[receiver])
     return granted
 
 
@@ -248,6 +286,19 @@ def _verify_exclusion(sender: int, receiver: int, active: dict,
         if receiver in adjacency[tx.sender]:
             raise InvariantError(
                 f"receiver {receiver} inside range of sending node {tx.sender}")
+
+
+def _release_reach(adjacency: dict, next_hop: dict) -> dict:
+    """reach[x] = N[x] | {v : next_hop[v] in N[x]}: every node whose
+    head-of-queue transmission freeing endpoint x can unblock."""
+    senders_to = {x: [] for x in adjacency}
+    for v, w in next_hop.items():
+        senders_to[w].append(v)
+    reach = {}
+    for x, nbrs in adjacency.items():
+        ball = nbrs | {x}
+        reach[x] = frozenset(ball.union(*(senders_to[y] for y in ball)))
+    return reach
 
 
 class _NodeQueue:
@@ -280,18 +331,26 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     """Event-driven run over the workload; returns the per-run metrics.
 
     Events are arrivals, transmission completions, and deadline expiries.
-    After the events of each instant are applied, the medium is re-arbitrated:
-    over every backlogged node when a completion freed the channel, otherwise
-    only over the nodes the instant touched (new transmissions can never be
-    unblocked elsewhere while the active set only grew). The spatial exclusion
-    invariant is re-verified on every grant. Deadline misses are detected
-    eagerly by expiry timers so the capacity consumption at the first miss is
-    sampled at the right instant.
+    The `Medium` keeps, per node, the number of active senders and of active
+    receivers in range, updated once per grant and once per completion.
+    After the events of each instant are applied, the medium is re-arbitrated
+    over the backlogged nodes the instant touched (arrivals, dropped heads)
+    plus reach[x] for every endpoint x a completion freed. That gives the
+    same grants as a pass over the whole backlog: freeing x can only unblock
+    a head (v, next_hop[v]) through v or next_hop[v] lying in N[x], every
+    other idle head was blocked after the previous pass by a transmission
+    that is still active, and grants within a pass only add blocking. The
+    spatial exclusion invariant is re-verified on every grant against the
+    active transmissions, and a run that drains without stopping must leave
+    the medium idle. Deadline misses are detected eagerly by expiry timers so
+    the capacity consumption at the first miss is sampled at the right
+    instant.
     """
     if topology.adjacency is None:
         raise ValueError("adjacency not computed yet")
     adjacency = topology.adjacency
     next_hop = routes.next_hop
+    reach = _release_reach(adjacency, next_hop)
 
     packets = [replace(p) for p in workload.packets]
     # time-averaged demand: each packet claims size/deadline at every route
@@ -308,7 +367,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     queues = {node.id: _NodeQueue() for node in topology.nodes}
     backlog = set()
-    busy = set()
+    medium = Medium(adjacency)
+    busy = medium.busy
     active = {}            # packet id -> ActiveTransmission
     # capacity accounting follows the demand model: a packet claims capacity
     # from arrival until its deadline expires, even once delivered; only
@@ -328,7 +388,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
         if not nodes:
             return
         candidates = []
-        for v in sorted(nodes):
+        for v in nodes:
             if v in busy:
                 continue
             head = queues[v].head()
@@ -336,8 +396,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 backlog.discard(v)
                 continue
             candidates.append((head, v, next_hop[v]))
-        for packet, s, r in admissible_transmissions(candidates, active.values(),
-                                                     adjacency):
+        for packet, s, r in admissible_transmissions(candidates, medium):
             _verify_exclusion(s, r, active, adjacency)
             popped = queues[s].pop_head()
             if popped is not packet:
@@ -348,8 +407,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 packet.status = IN_FLIGHT
             done = now + packet.tx_time
             active[packet.id] = ActiveTransmission(s, r, packet.id, done)
-            busy.add(s)
-            busy.add(r)
             heapq.heappush(events, (done, _COMPLETE, seq, packet))
             seq += 1
             if log:
@@ -357,8 +414,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     while events and not stop:
         now = events[0][0]
-        channel_freed = False
-        touched = set()
+        touched = set()    # nodes whose head or admissibility may have changed
 
         while events and events[0][0] == now:
             _, rank, _, packet = heapq.heappop(events)
@@ -378,9 +434,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
             elif rank == _COMPLETE:
                 tx = active.pop(packet.id)
-                busy.discard(tx.sender)
-                busy.discard(tx.receiver)
-                channel_freed = True
+                medium.release(tx.sender, tx.receiver)
+                touched.update(reach[tx.sender])
+                touched.update(reach[tx.receiver])
                 packet.hops_traversed += 1
                 packet.current_node = tx.receiver
                 if log:
@@ -431,7 +487,10 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
         if stop:
             break
-        grant_pass(backlog if channel_freed else touched & backlog)
+        grant_pass(touched & backlog)
+
+    if not stop and not medium.is_idle():
+        raise InvariantError("medium not idle after the run drained")
 
     generated = len(packets)
     in_flight = generated - delivered - missed
@@ -449,13 +508,15 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
 
 def run_replications(topology: Topology, routes: RouteTable,
-                     config: SimConfig) -> list:
+                     config: SimConfig, event_log: Optional[list] = None) -> list:
     """Independent seeded replications: workload seeds are seed, seed+1, ...
-    Results come back in seed order."""
+    Results come back in seed order. A given `event_log` receives the first
+    replication's events."""
     results = []
     for i in range(config.replication_count):
         workload = generate_workload(topology, routes, config, seed=config.seed + i)
-        results.append(run_simulation(topology, routes, workload, config))
+        results.append(run_simulation(topology, routes, workload, config,
+                                      event_log=event_log if i == 0 else None))
     return results
 
 

@@ -6,6 +6,8 @@ import io
 import pytest
 
 from rtcap import analytics as an
+from rtcap import simcore as sc
+from rtcap import topology as tp
 from rtcap.cli import dispatch
 
 
@@ -105,6 +107,14 @@ class TestUsage:
         code, _ = run_cli(["explode"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "5"],
+        ["simulate", "--out-dir", "x"],
+    ], ids=["analyze-seed", "simulate-out-dir"])
+    def test_flags_a_command_never_reads_rejected(self, argv):
+        code, _ = run_cli(argv)
+        assert code == 1
+
 
 class TestConfigFile:
     def test_file_values_used_and_overridden(self, tmp_path):
@@ -139,8 +149,8 @@ class TestConfigFile:
     def test_values_checked_like_flags(self, tmp_path, capsys, text, argv, key):
         cfg = tmp_path / "run.ini"
         cfg.write_text(text)
-        code, _ = run_cli([*argv, "--config", str(cfg),
-                           "--out-dir", str(tmp_path)])
+        out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "sweep" else []
+        code, _ = run_cli([*argv, "--config", str(cfg), *out_dir])
         assert code == 1
         assert key in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
@@ -174,10 +184,18 @@ class TestSimulate:
         log = tmp_path / "events.log"
         code, _ = run_cli(["simulate", "--rows", "2", "--cols", "2",
                            "--radio-range", "15", "--sinks", "1",
-                           "--rate", "2", "--duration", "5", "--reps", "1",
-                           "--event-log", str(log)])
+                           "--rate", "2", "--duration", "5", "--reps", "2",
+                           "--seed", "7", "--event-log", str(log)])
         assert code == 0
         assert any(" arrival " in ln for ln in log.read_text().splitlines())
+        # the first replication's log: the run with workload seed --seed
+        topo, routes = tp.make_network(2, 2, spacing=10.0, jitter=0.25, seed=7,
+                                       radio_range=15.0, sink_count=1)
+        cfg = sc.SimConfig(arrival_rate=2.0, duration=5.0, seed=7)
+        direct = []
+        sc.run_simulation(topo, routes, sc.generate_workload(topo, routes, cfg),
+                          cfg, event_log=direct)
+        assert log.read_text() == "".join(line + "\n" for line in direct)
 
     def test_disconnected_network_is_runtime_error(self, capsys):
         code, _ = run_cli(["simulate", "--rows", "1", "--cols", "3",

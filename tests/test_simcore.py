@@ -93,55 +93,108 @@ class TestGenerateWorkload:
 # ---------------------------------------------------------------------------
 
 class TestAdmissibleTransmissions:
-    def adjacency(self, n):
+    def medium(self, n, active=()):
         topo, _ = chain_network(n)
-        return topo.adjacency
+        medium = sc.Medium(topo.adjacency)
+        for tx in active:
+            medium.occupy(tx.sender, tx.receiver)
+        return medium
 
     def test_single_candidate_granted(self):
-        adj = self.adjacency(3)
+        medium = self.medium(3)
         pkt = mk_packet(0, 0, 2, 0.0, 1.0)
-        grants = sc.admissible_transmissions([(pkt, 0, 1)], [], adj)
+        grants = sc.admissible_transmissions([(pkt, 0, 1)], medium)
         assert grants == [(pkt, 0, 1)]
 
     def test_sender_near_active_receiver_blocked(self):
-        adj = self.adjacency(4)
-        active = [sc.ActiveTransmission(0, 1, 99, 1.0)]
+        medium = self.medium(4, [sc.ActiveTransmission(0, 1, 99, 1.0)])
         pkt = mk_packet(0, 2, 3, 0.0, 1.0)
-        assert sc.admissible_transmissions([(pkt, 2, 3)], active, adj) == []
+        assert sc.admissible_transmissions([(pkt, 2, 3)], medium) == []
 
     def test_receiver_near_active_sender_blocked(self):
-        adj = self.adjacency(4)
-        active = [sc.ActiveTransmission(1, 0, 99, 1.0)]
+        medium = self.medium(4, [sc.ActiveTransmission(1, 0, 99, 1.0)])
         pkt = mk_packet(0, 3, 2, 0.0, 1.0)
         # receiver 2 is inside sender 1's range
-        assert sc.admissible_transmissions([(pkt, 3, 2)], active, adj) == []
+        assert sc.admissible_transmissions([(pkt, 3, 2)], medium) == []
 
     def test_disjoint_neighborhoods_both_granted(self):
-        adj = self.adjacency(6)
+        medium = self.medium(6)
         p1 = mk_packet(0, 0, 5, 0.0, 1.0)
         p2 = mk_packet(1, 4, 5, 0.0, 1.0)
-        grants = sc.admissible_transmissions([(p1, 0, 1), (p2, 4, 5)], [], adj)
+        grants = sc.admissible_transmissions([(p1, 0, 1), (p2, 4, 5)], medium)
         assert len(grants) == 2
 
     def test_priority_wins_shared_receiver(self):
-        adj = self.adjacency(4)
+        medium = self.medium(4)
         urgent = mk_packet(0, 3, 0, 0.0, 0.5)
         lax = mk_packet(1, 1, 0, 0.0, 2.0)
-        grants = sc.admissible_transmissions([(lax, 1, 2), (urgent, 3, 2)], [], adj)
+        grants = sc.admissible_transmissions([(lax, 1, 2), (urgent, 3, 2)], medium)
         assert [g[0].id for g in grants] == [0]
 
     def test_tie_breaks_by_key(self):
-        adj = self.adjacency(4)
+        medium = self.medium(4)
         a = mk_packet(5, 1, 0, 0.0, 1.0, tie=0.9)
         b = mk_packet(9, 3, 0, 0.0, 1.0, tie=0.1)
-        grants = sc.admissible_transmissions([(a, 1, 2), (b, 3, 2)], [], adj)
+        grants = sc.admissible_transmissions([(a, 1, 2), (b, 3, 2)], medium)
         assert [g[0].id for g in grants] == [9]
 
     def test_busy_endpoint_blocked(self):
-        adj = self.adjacency(6)
-        active = [sc.ActiveTransmission(4, 5, 99, 1.0)]
+        medium = self.medium(6, [sc.ActiveTransmission(4, 5, 99, 1.0)])
         pkt = mk_packet(0, 4, 3, 0.0, 1.0)
-        assert sc.admissible_transmissions([(pkt, 4, 3)], active, adj) == []
+        assert sc.admissible_transmissions([(pkt, 4, 3)], medium) == []
+
+
+class TestMedium:
+    @staticmethod
+    def rebuilt(adjacency, active):
+        """Busy endpoints and per-node counts recomputed from the active
+        transmissions alone."""
+        busy = {v for tx in active for v in (tx.sender, tx.receiver)}
+        near_senders = {v: sum(v in adjacency[tx.sender] for tx in active)
+                        for v in adjacency}
+        near_receivers = {v: sum(v in adjacency[tx.receiver] for tx in active)
+                          for v in adjacency}
+        return busy, near_senders, near_receivers
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_occupy_release_matches_rebuild(self, seed):
+        topo, routes = tp.make_network(6, 6, spacing=10.0, jitter=0.2,
+                                       seed=seed, radio_range=15.0,
+                                       sink_count=1)
+        adjacency = topo.adjacency
+        rng = np.random.default_rng(seed)
+        medium = sc.Medium(adjacency)
+        active = []
+        for step in range(400):
+            if active and rng.random() < 0.45:
+                tx = active.pop(int(rng.integers(len(active))))
+                medium.release(tx.sender, tx.receiver)
+            else:
+                s = int(rng.choice(sorted(routes.next_hop)))
+                r = routes.next_hop[s]
+                pkt = mk_packet(step, s, r, 0.0, 1.0)
+                if not sc.admissible_transmissions([(pkt, s, r)], medium):
+                    continue
+                sc._verify_exclusion(s, r, {tx.packet_id: tx for tx in active},
+                                     adjacency)
+                active.append(sc.ActiveTransmission(s, r, step, 0.0))
+            assert (medium.busy, medium.near_senders, medium.near_receivers) \
+                == self.rebuilt(adjacency, active)
+        for tx in active:
+            medium.release(tx.sender, tx.receiver)
+        assert medium.is_idle()
+
+    def test_run_must_leave_medium_idle(self, monkeypatch):
+        # a release that forgets the sender's range leaves counts behind
+        def leaky_release(medium, sender, receiver):
+            medium.busy.discard(sender)
+            medium.busy.discard(receiver)
+            for v in medium.adjacency[receiver]:
+                medium.near_receivers[v] -= 1
+
+        monkeypatch.setattr(sc.Medium, "release", leaky_release)
+        with pytest.raises(sc.InvariantError, match="medium not idle"):
+            contended_run(seed=3)
 
 
 # ---------------------------------------------------------------------------
