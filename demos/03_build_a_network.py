@@ -31,7 +31,8 @@ print(f"disk adjacency at R=20.5: degree min={degrees[0]} "
 sinks = place_sinks(topo, sink_count=4)
 print(f"sinks on the quadrant centers: {sinks}")
 
-routes = build_routes(topo)
+# the route table is the one record of the sinks; the nodes stay unmarked
+routes = build_routes(topo, sinks)
 far = max(routes.hop_count, key=routes.hop_count.get)
 print(f"farthest node {far} reaches sink {routes.assigned_sink[far]} in "
       f"{routes.hop_count[far]} hops via {routes.route(far)}")
@@ -42,9 +43,8 @@ print(f"measured parameters: u={stats.neighborhood_bound} "
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "network.txt")
-    save_topology(topo, path)
-    again = load_topology(path)
-    same = all(a.x == b.x and a.y == b.y and a.is_sink == b.is_sink
-               for a, b in zip(topo.nodes, again.nodes))
+    save_topology(topo, path, routes.sinks)
+    again, again_sinks = load_topology(path)
+    same = again.nodes == topo.nodes and again_sinks == routes.sinks
     print(f"text round trip of {path.split('/')[-1]}: "
           f"{'bit-exact' if same else 'MISMATCH'}")

@@ -197,7 +197,7 @@ def stage_delay_term(vq: float) -> float:
         raise ValueError(f"neighborhood utilization must be >= 0, got {vq}")
     if vq >= 1.0:
         raise PoleError(f"delay bound diverges at utilization {vq} >= 1")
-    return vq * (1.0 - 0.5 * vq) / (1.0 - vq)
+    return _stage_delay_vec(vq)
 
 
 def _stage_delay_vec(vq):
@@ -419,7 +419,4 @@ def balanced_vs_convergecast_ratio(max_hops: float) -> float:
     """How much more capacity load-balanced traffic carries than convergecast
     at equal path length: 1 + 0.5*ln(K). Equals 1 at K=1 and grows only
     logarithmically."""
-    k = float(max_hops)
-    if k < 1:
-        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-    return 1.0 + 0.5 * math.log(k)
+    return harmonic_odd_sum(float(max_hops), APPROXIMATE)

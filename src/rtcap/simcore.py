@@ -43,11 +43,6 @@ import numpy as np
 
 from .topology import RouteTable, Topology
 
-QUEUED = "queued"
-IN_FLIGHT = "in_flight"
-DELIVERED = "delivered"
-MISSED = "missed"
-
 # event ranks: completions free the channel before same-instant arrivals are
 # queued, and a completion landing exactly at the deadline still counts as
 # on time because it is processed before the expiry check
@@ -60,6 +55,9 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class Packet:
+    """One packet. The workload's packets are never written: a run copies
+    each one when it arrives and moves the copy through the network."""
+
     id: int
     origin: int
     destination: int
@@ -71,8 +69,7 @@ class Packet:
     tie_key: float
     current_node: int = -1
     hops_traversed: int = 0
-    status: str = QUEUED
-    delivery_time: Optional[float] = None
+    missed: bool = False
     dropped: bool = False
 
     @property
@@ -180,9 +177,10 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
     rng = np.random.default_rng(use_seed)
     deadlines = list(config.deadline_set)
     tx = config.tx_time
+    sinks = frozenset(routes.sinks)
     raw = []
     for node in topology.nodes:
-        if node.is_sink or config.arrival_rate == 0:
+        if node.id in sinks or config.arrival_rate == 0:
             continue
         t = 0.0
         while True:
@@ -310,12 +308,11 @@ class _NodeQueue:
         self.heap = []
 
     def push(self, packet: Packet):
-        heapq.heappush(self.heap, (packet.relative_deadline, packet.tie_key,
-                                   packet.id, packet))
+        heapq.heappush(self.heap, (priority_key(packet), packet))
 
     def head(self) -> Optional[Packet]:
         while self.heap:
-            packet = self.heap[0][3]
+            packet = self.heap[0][1]
             if packet.dropped:
                 heapq.heappop(self.heap)
                 continue
@@ -323,7 +320,7 @@ class _NodeQueue:
         return None
 
     def pop_head(self) -> Packet:
-        return heapq.heappop(self.heap)[3]
+        return heapq.heappop(self.heap)[1]
 
 
 def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
@@ -352,7 +349,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     next_hop = routes.next_hop
     reach = _release_reach(adjacency, next_hop)
 
-    packets = [replace(p) for p in workload.packets]
+    packets = workload.packets
     # time-averaged demand: each packet claims size/deadline at every route
     # node for its deadline window, so the deadline cancels and the demand is
     # bit-hops injected per second
@@ -403,8 +400,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 raise InvariantError(f"queue head changed under grant at node {s}")
             if queues[s].head() is None:
                 backlog.discard(s)
-            if packet.status != MISSED:  # the miss label is sticky on kept packets
-                packet.status = IN_FLIGHT
             done = now + packet.tx_time
             active[packet.id] = ActiveTransmission(s, r, packet.id, done)
             heapq.heappush(events, (done, _COMPLETE, seq, packet))
@@ -420,8 +415,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             _, rank, _, packet = heapq.heappop(events)
 
             if rank == _ARRIVAL:
-                packet.status = QUEUED
-                packet.current_node = packet.origin
+                packet = replace(packet, current_node=packet.origin)
                 queues[packet.origin].push(packet)
                 backlog.add(packet.origin)
                 live[packet.id] = packet
@@ -444,29 +438,25 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 if packet.dropped:
                     pass  # missed mid-flight and dropped at hop boundary
                 elif tx.receiver == packet.destination:
-                    if packet.status == MISSED:
+                    if packet.missed:
                         pass  # late arrival of a kept packet: contributes nothing
                     else:
-                        packet.status = DELIVERED
-                        packet.delivery_time = now
                         delivered += 1
                         delays.append(now - packet.arrival_time)
                         if log:
                             log(f"{now!r} deliver {tx.receiver} {packet.id}")
                 else:
-                    if packet.status != MISSED:
-                        packet.status = QUEUED
                     queues[tx.receiver].push(packet)
                     backlog.add(tx.receiver)
                     if log:
                         log(f"{now!r} enqueue {tx.receiver} {packet.id}")
 
-            else:  # _EXPIRE
-                if packet.status in (DELIVERED, MISSED):
-                    live.pop(packet.id, None)
+            else:  # _EXPIRE, once per packet
+                if packet.current_node == packet.destination:
+                    live.pop(packet.id, None)  # delivered on time
                     continue
-                was_queued = packet.status == QUEUED
-                packet.status = MISSED
+                was_queued = packet.id not in active
+                packet.missed = True
                 missed += 1
                 if first_miss_capacity is None:
                     # snapshot includes the packet that just expired

@@ -2,15 +2,17 @@
 adjacency, uniform sink placement, and shortest-hop routing to the nearest
 sink.
 
-Construction is deterministic for a fixed seed. A finished topology and its
-route table are treated as immutable and may be shared freely across
-concurrent simulation runs.
+Construction is deterministic for a fixed seed. The sinks live only in the
+route table: `place_sinks` chooses ids and writes nothing, `build_routes`
+takes them as an argument, and the topology file stores them next to the
+nodes. Nodes and route tables are frozen, so a finished topology and its
+routes may be shared freely across concurrent simulation runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -26,12 +28,11 @@ class RoutingError(RuntimeError):
             f"{self.unreachable[:20]}{'...' if len(self.unreachable) > 20 else ''}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     id: int
     x: float
     y: float
-    is_sink: bool = False
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,14 @@ class Topology:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    @property
-    def sink_ids(self) -> list:
-        return [n.id for n in self.nodes if n.is_sink]
-
     def positions(self) -> np.ndarray:
         return np.array([(n.x, n.y) for n in self.nodes], dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteTable:
-    """Next hop, hop count to the assigned sink, and that sink, per node.
+    """Next hop, hop count to the assigned sink, and that sink, per node,
+    plus the sink ids, ascending: the one record of which nodes are sinks.
 
     Sinks themselves appear in hop_count (0) and assigned_sink (self) but
     have no next_hop entry.
@@ -72,7 +70,7 @@ class RouteTable:
     next_hop: dict
     hop_count: dict
     assigned_sink: dict
-    sinks: list = field(default_factory=list)
+    sinks: list
 
     def route(self, node: int) -> list:
         """Full node sequence from `node` to its sink, inclusive."""
@@ -162,7 +160,7 @@ def _subgrid_factors(sink_count: int, rows: int, cols: int):
 
 def place_sinks(topology: Topology, sink_count: int, seed: int = 0,
                 mode: str = "subgrid") -> list:
-    """Mark sink_count nodes as sinks and return their ids, ascending.
+    """Choose sink_count sink ids, ascending; the topology is not changed.
 
     subgrid mode (the default) selects an evenly spaced sub-grid of the node
     grid: one sink on an odd square grid lands on the center node, four on a
@@ -172,8 +170,6 @@ def place_sinks(topology: Topology, sink_count: int, seed: int = 0,
     n = topology.node_count
     if not (1 <= sink_count <= n):
         raise ValueError(f"sink_count must lie in [1, {n}], got {sink_count}")
-    for node in topology.nodes:
-        node.is_sink = False
 
     if mode == "random":
         rng = np.random.default_rng(seed)
@@ -194,15 +190,11 @@ def place_sinks(topology: Topology, sink_count: int, seed: int = 0,
             chosen = sorted(int((i + 0.5) * n / sink_count) for i in range(sink_count))
     else:
         raise ValueError(f"unknown sink placement mode {mode!r}")
-
-    by_id = {node.id: node for node in topology.nodes}
-    for node_id in chosen:
-        by_id[node_id].is_sink = True
     return chosen
 
 
-def build_routes(topology: Topology, sinks: Optional[Iterable] = None) -> RouteTable:
-    """Shortest-hop routes from every node to its nearest sink.
+def build_routes(topology: Topology, sinks: Iterable) -> RouteTable:
+    """Shortest-hop routes from every node to its nearest sink in `sinks`.
 
     Hop counts come from a breadth-first search seeded with all sinks at
     distance 0. The next hop is the neighbor one hop closer, ties broken by
@@ -211,11 +203,13 @@ def build_routes(topology: Topology, sinks: Optional[Iterable] = None) -> RouteT
     """
     if topology.adjacency is None:
         raise ValueError("adjacency not computed yet")
-    sink_list = sorted(sinks) if sinks is not None else sorted(topology.sink_ids)
-    if not sink_list:
-        raise ValueError("no sinks given or marked on the topology")
-
     adjacency = topology.adjacency
+    sink_list = sorted(set(sinks))
+    if not sink_list:
+        raise ValueError("no sinks given")
+    unknown = [s for s in sink_list if s not in adjacency]
+    if unknown:
+        raise ValueError(f"sinks {unknown} are not nodes of the topology")
     hop_count = {s: 0 for s in sink_list}
     frontier = list(sink_list)
     while frontier:
@@ -262,10 +256,12 @@ def topology_stats(topology: Topology, routes: RouteTable) -> TopologyStats:
     return TopologyStats(neighborhood_bound=u, max_hops=max_hops, nodes_per_disk=m)
 
 
-def save_topology(topology: Topology, path) -> None:
+def save_topology(topology: Topology, path, sinks: Iterable) -> None:
     """Write the node list as plain text: one `id x y is_sink` line per node,
-    preceded by a header recording the grid parameters and radio range.
-    Floats are written with repr so a round trip is bit-exact."""
+    is_sink 1 for the ids in `sinks`, preceded by a header recording the
+    grid parameters and radio range. Floats are written with repr so a
+    round trip is bit-exact."""
+    sinks = set(sinks)
     lines = ["# rtcap topology v1"]
     if topology.grid is not None:
         g = topology.grid
@@ -275,17 +271,19 @@ def save_topology(topology: Topology, path) -> None:
         lines.append(f"# radio_range={topology.radio_range!r}")
     lines.append("# columns: id x y is_sink")
     for node in topology.nodes:
-        lines.append(f"{node.id} {node.x!r} {node.y!r} {int(node.is_sink)}")
+        lines.append(f"{node.id} {node.x!r} {node.y!r} {int(node.id in sinks)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_topology(path) -> Topology:
-    """Read a topology written by save_topology; recomputes adjacency when the
-    header records a radio range."""
+def load_topology(path) -> tuple:
+    """Read a file written by save_topology and return (topology, sinks),
+    sinks in node order; recomputes adjacency when the header records a
+    radio range."""
     grid = None
     radio_range = None
     nodes = []
+    sinks = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -302,12 +300,13 @@ def load_topology(path) -> Topology:
                     radio_range = float(body.split("=", 1)[1])
                 continue
             ident, x, y, sink = line.split()
-            nodes.append(Node(id=int(ident), x=float(x), y=float(y),
-                              is_sink=bool(int(sink))))
+            nodes.append(Node(id=int(ident), x=float(x), y=float(y)))
+            if int(sink):
+                sinks.append(int(ident))
     topo = Topology(nodes=nodes, grid=grid)
     if radio_range is not None:
         compute_adjacency(topo, radio_range)
-    return topo
+    return topo, sinks
 
 
 def make_network(rows: int, cols: int, spacing: float = 10.0, jitter: float = 0.25,
@@ -319,6 +318,5 @@ def make_network(rows: int, cols: int, spacing: float = 10.0, jitter: float = 0.
     """
     topo = generate_perturbed_grid(rows, cols, spacing, jitter, seed)
     compute_adjacency(topo, radio_range)
-    place_sinks(topo, sink_count, seed=seed, mode=sink_mode)
-    routes = build_routes(topo)
-    return topo, routes
+    sinks = place_sinks(topo, sink_count, seed=seed, mode=sink_mode)
+    return topo, build_routes(topo, sinks)

@@ -13,10 +13,7 @@ def chain_network(n, radio_range=10.0, sink_at_end=True):
     topo = tp.generate_perturbed_grid(1, n, 10.0, 0.0, seed=0)
     tp.compute_adjacency(topo, radio_range)
     sink = n - 1 if sink_at_end else 0
-    for node in topo.nodes:
-        node.is_sink = node.id == sink
-    routes = tp.build_routes(topo)
-    return topo, routes
+    return topo, tp.build_routes(topo, [sink])
 
 
 def mk_packet(pid, origin, dest, at, deadline, tx=0.4, hops=1, tie=0.0, size=1000.0):
@@ -136,7 +133,7 @@ def instance_is_dm_feasible(topology, routes, workload):
     cont = tp.contention_sets(topology)
     vq = {x: sum(peaks[y] for y in members) for x, members in cont.items()}
     for node in topology.nodes:
-        if node.is_sink:
+        if node.id in routes.sinks:
             continue
         senders = routes.route(node.id)[:-1]
         if not an.dm_path_feasible([vq[v] for v in senders]).feasible:

@@ -225,7 +225,7 @@ def test_criterion_9c_determinism(tmp_path):
         topo, routes = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=9,
                                        radio_range=20.5, sink_count=2)
         path = tmp_path / f"topo_{name}.txt"
-        tp.save_topology(topo, path)
+        tp.save_topology(topo, path, routes.sinks)
         files.append(path.read_bytes())
 
         cfg = sc.SimConfig(packet_size=5000.0, arrival_rate=3.0, duration=6.0,

@@ -72,16 +72,14 @@ class TestProbeRate:
     def test_chain(self):
         topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0)
         tp.compute_adjacency(topo, 10.0)
-        topo.nodes[2].is_sink = True
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [2])
         # hop counts 2 + 1: demand = rate * 1000 * 3
         assert ex.probe_rate(3000.0, routes, 1000.0) == pytest.approx(1.0)
 
     def test_no_traffic_rejected(self):
         topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0)
         tp.compute_adjacency(topo, 10.0)
-        topo.nodes[0].is_sink = True
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [0])
         with pytest.raises(ValueError):
             ex.probe_rate(1000.0, routes, 1000.0)
 

@@ -2,6 +2,8 @@
 event-log audits of the exclusion and priority rules, and the cross-module
 schedulability property (analytically feasible instances never miss)."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -61,6 +63,18 @@ class TestGenerateWorkload:
         wl = sc.generate_workload(topo, routes, cfg)
         sink = routes.sinks[0]
         assert all(p.origin != sink for p in wl.packets)
+
+    def test_explicit_route_sinks_drive_the_workload(self):
+        # sinks passed to build_routes, not chosen by place_sinks
+        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0)
+        tp.compute_adjacency(topo, 10.0)
+        routes = tp.build_routes(topo, [4])
+        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=1.0, duration=8.0)
+        wl = sc.generate_workload(topo, routes, cfg)
+        m = sc.run_simulation(topo, routes, wl, cfg)
+        assert wl.packets and all(p.origin != 4 for p in wl.packets)
+        assert m.delivered > 0
+        assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
 
     def test_sorted_with_sequential_ids(self):
         topo, routes = self._network()
@@ -329,6 +343,18 @@ class TestRunProperties:
         assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
         assert m.in_flight_at_end == 0  # run drains completely
         assert m.miss_ratio == pytest.approx(m.missed / m.packets_generated)
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_workload_not_written(self, drop):
+        topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=7,
+                                       radio_range=15.0, sink_count=1)
+        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=8.0, duration=8.0,
+                           seed=7, drop_on_miss=drop)
+        wl = sc.generate_workload(topo, routes, cfg)
+        before = copy.deepcopy(wl)
+        m = sc.run_simulation(topo, routes, wl, cfg)
+        assert m.missed > 0
+        assert wl == before
 
     def test_stop_at_first_miss_matches_full_run(self):
         topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=5,

@@ -1,5 +1,7 @@
 """Tests for grid generation, disk adjacency, sink placement, and routing."""
 
+import copy
+import dataclasses
 import math
 from collections import deque
 
@@ -101,7 +103,7 @@ class TestSinkPlacement:
         topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0)
         sinks = tp.place_sinks(topo, 9)
         assert sinks == list(range(9))
-        assert all(n.is_sink for n in topo.nodes)
+        assert all(n.id in sinks for n in topo.nodes)
 
     def test_center_of_odd_square(self):
         topo = tp.generate_perturbed_grid(5, 5, 10.0, 0.0, seed=0)
@@ -123,6 +125,15 @@ class TestSinkPlacement:
         b = tp.place_sinks(topo, 4, seed=9, mode="random")
         assert a == b and len(a) == 4
 
+    def test_writes_nothing(self):
+        topo, routes = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=1,
+                                       radio_range=12.0, sink_count=1)
+        nodes = copy.deepcopy(topo.nodes)
+        tp.place_sinks(topo, 4)
+        tp.place_sinks(topo, 3, seed=2, mode="random")
+        assert topo.nodes == nodes
+        assert routes.sinks == [12]
+
     def test_prime_count_falls_back_to_even_spacing(self):
         topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0)
         sinks = tp.place_sinks(topo, 7)
@@ -133,11 +144,7 @@ class TestRoutes:
     def test_line_routes(self):
         topo = line_topology(3)
         tp.compute_adjacency(topo, radio_range=10.0)
-        tp.place_sinks(topo, 1, mode="random", seed=0)
-        # force the sink to the right end regardless of the draw
-        for n in topo.nodes:
-            n.is_sink = n.id == 2
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [2])
         assert routes.hop_count == {0: 2, 1: 1, 2: 0}
         assert routes.next_hop == {0: 1, 1: 2}
         assert routes.assigned_sink == {0: 2, 1: 2, 2: 2}
@@ -147,30 +154,35 @@ class TestRoutes:
         # node 1 sits between sinks 0 and 2
         topo = line_topology(3)
         tp.compute_adjacency(topo, radio_range=10.0)
-        for n in topo.nodes:
-            n.is_sink = n.id in (0, 2)
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [0, 2])
         assert routes.next_hop[1] == 0
         assert routes.assigned_sink[1] == 0
 
     def test_sink_has_no_next_hop(self):
         topo = line_topology(2)
         tp.compute_adjacency(topo, radio_range=10.0)
-        topo.nodes[1].is_sink = True
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [1])
         assert 1 not in routes.next_hop
         assert routes.hop_count[1] == 0
 
     def test_disconnected_raises_with_ids(self):
         topo = line_topology(4)
         tp.compute_adjacency(topo, radio_range=10.0)
-        # stretch node 3 away so it is isolated
-        topo.nodes[3].x = 1000.0
+        # move node 3 away so it is isolated
+        topo.nodes[3] = dataclasses.replace(topo.nodes[3], x=1000.0)
         tp.compute_adjacency(topo, radio_range=10.0)
-        topo.nodes[0].is_sink = True
         with pytest.raises(tp.RoutingError) as exc:
-            tp.build_routes(topo)
+            tp.build_routes(topo, [0])
         assert exc.value.unreachable == [3]
+
+    def test_sinks_checked(self):
+        topo = line_topology(3)
+        tp.compute_adjacency(topo, radio_range=10.0)
+        with pytest.raises(ValueError):
+            tp.build_routes(topo, [])
+        with pytest.raises(ValueError):
+            tp.build_routes(topo, [3])
+        assert tp.build_routes(topo, [2, 0, 2]).sinks == [0, 2]
 
     def test_hop_counts_match_bfs_oracle(self):
         topo, routes = tp.make_network(7, 9, spacing=10.0, jitter=0.2, seed=21,
@@ -195,20 +207,32 @@ class TestRoutes:
             assert path[-1] in routes.sinks
 
 
+class TestFrozen:
+    def test_node(self):
+        node = tp.generate_perturbed_grid(1, 2, 10.0, 0.0, seed=0).nodes[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.x = 0.0
+
+    def test_route_table(self):
+        _, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            routes.sinks = [0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            routes.next_hop = {}
+
+
 class TestStats:
     def test_single_node(self):
         topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0)
         tp.compute_adjacency(topo, 10.0)
-        topo.nodes[0].is_sink = True
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [0])
         stats = tp.topology_stats(topo, routes)
         assert stats == (1, 0, 1)
 
     def test_square(self):
         topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0)
         tp.compute_adjacency(topo, 10.0)
-        topo.nodes[0].is_sink = True
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [0])
         stats = tp.topology_stats(topo, routes)
         assert stats.neighborhood_bound == 3
         assert stats.nodes_per_disk == 3
@@ -216,29 +240,38 @@ class TestStats:
     def test_chain_max_hops(self):
         topo = line_topology(5)
         tp.compute_adjacency(topo, 10.0)
-        topo.nodes[4].is_sink = True
-        routes = tp.build_routes(topo)
+        routes = tp.build_routes(topo, [4])
         assert tp.topology_stats(topo, routes).max_hops == 4
 
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
-        topo, _ = tp.make_network(4, 6, spacing=10.0, jitter=0.25, seed=11,
-                                  radio_range=15.0, sink_count=2)
+        topo, routes = tp.make_network(4, 6, spacing=10.0, jitter=0.25, seed=11,
+                                       radio_range=15.0, sink_count=2)
         path = tmp_path / "topo.txt"
-        tp.save_topology(topo, path)
-        loaded = tp.load_topology(path)
-        assert [(n.id, n.x, n.y, n.is_sink) for n in loaded.nodes] == \
-               [(n.id, n.x, n.y, n.is_sink) for n in topo.nodes]
+        tp.save_topology(topo, path, routes.sinks)
+        loaded, sinks = tp.load_topology(path)
+        assert [(n.id, n.x, n.y, n.id in sinks) for n in loaded.nodes] == \
+               [(n.id, n.x, n.y, n.id in routes.sinks) for n in topo.nodes]
         assert loaded.grid == topo.grid
         assert loaded.radio_range == topo.radio_range
         assert loaded.adjacency == topo.adjacency
 
-    def test_header_records_parameters(self, tmp_path):
-        topo, _ = tp.make_network(3, 3, spacing=5.0, jitter=0.1, seed=7,
-                                  radio_range=6.0, sink_count=1)
+    def test_load_returns_saved_sinks(self, tmp_path):
+        topo, routes = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=3,
+                                       radio_range=20.5, sink_count=3,
+                                       sink_mode="random")
         path = tmp_path / "topo.txt"
-        tp.save_topology(topo, path)
+        tp.save_topology(topo, path, routes.sinks)
+        loaded, sinks = tp.load_topology(path)
+        assert sinks == routes.sinks
+        assert tp.build_routes(loaded, sinks) == routes
+
+    def test_header_records_parameters(self, tmp_path):
+        topo, routes = tp.make_network(3, 3, spacing=5.0, jitter=0.1, seed=7,
+                                       radio_range=6.0, sink_count=1)
+        path = tmp_path / "topo.txt"
+        tp.save_topology(topo, path, routes.sinks)
         head = path.read_text().splitlines()[:4]
         assert any("jitter=0.1" in line for line in head)
         assert any("radio_range=6.0" in line for line in head)
@@ -247,7 +280,7 @@ class TestPersistence:
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
         for path in (a, b):
-            topo, _ = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=33,
-                                      radio_range=12.0, sink_count=2)
-            tp.save_topology(topo, path)
+            topo, routes = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=33,
+                                           radio_range=12.0, sink_count=2)
+            tp.save_topology(topo, path, routes.sinks)
         assert a.read_bytes() == b.read_bytes()
