@@ -25,7 +25,7 @@ config = SimConfig(bandwidth=250_000.0, packet_size=5_000.0,
                    duration=15.0, seed=7)
 workload = generate_workload(topo, routes, config)
 print(f"workload: {len(workload.packets)} packets "
-      f"(overloaded={workload.overloaded})")
+      f"(overloaded={config.overloaded})")
 
 log = []
 metrics = run_simulation(topo, routes, workload, config, event_log=log)

@@ -3,11 +3,9 @@
 Rebuilds the sink-count experiment on a 400-node grid: for each sink count
 the network is probed above its analytic bound, replications record the
 capacity consumption at the first deadline miss, and the minimum across
-replications is the critical capacity. Writes the CSV artifact next to this
-script.
+replications is the critical capacity. Writes the CSV artifact into the
+working directory.
 """
-
-import os
 
 from rtcap import (
     AnalyticParams,
@@ -22,9 +20,10 @@ spec = SweepSpec(
     kind="sink_sweep",
     values=(1, 2, 4, 8, 16),
     analytic=AnalyticParams(node_count=400, bandwidth=250_000.0),
-    sim=SimConfig(packet_size=4_000.0, duration=30.0),
+    sim=SimConfig(packet_size=4_000.0, duration=30.0, seed=0,
+                  replication_count=5),
     rows=20, cols=20, spacing=10.0, jitter=0.25, radio_range=20.5,
-    load_factor=2.5, replication_count=5, base_seed=0)
+    load_factor=2.5)
 
 rows = run_sweep(spec)
 
@@ -36,7 +35,7 @@ for r in rows:
           f"{ratio:>6.2f}  ({r.neighborhood_bound}, {r.nodes_per_disk}, "
           f"{r.max_hops})")
 
-dest = os.path.join(os.path.dirname(__file__) or ".", csv_filename(spec))
+dest = csv_filename(spec)
 emit_csv(rows, dest, spec)
 print(f"\nwrote {dest}")
 print("More sinks shorten routes and relieve the aggregation bottleneck, so")

@@ -2,10 +2,9 @@
 
 Sweeps offered load multiplicatively from a quarter of the analytic DM bound
 to four times it. Below the bound nothing misses; past it the miss ratio
-climbs steeply. Each point averages ten seeded replications.
+climbs steeply. Each point averages ten seeded replications. Writes the CSV
+artifact into the working directory.
 """
-
-import os
 
 from rtcap import (
     AnalyticParams,
@@ -21,9 +20,10 @@ spec = SweepSpec(
     kind="missratio_sweep",
     values=load_multiplier_series(),          # 0.25, 0.31, ..., 4.0
     analytic=AnalyticParams(node_count=144, bandwidth=250_000.0),
-    sim=SimConfig(packet_size=5_000.0, duration=10.0),
+    sim=SimConfig(packet_size=5_000.0, duration=10.0, seed=0,
+                  replication_count=10),
     rows=12, cols=12, spacing=10.0, jitter=0.25, radio_range=20.5,
-    sink_count=4, replication_count=10, base_seed=0)
+    sink_count=4)
 
 rows = run_sweep(spec)
 bound = rows[0].analytic_dm
@@ -35,6 +35,6 @@ for r in rows:
     print(f"{r.swept_value:>6.2f} {r.offered_demand:>10.0f} "
           f"{r.miss_ratio:>11.4f}  {bar}{marker}")
 
-dest = os.path.join(os.path.dirname(__file__) or ".", csv_filename(spec))
+dest = csv_filename(spec)
 emit_csv(rows, dest, spec)
 print(f"\nwrote {dest}")

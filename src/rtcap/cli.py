@@ -200,13 +200,13 @@ def _params_from(cfg: dict) -> an.AnalyticParams:
 
 
 def _sim_from(cfg: dict, **fields) -> sc.SimConfig:
-    """The workload settings every simulating command shares; `fields`
-    adds the ones only some commands set."""
+    """The workload, seed and replication settings every simulating command
+    shares; `fields` adds the ones only some commands set."""
     return sc.SimConfig(
         bandwidth=cfg["B"], packet_size=cfg["packet_size"],
         deadline_set=_parse_floats(cfg["deadlines"]),
         duration=cfg["duration"], drop_on_miss=cfg["drop_on_miss"],
-        seed=cfg["seed"], **fields)
+        seed=cfg["seed"], replication_count=cfg["reps"], **fields)
 
 
 def _echo_params(cfg: dict, keys, out) -> None:
@@ -261,7 +261,7 @@ def _cmd_analyze(args, cfg, out) -> int:
 
 
 def _cmd_simulate(args, cfg, out) -> int:
-    sim = _sim_from(cfg, arrival_rate=cfg["rate"], replication_count=cfg["reps"])
+    sim = _sim_from(cfg, arrival_rate=cfg["rate"])
     topo, routes = tp.make_network(cfg["rows"], cfg["cols"], cfg["spacing"],
                                    cfg["jitter"], cfg["seed"],
                                    cfg["radio_range"], cfg["sinks"],
@@ -307,9 +307,8 @@ def _cmd_sweep(args, cfg, out) -> int:
         values = _DEFAULT_SWEPT_VALUES[kind]
     else:
         raise UsageError(f"--values is required for {kind}")
-    if kind == "sink_sweep":
-        values = tuple(int(v) for v in values)
-    if kind == "convergecast_curves" and cfg["mode"] == an.EXACT:
+    if kind == "sink_sweep" or (kind == "convergecast_curves"
+                                and cfg["mode"] == an.EXACT):
         values = tuple(int(v) for v in values)
 
     spec = ex.SweepSpec(
@@ -317,8 +316,7 @@ def _cmd_sweep(args, cfg, out) -> int:
         rows=cfg["rows"], cols=cfg["cols"], spacing=cfg["spacing"],
         jitter=cfg["jitter"], radio_range=cfg["radio_range"],
         sink_count=cfg["sinks"], sink_mode=cfg["sink_mode"], mode=cfg["mode"],
-        load_factor=cfg["load_factor"], replication_count=cfg["reps"],
-        base_seed=cfg["seed"])
+        load_factor=cfg["load_factor"])
     rows = ex.run_sweep(spec)
     out_dir = args.out_dir or os.environ.get("RTCAP_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)

@@ -42,17 +42,18 @@ _ANALYTIC_KINDS = ("balanced_curves", "convergecast_curves")
 class SweepSpec:
     """One experiment: the swept variable plus every fixed parameter.
 
-    `analytic` supplies bandwidth and the inversion factor everywhere; its
-    remaining fields matter only for the two analytic sweep kinds. The grid,
-    radio range, and sink placement fields describe the simulated network;
-    `sim` the workload. `load_factor` sets the probe load for critical-
-    capacity runs as a multiple of the measured-topology DM bound.
+    `analytic` supplies the inversion factor everywhere, and a bandwidth
+    that must equal `sim.bandwidth`; its other fields matter only for the
+    two analytic kinds. The grid, radio range, and sink fields describe the
+    simulated network; `sim` the workload, the seed and the replication
+    count. `load_factor` sets the probe load for critical-capacity runs as a
+    multiple of the measured-topology DM bound.
     """
 
     kind: str
     values: tuple
     analytic: an.AnalyticParams
-    sim: sc.SimConfig = sc.SimConfig()
+    sim: sc.SimConfig = sc.SimConfig(replication_count=10)
     rows: int = 20
     cols: int = 20
     spacing: float = 10.0
@@ -62,8 +63,6 @@ class SweepSpec:
     sink_mode: str = "subgrid"
     mode: str = an.EXACT
     load_factor: float = 1.5
-    replication_count: int = 10
-    base_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
@@ -78,13 +77,14 @@ class SweepSpec:
                 raise ValueError("sink counts must be integers")
             if max(self.values) > self.rows * self.cols:
                 raise ValueError("more sinks than nodes")
-        if self.kind in ("balanced_curves", "convergecast_curves"):
+        if self.kind in _ANALYTIC_KINDS:
             if any(v < 1 for v in self.values):
                 raise ValueError("hop counts must be >= 1")
-        if self.replication_count < 1:
-            raise ValueError("replication_count must be >= 1")
         if not (self.load_factor > 0):
             raise ValueError("load_factor must be > 0")
+        if self.analytic.bandwidth != self.sim.bandwidth:
+            raise ValueError(f"analytic bandwidth {self.analytic.bandwidth!r} "
+                             f"differs from sim bandwidth {self.sim.bandwidth!r}")
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,24 @@ class ResultRow:
     error: Optional[str] = None
 
 
+# the fixed parameter each simulation kind's swept value replaces
+_SWEPT_FIELD = {"radio_sweep": "radio_range", "sink_sweep": "sink_count",
+                "missratio_sweep": "load_factor"}
+
+
+def _recorded(spec: SweepSpec) -> dict:
+    """The spec as its hash and CSV header record it: without the field the
+    swept value replaces and without the two `sim` fields every simulated
+    row sets itself."""
+    fields = dataclasses.asdict(spec)
+    fields.pop(_SWEPT_FIELD.get(spec.kind), None)
+    del fields["sim"]["arrival_rate"], fields["sim"]["stop_at_first_miss"]
+    return fields
+
+
 def config_hash(spec: SweepSpec) -> str:
-    """Deterministic 12-hex-digit digest of every sweep parameter."""
-    payload = json.dumps(dataclasses.asdict(spec), sort_keys=True, default=str)
+    """Deterministic 12-hex-digit digest of the recorded sweep parameters."""
+    payload = json.dumps(_recorded(spec), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
@@ -153,26 +168,30 @@ def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
     """Build the row's own network, measure its bounds, and run seeded
     replications at a load that is a multiple of the measured DM bound.
 
-    The swept value is the radio range for radio_sweep, the sink count for
-    sink_sweep, and the load multiple for missratio_sweep; the other kinds
-    load at spec.load_factor and stop each run at its first miss. The row's
-    critical capacity is the minimum first-miss consumption across
-    replications.
+    The swept value replaces the kind's `_SWEPT_FIELD`: the radio range,
+    the sink count, or the load multiple of missratio_sweep, whose runs go
+    the full duration; the other kinds stop each run at its first miss. The
+    row's critical capacity is the minimum first-miss consumption across
+    replications. A failure flags the row instead of raising.
     """
-    radio_range = value if spec.kind == "radio_sweep" else spec.radio_range
-    sink_count = int(value) if spec.kind == "sink_sweep" else spec.sink_count
-    topo, routes = tp.make_network(spec.rows, spec.cols, spec.spacing, spec.jitter,
-                                   spec.base_seed, radio_range, sink_count,
-                                   spec.sink_mode)
-    stats, dm, edf = _measured_bounds(spec, topo, routes)
+    seeds = dict(seed_lo=spec.sim.seed,
+                 seed_hi=spec.sim.seed + spec.sim.replication_count - 1)
     missratio = spec.kind == "missratio_sweep"
-    load = value if missratio else spec.load_factor
-    cfg = replace(spec.sim,
-                  arrival_rate=probe_rate(load * dm.value, routes,
-                                          spec.sim.packet_size),
-                  seed=spec.base_seed, replication_count=spec.replication_count,
-                  stop_at_first_miss=not missratio)
-    metrics = sc.run_replications(topo, routes, cfg)
+    try:
+        spec = replace(spec, **{_SWEPT_FIELD[spec.kind]: value})
+        topo, routes = tp.make_network(spec.rows, spec.cols, spec.spacing,
+                                       spec.jitter, spec.sim.seed, spec.radio_range,
+                                       int(spec.sink_count), spec.sink_mode)
+        stats, dm, edf = _measured_bounds(spec, topo, routes)
+        cfg = replace(spec.sim,
+                      arrival_rate=probe_rate(spec.load_factor * dm.value, routes,
+                                              spec.sim.packet_size),
+                      stop_at_first_miss=not missratio)
+        metrics = sc.run_replications(topo, routes, cfg)
+    except (tp.RoutingError, an.SolverError, sc.InvariantError, ValueError) as err:
+        return ResultRow(swept_value=value, analytic_dm=float("nan"),
+                         analytic_edf=float("nan"), config_hash=digest,
+                         error=f"{type(err).__name__}: {err}", **seeds)
     return ResultRow(
         swept_value=value, analytic_dm=dm.value, analytic_edf=edf.value,
         simulated_critical=sc.critical_capacity(metrics).value,
@@ -181,8 +200,7 @@ def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
         offered_demand=float(np.mean([m.offered_demand for m in metrics])),
         neighborhood_bound=stats.neighborhood_bound,
         nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops,
-        seed_lo=spec.base_seed, seed_hi=spec.base_seed + spec.replication_count - 1,
-        config_hash=digest)
+        config_hash=digest, **seeds)
 
 
 def _analytic_row(spec: SweepSpec, value, digest: str) -> ResultRow:
@@ -196,8 +214,8 @@ def _analytic_row(spec: SweepSpec, value, digest: str) -> ResultRow:
         dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
                    for s in (an.DM, an.EDF))
     return ResultRow(swept_value=value, analytic_dm=dm.value,
-                     analytic_edf=edf.value, seed_lo=spec.base_seed,
-                     seed_hi=spec.base_seed, config_hash=digest)
+                     analytic_edf=edf.value, seed_lo=spec.sim.seed,
+                     seed_hi=spec.sim.seed, config_hash=digest)
 
 
 def run_sweep(spec: SweepSpec) -> list:
@@ -209,20 +227,8 @@ def run_sweep(spec: SweepSpec) -> list:
     one simulated value flags that row and the sweep continues.
     """
     digest = config_hash(spec)
-    rows = []
-    for value in spec.values:
-        if spec.kind in _ANALYTIC_KINDS:
-            rows.append(_analytic_row(spec, value, digest))
-            continue
-        try:
-            rows.append(_simulation_row(spec, value, digest))
-        except (tp.RoutingError, an.SolverError, sc.InvariantError, ValueError) as err:
-            rows.append(ResultRow(
-                swept_value=value, analytic_dm=float("nan"),
-                analytic_edf=float("nan"), seed_lo=spec.base_seed,
-                seed_hi=spec.base_seed + spec.replication_count - 1,
-                config_hash=digest, error=f"{type(err).__name__}: {err}"))
-    return rows
+    row = _analytic_row if spec.kind in _ANALYTIC_KINDS else _simulation_row
+    return [row(spec, value, digest) for value in spec.values]
 
 
 _CSV_COLUMNS = ("swept_value", "analytic_dm", "analytic_edf", "simulated_critical",
@@ -242,16 +248,17 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows: Iterable, destination, spec: Optional[SweepSpec] = None) -> None:
-    """Write rows as CSV: a comment block with the full configuration, one
-    column-name header, one line per row. Numeric cells use 9 significant
-    digits so repeated identical sweeps are byte-identical."""
+    """Write rows as CSV: a comment block with the recorded configuration
+    (see `_recorded`), one column-name header, one line per row. Numeric
+    cells use 9 significant digits so repeated identical sweeps are
+    byte-identical."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to write")
     lines = ["# rtcap sweep results", f"# tool_version={__version__}"]
     if spec is not None:
         lines.append(f"# config_hash={config_hash(spec)}")
-        for key, value in sorted(dataclasses.asdict(spec).items()):
+        for key, value in sorted(_recorded(spec).items()):
             lines.append(f"# {key}={value}")
     lines.append(",".join(_CSV_COLUMNS))
     for row in rows:
@@ -261,8 +268,6 @@ def emit_csv(rows: Iterable, destination, spec: Optional[SweepSpec] = None) -> N
 
 
 def csv_filename(spec: SweepSpec) -> str:
-    if spec.kind in _ANALYTIC_KINDS:
-        node_count = spec.analytic.node_count
-    else:
-        node_count = spec.rows * spec.cols
+    node_count = (spec.analytic.node_count if spec.kind in _ANALYTIC_KINDS
+                  else spec.rows * spec.cols)
     return f"{spec.kind}_{node_count}_{config_hash(spec)}.csv"

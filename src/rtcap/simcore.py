@@ -55,17 +55,14 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class Packet:
-    """One packet. The workload's packets are never written: a run copies
-    each one when it arrives and moves the copy through the network."""
+    """One packet: its arrival (time, origin, deadline, tie key) and the run
+    state. Size and per-hop time are the run's, the route the origin's. A run
+    copies each workload packet when it arrives and moves only the copy."""
 
     id: int
     origin: int
-    destination: int
     arrival_time: float
     relative_deadline: float
-    size: float
-    tx_time: float
-    route_hops: int
     tie_key: float
     current_node: int = -1
     hops_traversed: int = 0
@@ -82,7 +79,6 @@ class ActiveTransmission:
     sender: int
     receiver: int
     packet_id: int
-    completion_time: float
 
 
 @dataclass(frozen=True)
@@ -117,18 +113,18 @@ class SimConfig:
     def tx_time(self) -> float:
         return self.packet_size / self.bandwidth
 
+    @property
+    def overloaded(self) -> bool:
+        """One node's own traffic alone claims the whole channel: a flag for
+        overload experiments, not an error."""
+        return self.arrival_rate * self.tx_time >= 1.0
+
 
 @dataclass(frozen=True)
 class Workload:
-    """Time-ordered packet arrivals plus an overload warning.
-
-    `overloaded` is set when one node's own traffic alone would claim the
-    whole channel (rate * tx_time >= 1); such runs are legitimate for
-    overload experiments, so this is a flag, not an error.
-    """
+    """Time-ordered packet arrivals and the seed that drew them."""
 
     packets: tuple
-    overloaded: bool
     seed: int
 
 
@@ -169,14 +165,12 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
                       seed: Optional[int] = None) -> Workload:
     """Seeded Poisson arrivals at every non-sink node over the run duration.
 
-    Each packet gets a deadline drawn uniformly from the configured set, a
-    random priority tie key, and the route of its origin. Packet ids are
-    assigned in arrival-time order.
+    Each packet gets a deadline drawn uniformly from the configured set and
+    a random priority tie key. Packet ids are assigned in arrival-time order.
     """
     use_seed = config.seed if seed is None else seed
     rng = np.random.default_rng(use_seed)
     deadlines = list(config.deadline_set)
-    tx = config.tx_time
     sinks = frozenset(routes.sinks)
     raw = []
     for node in topology.nodes:
@@ -190,15 +184,11 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
             deadline = deadlines[rng.integers(len(deadlines))]
             raw.append((t, node.id, deadline, rng.random()))
     raw.sort()
-    packets = []
-    for pid, (t, origin, deadline, tie) in enumerate(raw):
-        packets.append(Packet(
-            id=pid, origin=origin, destination=routes.assigned_sink[origin],
-            arrival_time=t, relative_deadline=deadline, size=config.packet_size,
-            tx_time=tx, route_hops=routes.hop_count[origin], tie_key=tie,
-            current_node=origin))
-    overloaded = config.arrival_rate * tx >= 1.0
-    return Workload(packets=tuple(packets), overloaded=overloaded, seed=use_seed)
+    packets = tuple(
+        Packet(id=pid, origin=origin, arrival_time=t, relative_deadline=deadline,
+               tie_key=tie, current_node=origin)
+        for pid, (t, origin, deadline, tie) in enumerate(raw))
+    return Workload(packets=packets, seed=use_seed)
 
 
 class Medium:
@@ -263,11 +253,12 @@ def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
     return granted
 
 
-def measured_capacity_consumption(packets: Iterable) -> float:
+def measured_capacity_consumption(packets: Iterable, packet_size: float) -> float:
     """Capacity consumed by the given packets, in bits/s: each packet's
-    traversed hop count times its size, normalized by its end-to-end
+    traversed hop count times the packet size, normalized by its end-to-end
     deadline."""
-    return sum(p.hops_traversed * p.size / p.relative_deadline for p in packets)
+    return sum(p.hops_traversed * packet_size / p.relative_deadline
+               for p in packets)
 
 
 def _verify_exclusion(sender: int, receiver: int, active: dict,
@@ -341,26 +332,26 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     active transmissions, and a run that drains without stopping must leave
     the medium idle. Deadline misses are detected eagerly by expiry timers so
     the capacity consumption at the first miss is sampled at the right
-    instant.
+    instant. Packet size and per-hop time come from `config`, hop counts
+    from `routes`; a packet is delivered when it reaches a sink, a node
+    with no next hop.
     """
     if topology.adjacency is None:
         raise ValueError("adjacency not computed yet")
     adjacency = topology.adjacency
-    next_hop = routes.next_hop
+    next_hop, hop_count = routes.next_hop, routes.hop_count
     reach = _release_reach(adjacency, next_hop)
+    size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
     # time-averaged demand: each packet claims size/deadline at every route
     # node for its deadline window, so the deadline cancels and the demand is
     # bit-hops injected per second
-    offered = sum(p.route_hops * p.size for p in packets) / config.duration
+    offered = sum(hop_count[p.origin] * size for p in packets) / config.duration
 
-    events = []
-    seq = 0
-    for p in packets:
-        events.append((p.arrival_time, _ARRIVAL, seq, p))
-        seq += 1
+    events = [(p.arrival_time, _ARRIVAL, seq, p) for seq, p in enumerate(packets)]
     heapq.heapify(events)
+    seq = len(events)
 
     queues = {node.id: _NodeQueue() for node in topology.nodes}
     backlog = set()
@@ -400,9 +391,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 raise InvariantError(f"queue head changed under grant at node {s}")
             if queues[s].head() is None:
                 backlog.discard(s)
-            done = now + packet.tx_time
-            active[packet.id] = ActiveTransmission(s, r, packet.id, done)
-            heapq.heappush(events, (done, _COMPLETE, seq, packet))
+            active[packet.id] = ActiveTransmission(s, r, packet.id)
+            heapq.heappush(events, (now + tx_time, _COMPLETE, seq, packet))
             seq += 1
             if log:
                 log(f"{now!r} grant {s}->{r} {packet.id}")
@@ -437,7 +427,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                     log(f"{now!r} complete {tx.sender}->{tx.receiver} {packet.id}")
                 if packet.dropped:
                     pass  # missed mid-flight and dropped at hop boundary
-                elif tx.receiver == packet.destination:
+                elif tx.receiver not in next_hop:  # a sink
                     if packet.missed:
                         pass  # late arrival of a kept packet: contributes nothing
                     else:
@@ -452,7 +442,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                         log(f"{now!r} enqueue {tx.receiver} {packet.id}")
 
             else:  # _EXPIRE, once per packet
-                if packet.current_node == packet.destination:
+                if packet.current_node not in next_hop:
                     live.pop(packet.id, None)  # delivered on time
                     continue
                 was_queued = packet.id not in active
@@ -461,7 +451,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 if first_miss_capacity is None:
                     # snapshot includes the packet that just expired
                     first_miss_capacity = measured_capacity_consumption(
-                        live.values())
+                        live.values(), size)
                     first_miss_time = now
                     if config.stop_at_first_miss:
                         stop = True
@@ -517,11 +507,8 @@ def critical_capacity(metrics: Iterable) -> CriticalCapacity:
         raise ValueError("need at least one replication")
     values = [m.capacity_consumption_at_first_miss for m in metrics
               if m.capacity_consumption_at_first_miss is not None]
-    if not values:
-        return CriticalCapacity(value=None, miss_observed=False,
-                                replications=len(metrics))
-    return CriticalCapacity(value=min(values), miss_observed=True,
-                            replications=len(metrics))
+    return CriticalCapacity(value=min(values, default=None),
+                            miss_observed=bool(values), replications=len(metrics))
 
 
 def write_event_log(lines: Iterable, path) -> None:

@@ -5,7 +5,8 @@ sink.
 Construction is deterministic for a fixed seed. The sinks live only in the
 route table: `place_sinks` chooses ids and writes nothing, `build_routes`
 takes them as an argument, and the topology file stores them next to the
-nodes. Nodes and route tables are frozen, so a finished topology and its
+nodes. Nodes are frozen and held in a tuple; route tables are frozen and
+hold read-only mappings and a sink tuple, so a finished topology and its
 routes may be shared freely across concurrent simulation runs.
 """
 
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,10 +48,13 @@ class GridSpec:
 
 @dataclass
 class Topology:
-    nodes: list
+    nodes: tuple
     grid: Optional[GridSpec] = None
     radio_range: Optional[float] = None
     adjacency: Optional[dict] = None
+
+    def __post_init__(self):
+        self.nodes = tuple(self.nodes)
 
     @property
     def node_count(self) -> int:
@@ -61,16 +66,17 @@ class Topology:
 
 @dataclass(frozen=True)
 class RouteTable:
-    """Next hop, hop count to the assigned sink, and that sink, per node,
-    plus the sink ids, ascending: the one record of which nodes are sinks.
+    """Next hop, hop count to the assigned sink, and that sink, per node, as
+    read-only mappings, plus the sink ids, an ascending tuple: the one
+    record of which nodes are sinks.
 
     Sinks themselves appear in hop_count (0) and assigned_sink (self) but
     have no next_hop entry.
     """
-    next_hop: dict
-    hop_count: dict
-    assigned_sink: dict
-    sinks: list
+    next_hop: Mapping
+    hop_count: Mapping
+    assigned_sink: Mapping
+    sinks: tuple
 
     def route(self, node: int) -> list:
         """Full node sequence from `node` to its sink, inclusive."""
@@ -237,8 +243,9 @@ def build_routes(topology: Topology, sinks: Iterable) -> RouteTable:
         if v not in assigned_sink:
             assigned_sink[v] = assigned_sink[next_hop[v]]
 
-    return RouteTable(next_hop=next_hop, hop_count=hop_count,
-                      assigned_sink=assigned_sink, sinks=sink_list)
+    readonly = MappingProxyType
+    return RouteTable(readonly(next_hop), readonly(hop_count), readonly(assigned_sink),
+                      tuple(sink_list))
 
 
 def topology_stats(topology: Topology, routes: RouteTable) -> TopologyStats:
@@ -278,8 +285,8 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
 
 def load_topology(path) -> tuple:
     """Read a file written by save_topology and return (topology, sinks),
-    sinks in node order; recomputes adjacency when the header records a
-    radio range."""
+    sinks a tuple in node order; recomputes adjacency when the header
+    records a radio range."""
     grid = None
     radio_range = None
     nodes = []
@@ -306,7 +313,7 @@ def load_topology(path) -> tuple:
     topo = Topology(nodes=nodes, grid=grid)
     if radio_range is not None:
         compute_adjacency(topo, radio_range)
-    return topo, sinks
+    return topo, tuple(sinks)
 
 
 def make_network(rows: int, cols: int, spacing: float = 10.0, jitter: float = 0.25,

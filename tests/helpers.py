@@ -16,14 +16,13 @@ def chain_network(n, radio_range=10.0, sink_at_end=True):
     return topo, tp.build_routes(topo, [sink])
 
 
-def mk_packet(pid, origin, dest, at, deadline, tx=0.4, hops=1, tie=0.0, size=1000.0):
-    return sc.Packet(id=pid, origin=origin, destination=dest, arrival_time=at,
-                     relative_deadline=deadline, size=size, tx_time=tx,
-                     route_hops=hops, tie_key=tie, current_node=origin)
+def mk_packet(pid, origin, at, deadline, tie=0.0):
+    return sc.Packet(id=pid, origin=origin, arrival_time=at,
+                     relative_deadline=deadline, tie_key=tie, current_node=origin)
 
 
 def mk_workload(packets):
-    return sc.Workload(packets=tuple(packets), overloaded=False, seed=0)
+    return sc.Workload(packets=tuple(packets), seed=0)
 
 
 def contended_run(seed=3, rate=6.0, drop_on_miss=True, event_log=None):
@@ -106,13 +105,14 @@ def audit_priority_order(log, adjacency, next_hop):
     return violations
 
 
-def max_node_utilizations(topology, routes, workload):
+def max_node_utilizations(topology, routes, workload, tx_time):
     """Worst instantaneous utilization each node sees if every packet stays
     in the network for its whole deadline window (a conservative upper
-    bound: early deliveries only lower the true value)."""
+    bound: early deliveries only lower the true value). `tx_time` is the
+    run's per-hop transmission time."""
     deltas = defaultdict(list)
     for p in workload.packets:
-        u = p.tx_time / p.relative_deadline
+        u = tx_time / p.relative_deadline
         for v in routes.route(p.origin):
             deltas[v].append((p.arrival_time, u))
             deltas[v].append((p.absolute_deadline, -u))
@@ -126,10 +126,10 @@ def max_node_utilizations(topology, routes, workload):
     return peaks
 
 
-def instance_is_dm_feasible(topology, routes, workload):
+def instance_is_dm_feasible(topology, routes, workload, tx_time):
     """Path-by-path fixed-priority feasibility check on measured (worst-case)
-    neighborhood utilizations."""
-    peaks = max_node_utilizations(topology, routes, workload)
+    neighborhood utilizations at per-hop time `tx_time`."""
+    peaks = max_node_utilizations(topology, routes, workload, tx_time)
     cont = tp.contention_sets(topology)
     vq = {x: sum(peaks[y] for y in members) for x, members in cont.items()}
     for node in topology.nodes:

@@ -109,9 +109,10 @@ def test_criterion_6_simulation_analysis_agreement():
         kind="sink_sweep", values=(12,),
         analytic=an.AnalyticParams(node_count=800, bandwidth=BANDWIDTH,
                                    inversion_factor=1.0),
-        sim=sc.SimConfig(packet_size=1000.0, duration=30.0),
+        sim=sc.SimConfig(packet_size=1000.0, duration=30.0, seed=0,
+                         replication_count=10),
         rows=20, cols=40, spacing=10.0, jitter=0.25, radio_range=20.5,
-        load_factor=1.25, replication_count=10, base_seed=0)
+        load_factor=1.25)
     row = ex.run_sweep(spec)[0]
     elapsed = time.time() - t0
 
@@ -128,9 +129,10 @@ def knee_rows():
     spec = ex.SweepSpec(
         kind="missratio_sweep", values=ex.load_multiplier_series(),
         analytic=an.AnalyticParams(node_count=144, bandwidth=BANDWIDTH),
-        sim=sc.SimConfig(packet_size=5000.0, duration=10.0),
+        sim=sc.SimConfig(packet_size=5000.0, duration=10.0, seed=0,
+                         replication_count=10),
         rows=12, cols=12, spacing=10.0, jitter=0.25, radio_range=20.5,
-        sink_count=4, load_factor=1.0, replication_count=10, base_seed=0)
+        sink_count=4, load_factor=1.0)
     return ex.run_sweep(spec)
 
 
@@ -163,9 +165,10 @@ def test_criterion_8_sink_count_trend(rows, cols):
     spec = ex.SweepSpec(
         kind="sink_sweep", values=(1, 2, 4, 8, 16),
         analytic=an.AnalyticParams(node_count=rows * cols, bandwidth=BANDWIDTH),
-        sim=sc.SimConfig(packet_size=4000.0, duration=30.0),
+        sim=sc.SimConfig(packet_size=4000.0, duration=30.0, seed=0,
+                         replication_count=5),
         rows=rows, cols=cols, spacing=10.0, jitter=0.25, radio_range=20.5,
-        load_factor=2.5, replication_count=5, base_seed=0)
+        load_factor=2.5)
     out = ex.run_sweep(spec)
     assert all(r.error is None for r in out)
     criticals = [r.simulated_critical for r in out]
@@ -190,7 +193,8 @@ def test_criterion_9a_schedulability_sufficiency():
                            arrival_rate=float(rng.uniform(0.02, 0.8)),
                            duration=10.0, seed=trial)
         wl = sc.generate_workload(topo, routes, cfg)
-        if not wl.packets or not instance_is_dm_feasible(topo, routes, wl):
+        if not wl.packets or not instance_is_dm_feasible(topo, routes, wl,
+                                                         cfg.tx_time):
             continue
         feasible += 1
         metrics = sc.run_simulation(topo, routes, wl, cfg)
@@ -204,11 +208,11 @@ def test_criterion_9b_exclusion_invariant():
     contended run finds no violation."""
     adjacency = {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1, 3}),
                  3: frozenset({2})}
-    active = {99: sc.ActiveTransmission(0, 1, 99, 1.0)}
+    active = {99: sc.ActiveTransmission(0, 1, 99)}
     with pytest.raises(sc.InvariantError):
         sc._verify_exclusion(2, 3, active, adjacency)  # sender 2 near receiver 1
     with pytest.raises(sc.InvariantError):
-        sc._verify_exclusion(3, 2, {9: sc.ActiveTransmission(1, 0, 9, 1.0)},
+        sc._verify_exclusion(3, 2, {9: sc.ActiveTransmission(1, 0, 9)},
                              adjacency)                # receiver 2 near sender 1
 
     log = []
@@ -229,7 +233,7 @@ def test_criterion_9c_determinism(tmp_path):
         files.append(path.read_bytes())
 
         cfg = sc.SimConfig(packet_size=5000.0, arrival_rate=3.0, duration=6.0,
-                           seed=9)
+                           seed=9, replication_count=2)
         wl = sc.generate_workload(topo, routes, cfg)
         metrics = sc.run_simulation(topo, routes, wl, cfg)
 
@@ -237,7 +241,7 @@ def test_criterion_9c_determinism(tmp_path):
                             analytic=an.AnalyticParams(node_count=25,
                                                        bandwidth=BANDWIDTH),
                             sim=cfg, rows=5, cols=5, radio_range=20.5,
-                            sink_count=2, replication_count=2, base_seed=9)
+                            sink_count=2)
         csv = tmp_path / f"sweep_{name}.csv"
         ex.emit_csv(ex.run_sweep(spec), csv, spec)
         files.append(csv.read_bytes())

@@ -1,6 +1,6 @@
-"""Smoke test of the quick demos: each runs as a script in its own process
-and exits 0. Demos 05 and 06 run full sweeps (tens of seconds) and are left
-out."""
+"""Smoke test of the demos: each runs as a script in its own process, in
+a scratch working directory, and exits 0. Demos 05 and 06 run full sweeps
+and write their CSV into that directory."""
 
 import os
 import subprocess
@@ -11,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_capacity_bounds.py", "02_convergecast_bounds.py",
-         "03_build_a_network.py", "04_single_simulation.py"]
+         "03_build_a_network.py", "04_single_simulation.py",
+         "05_sink_sweep.py", "06_missratio_knee.py"]
 
 
 def run_demo(name, tmp_path):
@@ -30,3 +31,6 @@ def test_demo_runs(name, tmp_path):
     assert proc.stdout
     if name.startswith("03_"):
         assert "text round trip of network.txt: bit-exact" in proc.stdout
+    if name.startswith(("05_", "06_")):
+        written = list(tmp_path.glob("*.csv"))
+        assert len(written) == 1 and f"wrote {written[0].name}" in proc.stdout

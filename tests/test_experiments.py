@@ -2,6 +2,7 @@
 replication aggregation, and byte-stable CSV output."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -15,14 +16,14 @@ ANALYTIC = an.AnalyticParams(node_count=100, bandwidth=250_000.0,
                              neighborhood_bound=10, inversion_factor=2.0,
                              nodes_per_disk=10, max_hops=4, sink_count=4)
 
-SMALL_SIM = sc.SimConfig(packet_size=12_500.0, duration=6.0)
+SMALL_SIM = sc.SimConfig(packet_size=12_500.0, duration=6.0, seed=1,
+                         replication_count=2)
 
 
 def small_sim_spec(kind, values, **kw):
     defaults = dict(kind=kind, values=values, analytic=ANALYTIC, sim=SMALL_SIM,
                     rows=6, cols=6, spacing=10.0, jitter=0.2, radio_range=15.0,
-                    sink_count=2, replication_count=2, load_factor=3.0,
-                    base_seed=1)
+                    sink_count=2, load_factor=3.0)
     defaults.update(kw)
     return ex.SweepSpec(**defaults)
 
@@ -53,9 +54,34 @@ class TestSweepSpec:
     def test_config_hash_stable_and_sensitive(self):
         a = small_sim_spec("sink_sweep", (1, 2))
         b = small_sim_spec("sink_sweep", (1, 2))
-        c = small_sim_spec("sink_sweep", (1, 2), base_seed=9)
+        c = small_sim_spec("sink_sweep", (1, 2), sim=replace(SMALL_SIM, seed=9))
         assert ex.config_hash(a) == ex.config_hash(b)
         assert ex.config_hash(a) != ex.config_hash(c)
+
+    @pytest.mark.parametrize("kind,field,a,b", [
+        ("radio_sweep", "radio_range", 15.0, 30.0),
+        ("sink_sweep", "sink_count", 2, 5),
+        ("missratio_sweep", "load_factor", 1.5, 3.0)])
+    def test_config_hash_ignores_overwritten_field(self, kind, field, a, b):
+        # the swept value replaces `field`, and every simulated row sets the
+        # arrival rate and stop-at-first-miss itself
+        first = small_sim_spec(kind, (1, 2), **{field: a})
+        second = small_sim_spec(kind, (1, 2), **{field: b},
+                                sim=replace(SMALL_SIM, arrival_rate=7.0,
+                                            stop_at_first_miss=True))
+        assert ex.config_hash(first) == ex.config_hash(second)
+        assert ex.csv_filename(first) == ex.csv_filename(second)
+        assert ex.config_hash(small_sim_spec(kind, (1, 2), rows=7)) \
+            != ex.config_hash(first)
+
+    def test_one_bandwidth(self):
+        # a bound for one channel next to a simulation of another is refused
+        with pytest.raises(ValueError, match="bandwidth"):
+            small_sim_spec("sink_sweep", (1, 2),
+                           sim=replace(SMALL_SIM, bandwidth=1_000_000.0))
+        with pytest.raises(ValueError, match="bandwidth"):
+            ex.SweepSpec(kind="balanced_curves", values=(1,),
+                         analytic=replace(ANALYTIC, bandwidth=1_000_000.0))
 
 
 class TestLoadMultiplierSeries:
@@ -98,7 +124,6 @@ class TestAnalyticSweeps:
     def test_balanced_matches_direct_call(self):
         spec = ex.SweepSpec(kind="balanced_curves", values=(5,), analytic=ANALYTIC)
         row = ex.run_sweep(spec)[0]
-        from dataclasses import replace
         params = replace(ANALYTIC, path_length=5)
         assert row.analytic_dm == an.rtcc_balanced(an.DM, params).value
         assert row.analytic_edf == an.rtcc_balanced(an.EDF, params).value
@@ -183,6 +208,20 @@ class TestCsv:
         assert any("inversion_factor" in c for c in comments)
         assert data[0].startswith("swept_value,analytic_dm,analytic_edf")
         assert len(data) == 2
+
+    def test_header_has_one_copy_of_each_setting(self, tmp_path):
+        spec = small_sim_spec("missratio_sweep", (0.05,))
+        dest = tmp_path / "knee.csv"
+        ex.emit_csv(ex.run_sweep(spec), dest, spec)
+        comments = [ln for ln in dest.read_text().splitlines()
+                    if ln.startswith("#")]
+        sim = [c for c in comments if c.startswith("# sim=")]
+        assert len(sim) == 1
+        assert "'seed': 1" in sim[0] and "'replication_count': 2" in sim[0]
+        assert "arrival_rate" not in sim[0] and "stop_at_first_miss" not in sim[0]
+        keys = {c[2:].split("=", 1)[0] for c in comments if "=" in c}
+        assert not keys & {"replication_count", "base_seed", "load_factor"}
+        assert {"radio_range", "sink_count", "rows"} <= keys
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = small_sim_spec("missratio_sweep", (0.05, 0.1))

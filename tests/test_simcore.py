@@ -3,6 +3,7 @@ event-log audits of the exclusion and priority rules, and the cross-module
 schedulability property (analytically feasible instances never miss)."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -85,21 +86,23 @@ class TestGenerateWorkload:
         assert [p.id for p in wl.packets] == list(range(len(wl.packets)))
 
     def test_route_fields(self):
+        # a packet holds its arrival and run state; the route, size and
+        # per-hop time stay with the route table and the config
         topo, routes = self._network()
         cfg = sc.SimConfig(arrival_rate=1.0, duration=5.0)
         wl = sc.generate_workload(topo, routes, cfg)
+        assert [f.name for f in dataclasses.fields(sc.Packet)] == [
+            "id", "origin", "arrival_time", "relative_deadline", "tie_key",
+            "current_node", "hops_traversed", "missed", "dropped"]
+        assert wl.packets
         for p in wl.packets:
-            assert p.destination == routes.assigned_sink[p.origin]
-            assert p.route_hops == routes.hop_count[p.origin]
-            assert p.tx_time == pytest.approx(cfg.packet_size / cfg.bandwidth)
+            assert p.current_node == p.origin and routes.hop_count[p.origin] > 0
+        assert cfg.tx_time == pytest.approx(cfg.packet_size / cfg.bandwidth)
 
     def test_overload_flag(self):
-        topo, routes = self._network()
         # tx_time = 0.004 s, so 300 pkts/s/node claims > 100% of the channel
-        hot = sc.SimConfig(arrival_rate=300.0, duration=1.0)
-        cold = sc.SimConfig(arrival_rate=1.0, duration=1.0)
-        assert sc.generate_workload(topo, routes, hot).overloaded
-        assert not sc.generate_workload(topo, routes, cold).overloaded
+        assert sc.SimConfig(arrival_rate=300.0, duration=1.0).overloaded
+        assert not sc.SimConfig(arrival_rate=1.0, duration=1.0).overloaded
 
 
 # ---------------------------------------------------------------------------
@@ -116,45 +119,45 @@ class TestAdmissibleTransmissions:
 
     def test_single_candidate_granted(self):
         medium = self.medium(3)
-        pkt = mk_packet(0, 0, 2, 0.0, 1.0)
+        pkt = mk_packet(0, 0, 0.0, 1.0)
         grants = sc.admissible_transmissions([(pkt, 0, 1)], medium)
         assert grants == [(pkt, 0, 1)]
 
     def test_sender_near_active_receiver_blocked(self):
-        medium = self.medium(4, [sc.ActiveTransmission(0, 1, 99, 1.0)])
-        pkt = mk_packet(0, 2, 3, 0.0, 1.0)
+        medium = self.medium(4, [sc.ActiveTransmission(0, 1, 99)])
+        pkt = mk_packet(0, 2, 0.0, 1.0)
         assert sc.admissible_transmissions([(pkt, 2, 3)], medium) == []
 
     def test_receiver_near_active_sender_blocked(self):
-        medium = self.medium(4, [sc.ActiveTransmission(1, 0, 99, 1.0)])
-        pkt = mk_packet(0, 3, 2, 0.0, 1.0)
+        medium = self.medium(4, [sc.ActiveTransmission(1, 0, 99)])
+        pkt = mk_packet(0, 3, 0.0, 1.0)
         # receiver 2 is inside sender 1's range
         assert sc.admissible_transmissions([(pkt, 3, 2)], medium) == []
 
     def test_disjoint_neighborhoods_both_granted(self):
         medium = self.medium(6)
-        p1 = mk_packet(0, 0, 5, 0.0, 1.0)
-        p2 = mk_packet(1, 4, 5, 0.0, 1.0)
+        p1 = mk_packet(0, 0, 0.0, 1.0)
+        p2 = mk_packet(1, 4, 0.0, 1.0)
         grants = sc.admissible_transmissions([(p1, 0, 1), (p2, 4, 5)], medium)
         assert len(grants) == 2
 
     def test_priority_wins_shared_receiver(self):
         medium = self.medium(4)
-        urgent = mk_packet(0, 3, 0, 0.0, 0.5)
-        lax = mk_packet(1, 1, 0, 0.0, 2.0)
+        urgent = mk_packet(0, 3, 0.0, 0.5)
+        lax = mk_packet(1, 1, 0.0, 2.0)
         grants = sc.admissible_transmissions([(lax, 1, 2), (urgent, 3, 2)], medium)
         assert [g[0].id for g in grants] == [0]
 
     def test_tie_breaks_by_key(self):
         medium = self.medium(4)
-        a = mk_packet(5, 1, 0, 0.0, 1.0, tie=0.9)
-        b = mk_packet(9, 3, 0, 0.0, 1.0, tie=0.1)
+        a = mk_packet(5, 1, 0.0, 1.0, tie=0.9)
+        b = mk_packet(9, 3, 0.0, 1.0, tie=0.1)
         grants = sc.admissible_transmissions([(a, 1, 2), (b, 3, 2)], medium)
         assert [g[0].id for g in grants] == [9]
 
     def test_busy_endpoint_blocked(self):
-        medium = self.medium(6, [sc.ActiveTransmission(4, 5, 99, 1.0)])
-        pkt = mk_packet(0, 4, 3, 0.0, 1.0)
+        medium = self.medium(6, [sc.ActiveTransmission(4, 5, 99)])
+        pkt = mk_packet(0, 4, 0.0, 1.0)
         assert sc.admissible_transmissions([(pkt, 4, 3)], medium) == []
 
 
@@ -186,12 +189,12 @@ class TestMedium:
             else:
                 s = int(rng.choice(sorted(routes.next_hop)))
                 r = routes.next_hop[s]
-                pkt = mk_packet(step, s, r, 0.0, 1.0)
+                pkt = mk_packet(step, s, 0.0, 1.0)
                 if not sc.admissible_transmissions([(pkt, s, r)], medium):
                     continue
                 sc._verify_exclusion(s, r, {tx.packet_id: tx for tx in active},
                                      adjacency)
-                active.append(sc.ActiveTransmission(s, r, step, 0.0))
+                active.append(sc.ActiveTransmission(s, r, step))
             assert (medium.busy, medium.near_senders, medium.near_receivers) \
                 == self.rebuilt(adjacency, active)
         for tx in active:
@@ -216,18 +219,19 @@ class TestMedium:
 # ---------------------------------------------------------------------------
 
 class TestRunSimulationTraces:
-    CFG = sc.SimConfig(duration=10.0)
+    # 1000-bit packets at 2500 bits/s: every hop takes 0.4 s
+    CFG = sc.SimConfig(bandwidth=2500.0, duration=10.0)
 
     def test_single_uncontended_hop(self):
         topo, routes = chain_network(2)
-        wl = mk_workload([mk_packet(0, 0, 1, at=1.0, deadline=1.0, tx=0.4)])
+        wl = mk_workload([mk_packet(0, 0, at=1.0, deadline=1.0)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.delivered == 1 and m.missed == 0
         assert m.delays == (pytest.approx(0.4),)
 
     def test_two_hop_chain(self):
         topo, routes = chain_network(3)
-        wl = mk_workload([mk_packet(0, 0, 2, at=0.0, deadline=2.0, tx=0.4, hops=2)])
+        wl = mk_workload([mk_packet(0, 0, at=0.0, deadline=2.0)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.delivered == 1
         assert m.delays == (pytest.approx(0.8),)
@@ -235,8 +239,8 @@ class TestRunSimulationTraces:
     def test_dm_order_at_one_node(self):
         topo, routes = chain_network(2)
         wl = mk_workload([
-            mk_packet(0, 0, 1, at=0.0, deadline=2.0, tx=0.4),
-            mk_packet(1, 0, 1, at=0.0, deadline=0.9, tx=0.4),
+            mk_packet(0, 0, at=0.0, deadline=2.0),
+            mk_packet(1, 0, at=0.0, deadline=0.9),
         ])
         log = []
         m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=log)
@@ -248,7 +252,7 @@ class TestRunSimulationTraces:
 
     def test_delivery_exactly_at_deadline_counts(self):
         topo, routes = chain_network(2)
-        wl = mk_workload([mk_packet(0, 0, 1, at=0.0, deadline=0.4, tx=0.4)])
+        wl = mk_workload([mk_packet(0, 0, at=0.0, deadline=0.4)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.delivered == 1 and m.missed == 0
 
@@ -258,8 +262,8 @@ class TestRunSimulationTraces:
         # already traversed
         topo, routes = chain_network(3)
         wl = mk_workload([
-            mk_packet(0, 0, 2, at=0.0, deadline=0.45, tx=0.4, hops=2),
-            mk_packet(1, 1, 2, at=0.0, deadline=5.0, tx=0.4, hops=1),
+            mk_packet(0, 0, at=0.0, deadline=0.45),
+            mk_packet(1, 1, at=0.0, deadline=5.0),
         ])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.missed == 1 and m.delivered == 1
@@ -270,7 +274,7 @@ class TestRunSimulationTraces:
 
     def test_no_miss_leaves_capacity_none(self):
         topo, routes = chain_network(2)
-        wl = mk_workload([mk_packet(0, 0, 1, at=0.0, deadline=1.0, tx=0.4)])
+        wl = mk_workload([mk_packet(0, 0, at=0.0, deadline=1.0)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.capacity_consumption_at_first_miss is None
         assert m.first_miss_time is None
@@ -278,29 +282,29 @@ class TestRunSimulationTraces:
     def test_offered_demand(self):
         topo, routes = chain_network(3)
         wl = mk_workload([
-            mk_packet(0, 0, 2, at=0.0, deadline=1.0, tx=0.4, hops=2, size=1000.0),
-            mk_packet(1, 1, 2, at=3.0, deadline=1.0, tx=0.4, hops=1, size=1000.0),
+            mk_packet(0, 0, at=0.0, deadline=1.0),
+            mk_packet(1, 1, at=3.0, deadline=1.0),
         ])
-        m = sc.run_simulation(topo, routes, wl, sc.SimConfig(duration=10.0))
+        m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.offered_demand == pytest.approx((2 * 1000 + 1 * 1000) / 10.0)
 
 
 class TestMeasuredCapacityConsumption:
     def test_empty(self):
-        assert sc.measured_capacity_consumption([]) == 0.0
+        assert sc.measured_capacity_consumption([], 1000.0) == 0.0
 
     def test_formula(self):
-        p = mk_packet(0, 0, 1, 0.0, deadline=1.0, size=1000.0)
+        p = mk_packet(0, 0, 0.0, deadline=1.0)
         p.hops_traversed = 2
-        assert sc.measured_capacity_consumption([p]) == pytest.approx(2000.0)
+        assert sc.measured_capacity_consumption([p], 1000.0) == pytest.approx(2000.0)
 
     def test_additive(self):
         ps = []
         for i in range(2):
-            p = mk_packet(i, 0, 1, 0.0, deadline=1.0, size=1000.0)
+            p = mk_packet(i, 0, 0.0, deadline=1.0)
             p.hops_traversed = 2
             ps.append(p)
-        assert sc.measured_capacity_consumption(ps) == pytest.approx(4000.0)
+        assert sc.measured_capacity_consumption(ps, 1000.0) == pytest.approx(4000.0)
 
 
 class TestCriticalCapacity:
@@ -431,7 +435,8 @@ class TestSchedulabilitySufficiency:
                                arrival_rate=float(rng.uniform(0.02, 0.8)),
                                duration=10.0, seed=trial)
             wl = sc.generate_workload(topo, routes, cfg)
-            if not wl.packets or not instance_is_dm_feasible(topo, routes, wl):
+            if not wl.packets or not instance_is_dm_feasible(topo, routes, wl,
+                                                             cfg.tx_time):
                 continue
             feasible += 1
             m = sc.run_simulation(topo, routes, wl, cfg)

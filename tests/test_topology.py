@@ -132,7 +132,7 @@ class TestSinkPlacement:
         tp.place_sinks(topo, 4)
         tp.place_sinks(topo, 3, seed=2, mode="random")
         assert topo.nodes == nodes
-        assert routes.sinks == [12]
+        assert routes.sinks == (12,)
 
     def test_prime_count_falls_back_to_even_spacing(self):
         topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0)
@@ -166,10 +166,10 @@ class TestRoutes:
         assert routes.hop_count[1] == 0
 
     def test_disconnected_raises_with_ids(self):
-        topo = line_topology(4)
-        tp.compute_adjacency(topo, radio_range=10.0)
-        # move node 3 away so it is isolated
-        topo.nodes[3] = dataclasses.replace(topo.nodes[3], x=1000.0)
+        line = line_topology(4)
+        # a copy of the line with node 3 moved away, so it is isolated
+        topo = tp.Topology(nodes=line.nodes[:3]
+                           + (dataclasses.replace(line.nodes[3], x=1000.0),))
         tp.compute_adjacency(topo, radio_range=10.0)
         with pytest.raises(tp.RoutingError) as exc:
             tp.build_routes(topo, [0])
@@ -182,7 +182,7 @@ class TestRoutes:
             tp.build_routes(topo, [])
         with pytest.raises(ValueError):
             tp.build_routes(topo, [3])
-        assert tp.build_routes(topo, [2, 0, 2]).sinks == [0, 2]
+        assert tp.build_routes(topo, [2, 0, 2]).sinks == (0, 2)
 
     def test_hop_counts_match_bfs_oracle(self):
         topo, routes = tp.make_network(7, 9, spacing=10.0, jitter=0.2, seed=21,
@@ -219,6 +219,23 @@ class TestFrozen:
             routes.sinks = [0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             routes.next_hop = {}
+
+    def test_route_table_contents(self):
+        # runs sharing a route table cannot change it under each other
+        _, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
+        v, w = next(iter(routes.next_hop.items()))
+        for mapping in (routes.next_hop, routes.hop_count, routes.assigned_sink):
+            with pytest.raises(TypeError):
+                mapping[v] = w
+        with pytest.raises(AttributeError):
+            routes.sinks.append(v)
+        assert routes.next_hop[v] == w
+
+    def test_topology_nodes(self):
+        topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0)
+        with pytest.raises(TypeError):
+            topo.nodes[0] = topo.nodes[1]
+        assert isinstance(tp.Topology(nodes=list(topo.nodes)).nodes, tuple)
 
 
 class TestStats:
