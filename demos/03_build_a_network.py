@@ -10,7 +10,6 @@ import tempfile
 
 from rtcap import (
     build_routes,
-    compute_adjacency,
     generate_perturbed_grid,
     load_topology,
     place_sinks,
@@ -19,12 +18,12 @@ from rtcap import (
 )
 
 topo = generate_perturbed_grid(rows=10, cols=10, spacing=10.0, jitter=0.25,
-                               seed=42)
+                               seed=42, radio_range=20.5)
 print(f"generated {topo.node_count} nodes; node 0 sits at "
       f"({topo.nodes[0].x:.2f}, {topo.nodes[0].y:.2f})")
 
-adjacency = compute_adjacency(topo, radio_range=20.5)
-degrees = sorted(len(nbrs) for nbrs in adjacency.values())
+# the adjacency is part of the topology, computed once at construction
+degrees = sorted(len(nbrs) for nbrs in topo.adjacency.values())
 print(f"disk adjacency at R=20.5: degree min={degrees[0]} "
       f"median={degrees[len(degrees) // 2]} max={degrees[-1]}")
 

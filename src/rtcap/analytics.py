@@ -316,7 +316,7 @@ def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
     m = float(nodes_per_disk)
     if m < 1:
         raise ValueError(f"nodes_per_disk must be >= 1, got {nodes_per_disk}")
-    if max_hops < 1 or max_hops != int(max_hops):
+    if max_hops < 1 or not float(max_hops).is_integer():
         raise ValueError(f"max_hops must be an integer >= 1, got {max_hops}")
     if not (tolerance > 0):
         raise ValueError("tolerance must be > 0")

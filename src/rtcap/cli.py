@@ -309,7 +309,9 @@ def _cmd_sweep(args, cfg, out) -> int:
         raise UsageError(f"--values is required for {kind}")
     if kind == "sink_sweep" or (kind == "convergecast_curves"
                                 and cfg["mode"] == an.EXACT):
-        values = tuple(int(v) for v in values)
+        # integral values become ints; any other value reaches the spec's
+        # own checks instead of being truncated
+        values = tuple(int(v) if v.is_integer() else v for v in values)
 
     spec = ex.SweepSpec(
         kind=kind, values=values, analytic=_params_from(cfg), sim=_sim_from(cfg),

@@ -73,7 +73,7 @@ class SweepSpec:
         if any(v <= 0 for v in self.values):
             raise ValueError("swept values must be positive")
         if self.kind == "sink_sweep":
-            if any(int(v) != v for v in self.values):
+            if not all(float(v).is_integer() for v in self.values):
                 raise ValueError("sink counts must be integers")
             if max(self.values) > self.rows * self.cols:
                 raise ValueError("more sinks than nodes")
@@ -108,15 +108,40 @@ class ResultRow:
 _SWEPT_FIELD = {"radio_sweep": "radio_range", "sink_sweep": "sink_count",
                 "missratio_sweep": "load_factor"}
 
+# the fixed fields a simulated row reads, `section.field` inside `analytic`
+# and `sim`; every simulated row sets `sim.arrival_rate` and
+# `sim.stop_at_first_miss` itself
+_SIMULATION_READS = (
+    "rows", "cols", "spacing", "jitter", "radio_range", "sink_count", "sink_mode",
+    "mode", "load_factor", "analytic.bandwidth", "analytic.inversion_factor",
+    "sim.bandwidth", "sim.packet_size", "sim.deadline_set", "sim.duration",
+    "sim.drop_on_miss", "sim.seed", "sim.replication_count")
+
+# the fixed fields each kind's rows read besides its swept values; analytic
+# rows read the seed only into seed_lo/seed_hi
+_READS = {
+    "balanced_curves": ("analytic.node_count", "analytic.bandwidth",
+                        "analytic.neighborhood_bound", "analytic.inversion_factor",
+                        "sim.seed"),
+    "convergecast_curves": ("analytic.bandwidth", "analytic.inversion_factor",
+                            "analytic.nodes_per_disk", "analytic.sink_count",
+                            "mode", "sim.seed"),
+    **{kind: tuple(f for f in _SIMULATION_READS if f != swept)
+       for kind, swept in _SWEPT_FIELD.items()},
+}
+
 
 def _recorded(spec: SweepSpec) -> dict:
-    """The spec as its hash and CSV header record it: without the field the
-    swept value replaces and without the two `sim` fields every simulated
-    row sets itself."""
-    fields = dataclasses.asdict(spec)
-    fields.pop(_SWEPT_FIELD.get(spec.kind), None)
-    del fields["sim"]["arrival_rate"], fields["sim"]["stop_at_first_miss"]
-    return fields
+    """The spec as its hash and CSV header record it: the kind, the swept
+    values, and the fields of `_READS[kind]`, nested as in the spec."""
+    reads = _READS[spec.kind]
+    recorded = {}
+    for key, value in dataclasses.asdict(spec).items():
+        if isinstance(value, dict):
+            recorded[key] = {k: v for k, v in value.items() if f"{key}.{k}" in reads}
+        elif key in ("kind", "values") or key in reads:
+            recorded[key] = value
+    return recorded
 
 
 def config_hash(spec: SweepSpec) -> str:

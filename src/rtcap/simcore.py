@@ -261,20 +261,25 @@ def measured_capacity_consumption(packets: Iterable, packet_size: float) -> floa
                for p in packets)
 
 
-def _verify_exclusion(sender: int, receiver: int, active: dict,
+def _verify_exclusion(sender: int, receiver: int, air: dict,
                       adjacency: dict) -> None:
-    # independent re-check of every grant against the live transmission set
-    for tx in active.values():
-        if sender in (tx.sender, tx.receiver) or receiver in (tx.sender, tx.receiver):
+    # independent re-check of every grant against the live transmissions,
+    # `air` mapping each busy endpoint to its transmission; adjacency is
+    # symmetric, so only the two endpoints' neighbours can conflict
+    for v in (sender, receiver):
+        if v in air:
+            tx = air[v]
             raise InvariantError(
                 f"node reuse: grant {sender}->{receiver} overlaps "
                 f"{tx.sender}->{tx.receiver}")
-        if sender in adjacency[tx.receiver]:
+    for v in adjacency[sender]:
+        if v in air and air[v].receiver == v:
             raise InvariantError(
-                f"sender {sender} inside range of receiving node {tx.receiver}")
-        if receiver in adjacency[tx.sender]:
+                f"sender {sender} inside range of receiving node {v}")
+    for v in adjacency[receiver]:
+        if v in air and air[v].sender == v:
             raise InvariantError(
-                f"receiver {receiver} inside range of sending node {tx.sender}")
+                f"receiver {receiver} inside range of sending node {v}")
 
 
 def _release_reach(adjacency: dict, next_hop: dict) -> dict:
@@ -336,8 +341,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     from `routes`; a packet is delivered when it reaches a sink, a node
     with no next hop.
     """
-    if topology.adjacency is None:
-        raise ValueError("adjacency not computed yet")
     adjacency = topology.adjacency
     next_hop, hop_count = routes.next_hop, routes.hop_count
     reach = _release_reach(adjacency, next_hop)
@@ -357,7 +360,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     backlog = set()
     medium = Medium(adjacency)
     busy = medium.busy
-    active = {}            # packet id -> ActiveTransmission
+    air = {}               # busy endpoint -> its ActiveTransmission
     # capacity accounting follows the demand model: a packet claims capacity
     # from arrival until its deadline expires, even once delivered; only
     # expiry (miss or deadline passing after delivery) releases the claim
@@ -385,13 +388,13 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 continue
             candidates.append((head, v, next_hop[v]))
         for packet, s, r in admissible_transmissions(candidates, medium):
-            _verify_exclusion(s, r, active, adjacency)
+            _verify_exclusion(s, r, air, adjacency)
             popped = queues[s].pop_head()
             if popped is not packet:
                 raise InvariantError(f"queue head changed under grant at node {s}")
             if queues[s].head() is None:
                 backlog.discard(s)
-            active[packet.id] = ActiveTransmission(s, r, packet.id)
+            air[s] = air[r] = ActiveTransmission(s, r, packet.id)
             heapq.heappush(events, (now + tx_time, _COMPLETE, seq, packet))
             seq += 1
             if log:
@@ -417,7 +420,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                         f"{packet.relative_deadline!r}")
 
             elif rank == _COMPLETE:
-                tx = active.pop(packet.id)
+                tx = air.pop(packet.current_node)
+                del air[tx.receiver]
                 medium.release(tx.sender, tx.receiver)
                 touched.update(reach[tx.sender])
                 touched.update(reach[tx.receiver])
@@ -445,7 +449,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 if packet.current_node not in next_hop:
                     live.pop(packet.id, None)  # delivered on time
                     continue
-                was_queued = packet.id not in active
+                tx = air.get(packet.current_node)
+                was_queued = tx is None or tx.packet_id != packet.id
                 packet.missed = True
                 missed += 1
                 if first_miss_capacity is None:

@@ -2,18 +2,19 @@
 adjacency, uniform sink placement, and shortest-hop routing to the nearest
 sink.
 
-Construction is deterministic for a fixed seed. The sinks live only in the
-route table: `place_sinks` chooses ids and writes nothing, `build_routes`
-takes them as an argument, and the topology file stores them next to the
-nodes. Nodes are frozen and held in a tuple; route tables are frozen and
-hold read-only mappings and a sink tuple, so a finished topology and its
-routes may be shared freely across concurrent simulation runs.
+Construction is deterministic for a fixed seed. A `Topology` is built whole:
+its adjacency is computed once, from its nodes and radio range, when it is
+constructed. The sinks live only in the route table: `place_sinks` chooses
+ids and writes nothing, `build_routes` takes them as an argument, and the
+topology file stores them next to the nodes. Nodes, topologies and route
+tables are frozen and hold tuples and read-only mappings (which do not
+pickle), so they may be shared freely across concurrent simulation runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -46,15 +47,20 @@ class GridSpec:
     seed: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
+    """Nodes, radio range, optional grid metadata, and the disk-model
+    adjacency they imply: a read-only mapping computed at construction."""
+
     nodes: tuple
+    radio_range: float
     grid: Optional[GridSpec] = None
-    radio_range: Optional[float] = None
-    adjacency: Optional[dict] = None
+    adjacency: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "radio_range", float(self.radio_range))
+        object.__setattr__(self, "adjacency", compute_adjacency(self, self.radio_range))
 
     @property
     def node_count(self) -> int:
@@ -93,9 +99,10 @@ class TopologyStats(NamedTuple):
 
 
 def generate_perturbed_grid(rows: int, cols: int, spacing: float,
-                            jitter: float, seed: int = 0) -> Topology:
+                            jitter: float, seed: int = 0, *,
+                            radio_range: float) -> Topology:
     """Lay out rows*cols nodes on a grid, each displaced uniformly by up to
-    jitter*spacing in x and y.
+    jitter*spacing in x and y, with disk adjacency at radio_range.
 
     jitter must stay below 0.5 so neighboring cells cannot swap order.
     """
@@ -115,13 +122,14 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
             nodes.append(Node(id=k,
                               x=float(c * spacing + offsets[k, 0]),
                               y=float(r * spacing + offsets[k, 1])))
-    return Topology(nodes=nodes, grid=GridSpec(rows, cols, spacing, jitter, seed))
+    return Topology(nodes, radio_range, GridSpec(rows, cols, spacing, jitter, seed))
 
 
-def compute_adjacency(topology: Topology, radio_range: float) -> dict:
-    """Disk-model adjacency: nodes are neighbors iff their Euclidean distance
-    is <= radio_range (boundary inclusive). Symmetric by construction; a node
-    is not its own neighbor. Stores the result on the topology and returns it.
+def compute_adjacency(topology: Topology, radio_range: float) -> Mapping:
+    """Disk-model adjacency of the topology's nodes at radio_range, as a
+    read-only mapping: nodes are neighbors iff their Euclidean distance is
+    <= radio_range (boundary inclusive). Symmetric by construction; a node
+    is not its own neighbor. Reads only the nodes and writes nothing.
     """
     if not (radio_range > 0):
         raise ValueError("radio_range must be > 0")
@@ -135,16 +143,12 @@ def compute_adjacency(topology: Topology, radio_range: float) -> dict:
         for i, node in enumerate(topology.nodes):
             adjacency[node.id] = frozenset(
                 topology.nodes[j].id for j in np.flatnonzero(within[i]))
-    topology.adjacency = adjacency
-    topology.radio_range = float(radio_range)
-    return adjacency
+    return MappingProxyType(adjacency)
 
 
 def contention_sets(topology: Topology) -> dict:
     """Each node's contention set: its radio neighborhood plus itself (a
     node's own queued traffic competes for the same channel)."""
-    if topology.adjacency is None:
-        raise ValueError("adjacency not computed yet")
     return {x: frozenset(nbrs | {x}) for x, nbrs in topology.adjacency.items()}
 
 
@@ -207,8 +211,6 @@ def build_routes(topology: Topology, sinks: Iterable) -> RouteTable:
     smallest node id so routes stay fixed across replications. Raises
     RoutingError when any node has no path to a sink.
     """
-    if topology.adjacency is None:
-        raise ValueError("adjacency not computed yet")
     adjacency = topology.adjacency
     sink_list = sorted(set(sinks))
     if not sink_list:
@@ -254,8 +256,6 @@ def topology_stats(topology: Topology, routes: RouteTable) -> TopologyStats:
     neighborhood_bound is the largest contention set, nodes_per_disk the mean
     contention set rounded to the nearest integer, max_hops the longest route.
     """
-    if topology.adjacency is None:
-        raise ValueError("adjacency not computed yet")
     sizes = [len(topology.adjacency[n.id]) + 1 for n in topology.nodes]
     u = max(sizes)
     m = int(math.floor(sum(sizes) / len(sizes) + 0.5))
@@ -274,8 +274,7 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
         g = topology.grid
         lines.append(f"# grid rows={g.rows} cols={g.cols} spacing={g.spacing!r} "
                      f"jitter={g.jitter!r} seed={g.seed}")
-    if topology.radio_range is not None:
-        lines.append(f"# radio_range={topology.radio_range!r}")
+    lines.append(f"# radio_range={topology.radio_range!r}")
     lines.append("# columns: id x y is_sink")
     for node in topology.nodes:
         lines.append(f"{node.id} {node.x!r} {node.y!r} {int(node.id in sinks)}")
@@ -285,8 +284,8 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
 
 def load_topology(path) -> tuple:
     """Read a file written by save_topology and return (topology, sinks),
-    sinks a tuple in node order; recomputes adjacency when the header
-    records a radio range."""
+    sinks a tuple in node order. The adjacency is recomputed from the radio
+    range in the header; a file without one is a ValueError."""
     grid = None
     radio_range = None
     nodes = []
@@ -310,10 +309,9 @@ def load_topology(path) -> tuple:
             nodes.append(Node(id=int(ident), x=float(x), y=float(y)))
             if int(sink):
                 sinks.append(int(ident))
-    topo = Topology(nodes=nodes, grid=grid)
-    if radio_range is not None:
-        compute_adjacency(topo, radio_range)
-    return topo, tuple(sinks)
+    if radio_range is None:
+        raise ValueError(f"{path}: no radio_range in the header")
+    return Topology(nodes, radio_range, grid), tuple(sinks)
 
 
 def make_network(rows: int, cols: int, spacing: float = 10.0, jitter: float = 0.25,
@@ -323,7 +321,7 @@ def make_network(rows: int, cols: int, spacing: float = 10.0, jitter: float = 0.
 
     Returns (topology, routes).
     """
-    topo = generate_perturbed_grid(rows, cols, spacing, jitter, seed)
-    compute_adjacency(topo, radio_range)
+    topo = generate_perturbed_grid(rows, cols, spacing, jitter, seed,
+                                   radio_range=radio_range)
     sinks = place_sinks(topo, sink_count, seed=seed, mode=sink_mode)
     return topo, build_routes(topo, sinks)

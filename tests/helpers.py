@@ -10,8 +10,8 @@ from rtcap import topology as tp
 
 def chain_network(n, radio_range=10.0, sink_at_end=True):
     """1 x n grid with spacing 10 and the sink at the right end."""
-    topo = tp.generate_perturbed_grid(1, n, 10.0, 0.0, seed=0)
-    tp.compute_adjacency(topo, radio_range)
+    topo = tp.generate_perturbed_grid(1, n, 10.0, 0.0, seed=0,
+                                      radio_range=radio_range)
     sink = n - 1 if sink_at_end else 0
     return topo, tp.build_routes(topo, [sink])
 

@@ -208,12 +208,13 @@ def test_criterion_9b_exclusion_invariant():
     contended run finds no violation."""
     adjacency = {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1, 3}),
                  3: frozenset({2})}
-    active = {99: sc.ActiveTransmission(0, 1, 99)}
+    # the in-flight record maps each busy endpoint to its transmission
+    tx = sc.ActiveTransmission(0, 1, 99)
     with pytest.raises(sc.InvariantError):
-        sc._verify_exclusion(2, 3, active, adjacency)  # sender 2 near receiver 1
+        sc._verify_exclusion(2, 3, {0: tx, 1: tx}, adjacency)  # sender 2 near receiver 1
+    tx = sc.ActiveTransmission(1, 0, 9)
     with pytest.raises(sc.InvariantError):
-        sc._verify_exclusion(3, 2, {9: sc.ActiveTransmission(1, 0, 9)},
-                             adjacency)                # receiver 2 near sender 1
+        sc._verify_exclusion(3, 2, {0: tx, 1: tx}, adjacency)  # receiver 2 near sender 1
 
     log = []
     topo, _, _, metrics = contended_run(seed=13, rate=8.0, event_log=log)

@@ -10,6 +10,8 @@ from rtcap import simcore as sc
 from rtcap import topology as tp
 from rtcap.cli import dispatch
 
+from helpers import contended_run
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -197,6 +199,24 @@ class TestSimulate:
                           cfg, event_log=direct)
         assert log.read_text() == "".join(line + "\n" for line in direct)
 
+    @pytest.mark.parametrize("keep", [True, False], ids=["keep", "drop"])
+    def test_keep_on_miss(self, tmp_path, keep):
+        # the contended 3x3 network of helpers.contended_run, through the CLI
+        log = tmp_path / "events.log"
+        code, _ = run_cli(["simulate", "--rows", "3", "--cols", "3",
+                           "--jitter", "0.2", "--radio-range", "15",
+                           "--sinks", "1", "--packet-size", "12500",
+                           "--rate", "6", "--duration", "8", "--seed", "3",
+                           "--reps", "1", "--event-log", str(log)]
+                          + (["--keep-on-miss"] if keep else []))
+        assert code == 0
+        misses = [ln.split()[-1] for ln in log.read_text().splitlines()
+                  if " miss " in ln]
+        assert misses and set(misses) == {"kept" if keep else "dropped"}
+        direct = []
+        contended_run(seed=3, drop_on_miss=not keep, event_log=direct)
+        assert log.read_text() == "".join(line + "\n" for line in direct)
+
     def test_disconnected_network_is_runtime_error(self, capsys):
         code, _ = run_cli(["simulate", "--rows", "1", "--cols", "3",
                            "--spacing", "100", "--radio-range", "5",
@@ -231,6 +251,37 @@ class TestSweep:
         assert code == 0
         csv = next(tmp_path.glob("sink_sweep_25_*.csv")).read_text()
         assert len(data_lines(csv)) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "balanced_curves", "--values", "1,2,3"],
+        ["--kind", "sink_sweep", "--values", "1,2", "--rows", "4", "--cols", "4",
+         "--radio-range", "15", "--reps", "1", "--duration", "2"]],
+        ids=["balanced_curves", "sink_sweep"])
+    def test_unread_setting_keeps_file_name(self, tmp_path, argv):
+        # balanced curves read no network field, and a sink sweep's swept
+        # sink count replaces --sinks
+        flag, a, b = (("--rows", "5", "6") if "balanced_curves" in argv
+                      else ("--sinks", "2", "3"))
+        written = []
+        for value in (a, b):
+            out_dir = tmp_path / value
+            code, _ = run_cli(["sweep", *argv, flag, value, "--out-dir", str(out_dir)])
+            assert code == 0
+            [csv] = out_dir.glob("*.csv")
+            written.append((csv.name, csv.read_bytes()))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "sink_sweep", "--values", "1.5,2", "--rows", "4", "--cols", "4",
+         "--radio-range", "15", "--reps", "1", "--duration", "2"],
+        ["--kind", "convergecast_curves", "--values", "2.5,3"]],
+        ids=["sink_sweep", "convergecast_curves"])
+    def test_non_integral_value_rejected(self, tmp_path, argv, capsys):
+        # not truncated to 1 sink or K=2: the spec's own check refuses it
+        code, _ = run_cli(["sweep", *argv, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "integer" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_rate_rejected(self, tmp_path):
         # sweeps load the network at a multiple of its measured bound

@@ -74,6 +74,34 @@ class TestSweepSpec:
         assert ex.config_hash(small_sim_spec(kind, (1, 2), rows=7)) \
             != ex.config_hash(first)
 
+    @pytest.mark.parametrize("kind", ["radio_sweep", "sink_sweep",
+                                      "missratio_sweep"])
+    def test_simulation_hash_records_two_analytic_fields(self, kind):
+        # the measured bounds read only bandwidth and inversion factor
+        base = small_sim_spec(kind, (1, 2))
+        unread = small_sim_spec(kind, (1, 2), analytic=replace(
+            ANALYTIC, node_count=7, neighborhood_bound=3, path_length=9,
+            nodes_per_disk=2, max_hops=8, sink_count=3))
+        assert ex.config_hash(unread) == ex.config_hash(base)
+        assert ex.config_hash(small_sim_spec(kind, (1, 2), analytic=replace(
+            ANALYTIC, inversion_factor=1.0))) != ex.config_hash(base)
+
+    @pytest.mark.parametrize("kind,read,unread", [
+        ("balanced_curves", dict(neighborhood_bound=3),
+         dict(nodes_per_disk=2, max_hops=8, sink_count=3, path_length=9)),
+        ("convergecast_curves", dict(nodes_per_disk=2),
+         dict(node_count=7, neighborhood_bound=3, path_length=9, max_hops=8))])
+    def test_analytic_hash_records_what_rows_read(self, kind, read, unread):
+        base = ex.SweepSpec(kind=kind, values=(1, 2), analytic=ANALYTIC)
+        same = replace(base, analytic=replace(ANALYTIC, **unread), rows=7,
+                       cols=3, radio_range=5.0, sink_count=2, load_factor=4.0,
+                       sim=replace(base.sim, duration=2.0, replication_count=3))
+        assert ex.config_hash(same) == ex.config_hash(base)
+        # the seed stays: rows carry it as their seed range
+        for changed in (replace(base, analytic=replace(ANALYTIC, **read)),
+                        replace(base, sim=replace(base.sim, seed=4))):
+            assert ex.config_hash(changed) != ex.config_hash(base)
+
     def test_one_bandwidth(self):
         # a bound for one channel next to a simulation of another is refused
         with pytest.raises(ValueError, match="bandwidth"):
@@ -96,15 +124,15 @@ class TestLoadMultiplierSeries:
 
 class TestProbeRate:
     def test_chain(self):
-        topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0)
-        tp.compute_adjacency(topo, 10.0)
+        topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0,
+                                          radio_range=10.0)
         routes = tp.build_routes(topo, [2])
         # hop counts 2 + 1: demand = rate * 1000 * 3
         assert ex.probe_rate(3000.0, routes, 1000.0) == pytest.approx(1.0)
 
     def test_no_traffic_rejected(self):
-        topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0)
-        tp.compute_adjacency(topo, 10.0)
+        topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0,
+                                          radio_range=10.0)
         routes = tp.build_routes(topo, [0])
         with pytest.raises(ValueError):
             ex.probe_rate(1000.0, routes, 1000.0)

@@ -67,8 +67,8 @@ class TestGenerateWorkload:
 
     def test_explicit_route_sinks_drive_the_workload(self):
         # sinks passed to build_routes, not chosen by place_sinks
-        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0)
-        tp.compute_adjacency(topo, 10.0)
+        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0,
+                                          radio_range=10.0)
         routes = tp.build_routes(topo, [4])
         cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=1.0, duration=8.0)
         wl = sc.generate_workload(topo, routes, cfg)
@@ -192,14 +192,42 @@ class TestMedium:
                 pkt = mk_packet(step, s, 0.0, 1.0)
                 if not sc.admissible_transmissions([(pkt, s, r)], medium):
                     continue
-                sc._verify_exclusion(s, r, {tx.packet_id: tx for tx in active},
-                                     adjacency)
+                air = {v: tx for tx in active for v in (tx.sender, tx.receiver)}
+                sc._verify_exclusion(s, r, air, adjacency)
                 active.append(sc.ActiveTransmission(s, r, step))
             assert (medium.busy, medium.near_senders, medium.near_receivers) \
                 == self.rebuilt(adjacency, active)
         for tx in active:
             medium.release(tx.sender, tx.receiver)
         assert medium.is_idle()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verify_exclusion_matches_brute_force(self, seed):
+        # every head-of-route pair against a random live set, checked against
+        # a scan of all live transmissions
+        topo, routes = tp.make_network(6, 6, spacing=10.0, jitter=0.2,
+                                       seed=seed, radio_range=15.0,
+                                       sink_count=1)
+        adjacency = topo.adjacency
+        rng = np.random.default_rng(seed)
+        medium = sc.Medium(adjacency)
+        active = []
+        for step, s in enumerate(rng.permutation(sorted(routes.next_hop))[:8]):
+            s, r = int(s), routes.next_hop[int(s)]
+            if sc.admissible_transmissions([(mk_packet(step, s, 0.0, 1.0), s, r)],
+                                           medium):
+                active.append(sc.ActiveTransmission(s, r, step))
+        air = {v: tx for tx in active for v in (tx.sender, tx.receiver)}
+        for s, r in routes.next_hop.items():
+            conflict = any({s, r} & {tx.sender, tx.receiver}
+                           or s in adjacency[tx.receiver]
+                           or r in adjacency[tx.sender] for tx in active)
+            try:
+                sc._verify_exclusion(s, r, air, adjacency)
+                raised = False
+            except sc.InvariantError:
+                raised = True
+            assert raised == conflict
 
     def test_run_must_leave_medium_idle(self, monkeypatch):
         # a release that forgets the sender's range leaves counts behind

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import math
 from collections import deque
 
@@ -24,33 +25,34 @@ def bfs_distance(adjacency, sources):
     return dist
 
 
-def line_topology(n, spacing=10.0):
-    return tp.generate_perturbed_grid(1, n, spacing, jitter=0.0, seed=0)
+def line_topology(n, spacing=10.0, radio_range=10.0):
+    return tp.generate_perturbed_grid(1, n, spacing, jitter=0.0, seed=0,
+                                      radio_range=radio_range)
 
 
 class TestPerturbedGrid:
     def test_zero_jitter_exact_positions(self):
-        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=1)
+        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=1, radio_range=10.0)
         got = {(n.x, n.y) for n in topo.nodes}
         assert got == {(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)}
 
     def test_same_seed_identical(self):
-        a = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=42)
-        b = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=42)
+        a = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=42, radio_range=10.0)
+        b = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=42, radio_range=10.0)
         assert [(n.x, n.y) for n in a.nodes] == [(n.x, n.y) for n in b.nodes]
 
     def test_different_seed_differs(self):
-        a = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=1)
-        b = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=2)
+        a = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=1, radio_range=10.0)
+        b = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=2, radio_range=10.0)
         assert [(n.x, n.y) for n in a.nodes] != [(n.x, n.y) for n in b.nodes]
 
     def test_single_node_at_origin(self):
-        topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0, radio_range=10.0)
         assert topo.node_count == 1
         assert (topo.nodes[0].x, topo.nodes[0].y) == (0.0, 0.0)
 
     def test_jitter_bounded(self):
-        topo = tp.generate_perturbed_grid(10, 10, 10.0, 0.25, seed=3)
+        topo = tp.generate_perturbed_grid(10, 10, 10.0, 0.25, seed=3, radio_range=10.0)
         for node in topo.nodes:
             r, c = divmod(node.id, 10)
             assert abs(node.x - c * 10.0) <= 2.5
@@ -58,23 +60,21 @@ class TestPerturbedGrid:
 
     def test_excessive_jitter_rejected(self):
         with pytest.raises(ValueError):
-            tp.generate_perturbed_grid(2, 2, 10.0, 0.5, seed=0)
+            tp.generate_perturbed_grid(2, 2, 10.0, 0.5, seed=0, radio_range=10.0)
 
 
 class TestAdjacency:
     def test_boundary_distance_counts(self):
-        topo = line_topology(2)
-        adj = tp.compute_adjacency(topo, radio_range=10.0)
+        adj = line_topology(2).adjacency
         assert adj[0] == frozenset({1}) and adj[1] == frozenset({0})
 
     def test_just_out_of_range(self):
-        topo = line_topology(2)
-        adj = tp.compute_adjacency(topo, radio_range=9.9)
+        adj = line_topology(2, radio_range=9.9).adjacency
         assert adj[0] == frozenset() and adj[1] == frozenset()
 
     def test_square_excludes_diagonal(self):
-        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0)
-        adj = tp.compute_adjacency(topo, radio_range=10.0)
+        adj = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0,
+                                         radio_range=10.0).adjacency
         # diagonal distance is 14.14; each corner sees only its two edge
         # neighbors
         for node_id, nbrs in adj.items():
@@ -82,45 +82,54 @@ class TestAdjacency:
             assert (3 - node_id) not in nbrs
 
     def test_symmetry(self):
-        topo = tp.generate_perturbed_grid(8, 9, 10.0, 0.25, seed=5)
-        adj = tp.compute_adjacency(topo, radio_range=14.0)
+        adj = tp.generate_perturbed_grid(8, 9, 10.0, 0.25, seed=5,
+                                         radio_range=14.0).adjacency
         for a, nbrs in adj.items():
             assert a not in nbrs
             for b in nbrs:
                 assert a in adj[b]
 
     def test_contention_sets_add_self(self):
-        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0)
-        tp.compute_adjacency(topo, radio_range=10.0)
+        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0, radio_range=10.0)
         cont = tp.contention_sets(topo)
         for node_id, members in cont.items():
             assert node_id in members
             assert len(members) == 3
 
+    def test_compute_adjacency_writes_nothing(self):
+        topo, _ = tp.make_network(4, 4, radio_range=15.0)
+        before = dict(topo.adjacency)
+        narrower = tp.compute_adjacency(topo, 9.0)
+        assert narrower != topo.adjacency
+        assert topo.radio_range == 15.0
+        assert topo.adjacency == before
+        with pytest.raises(TypeError):
+            narrower[0] = frozenset()
+
 
 class TestSinkPlacement:
     def test_all_nodes(self):
-        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0, radio_range=10.0)
         sinks = tp.place_sinks(topo, 9)
         assert sinks == list(range(9))
         assert all(n.id in sinks for n in topo.nodes)
 
     def test_center_of_odd_square(self):
-        topo = tp.generate_perturbed_grid(5, 5, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(5, 5, 10.0, 0.0, seed=0, radio_range=10.0)
         assert tp.place_sinks(topo, 1) == [12]
 
     def test_quadrant_centers(self):
-        topo = tp.generate_perturbed_grid(20, 20, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(20, 20, 10.0, 0.0, seed=0, radio_range=10.0)
         sinks = tp.place_sinks(topo, 4)
         assert sinks == [5 * 20 + 5, 5 * 20 + 15, 15 * 20 + 5, 15 * 20 + 15]
 
     def test_too_many_rejected(self):
-        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0, radio_range=10.0)
         with pytest.raises(ValueError):
             tp.place_sinks(topo, 5)
 
     def test_random_mode_deterministic(self):
-        topo = tp.generate_perturbed_grid(6, 6, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(6, 6, 10.0, 0.0, seed=0, radio_range=10.0)
         a = tp.place_sinks(topo, 4, seed=9, mode="random")
         b = tp.place_sinks(topo, 4, seed=9, mode="random")
         assert a == b and len(a) == 4
@@ -135,7 +144,7 @@ class TestSinkPlacement:
         assert routes.sinks == (12,)
 
     def test_prime_count_falls_back_to_even_spacing(self):
-        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0, radio_range=10.0)
         sinks = tp.place_sinks(topo, 7)
         assert len(sinks) == 7 and sinks == sorted(set(sinks))
 
@@ -143,7 +152,6 @@ class TestSinkPlacement:
 class TestRoutes:
     def test_line_routes(self):
         topo = line_topology(3)
-        tp.compute_adjacency(topo, radio_range=10.0)
         routes = tp.build_routes(topo, [2])
         assert routes.hop_count == {0: 2, 1: 1, 2: 0}
         assert routes.next_hop == {0: 1, 1: 2}
@@ -153,14 +161,12 @@ class TestRoutes:
     def test_tie_breaks_to_smaller_sink(self):
         # node 1 sits between sinks 0 and 2
         topo = line_topology(3)
-        tp.compute_adjacency(topo, radio_range=10.0)
         routes = tp.build_routes(topo, [0, 2])
         assert routes.next_hop[1] == 0
         assert routes.assigned_sink[1] == 0
 
     def test_sink_has_no_next_hop(self):
         topo = line_topology(2)
-        tp.compute_adjacency(topo, radio_range=10.0)
         routes = tp.build_routes(topo, [1])
         assert 1 not in routes.next_hop
         assert routes.hop_count[1] == 0
@@ -169,15 +175,14 @@ class TestRoutes:
         line = line_topology(4)
         # a copy of the line with node 3 moved away, so it is isolated
         topo = tp.Topology(nodes=line.nodes[:3]
-                           + (dataclasses.replace(line.nodes[3], x=1000.0),))
-        tp.compute_adjacency(topo, radio_range=10.0)
+                           + (dataclasses.replace(line.nodes[3], x=1000.0),),
+                           radio_range=10.0)
         with pytest.raises(tp.RoutingError) as exc:
             tp.build_routes(topo, [0])
         assert exc.value.unreachable == [3]
 
     def test_sinks_checked(self):
         topo = line_topology(3)
-        tp.compute_adjacency(topo, radio_range=10.0)
         with pytest.raises(ValueError):
             tp.build_routes(topo, [])
         with pytest.raises(ValueError):
@@ -209,7 +214,8 @@ class TestRoutes:
 
 class TestFrozen:
     def test_node(self):
-        node = tp.generate_perturbed_grid(1, 2, 10.0, 0.0, seed=0).nodes[1]
+        node = tp.generate_perturbed_grid(1, 2, 10.0, 0.0, seed=0,
+                                          radio_range=10.0).nodes[1]
         with pytest.raises(dataclasses.FrozenInstanceError):
             node.x = 0.0
 
@@ -231,24 +237,40 @@ class TestFrozen:
             routes.sinks.append(v)
         assert routes.next_hop[v] == w
 
+    def test_topology(self):
+        topo, _ = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
+        for name, value in (("adjacency", {}), ("radio_range", 50.0),
+                            ("nodes", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(topo, name, value)
+        # the adjacency comes from the nodes and the range, never from outside
+        with pytest.raises(TypeError):
+            tp.Topology(topo.nodes, radio_range=50.0, adjacency={0: frozenset()})
+
+    def test_topology_adjacency_contents(self):
+        topo, _ = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
+        with pytest.raises(TypeError):
+            topo.adjacency[5] = frozenset()
+        with pytest.raises(TypeError):
+            del topo.adjacency[5]
+        assert topo.adjacency == tp.compute_adjacency(topo, 15.0)
+
     def test_topology_nodes(self):
-        topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0)
+        topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0, radio_range=10.0)
         with pytest.raises(TypeError):
             topo.nodes[0] = topo.nodes[1]
-        assert isinstance(tp.Topology(nodes=list(topo.nodes)).nodes, tuple)
+        assert isinstance(tp.Topology(list(topo.nodes), 10.0).nodes, tuple)
 
 
 class TestStats:
     def test_single_node(self):
-        topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0)
-        tp.compute_adjacency(topo, 10.0)
+        topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0, radio_range=10.0)
         routes = tp.build_routes(topo, [0])
         stats = tp.topology_stats(topo, routes)
         assert stats == (1, 0, 1)
 
     def test_square(self):
-        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0)
-        tp.compute_adjacency(topo, 10.0)
+        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0, radio_range=10.0)
         routes = tp.build_routes(topo, [0])
         stats = tp.topology_stats(topo, routes)
         assert stats.neighborhood_bound == 3
@@ -256,7 +278,6 @@ class TestStats:
 
     def test_chain_max_hops(self):
         topo = line_topology(5)
-        tp.compute_adjacency(topo, 10.0)
         routes = tp.build_routes(topo, [4])
         assert tp.topology_stats(topo, routes).max_hops == 4
 
@@ -293,6 +314,16 @@ class TestPersistence:
         assert any("jitter=0.1" in line for line in head)
         assert any("radio_range=6.0" in line for line in head)
 
+    def test_file_without_radio_range_rejected(self, tmp_path):
+        topo, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
+        path = tmp_path / "topo.txt"
+        tp.save_topology(topo, path, routes.sinks)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines
+                                if not line.startswith("# radio_range=")))
+        with pytest.raises(ValueError, match="topo.txt"):
+            tp.load_topology(path)
+
     def test_full_determinism(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -301,3 +332,37 @@ class TestPersistence:
                                            radio_range=12.0, sink_count=2)
             tp.save_topology(topo, path, routes.sinks)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNetworkDigests:
+    """sha256 of the edge list, the route table and the topology file of
+    fixed-seed networks; any change to placement, adjacency, sink choice,
+    routing or the file format shows here."""
+
+    @staticmethod
+    def digests(topo, routes, path):
+        edges = sorted((v, w) for v, nbrs in topo.adjacency.items()
+                       for w in nbrs if v < w)
+        table = (sorted(routes.next_hop.items()), sorted(routes.hop_count.items()),
+                 sorted(routes.assigned_sink.items()), tuple(routes.sinks))
+        tp.save_topology(topo, path, routes.sinks)
+        return tuple(hashlib.sha256(data).hexdigest()
+                     for data in (repr(edges).encode(), repr(table).encode(),
+                                  path.read_bytes()))
+
+    @pytest.mark.parametrize("network,expected", [
+        # the criterion-6 network
+        (dict(rows=20, cols=40, spacing=10.0, jitter=0.25, seed=0,
+              radio_range=20.5, sink_count=12),
+         ("c5faaf03e23d7bb90979ccf71902104a0700ef5c338f61e104abc1a48fed96d0",
+          "6ce368ed76119f4da77e29a0214712d16bead2e46ed7fe533d7be26787c2b8ef",
+          "e36ab8f13f0a3ee10400769721008ddb823921be61d194da9a22b671410184e7")),
+        (dict(rows=12, cols=12, spacing=10.0, jitter=0.25, seed=7,
+              radio_range=15.0, sink_count=5, sink_mode="random"),
+         ("4ae3287b419b98643500a29aeefc84811d2af61aeb7d8a8b767f88356cbc6769",
+          "fe76336f9865882a3b516f19d0512c45ba01642d8c1441aded037a62abd2f75f",
+          "011071e9bfc5433202beac19b7531e6ab6469a6dc35b635be0896ac5282e9ea6")),
+    ], ids=["criterion6", "random-sinks"])
+    def test_digests(self, tmp_path, network, expected):
+        topo, routes = tp.make_network(**network)
+        assert self.digests(topo, routes, tmp_path / "topo.txt") == expected
