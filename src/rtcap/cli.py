@@ -319,9 +319,10 @@ def _cmd_sweep(args, cfg, out) -> int:
         jitter=cfg["jitter"], radio_range=cfg["radio_range"],
         sink_count=cfg["sinks"], sink_mode=cfg["sink_mode"], mode=cfg["mode"],
         load_factor=cfg["load_factor"])
-    rows = ex.run_sweep(spec)
+    # a bad output directory fails before the sweep runs, not after
     out_dir = args.out_dir or os.environ.get("RTCAP_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
+    rows = ex.run_sweep(spec)
     dest = os.path.join(out_dir, ex.csv_filename(spec))
     ex.emit_csv(rows, dest, spec)
     if args.verbose:

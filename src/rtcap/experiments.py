@@ -293,6 +293,12 @@ def emit_csv(rows: Iterable, destination, spec: Optional[SweepSpec] = None) -> N
 
 
 def csv_filename(spec: SweepSpec) -> str:
-    node_count = (spec.analytic.node_count if spec.kind in _ANALYTIC_KINDS
-                  else spec.rows * spec.cols)
-    return f"{spec.kind}_{node_count}_{config_hash(spec)}.csv"
+    """`<kind>_<node count>_<config hash>.csv`, with the node count only for
+    kinds whose rows read one: the analytic node count of balanced_curves,
+    the grid size of the simulation kinds."""
+    reads = _READS[spec.kind]
+    if "analytic.node_count" in reads:
+        return f"{spec.kind}_{spec.analytic.node_count}_{config_hash(spec)}.csv"
+    if "rows" in reads:
+        return f"{spec.kind}_{spec.rows * spec.cols}_{config_hash(spec)}.csv"
+    return f"{spec.kind}_{config_hash(spec)}.csv"

@@ -19,6 +19,21 @@ head (v, next_hop[v]) is blocked by (s, r) only through v or next_hop[v]
 being s or r, v in N(r), or next_hop[v] in N(s), so freeing x unblocks
 nothing outside reach[x].
 
+A run reads the workload's arrivals in time order through a cursor; its
+event queues hold only transmission completions and deadline expiries. Each
+instant runs three phases, then one grant pass:
+
+1. completions at that instant, so the channel is freed before
+   same-instant arrivals are queued;
+2. arrivals at that instant, in workload order;
+3. expiries at that instant, so a completion landing exactly at the
+   deadline still counts as on time.
+
+Packets are immutable records of their arrival. The run owns what moves:
+the node that holds each packet and the set of dropped packets. Hops
+traversed is hop_count[origin] - hop_count[node], since each route hop
+lowers the hop count by exactly one.
+
 A single run is strictly sequential and reproducible: identical
 (topology, routes, workload) inputs give bit-identical metrics. Replications
 differ only in the workload seed.
@@ -36,38 +51,31 @@ The optional event log is plain text, one event per line:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+import math
+from collections import deque
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .topology import RouteTable, Topology
-
-# event ranks: completions free the channel before same-instant arrivals are
-# queued, and a completion landing exactly at the deadline still counts as
-# on time because it is processed before the expiry check
-_COMPLETE, _ARRIVAL, _EXPIRE = 0, 1, 2
 
 
 class InvariantError(RuntimeError):
     """The simulator reached a state that violates one of its invariants."""
 
 
-@dataclass
-class Packet:
-    """One packet: its arrival (time, origin, deadline, tie key) and the run
-    state. Size and per-hop time are the run's, the route the origin's. A run
-    copies each workload packet when it arrives and moves only the copy."""
+class Packet(NamedTuple):
+    """One packet's arrival: time, origin, relative deadline and priority
+    tie key. Size and per-hop time are the run's, the route the origin's,
+    and where the packet is belongs to the run that moves it."""
 
     id: int
     origin: int
     arrival_time: float
     relative_deadline: float
     tie_key: float
-    current_node: int = -1
-    hops_traversed: int = 0
-    missed: bool = False
-    dropped: bool = False
 
     @property
     def absolute_deadline(self) -> float:
@@ -96,16 +104,20 @@ class SimConfig:
     stop_at_first_miss: bool = False
 
     def __post_init__(self):
-        if not (self.bandwidth > 0):
-            raise ValueError("bandwidth must be > 0")
-        if not (self.packet_size > 0):
-            raise ValueError("packet_size must be > 0")
-        if not self.deadline_set or any(d <= 0 for d in self.deadline_set):
-            raise ValueError("deadline_set must be non-empty and positive")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
-        if not (self.duration > 0):
-            raise ValueError("duration must be > 0")
+        # infinite and NaN settings are refused: an infinite rate or
+        # duration never ends the arrival draw, and an expiry at NaN never
+        # comes due
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and > 0")
+        if not 0 < self.packet_size < math.inf:
+            raise ValueError("packet_size must be finite and > 0")
+        if not self.deadline_set or not all(0 < d < math.inf
+                                            for d in self.deadline_set):
+            raise ValueError("deadline_set must be non-empty, finite and positive")
+        if not 0 <= self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be finite and >= 0")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and > 0")
         if self.replication_count < 1:
             raise ValueError("replication_count must be >= 1")
 
@@ -122,10 +134,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Workload:
-    """Time-ordered packet arrivals and the seed that drew them."""
+    """Packet arrivals in time order and the seed that drew them. Packets
+    given out of order are sorted stably by arrival time, so same-time
+    arrivals keep their given order."""
 
     packets: tuple
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "packets", tuple(
+            sorted(self.packets, key=attrgetter("arrival_time"))))
 
 
 @dataclass(frozen=True)
@@ -184,10 +202,8 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
             deadline = deadlines[rng.integers(len(deadlines))]
             raw.append((t, node.id, deadline, rng.random()))
     raw.sort()
-    packets = tuple(
-        Packet(id=pid, origin=origin, arrival_time=t, relative_deadline=deadline,
-               tie_key=tie, current_node=origin)
-        for pid, (t, origin, deadline, tie) in enumerate(raw))
+    packets = tuple(Packet(pid, origin, t, deadline, tie)
+                    for pid, (t, origin, deadline, tie) in enumerate(raw))
     return Workload(packets=packets, seed=use_seed)
 
 
@@ -253,12 +269,11 @@ def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
     return granted
 
 
-def measured_capacity_consumption(packets: Iterable, packet_size: float) -> float:
-    """Capacity consumed by the given packets, in bits/s: each packet's
-    traversed hop count times the packet size, normalized by its end-to-end
-    deadline."""
-    return sum(p.hops_traversed * packet_size / p.relative_deadline
-               for p in packets)
+def measured_capacity_consumption(claims: Iterable, packet_size: float) -> float:
+    """Capacity consumed by packets given as (hops traversed, relative
+    deadline) pairs, in bits/s: each packet's hop count times the packet
+    size, normalized by its end-to-end deadline."""
+    return sum(hops * packet_size / deadline for hops, deadline in claims)
 
 
 def _verify_exclusion(sender: int, receiver: int, air: dict,
@@ -296,12 +311,14 @@ def _release_reach(adjacency: dict, next_hop: dict) -> dict:
 
 
 class _NodeQueue:
-    """Per-node priority queue with lazy removal of dropped packets."""
+    """Per-node priority queue with lazy removal of the packets whose ids
+    are in the run's `dropped` set."""
 
-    __slots__ = ("heap",)
+    __slots__ = ("heap", "dropped")
 
-    def __init__(self):
+    def __init__(self, dropped: set):
         self.heap = []
+        self.dropped = dropped
 
     def push(self, packet: Packet):
         heapq.heappush(self.heap, (priority_key(packet), packet))
@@ -309,7 +326,7 @@ class _NodeQueue:
     def head(self) -> Optional[Packet]:
         while self.heap:
             packet = self.heap[0][1]
-            if packet.dropped:
+            if packet.id in self.dropped:
                 heapq.heappop(self.heap)
                 continue
             return packet
@@ -323,12 +340,21 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                    config: SimConfig, event_log: Optional[list] = None) -> RunMetrics:
     """Event-driven run over the workload; returns the per-run metrics.
 
-    Events are arrivals, transmission completions, and deadline expiries.
+    Each instant runs three phases, then one grant pass: completions at
+    `now`, arrivals at `now` (read in order through a cursor into
+    `workload.packets`), and deadline expiries at `now`. Completions free
+    the channel before same-instant arrivals are queued, and a completion
+    landing exactly at the deadline counts as on time because expiries come
+    last. Every hop takes `tx_time`, so completions come due in grant order
+    and wait in a FIFO; expiries wait in a heap keyed by deadline and
+    workload position. The run keeps each packet's node from its arrival
+    until it leaves the network, plus the ids of dropped packets.
+
     The `Medium` keeps, per node, the number of active senders and of active
     receivers in range, updated once per grant and once per completion.
-    After the events of each instant are applied, the medium is re-arbitrated
-    over the backlogged nodes the instant touched (arrivals, dropped heads)
-    plus reach[x] for every endpoint x a completion freed. That gives the
+    After the phases of each instant, the medium is re-arbitrated over the
+    backlogged nodes the instant touched (arrivals, dropped heads) plus
+    reach[x] for every endpoint x a completion freed. That gives the
     same grants as a pass over the whole backlog: freeing x can only unblock
     a head (v, next_hop[v]) through v or next_hop[v] lying in N[x], every
     other idle head was blocked after the previous pass by a transmission
@@ -347,20 +373,25 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
+    arrivals = len(packets)
     # time-averaged demand: each packet claims size/deadline at every route
     # node for its deadline window, so the deadline cancels and the demand is
     # bit-hops injected per second
     offered = sum(hop_count[p.origin] * size for p in packets) / config.duration
 
-    events = [(p.arrival_time, _ARRIVAL, seq, p) for seq, p in enumerate(packets)]
-    heapq.heapify(events)
-    seq = len(events)
+    cursor = 0             # position of the next arrival in `packets`
+    completions = deque()  # (time, Packet, ActiveTransmission), grant order
+    expiries = []          # heap of (absolute deadline, position, Packet)
 
-    queues = {node.id: _NodeQueue() for node in topology.nodes}
+    dropped = set()        # ids of packets dropped on a miss
+    queues = {node.id: _NodeQueue(dropped) for node in topology.nodes}
     backlog = set()
     medium = Medium(adjacency)
     busy = medium.busy
     air = {}               # busy endpoint -> its ActiveTransmission
+    # packet id -> the node holding it: queued, sending, or the sink that
+    # took it on time, until its expiry; a dropped or late packet has left
+    at = {}
     # capacity accounting follows the demand model: a packet claims capacity
     # from arrival until its deadline expires, even once delivered; only
     # expiry (miss or deadline passing after delivery) releases the claim
@@ -375,7 +406,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     stop = False
 
     def grant_pass(nodes):
-        nonlocal seq
         if not nodes:
             return
         candidates = []
@@ -394,81 +424,84 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 raise InvariantError(f"queue head changed under grant at node {s}")
             if queues[s].head() is None:
                 backlog.discard(s)
-            air[s] = air[r] = ActiveTransmission(s, r, packet.id)
-            heapq.heappush(events, (now + tx_time, _COMPLETE, seq, packet))
-            seq += 1
+            tx = air[s] = air[r] = ActiveTransmission(s, r, packet.id)
+            completions.append((now + tx_time, packet, tx))
             if log:
                 log(f"{now!r} grant {s}->{r} {packet.id}")
 
-    while events and not stop:
-        now = events[0][0]
+    while completions or cursor < arrivals or expiries:
+        now = min(completions[0][0] if completions else math.inf,
+                  packets[cursor].arrival_time if cursor < arrivals else math.inf,
+                  expiries[0][0] if expiries else math.inf)
         touched = set()    # nodes whose head or admissibility may have changed
 
-        while events and events[0][0] == now:
-            _, rank, _, packet = heapq.heappop(events)
-
-            if rank == _ARRIVAL:
-                packet = replace(packet, current_node=packet.origin)
-                queues[packet.origin].push(packet)
-                backlog.add(packet.origin)
-                live[packet.id] = packet
-                touched.add(packet.origin)
-                heapq.heappush(events, (packet.absolute_deadline, _EXPIRE, seq, packet))
-                seq += 1
+        while completions and completions[0][0] == now:
+            _, packet, tx = completions.popleft()
+            s, r = tx.sender, tx.receiver
+            del air[s], air[r]
+            medium.release(s, r)
+            touched.update(reach[s])
+            touched.update(reach[r])
+            if log:
+                log(f"{now!r} complete {s}->{r} {packet.id}")
+            if packet.id in dropped:
+                continue  # missed mid-flight and dropped at hop boundary
+            if r in next_hop:
+                at[packet.id] = r
+                queues[r].push(packet)
+                backlog.add(r)
                 if log:
-                    log(f"{now!r} arrival {packet.origin} {packet.id} "
-                        f"{packet.relative_deadline!r}")
-
-            elif rank == _COMPLETE:
-                tx = air.pop(packet.current_node)
-                del air[tx.receiver]
-                medium.release(tx.sender, tx.receiver)
-                touched.update(reach[tx.sender])
-                touched.update(reach[tx.receiver])
-                packet.hops_traversed += 1
-                packet.current_node = tx.receiver
+                    log(f"{now!r} enqueue {r} {packet.id}")
+            elif now > packet.absolute_deadline:
+                # a kept packet whose expiry already fired arrives late and
+                # contributes nothing
+                del at[packet.id]
+            else:
+                at[packet.id] = r
+                delivered += 1
+                delays.append(now - packet.arrival_time)
                 if log:
-                    log(f"{now!r} complete {tx.sender}->{tx.receiver} {packet.id}")
-                if packet.dropped:
-                    pass  # missed mid-flight and dropped at hop boundary
-                elif tx.receiver not in next_hop:  # a sink
-                    if packet.missed:
-                        pass  # late arrival of a kept packet: contributes nothing
-                    else:
-                        delivered += 1
-                        delays.append(now - packet.arrival_time)
-                        if log:
-                            log(f"{now!r} deliver {tx.receiver} {packet.id}")
-                else:
-                    queues[tx.receiver].push(packet)
-                    backlog.add(tx.receiver)
-                    if log:
-                        log(f"{now!r} enqueue {tx.receiver} {packet.id}")
+                    log(f"{now!r} deliver {r} {packet.id}")
 
-            else:  # _EXPIRE, once per packet
-                if packet.current_node not in next_hop:
-                    live.pop(packet.id, None)  # delivered on time
-                    continue
-                tx = air.get(packet.current_node)
-                was_queued = tx is None or tx.packet_id != packet.id
-                packet.missed = True
-                missed += 1
-                if first_miss_capacity is None:
-                    # snapshot includes the packet that just expired
-                    first_miss_capacity = measured_capacity_consumption(
-                        live.values(), size)
-                    first_miss_time = now
-                    if config.stop_at_first_miss:
-                        stop = True
-                live.pop(packet.id, None)
-                if config.drop_on_miss:
-                    packet.dropped = True
-                    if was_queued:
-                        touched.add(packet.current_node)
-                if log:
-                    loc = packet.current_node if was_queued else "air"
-                    log(f"{now!r} miss {loc} {packet.id} "
-                        f"{'dropped' if config.drop_on_miss else 'kept'}")
+        while cursor < arrivals and packets[cursor].arrival_time == now:
+            packet = packets[cursor]
+            at[packet.id] = packet.origin
+            live[packet.id] = packet
+            queues[packet.origin].push(packet)
+            backlog.add(packet.origin)
+            touched.add(packet.origin)
+            heapq.heappush(expiries, (packet.absolute_deadline, cursor, packet))
+            cursor += 1
+            if log:
+                log(f"{now!r} arrival {packet.origin} {packet.id} "
+                    f"{packet.relative_deadline!r}")
+
+        while expiries and expiries[0][0] == now:  # once per packet
+            packet = heapq.heappop(expiries)[2]
+            node = at[packet.id]
+            if node not in next_hop:
+                del at[packet.id], live[packet.id]  # delivered on time
+                continue
+            tx = air.get(node)
+            was_queued = tx is None or tx.packet_id != packet.id
+            missed += 1
+            if first_miss_capacity is None:
+                # snapshot includes the packet that just expired
+                first_miss_capacity = measured_capacity_consumption(
+                    ((hop_count[p.origin] - hop_count[at[p.id]],
+                      p.relative_deadline) for p in live.values()), size)
+                first_miss_time = now
+                stop = config.stop_at_first_miss
+            del live[packet.id]
+            if config.drop_on_miss:
+                dropped.add(packet.id)
+                del at[packet.id]
+                if was_queued:
+                    touched.add(node)
+            if log:
+                loc = node if was_queued else "air"
+                log(f"{now!r} miss {loc} {packet.id} "
+                    f"{'dropped' if config.drop_on_miss else 'kept'}")
 
         if stop:
             break
@@ -477,13 +510,12 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     if not stop and not medium.is_idle():
         raise InvariantError("medium not idle after the run drained")
 
-    generated = len(packets)
-    in_flight = generated - delivered - missed
+    in_flight = arrivals - delivered - missed
     return RunMetrics(
-        packets_generated=generated,
+        packets_generated=arrivals,
         delivered=delivered,
         missed=missed,
-        miss_ratio=missed / generated if generated else 0.0,
+        miss_ratio=missed / arrivals if arrivals else 0.0,
         capacity_consumption_at_first_miss=first_miss_capacity,
         first_miss_time=first_miss_time,
         offered_demand=offered,

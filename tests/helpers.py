@@ -18,7 +18,7 @@ def chain_network(n, radio_range=10.0, sink_at_end=True):
 
 def mk_packet(pid, origin, at, deadline, tie=0.0):
     return sc.Packet(id=pid, origin=origin, arrival_time=at,
-                     relative_deadline=deadline, tie_key=tie, current_node=origin)
+                     relative_deadline=deadline, tie_key=tie)
 
 
 def mk_workload(packets):

@@ -6,6 +6,7 @@ import io
 import pytest
 
 from rtcap import analytics as an
+from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
 from rtcap.cli import dispatch
@@ -217,6 +218,16 @@ class TestSimulate:
         contended_run(seed=3, drop_on_miss=not keep, event_log=direct)
         assert log.read_text() == "".join(line + "\n" for line in direct)
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--rate", "inf", "arrival_rate"), ("--duration", "inf", "duration"),
+        ("--deadlines", "0.5,nan", "deadline_set")])
+    def test_non_finite_setting_is_usage_error(self, flag, value, key, capsys):
+        # each of these ran forever before SimConfig refused it
+        code, _ = run_cli(["simulate", "--rows", "3", "--cols", "3",
+                           "--radio-range", "15", "--reps", "1", flag, value])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
     def test_disconnected_network_is_runtime_error(self, capsys):
         code, _ = run_cli(["simulate", "--rows", "1", "--cols", "3",
                            "--spacing", "100", "--radio-range", "5",
@@ -270,6 +281,49 @@ class TestSweep:
             [csv] = out_dir.glob("*.csv")
             written.append((csv.name, csv.read_bytes()))
         assert written[0] == written[1]
+
+    def test_convergecast_file_name_has_no_node_count(self, tmp_path):
+        # convergecast rows never read analytics.n, so it must not name the file
+        written = []
+        for n in ("100", "200"):
+            cfg = tmp_path / f"n{n}.ini"
+            cfg.write_text(f"[analytics]\nn = {n}\n")
+            out_dir = tmp_path / n
+            code, _ = run_cli(["sweep", "--kind", "convergecast_curves",
+                               "--values", "1,2,4", "--config", str(cfg),
+                               "--out-dir", str(out_dir)])
+            assert code == 0
+            [csv] = out_dir.glob("*.csv")
+            written.append((csv.name, csv.read_bytes()))
+        assert written[0] == written[1]
+        assert written[0][0].count("_") == 2  # convergecast_curves_<hash>.csv
+
+    def test_bad_out_dir_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ex, "run_sweep", lambda spec: calls.append(spec))
+        occupied = tmp_path / "occupied"
+        occupied.write_text("a file, not a directory")
+        code, _ = run_cli(["sweep", "--kind", "balanced_curves",
+                           "--values", "1,2", "--out-dir", str(occupied)])
+        assert code == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("argv,flagged", [
+        (["--kind", "missratio_sweep", "--values", "1,inf"], ["inf"]),
+        (["--kind", "sink_sweep", "--values", "1,2", "--load-factor", "inf"],
+         ["1", "2"])],
+        ids=["swept_inf", "load_factor_inf"])
+    def test_infinite_load_flags_its_row(self, tmp_path, argv, flagged):
+        # an infinite load is an infinite arrival rate, which SimConfig refuses
+        code, _ = run_cli(["sweep", *argv, "--rows", "4", "--cols", "4",
+                           "--radio-range", "15", "--reps", "1",
+                           "--duration", "2", "--out-dir", str(tmp_path)])
+        assert code == 2
+        [csv] = tmp_path.glob("*.csv")
+        errors = {row.split(",")[0]: row.split(",")[-1]
+                  for row in data_lines(csv.read_text())[1:]}
+        assert sorted(v for v, err in errors.items() if err) == flagged
+        assert all("arrival_rate must be finite" in errors[v] for v in flagged)
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "sink_sweep", "--values", "1.5,2", "--rows", "4", "--cols", "4",

@@ -270,6 +270,11 @@ class TestCsv:
         analytic = ex.SweepSpec(kind="balanced_curves", values=(1,),
                                 analytic=ANALYTIC)
         assert ex.csv_filename(analytic).startswith("balanced_curves_100_")
+        # convergecast rows read no node count
+        curves = ex.SweepSpec(kind="convergecast_curves", values=(1,),
+                              analytic=ANALYTIC)
+        assert ex.csv_filename(curves) == \
+            f"convergecast_curves_{ex.config_hash(curves)}.csv"
 
     def test_none_cells_empty(self, tmp_path):
         row = ex.ResultRow(swept_value=1.0, analytic_dm=2.0, analytic_edf=3.0)

@@ -4,7 +4,10 @@ byte-identical across refactors of the simulator.
 Each digest is the sha256 of the text event log, one line per event, joined
 by newlines, followed by `repr(RunMetrics)`. A change that alters the
 random streams or the event order on purpose regenerates these digests once
-and says so in CHANGES.md.
+and says so in CHANGES.md. Run as a script, this file prints each scenario's
+current digest, one `name digest` line per scenario:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -96,3 +99,12 @@ def test_event_log_and_metrics_unchanged(name):
     log, metrics = SCENARIOS[name]()
     assert log, "the scenario must log events"
     assert digest(log, metrics) == GOLDEN[name]
+
+
+def main() -> None:
+    for name in sorted(SCENARIOS):
+        print(name, digest(*SCENARIOS[name]()))
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,6 @@ event-log audits of the exclusion and priority rules, and the cross-module
 schedulability property (analytically feasible instances never miss)."""
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -86,18 +85,46 @@ class TestGenerateWorkload:
         assert [p.id for p in wl.packets] == list(range(len(wl.packets)))
 
     def test_route_fields(self):
-        # a packet holds its arrival and run state; the route, size and
-        # per-hop time stay with the route table and the config
+        # a packet holds only its arrival; the route, size and per-hop time
+        # stay with the route table and the config, its position with the run
         topo, routes = self._network()
         cfg = sc.SimConfig(arrival_rate=1.0, duration=5.0)
         wl = sc.generate_workload(topo, routes, cfg)
-        assert [f.name for f in dataclasses.fields(sc.Packet)] == [
-            "id", "origin", "arrival_time", "relative_deadline", "tie_key",
-            "current_node", "hops_traversed", "missed", "dropped"]
+        assert sc.Packet._fields == (
+            "id", "origin", "arrival_time", "relative_deadline", "tie_key")
         assert wl.packets
         for p in wl.packets:
-            assert p.current_node == p.origin and routes.hop_count[p.origin] > 0
+            assert p.origin in routes.next_hop and routes.hop_count[p.origin] > 0
         assert cfg.tx_time == pytest.approx(cfg.packet_size / cfg.bandwidth)
+
+    def test_packet_immutable(self):
+        p = mk_packet(0, 0, 0.0, 1.0)
+        for field in ("id", "origin", "arrival_time", "relative_deadline",
+                      "tie_key"):
+            with pytest.raises(AttributeError):
+                setattr(p, field, 1)
+        assert p == mk_packet(0, 0, 0.0, 1.0)
+
+    def test_hand_built_packets_sorted_stably(self):
+        early = mk_packet(1, 1, at=0.5, deadline=1.0)
+        first = mk_packet(2, 2, at=1.0, deadline=1.0)
+        second = mk_packet(0, 0, at=1.0, deadline=1.0)
+        wl = mk_workload([first, second, early])
+        assert wl.packets == (early, first, second)
+
+    @pytest.mark.parametrize("field", ["bandwidth", "packet_size",
+                                       "arrival_rate", "duration"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_setting_rejected(self, field, value):
+        # an infinite rate or duration never ends the arrival draw, and a
+        # NaN expiry never comes due
+        with pytest.raises(ValueError, match=field):
+            sc.SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_deadline_rejected(self, value):
+        with pytest.raises(ValueError, match="deadline_set"):
+            sc.SimConfig(deadline_set=(0.5, value))
 
     def test_overload_flag(self):
         # tx_time = 0.004 s, so 300 pkts/s/node claims > 100% of the channel
@@ -300,6 +327,43 @@ class TestRunSimulationTraces:
         # and the relay packet none
         assert m.capacity_consumption_at_first_miss == pytest.approx(1000 / 0.45)
 
+    def test_first_miss_snapshot_counts_delivered_and_mid_route(self):
+        # chain 0 -> 1 -> 2 -> 3(sink). Packet 0 is delivered at 0.4 but
+        # claims its full route until its deadline at 5.0. Packet 1 is on
+        # its second hop, 1 -> 2, from 0.9 to 1.3. Packet 2 waits at the
+        # busy node 2 and expires at 1.2.
+        topo, routes = chain_network(4)
+        wl = mk_workload([
+            mk_packet(0, 2, at=0.0, deadline=5.0),
+            mk_packet(1, 0, at=0.5, deadline=4.0),
+            mk_packet(2, 2, at=1.0, deadline=0.2),
+        ])
+        log = []
+        m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=log)
+        assert [line.split(" ", 1)[1] for line in log if " miss " in line] == [
+            "miss 2 2 dropped"]
+        assert m.first_miss_time == pytest.approx(1.2)
+        assert m.missed == 1 and m.delivered == 2
+        # one hop over 5.0 s for packet 0, one hop over 4.0 s for packet 1,
+        # none for packet 2
+        assert m.capacity_consumption_at_first_miss == \
+            pytest.approx(1000 / 5.0 + 1000 / 4.0)
+
+    def test_reversed_workload_runs_as_sorted(self):
+        topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=3,
+                                       radio_range=15.0, sink_count=1)
+        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=6.0, duration=8.0,
+                           seed=3)
+        packets = sc.generate_workload(topo, routes, cfg).packets
+        runs = []
+        for order in (packets, packets[::-1]):
+            log = []
+            m = sc.run_simulation(topo, routes, mk_workload(order), cfg,
+                                  event_log=log)
+            runs.append((log, m))
+        assert runs[0][1].missed > 0
+        assert runs[1] == runs[0]
+
     def test_no_miss_leaves_capacity_none(self):
         topo, routes = chain_network(2)
         wl = mk_workload([mk_packet(0, 0, at=0.0, deadline=1.0)])
@@ -322,17 +386,14 @@ class TestMeasuredCapacityConsumption:
         assert sc.measured_capacity_consumption([], 1000.0) == 0.0
 
     def test_formula(self):
-        p = mk_packet(0, 0, 0.0, deadline=1.0)
-        p.hops_traversed = 2
-        assert sc.measured_capacity_consumption([p], 1000.0) == pytest.approx(2000.0)
+        # (hops traversed, relative deadline)
+        assert sc.measured_capacity_consumption([(2, 1.0)], 1000.0) == \
+            pytest.approx(2000.0)
 
     def test_additive(self):
-        ps = []
-        for i in range(2):
-            p = mk_packet(i, 0, 0.0, deadline=1.0)
-            p.hops_traversed = 2
-            ps.append(p)
-        assert sc.measured_capacity_consumption(ps, 1000.0) == pytest.approx(4000.0)
+        claims = [(2, 1.0) for _ in range(2)]
+        assert sc.measured_capacity_consumption(claims, 1000.0) == \
+            pytest.approx(4000.0)
 
 
 class TestCriticalCapacity:
