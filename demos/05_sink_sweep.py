@@ -8,7 +8,6 @@ working directory.
 """
 
 from rtcap import (
-    AnalyticParams,
     SimConfig,
     SweepSpec,
     csv_filename,
@@ -19,7 +18,6 @@ from rtcap import (
 spec = SweepSpec(
     kind="sink_sweep",
     values=(1, 2, 4, 8, 16),
-    analytic=AnalyticParams(node_count=400, bandwidth=250_000.0),
     sim=SimConfig(packet_size=4_000.0, duration=30.0, seed=0,
                   replication_count=5),
     rows=20, cols=20, spacing=10.0, jitter=0.25, radio_range=20.5,

@@ -7,7 +7,6 @@ artifact into the working directory.
 """
 
 from rtcap import (
-    AnalyticParams,
     SimConfig,
     SweepSpec,
     csv_filename,
@@ -19,7 +18,6 @@ from rtcap import (
 spec = SweepSpec(
     kind="missratio_sweep",
     values=load_multiplier_series(),          # 0.25, 0.31, ..., 4.0
-    analytic=AnalyticParams(node_count=144, bandwidth=250_000.0),
     sim=SimConfig(packet_size=5_000.0, duration=10.0, seed=0,
                   replication_count=10),
     rows=12, cols=12, spacing=10.0, jitter=0.25, radio_range=20.5,

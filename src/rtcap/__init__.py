@@ -37,6 +37,7 @@ from .analytics import (
     stage_delay_term,
 )
 from .experiments import (
+    CurveSpec,
     ResultRow,
     SweepSpec,
     config_hash,

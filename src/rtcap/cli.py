@@ -307,18 +307,16 @@ def _cmd_sweep(args, cfg, out) -> int:
         values = _DEFAULT_SWEPT_VALUES[kind]
     else:
         raise UsageError(f"--values is required for {kind}")
-    if kind == "sink_sweep" or (kind == "convergecast_curves"
-                                and cfg["mode"] == an.EXACT):
-        # integral values become ints; any other value reaches the spec's
-        # own checks instead of being truncated
-        values = tuple(int(v) if v.is_integer() else v for v in values)
-
-    spec = ex.SweepSpec(
-        kind=kind, values=values, analytic=_params_from(cfg), sim=_sim_from(cfg),
-        rows=cfg["rows"], cols=cfg["cols"], spacing=cfg["spacing"],
-        jitter=cfg["jitter"], radio_range=cfg["radio_range"],
-        sink_count=cfg["sinks"], sink_mode=cfg["sink_mode"], mode=cfg["mode"],
-        load_factor=cfg["load_factor"])
+    if kind in ex.CURVE_KINDS:
+        spec = ex.CurveSpec(kind=kind, values=values, analytic=_params_from(cfg),
+                            mode=cfg["mode"])
+    else:
+        spec = ex.SweepSpec(
+            kind=kind, values=values, sim=_sim_from(cfg), rows=cfg["rows"],
+            cols=cfg["cols"], spacing=cfg["spacing"], jitter=cfg["jitter"],
+            radio_range=cfg["radio_range"], sink_count=cfg["sinks"],
+            sink_mode=cfg["sink_mode"], inversion_factor=cfg["alpha"],
+            mode=cfg["mode"], load_factor=cfg["load_factor"])
     # a bad output directory fails before the sweep runs, not after
     out_dir = args.out_dir or os.environ.get("RTCAP_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)

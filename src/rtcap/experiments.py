@@ -1,10 +1,14 @@
 """Parameter sweeps that pair analytic capacity bounds with simulated
 critical capacity, and byte-stable CSV output.
 
-Five sweep kinds are supported:
+Five sweep kinds are supported. A `CurveSpec` describes the two closed-form
+kinds:
 
 * balanced_curves      analytic DM/EDF limits vs path length
 * convergecast_curves  analytic DM/EDF limits vs sink hop radius
+
+and a `SweepSpec` the three simulated convergecast kinds:
+
 * radio_sweep          simulated critical capacity vs radio range
 * sink_sweep           simulated critical capacity vs sink count
 * missratio_sweep      miss ratio vs offered load as a multiple of the
@@ -12,9 +16,10 @@ Five sweep kinds are supported:
 
 Simulation rows always evaluate the analytic bound from the topology
 statistics actually measured on that row's network (neighborhood bound,
-disk population, hop radius), never from nominal inputs. Every row carries
-its seed range and the sweep's configuration hash, and identical sweeps
-produce byte-identical CSV files.
+disk population, hop radius), never from nominal inputs, and carry the seed
+range of their replications. Curve rows carry no seed range: no seed enters
+a closed form. Every row carries the sweep's configuration hash, and
+identical sweeps produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -35,24 +41,79 @@ from . import topology as tp
 SWEEP_KINDS = ("balanced_curves", "convergecast_curves", "radio_sweep",
                "sink_sweep", "missratio_sweep")
 
-_ANALYTIC_KINDS = ("balanced_curves", "convergecast_curves")
+# the kinds a CurveSpec describes; SweepSpec describes the others
+CURVE_KINDS = ("balanced_curves", "convergecast_curves")
+
+# the `analytic` fields each closed form reads besides the swept one
+_CURVE_READS = {
+    "balanced_curves": ("node_count", "bandwidth", "neighborhood_bound",
+                        "inversion_factor"),
+    "convergecast_curves": ("bandwidth", "inversion_factor", "nodes_per_disk",
+                            "sink_count"),
+}
+
+# the fixed field each simulated kind's swept value replaces
+_SWEPT_FIELD = {"radio_sweep": "radio_range", "sink_sweep": "sink_count",
+                "missratio_sweep": "load_factor"}
+
+
+def _swept_values(kind: str, values, whole: bool) -> tuple:
+    """The swept values in ascending order. Each must be > 0, which NaN is
+    not; with `whole`, each must be a whole number and becomes an int, so
+    `(1.0, 2.0)` and `(1, 2)` describe one sweep."""
+    if not values:
+        raise ValueError("swept values must be non-empty")
+    if not all(v > 0 for v in values):
+        raise ValueError("swept values must be > 0")
+    if whole:
+        if not all(float(v).is_integer() for v in values):
+            raise ValueError(f"{kind} values must be integers")
+        values = [int(v) for v in values]
+    return tuple(sorted(values))
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One experiment: the swept variable plus every fixed parameter.
+class CurveSpec:
+    """A closed-form sweep: DM and EDF limits against path length
+    (balanced_curves) or sink hop radius (convergecast_curves).
 
-    `analytic` supplies the inversion factor everywhere, and a bandwidth
-    that must equal `sim.bandwidth`; its other fields matter only for the
-    two analytic kinds. The grid, radio range, and sink fields describe the
-    simulated network; `sim` the workload, the seed and the replication
-    count. `load_factor` sets the probe load for critical-capacity runs as a
-    multiple of the measured-topology DM bound.
+    The swept value replaces `analytic.path_length` or `analytic.max_hops`.
+    `mode` is the convergecast evaluation mode; an exact sweep's hop radii
+    must be whole numbers. No seed enters a closed form.
     """
 
     kind: str
     values: tuple
     analytic: an.AnalyticParams
+    mode: str = an.EXACT
+
+    def __post_init__(self):
+        if self.kind not in CURVE_KINDS:
+            raise ValueError(f"unknown curve kind {self.kind!r}")
+        whole = self.kind == "convergecast_curves" and self.mode == an.EXACT
+        object.__setattr__(self, "values",
+                           _swept_values(self.kind, self.values, whole))
+        if self.values[0] < 1:
+            raise ValueError("hop counts must be >= 1")
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """A simulated convergecast sweep: the swept variable plus the network,
+    the workload and the settings of the measured bounds.
+
+    The grid, radio range, and sink fields describe the network each row
+    builds; `sim` the workload, the seed, the replication count and the
+    channel bandwidth the bounds are computed for. `inversion_factor` and
+    `mode` (the EDF evaluation mode; DM is always exact) set the bounds.
+    `load_factor` sets the probe load for critical-capacity runs as a
+    multiple of the measured-topology DM bound. The swept value replaces
+    `radio_range` (radio_sweep), `sink_count` (sink_sweep, whole numbers) or
+    `load_factor` (missratio_sweep).
+    """
+
+    kind: str
+    values: tuple
     sim: sc.SimConfig = sc.SimConfig(replication_count=10)
     rows: int = 20
     cols: int = 20
@@ -61,30 +122,22 @@ class SweepSpec:
     radio_range: float = 20.0
     sink_count: int = 12
     sink_mode: str = "subgrid"
+    inversion_factor: float = 2.0
     mode: str = an.EXACT
     load_factor: float = 1.5
 
     def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
-            raise ValueError(f"unknown sweep kind {self.kind!r}")
-        if not self.values:
-            raise ValueError("swept values must be non-empty")
-        object.__setattr__(self, "values", tuple(sorted(self.values)))
-        if any(v <= 0 for v in self.values):
-            raise ValueError("swept values must be positive")
-        if self.kind == "sink_sweep":
-            if not all(float(v).is_integer() for v in self.values):
-                raise ValueError("sink counts must be integers")
-            if max(self.values) > self.rows * self.cols:
-                raise ValueError("more sinks than nodes")
-        if self.kind in _ANALYTIC_KINDS:
-            if any(v < 1 for v in self.values):
-                raise ValueError("hop counts must be >= 1")
-        if not (self.load_factor > 0):
-            raise ValueError("load_factor must be > 0")
-        if self.analytic.bandwidth != self.sim.bandwidth:
-            raise ValueError(f"analytic bandwidth {self.analytic.bandwidth!r} "
-                             f"differs from sim bandwidth {self.sim.bandwidth!r}")
+        if self.kind not in _SWEPT_FIELD:
+            raise ValueError(f"unknown simulated sweep kind {self.kind!r}")
+        object.__setattr__(self, "values",
+                           _swept_values(self.kind, self.values,
+                                         self.kind == "sink_sweep"))
+        if self.kind == "sink_sweep" and self.values[-1] > self.rows * self.cols:
+            raise ValueError("more sinks than nodes")
+        if not 1.0 <= self.inversion_factor <= 2.0:
+            raise ValueError("inversion_factor must lie in [1, 2]")
+        if not 0 < self.load_factor < math.inf:
+            raise ValueError("load_factor must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -98,53 +151,32 @@ class ResultRow:
     neighborhood_bound: Optional[int] = None
     nodes_per_disk: Optional[int] = None
     max_hops: Optional[int] = None
-    seed_lo: int = 0
-    seed_hi: int = 0
+    seed_lo: Optional[int] = None
+    seed_hi: Optional[int] = None
     config_hash: str = ""
     error: Optional[str] = None
 
 
-# the fixed parameter each simulation kind's swept value replaces
-_SWEPT_FIELD = {"radio_sweep": "radio_range", "sink_sweep": "sink_count",
-                "missratio_sweep": "load_factor"}
-
-# the fixed fields a simulated row reads, `section.field` inside `analytic`
-# and `sim`; every simulated row sets `sim.arrival_rate` and
-# `sim.stop_at_first_miss` itself
-_SIMULATION_READS = (
-    "rows", "cols", "spacing", "jitter", "radio_range", "sink_count", "sink_mode",
-    "mode", "load_factor", "analytic.bandwidth", "analytic.inversion_factor",
-    "sim.bandwidth", "sim.packet_size", "sim.deadline_set", "sim.duration",
-    "sim.drop_on_miss", "sim.seed", "sim.replication_count")
-
-# the fixed fields each kind's rows read besides its swept values; analytic
-# rows read the seed only into seed_lo/seed_hi
-_READS = {
-    "balanced_curves": ("analytic.node_count", "analytic.bandwidth",
-                        "analytic.neighborhood_bound", "analytic.inversion_factor",
-                        "sim.seed"),
-    "convergecast_curves": ("analytic.bandwidth", "analytic.inversion_factor",
-                            "analytic.nodes_per_disk", "analytic.sink_count",
-                            "mode", "sim.seed"),
-    **{kind: tuple(f for f in _SIMULATION_READS if f != swept)
-       for kind, swept in _SWEPT_FIELD.items()},
-}
-
-
-def _recorded(spec: SweepSpec) -> dict:
-    """The spec as its hash and CSV header record it: the kind, the swept
-    values, and the fields of `_READS[kind]`, nested as in the spec."""
-    reads = _READS[spec.kind]
-    recorded = {}
-    for key, value in dataclasses.asdict(spec).items():
-        if isinstance(value, dict):
-            recorded[key] = {k: v for k, v in value.items() if f"{key}.{k}" in reads}
-        elif key in ("kind", "values") or key in reads:
-            recorded[key] = value
+def _recorded(spec: CurveSpec | SweepSpec) -> dict:
+    """The spec as its hash and CSV header record it: every field its rows
+    read. A curve records its kind, values, the `analytic` fields of
+    `_CURVE_READS` and, for convergecast, the mode. A simulated sweep
+    records all of itself except the swept field and the two `sim` fields
+    each row sets itself, `arrival_rate` and `stop_at_first_miss`."""
+    if isinstance(spec, CurveSpec):
+        reads = _CURVE_READS[spec.kind]
+        recorded = dict(kind=spec.kind, values=spec.values, analytic={
+            k: v for k, v in dataclasses.asdict(spec.analytic).items() if k in reads})
+        if spec.kind == "convergecast_curves":
+            recorded["mode"] = spec.mode
+        return recorded
+    recorded = dataclasses.asdict(spec)
+    del recorded[_SWEPT_FIELD[spec.kind]]
+    del recorded["sim"]["arrival_rate"], recorded["sim"]["stop_at_first_miss"]
     return recorded
 
 
-def config_hash(spec: SweepSpec) -> str:
+def config_hash(spec: CurveSpec | SweepSpec) -> str:
     """Deterministic 12-hex-digit digest of the recorded sweep parameters."""
     payload = json.dumps(_recorded(spec), sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
@@ -178,9 +210,9 @@ def _measured_bounds(spec: SweepSpec, topo: tp.Topology, routes: tp.RouteTable):
     stats = tp.topology_stats(topo, routes)
     params = an.AnalyticParams(
         node_count=topo.node_count,
-        bandwidth=spec.analytic.bandwidth,
+        bandwidth=spec.sim.bandwidth,
         neighborhood_bound=stats.neighborhood_bound,
-        inversion_factor=spec.analytic.inversion_factor,
+        inversion_factor=spec.inversion_factor,
         nodes_per_disk=max(1, stats.nodes_per_disk),
         max_hops=max(1, stats.max_hops),
         sink_count=len(routes.sinks))
@@ -202,15 +234,20 @@ def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
     seeds = dict(seed_lo=spec.sim.seed,
                  seed_hi=spec.sim.seed + spec.sim.replication_count - 1)
     missratio = spec.kind == "missratio_sweep"
+    # the swept value is set here, not through the spec, whose checks would
+    # refuse an infinite load before the row could be flagged for it
+    settings = dict(radio_range=spec.radio_range, sink_count=spec.sink_count,
+                    load_factor=spec.load_factor)
+    settings[_SWEPT_FIELD[spec.kind]] = value
     try:
-        spec = replace(spec, **{_SWEPT_FIELD[spec.kind]: value})
         topo, routes = tp.make_network(spec.rows, spec.cols, spec.spacing,
-                                       spec.jitter, spec.sim.seed, spec.radio_range,
-                                       int(spec.sink_count), spec.sink_mode)
+                                       spec.jitter, spec.sim.seed,
+                                       settings["radio_range"],
+                                       settings["sink_count"], spec.sink_mode)
         stats, dm, edf = _measured_bounds(spec, topo, routes)
         cfg = replace(spec.sim,
-                      arrival_rate=probe_rate(spec.load_factor * dm.value, routes,
-                                              spec.sim.packet_size),
+                      arrival_rate=probe_rate(settings["load_factor"] * dm.value,
+                                              routes, spec.sim.packet_size),
                       stop_at_first_miss=not missratio)
         metrics = sc.run_replications(topo, routes, cfg)
     except (tp.RoutingError, an.SolverError, sc.InvariantError, ValueError) as err:
@@ -228,7 +265,7 @@ def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
         config_hash=digest, **seeds)
 
 
-def _analytic_row(spec: SweepSpec, value, digest: str) -> ResultRow:
+def _curve_row(spec: CurveSpec, value, digest: str) -> ResultRow:
     """Closed-form DM and EDF limits at one path length (balanced_curves)
     or sink hop radius (convergecast_curves)."""
     if spec.kind == "balanced_curves":
@@ -239,20 +276,19 @@ def _analytic_row(spec: SweepSpec, value, digest: str) -> ResultRow:
         dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
                    for s in (an.DM, an.EDF))
     return ResultRow(swept_value=value, analytic_dm=dm.value,
-                     analytic_edf=edf.value, seed_lo=spec.sim.seed,
-                     seed_hi=spec.sim.seed, config_hash=digest)
+                     analytic_edf=edf.value, config_hash=digest)
 
 
-def run_sweep(spec: SweepSpec) -> list:
+def run_sweep(spec: CurveSpec | SweepSpec) -> list:
     """Evaluate the sweep and return one ResultRow per swept value, in order.
 
-    Analytic kinds evaluate the closed forms directly. Simulation kinds build
-    the network for each swept value, measure its statistics, derive the
-    analytic bound from them, and aggregate seeded replications. A failure in
-    one simulated value flags that row and the sweep continues.
+    A CurveSpec evaluates the closed forms directly. A SweepSpec builds the
+    network for each swept value, measures its statistics, derives the
+    analytic bound from them, and aggregates seeded replications. A failure
+    in one simulated value flags that row and the sweep continues.
     """
     digest = config_hash(spec)
-    row = _analytic_row if spec.kind in _ANALYTIC_KINDS else _simulation_row
+    row = _curve_row if isinstance(spec, CurveSpec) else _simulation_row
     return [row(spec, value, digest) for value in spec.values]
 
 
@@ -272,7 +308,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: Iterable, destination, spec: Optional[SweepSpec] = None) -> None:
+def emit_csv(rows: Iterable, destination,
+             spec: Optional[CurveSpec | SweepSpec] = None) -> None:
     """Write rows as CSV: a comment block with the recorded configuration
     (see `_recorded`), one column-name header, one line per row. Numeric
     cells use 9 significant digits so repeated identical sweeps are
@@ -292,13 +329,12 @@ def emit_csv(rows: Iterable, destination, spec: Optional[SweepSpec] = None) -> N
         fh.write("\n".join(lines) + "\n")
 
 
-def csv_filename(spec: SweepSpec) -> str:
+def csv_filename(spec: CurveSpec | SweepSpec) -> str:
     """`<kind>_<node count>_<config hash>.csv`, with the node count only for
     kinds whose rows read one: the analytic node count of balanced_curves,
-    the grid size of the simulation kinds."""
-    reads = _READS[spec.kind]
-    if "analytic.node_count" in reads:
-        return f"{spec.kind}_{spec.analytic.node_count}_{config_hash(spec)}.csv"
-    if "rows" in reads:
+    the grid size of the simulated kinds."""
+    if isinstance(spec, SweepSpec):
         return f"{spec.kind}_{spec.rows * spec.cols}_{config_hash(spec)}.csv"
+    if "node_count" in _CURVE_READS[spec.kind]:
+        return f"{spec.kind}_{spec.analytic.node_count}_{config_hash(spec)}.csv"
     return f"{spec.kind}_{config_hash(spec)}.csv"

@@ -107,12 +107,10 @@ def test_criterion_6_simulation_analysis_agreement():
     t0 = time.time()
     spec = ex.SweepSpec(
         kind="sink_sweep", values=(12,),
-        analytic=an.AnalyticParams(node_count=800, bandwidth=BANDWIDTH,
-                                   inversion_factor=1.0),
-        sim=sc.SimConfig(packet_size=1000.0, duration=30.0, seed=0,
-                         replication_count=10),
+        sim=sc.SimConfig(bandwidth=BANDWIDTH, packet_size=1000.0, duration=30.0,
+                         seed=0, replication_count=10),
         rows=20, cols=40, spacing=10.0, jitter=0.25, radio_range=20.5,
-        load_factor=1.25)
+        inversion_factor=1.0, load_factor=1.25)
     row = ex.run_sweep(spec)[0]
     elapsed = time.time() - t0
 
@@ -128,9 +126,8 @@ def test_criterion_6_simulation_analysis_agreement():
 def knee_rows():
     spec = ex.SweepSpec(
         kind="missratio_sweep", values=ex.load_multiplier_series(),
-        analytic=an.AnalyticParams(node_count=144, bandwidth=BANDWIDTH),
-        sim=sc.SimConfig(packet_size=5000.0, duration=10.0, seed=0,
-                         replication_count=10),
+        sim=sc.SimConfig(bandwidth=BANDWIDTH, packet_size=5000.0, duration=10.0,
+                         seed=0, replication_count=10),
         rows=12, cols=12, spacing=10.0, jitter=0.25, radio_range=20.5,
         sink_count=4, load_factor=1.0)
     return ex.run_sweep(spec)
@@ -164,9 +161,8 @@ def test_criterion_8_sink_count_trend(rows, cols):
     (Spearman >= 0.9)."""
     spec = ex.SweepSpec(
         kind="sink_sweep", values=(1, 2, 4, 8, 16),
-        analytic=an.AnalyticParams(node_count=rows * cols, bandwidth=BANDWIDTH),
-        sim=sc.SimConfig(packet_size=4000.0, duration=30.0, seed=0,
-                         replication_count=5),
+        sim=sc.SimConfig(bandwidth=BANDWIDTH, packet_size=4000.0, duration=30.0,
+                         seed=0, replication_count=5),
         rows=rows, cols=cols, spacing=10.0, jitter=0.25, radio_range=20.5,
         load_factor=2.5)
     out = ex.run_sweep(spec)
@@ -239,8 +235,6 @@ def test_criterion_9c_determinism(tmp_path):
         metrics = sc.run_simulation(topo, routes, wl, cfg)
 
         spec = ex.SweepSpec(kind="missratio_sweep", values=(0.5, 1.0),
-                            analytic=an.AnalyticParams(node_count=25,
-                                                       bandwidth=BANDWIDTH),
                             sim=cfg, rows=5, cols=5, radio_range=20.5,
                             sink_count=2)
         csv = tmp_path / f"sweep_{name}.csv"

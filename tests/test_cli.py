@@ -311,13 +311,19 @@ class TestSweep:
     @pytest.mark.parametrize("argv,flagged", [
         (["--kind", "missratio_sweep", "--values", "1,inf"], ["inf"]),
         (["--kind", "sink_sweep", "--values", "1,2", "--load-factor", "inf"],
-         ["1", "2"])],
+         None)],
         ids=["swept_inf", "load_factor_inf"])
     def test_infinite_load_flags_its_row(self, tmp_path, argv, flagged):
-        # an infinite load is an infinite arrival rate, which SimConfig refuses
+        # an infinite swept load is an infinite arrival rate, which SimConfig
+        # refuses for that row alone; the spec refuses an infinite
+        # --load-factor before any row runs
         code, _ = run_cli(["sweep", *argv, "--rows", "4", "--cols", "4",
                            "--radio-range", "15", "--reps", "1",
                            "--duration", "2", "--out-dir", str(tmp_path)])
+        if flagged is None:
+            assert code == 1
+            assert not list(tmp_path.glob("*.csv"))
+            return
         assert code == 2
         [csv] = tmp_path.glob("*.csv")
         errors = {row.split(",")[0]: row.split(",")[-1]
@@ -335,6 +341,24 @@ class TestSweep:
         code, _ = run_cli(["sweep", *argv, "--out-dir", str(tmp_path)])
         assert code == 1
         assert "integer" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv,key", [
+        (["--kind", "sink_sweep", "--alpha", "3"], "inversion_factor"),
+        (["--kind", "radio_sweep", "--values", "15,nan"], "> 0"),
+        (["--kind", "balanced_curves", "--values", "nan"], "> 0"),
+        (["--kind", "convergecast_curves", "--mode", "approximate",
+          "--values", "1,nan"], "> 0")],
+        ids=["alpha_3", "radio_nan", "balanced_nan", "convergecast_nan"])
+    def test_bad_setting_fails_before_the_sweep(self, tmp_path, monkeypatch,
+                                                capsys, argv, key):
+        # the spec refuses it, so no network is built and no row is written
+        calls = []
+        monkeypatch.setattr(ex, "run_sweep", lambda spec: calls.append(spec))
+        code, _ = run_cli(["sweep", *argv, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert calls == []
         assert not list(tmp_path.glob("*.csv"))
 
     def test_rate_rejected(self, tmp_path):

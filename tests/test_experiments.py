@@ -1,6 +1,7 @@
 """Sweep mechanics: SweepSpec validation, analytic/simulated pairing,
 replication aggregation, and byte-stable CSV output."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -21,35 +22,127 @@ SMALL_SIM = sc.SimConfig(packet_size=12_500.0, duration=6.0, seed=1,
 
 
 def small_sim_spec(kind, values, **kw):
-    defaults = dict(kind=kind, values=values, analytic=ANALYTIC, sim=SMALL_SIM,
-                    rows=6, cols=6, spacing=10.0, jitter=0.2, radio_range=15.0,
-                    sink_count=2, load_factor=3.0)
+    defaults = dict(kind=kind, values=values, sim=SMALL_SIM, rows=6, cols=6,
+                    spacing=10.0, jitter=0.2, radio_range=15.0, sink_count=2,
+                    load_factor=3.0)
     defaults.update(kw)
     return ex.SweepSpec(**defaults)
 
 
+def spec_for(kind, values=(1, 2)):
+    if kind in ex.CURVE_KINDS:
+        return ex.CurveSpec(kind=kind, values=values, analytic=ANALYTIC)
+    return small_sim_spec(kind, values)
+
+
+# a value unlike the one `spec_for` sets, for every settable spec field
+ALTERED = {
+    "values": (1, 3), "mode": an.APPROXIMATE, "rows": 7, "cols": 7,
+    "spacing": 12.0, "jitter": 0.1, "radio_range": 18.0, "sink_count": 3,
+    "sink_mode": "random", "inversion_factor": 1.0, "load_factor": 2.0,
+    "analytic.node_count": 7, "analytic.bandwidth": 1_000_000.0,
+    "analytic.neighborhood_bound": 3, "analytic.inversion_factor": 1.0,
+    "analytic.path_length": 9, "analytic.nodes_per_disk": 2,
+    "analytic.max_hops": 8, "analytic.sink_count": 3,
+    "sim.bandwidth": 1_000_000.0, "sim.packet_size": 2_000.0,
+    "sim.deadline_set": (1.0,), "sim.arrival_rate": 7.0, "sim.duration": 3.0,
+    "sim.drop_on_miss": False, "sim.seed": 4, "sim.replication_count": 3,
+    "sim.stop_at_first_miss": True,
+}
+
+# the settable fields each kind's rows never read: the swept field, the
+# `sim` fields every simulated row sets itself, and the closed-form inputs
+# a curve does not use
+UNREAD = {
+    "balanced_curves": {"analytic.path_length", "analytic.nodes_per_disk",
+                        "analytic.max_hops", "analytic.sink_count", "mode"},
+    "convergecast_curves": {"analytic.max_hops", "analytic.node_count",
+                            "analytic.neighborhood_bound", "analytic.path_length"},
+    **{kind: {swept, "sim.arrival_rate", "sim.stop_at_first_miss"}
+       for kind, swept in (("radio_sweep", "radio_range"),
+                           ("sink_sweep", "sink_count"),
+                           ("missratio_sweep", "load_factor"))},
+}
+
+
+def settable(spec):
+    """Every field a caller can set, `section.field` inside a nested one."""
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from (f"{field.name}.{f.name}" for f in dataclasses.fields(value))
+        elif field.name != "kind":
+            yield field.name
+
+
+def altered(spec, path):
+    section, _, name = path.rpartition(".")
+    if section:
+        nested = replace(getattr(spec, section), **{name: ALTERED[path]})
+        return replace(spec, **{section: nested})
+    return replace(spec, **{name: ALTERED[path]})
+
+
 class TestSweepSpec:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ex.SweepSpec(kind="nope", values=(1,), analytic=ANALYTIC)
+        # each kind has one spec: a curve kind is unknown to SweepSpec, and
+        # a simulated kind to CurveSpec
+        for kind in ("nope", "balanced_curves"):
+            with pytest.raises(ValueError, match="unknown"):
+                ex.SweepSpec(kind=kind, values=(1,))
+        for kind in ("nope", "sink_sweep"):
+            with pytest.raises(ValueError, match="unknown"):
+                ex.CurveSpec(kind=kind, values=(1,), analytic=ANALYTIC)
 
     def test_empty_values(self):
         with pytest.raises(ValueError):
-            ex.SweepSpec(kind="balanced_curves", values=(), analytic=ANALYTIC)
+            ex.CurveSpec(kind="balanced_curves", values=(), analytic=ANALYTIC)
 
     def test_values_sorted_canonically(self):
-        spec = ex.SweepSpec(kind="balanced_curves", values=(5, 1, 3),
+        spec = ex.CurveSpec(kind="balanced_curves", values=(5, 1, 3),
                             analytic=ANALYTIC)
         assert spec.values == (1, 3, 5)
 
+    @pytest.mark.parametrize("kind", ex.SWEEP_KINDS)
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    def test_values_must_be_positive(self, kind, value):
+        # NaN fails `> 0`; it used to pass `<= 0` and write an all-NaN row
+        with pytest.raises(ValueError, match="> 0"):
+            spec_for(kind, (value, 2))
+
+    @pytest.mark.parametrize("kind", ["sink_sweep", "convergecast_curves"])
+    def test_whole_number_values_hash_alike(self, kind):
+        # sink counts and exact hop radii become ints in the spec, so a
+        # Python sweep and a command-line sweep share one file name
+        floats, ints = spec_for(kind, (2.0, 1.0)), spec_for(kind, (1, 2))
+        assert floats.values == (1, 2)
+        assert all(type(v) is int for v in floats.values)
+        assert ex.config_hash(floats) == ex.config_hash(ints)
+        assert ex.csv_filename(floats) == ex.csv_filename(ints)
+
+    def test_approximate_hop_radii_stay_real(self):
+        spec = ex.CurveSpec(kind="convergecast_curves", values=(2.5, 1.0),
+                            analytic=ANALYTIC, mode=an.APPROXIMATE)
+        assert spec.values == (1.0, 2.5)
+
     def test_sink_counts_must_be_integral(self):
-        with pytest.raises(ValueError):
-            ex.SweepSpec(kind="sink_sweep", values=(1.5,), analytic=ANALYTIC)
+        with pytest.raises(ValueError, match="integer"):
+            ex.SweepSpec(kind="sink_sweep", values=(1.5,))
+        with pytest.raises(ValueError, match="integer"):
+            ex.CurveSpec(kind="convergecast_curves", values=(2.5,),
+                         analytic=ANALYTIC)
 
     def test_too_many_sinks(self):
         with pytest.raises(ValueError):
-            ex.SweepSpec(kind="sink_sweep", values=(1, 500), analytic=ANALYTIC,
-                         rows=6, cols=6)
+            ex.SweepSpec(kind="sink_sweep", values=(1, 500), rows=6, cols=6)
+
+    @pytest.mark.parametrize("field,value", [
+        ("inversion_factor", 0.5), ("inversion_factor", 3.0),
+        ("inversion_factor", math.nan), ("load_factor", 0.0),
+        ("load_factor", math.inf), ("load_factor", math.nan)])
+    def test_bound_settings_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_sim_spec("sink_sweep", (1, 2), **{field: value})
 
     def test_config_hash_stable_and_sensitive(self):
         a = small_sim_spec("sink_sweep", (1, 2))
@@ -74,42 +167,16 @@ class TestSweepSpec:
         assert ex.config_hash(small_sim_spec(kind, (1, 2), rows=7)) \
             != ex.config_hash(first)
 
-    @pytest.mark.parametrize("kind", ["radio_sweep", "sink_sweep",
-                                      "missratio_sweep"])
-    def test_simulation_hash_records_two_analytic_fields(self, kind):
-        # the measured bounds read only bandwidth and inversion factor
-        base = small_sim_spec(kind, (1, 2))
-        unread = small_sim_spec(kind, (1, 2), analytic=replace(
-            ANALYTIC, node_count=7, neighborhood_bound=3, path_length=9,
-            nodes_per_disk=2, max_hops=8, sink_count=3))
-        assert ex.config_hash(unread) == ex.config_hash(base)
-        assert ex.config_hash(small_sim_spec(kind, (1, 2), analytic=replace(
-            ANALYTIC, inversion_factor=1.0))) != ex.config_hash(base)
-
-    @pytest.mark.parametrize("kind,read,unread", [
-        ("balanced_curves", dict(neighborhood_bound=3),
-         dict(nodes_per_disk=2, max_hops=8, sink_count=3, path_length=9)),
-        ("convergecast_curves", dict(nodes_per_disk=2),
-         dict(node_count=7, neighborhood_bound=3, path_length=9, max_hops=8))])
-    def test_analytic_hash_records_what_rows_read(self, kind, read, unread):
-        base = ex.SweepSpec(kind=kind, values=(1, 2), analytic=ANALYTIC)
-        same = replace(base, analytic=replace(ANALYTIC, **unread), rows=7,
-                       cols=3, radio_range=5.0, sink_count=2, load_factor=4.0,
-                       sim=replace(base.sim, duration=2.0, replication_count=3))
-        assert ex.config_hash(same) == ex.config_hash(base)
-        # the seed stays: rows carry it as their seed range
-        for changed in (replace(base, analytic=replace(ANALYTIC, **read)),
-                        replace(base, sim=replace(base.sim, seed=4))):
-            assert ex.config_hash(changed) != ex.config_hash(base)
-
-    def test_one_bandwidth(self):
-        # a bound for one channel next to a simulation of another is refused
-        with pytest.raises(ValueError, match="bandwidth"):
-            small_sim_spec("sink_sweep", (1, 2),
-                           sim=replace(SMALL_SIM, bandwidth=1_000_000.0))
-        with pytest.raises(ValueError, match="bandwidth"):
-            ex.SweepSpec(kind="balanced_curves", values=(1,),
-                         analytic=replace(ANALYTIC, bandwidth=1_000_000.0))
+    @pytest.mark.parametrize("kind", ex.SWEEP_KINDS)
+    def test_hash_records_exactly_what_rows_read(self, kind):
+        # every settable field of the spec changes the hash unless the
+        # kind's rows never read it
+        base = spec_for(kind)
+        for path in settable(base):
+            changed = altered(base, path)
+            assert changed != base, path
+            assert (ex.config_hash(changed) != ex.config_hash(base)) \
+                == (path not in UNREAD[kind]), path
 
 
 class TestLoadMultiplierSeries:
@@ -140,7 +207,7 @@ class TestProbeRate:
 
 class TestAnalyticSweeps:
     def test_balanced_curves(self):
-        spec = ex.SweepSpec(kind="balanced_curves", values=tuple(range(1, 31)),
+        spec = ex.CurveSpec(kind="balanced_curves", values=tuple(range(1, 31)),
                             analytic=ANALYTIC)
         rows = ex.run_sweep(spec)
         assert len(rows) == 30
@@ -148,16 +215,18 @@ class TestAnalyticSweeps:
         for row in rows:
             assert row.analytic_dm <= row.analytic_edf
             assert row.config_hash == ex.config_hash(spec)
+            # no seed enters a closed form
+            assert row.seed_lo is None and row.seed_hi is None
 
     def test_balanced_matches_direct_call(self):
-        spec = ex.SweepSpec(kind="balanced_curves", values=(5,), analytic=ANALYTIC)
+        spec = ex.CurveSpec(kind="balanced_curves", values=(5,), analytic=ANALYTIC)
         row = ex.run_sweep(spec)[0]
         params = replace(ANALYTIC, path_length=5)
         assert row.analytic_dm == an.rtcc_balanced(an.DM, params).value
         assert row.analytic_edf == an.rtcc_balanced(an.EDF, params).value
 
     def test_convergecast_curves_gap_shrinks(self):
-        spec = ex.SweepSpec(kind="convergecast_curves", values=(1, 4, 16, 64),
+        spec = ex.CurveSpec(kind="convergecast_curves", values=(1, 4, 16, 64),
                             analytic=ANALYTIC)
         rows = ex.run_sweep(spec)
         gaps = [(r.analytic_edf - r.analytic_dm) / r.analytic_edf for r in rows]
@@ -174,9 +243,9 @@ class TestSimulationSweeps:
             assert row.error is None
             # the analytic bound must come from this row's measured stats
             params = an.AnalyticParams(
-                node_count=36, bandwidth=ANALYTIC.bandwidth,
+                node_count=36, bandwidth=spec.sim.bandwidth,
                 neighborhood_bound=row.neighborhood_bound,
-                inversion_factor=ANALYTIC.inversion_factor,
+                inversion_factor=spec.inversion_factor,
                 nodes_per_disk=row.nodes_per_disk, max_hops=row.max_hops,
                 sink_count=int(row.swept_value))
             assert row.analytic_dm == pytest.approx(
@@ -224,7 +293,7 @@ class TestSimulationSweeps:
 
 class TestCsv:
     def test_structure_and_single_row(self, tmp_path):
-        spec = ex.SweepSpec(kind="balanced_curves", values=(5,), analytic=ANALYTIC)
+        spec = ex.CurveSpec(kind="balanced_curves", values=(5,), analytic=ANALYTIC)
         rows = ex.run_sweep(spec)
         dest = tmp_path / ex.csv_filename(spec)
         ex.emit_csv(rows, dest, spec)
@@ -267,11 +336,11 @@ class TestCsv:
         name = ex.csv_filename(spec)
         assert name.startswith("sink_sweep_36_")
         assert name.endswith(".csv")
-        analytic = ex.SweepSpec(kind="balanced_curves", values=(1,),
+        analytic = ex.CurveSpec(kind="balanced_curves", values=(1,),
                                 analytic=ANALYTIC)
         assert ex.csv_filename(analytic).startswith("balanced_curves_100_")
         # convergecast rows read no node count
-        curves = ex.SweepSpec(kind="convergecast_curves", values=(1,),
+        curves = ex.CurveSpec(kind="convergecast_curves", values=(1,),
                               analytic=ANALYTIC)
         assert ex.csv_filename(curves) == \
             f"convergecast_curves_{ex.config_hash(curves)}.csv"

@@ -1,20 +1,28 @@
 """Golden digests: fixed-seed runs whose event log and metrics must stay
-byte-identical across refactors of the simulator.
+byte-identical across refactors of the simulator, and the data rows of two
+small simulated sweeps, which must stay byte-identical across refactors of
+the sweeps.
 
-Each digest is the sha256 of the text event log, one line per event, joined
-by newlines, followed by `repr(RunMetrics)`. A change that alters the
-random streams or the event order on purpose regenerates these digests once
-and says so in CHANGES.md. Run as a script, this file prints each scenario's
-current digest, one `name digest` line per scenario:
+Each scenario digest is the sha256 of the text event log, one line per
+event, joined by newlines, followed by `repr(RunMetrics)`. The sweep digest
+is the sha256 of the CSV data rows, header row included, without the
+`config_hash` column, which changes whenever a spec's recorded fields do. A
+change that alters the random streams or the event order on purpose
+regenerates these digests once and says so in CHANGES.md. Run as a script,
+this file prints each current digest, one `name digest` line each:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from rtcap import analytics as an
+from rtcap import cli
 from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
@@ -35,6 +43,11 @@ GOLDEN = {
     "probe-800-1.25x":
         "3df3651639cb238df714de68e8a11bd1f0c5bf1951b820a7b8f82c320748b932",
 }
+
+
+# the CSV data rows of both sweeps below, without their config_hash column
+SWEEP_ROWS_GOLDEN = \
+    "26c1768f36d0566330df55bcaa9b935d9d63cf4f85c3e96c805cf5800da48840"
 
 
 def digest(log, metrics) -> str:
@@ -94,6 +107,32 @@ SCENARIOS = {
 }
 
 
+# a 6x6 network, 2 replications: a sink sweep at 3x the measured DM bound
+# and a miss-ratio sweep across it. They run through the command line, whose
+# flags stay put when the spec classes behind it change.
+SMALL_SWEEP = ["--rows", "6", "--cols", "6", "--jitter", "0.2",
+               "--radio-range", "15", "--packet-size", "12500",
+               "--duration", "6", "--seed", "1", "--reps", "2"]
+SWEEPS = [["--kind", "sink_sweep", "--values", "1,2,4", "--load-factor", "3"],
+          ["--kind", "missratio_sweep", "--values", "0.5,1,2,4", "--sinks", "2"]]
+
+
+def sweep_rows_digest() -> str:
+    lines = []
+    with tempfile.TemporaryDirectory() as out_dir:
+        for argv in SWEEPS:
+            written = Path(out_dir, argv[1])
+            code = cli.dispatch(["sweep", *argv, *SMALL_SWEEP,
+                                 "--out-dir", str(written)], out=io.StringIO())
+            assert code == 0
+            [csv] = written.glob("*.csv")
+            rows = [ln.split(",") for ln in csv.read_text().splitlines()
+                    if not ln.startswith("#")]
+            drop = rows[0].index("config_hash")
+            lines += [",".join(r[:drop] + r[drop + 1:]) for r in rows]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_event_log_and_metrics_unchanged(name):
     log, metrics = SCENARIOS[name]()
@@ -101,9 +140,14 @@ def test_event_log_and_metrics_unchanged(name):
     assert digest(log, metrics) == GOLDEN[name]
 
 
+def test_sweep_rows_unchanged():
+    assert sweep_rows_digest() == SWEEP_ROWS_GOLDEN
+
+
 def main() -> None:
     for name in sorted(SCENARIOS):
         print(name, digest(*SCENARIOS[name]()))
+    print("sweep-rows-6x6", sweep_rows_digest())
 
 
 if __name__ == "__main__":
