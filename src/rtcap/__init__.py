@@ -49,6 +49,7 @@ from .experiments import (
 )
 from .simcore import (
     ActiveTransmission,
+    Arrivals,
     CriticalCapacity,
     InvariantError,
     Medium,

@@ -57,6 +57,11 @@ _SWEPT_FIELD = {"radio_sweep": "radio_range", "sink_sweep": "sink_count",
                 "missratio_sweep": "load_factor"}
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in (an.EXACT, an.APPROXIMATE):
+        raise ValueError(f"unknown mode {mode!r}, expected exact or approximate")
+
+
 def _swept_values(kind: str, values, whole: bool) -> tuple:
     """The swept values in ascending order. Each must be > 0, which NaN is
     not; with `whole`, each must be a whole number and becomes an int, so
@@ -90,6 +95,7 @@ class CurveSpec:
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
+        _check_mode(self.mode)
         whole = self.kind == "convergecast_curves" and self.mode == an.EXACT
         object.__setattr__(self, "values",
                            _swept_values(self.kind, self.values, whole))
@@ -129,6 +135,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in _SWEPT_FIELD:
             raise ValueError(f"unknown simulated sweep kind {self.kind!r}")
+        _check_mode(self.mode)
         object.__setattr__(self, "values",
                            _swept_values(self.kind, self.values,
                                          self.kind == "sink_sweep"))
@@ -267,7 +274,8 @@ def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
 
 def _curve_row(spec: CurveSpec, value, digest: str) -> ResultRow:
     """Closed-form DM and EDF limits at one path length (balanced_curves)
-    or sink hop radius (convergecast_curves)."""
+    or sink hop radius (convergecast_curves). A row whose limit is not
+    finite is flagged, like a failed simulated row."""
     if spec.kind == "balanced_curves":
         params = replace(spec.analytic, path_length=value)
         dm, edf = (an.rtcc_balanced(s, params) for s in (an.DM, an.EDF))
@@ -275,8 +283,12 @@ def _curve_row(spec: CurveSpec, value, digest: str) -> ResultRow:
         params = replace(spec.analytic, max_hops=value)
         dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
                    for s in (an.DM, an.EDF))
+    finite = math.isfinite(dm.value) and math.isfinite(edf.value)
     return ResultRow(swept_value=value, analytic_dm=dm.value,
-                     analytic_edf=edf.value, config_hash=digest)
+                     analytic_edf=edf.value, config_hash=digest,
+                     error=None if finite else
+                     f"ValueError: limit not finite (DM {dm.value!r}, "
+                     f"EDF {edf.value!r})")
 
 
 def run_sweep(spec: CurveSpec | SweepSpec) -> list:

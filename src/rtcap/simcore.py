@@ -19,9 +19,16 @@ head (v, next_hop[v]) is blocked by (s, r) only through v or next_hop[v]
 being s or r, v in N(r), or next_hop[v] in N(s), so freeing x unblocks
 nothing outside reach[x].
 
-A run reads the workload's arrivals in time order through a cursor; its
-event queues hold only transmission completions and deadline expiries. Each
-instant runs three phases, then one grant pass:
+A workload is drawn in rounds of numpy blocks, one row per node, each
+round from its own child of `np.random.SeedSequence(seed)` (see
+`generate_workload`). A node's arrivals therefore depend on neither the
+duration nor which other nodes are sinks: a shorter run's workload is
+exactly the first part of a longer one's. The workload holds its arrivals
+as columns (`Arrivals`), and a `Packet` is built only when it is read.
+
+A run reads the workload's arrivals in time order through a cursor over
+those columns; its event queues hold only transmission completions and
+deadline expiries. Each instant runs three phases, then one grant pass:
 
 1. completions at that instant, so the channel is freed before
    same-instant arrivals are queued;
@@ -53,6 +60,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
@@ -132,18 +140,68 @@ class SimConfig:
         return self.arrival_rate * self.tx_time >= 1.0
 
 
+@dataclass(frozen=True, eq=False)
+class Arrivals(Sequence):
+    """A workload's arrivals in workload order as five read-only numpy
+    columns, one per `Packet` field, read as a sequence of `Packet`s that
+    are built on demand. It supports `len`, indexing, slicing (to a tuple),
+    iteration and equality with other `Arrivals` or with a tuple of
+    packets."""
+
+    id: np.ndarray
+    origin: np.ndarray
+    arrival_time: np.ndarray
+    relative_deadline: np.ndarray
+    tie_key: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in zip(Packet._fields, (np.int64, np.int64, float,
+                                                float, float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in Packet._fields)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return Packet._make(column[index].item() for column in self.columns())
+
+    def __iter__(self):
+        # packets are built a slice of the columns at a time, as they are read
+        step = 1024
+        for start in range(0, len(self), step):
+            yield from map(Packet._make, zip(*(
+                column[start:start + step].tolist()
+                for column in self.columns())))
+
+    def __eq__(self, other):
+        if isinstance(other, (Arrivals, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True)
 class Workload:
-    """Packet arrivals in time order and the seed that drew them. Packets
-    given out of order are sorted stably by arrival time, so same-time
-    arrivals keep their given order."""
+    """Packet arrivals in time order, held as `Arrivals` columns, and the
+    seed that drew them. Packets given by hand may come in any order: they
+    are sorted stably by arrival time, so same-time arrivals keep their
+    given order, and they keep their ids. `Arrivals` are taken as they
+    are, already in workload order."""
 
-    packets: tuple
+    packets: Arrivals
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "packets", tuple(
-            sorted(self.packets, key=attrgetter("arrival_time"))))
+        if not isinstance(self.packets, Arrivals):
+            ordered = sorted(self.packets, key=attrgetter("arrival_time"))
+            columns = zip(*ordered) if ordered else [()] * len(Packet._fields)
+            object.__setattr__(self, "packets", Arrivals(*columns))
 
 
 @dataclass(frozen=True)
@@ -179,31 +237,53 @@ def priority_key(packet: Packet):
     return (packet.relative_deadline, packet.tie_key, packet.id)
 
 
+# arrivals each node draws per round of `generate_workload`
+_BLOCK = 64
+
+
 def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
                       seed: Optional[int] = None) -> Workload:
     """Seeded Poisson arrivals at every non-sink node over the run duration.
 
     Each packet gets a deadline drawn uniformly from the configured set and
-    a random priority tie key. Packet ids are assigned in arrival-time order.
+    a random priority tie key. The draw goes in rounds: round r takes the
+    r-th child of `np.random.SeedSequence(seed)` and draws three
+    (node count x `_BLOCK`) matrices, of exponential gaps (cumulated onto
+    each row's last arrival time), deadline indices and tie keys, row i for
+    the i-th node of `topology.nodes`. Sink rows are drawn and discarded,
+    and rounds go on until every non-sink node has passed the duration.
+    So a shorter run's workload is exactly the first part of a longer
+    one's, and making a node a sink removes only that node's arrivals.
+    Packets are sorted by arrival time, then origin, and their ids are
+    their positions in that order. The workload holds the columns; its
+    packets are built when they are read.
     """
     use_seed = config.seed if seed is None else seed
-    rng = np.random.default_rng(use_seed)
-    deadlines = list(config.deadline_set)
-    sinks = frozenset(routes.sinks)
-    raw = []
-    for node in topology.nodes:
-        if node.id in sinks or config.arrival_rate == 0:
-            continue
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / config.arrival_rate)
-            if t > config.duration:
-                break
-            deadline = deadlines[rng.integers(len(deadlines))]
-            raw.append((t, node.id, deadline, rng.random()))
-    raw.sort()
-    packets = tuple(Packet(pid, origin, t, deadline, tie)
-                    for pid, (t, origin, deadline, tie) in enumerate(raw))
+    origins = np.array([node.id for node in topology.nodes], dtype=np.int64)
+    sources = ~np.isin(origins, routes.sinks)
+    shape = (len(origins), _BLOCK)
+    rounds = np.random.SeedSequence(use_seed)
+    last = np.zeros(len(origins))
+    # an empty first entry gives the columns their types when nothing is drawn
+    drawn = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64),
+              np.empty(0))]
+    while config.arrival_rate > 0 and (last[sources] <= config.duration).any():
+        rng = np.random.default_rng(rounds.spawn(1)[0])
+        gaps = rng.exponential(1.0 / config.arrival_rate, shape)
+        gaps[:, 0] += last
+        times = np.cumsum(gaps, axis=1)
+        deadline_index = rng.integers(len(config.deadline_set), size=shape)
+        ties = rng.random(shape)
+        last = times[:, -1]
+        kept = sources[:, None] & (times <= config.duration)
+        drawn.append((times[kept],
+                      np.broadcast_to(origins[:, None], shape)[kept],
+                      deadline_index[kept], ties[kept]))
+    times, origin, deadline_index, ties = map(np.concatenate, zip(*drawn))
+    order = np.lexsort((origin, times))
+    deadlines = np.array(config.deadline_set, dtype=float)
+    packets = Arrivals(np.arange(len(order)), origin[order], times[order],
+                       deadlines[deadline_index[order]], ties[order])
     return Workload(packets=packets, seed=use_seed)
 
 
@@ -341,14 +421,15 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     """Event-driven run over the workload; returns the per-run metrics.
 
     Each instant runs three phases, then one grant pass: completions at
-    `now`, arrivals at `now` (read in order through a cursor into
-    `workload.packets`), and deadline expiries at `now`. Completions free
-    the channel before same-instant arrivals are queued, and a completion
-    landing exactly at the deadline counts as on time because expiries come
-    last. Every hop takes `tx_time`, so completions come due in grant order
-    and wait in a FIFO; expiries wait in a heap keyed by deadline and
-    workload position. The run keeps each packet's node from its arrival
-    until it leaves the network, plus the ids of dropped packets.
+    `now`, arrivals at `now` (read in order through a cursor over the
+    workload's arrival columns, each packet built as the cursor reaches
+    it), and deadline expiries at `now`. Completions free the channel
+    before same-instant arrivals are queued, and a completion landing
+    exactly at the deadline counts as on time because expiries come last.
+    Every hop takes `tx_time`, so completions come due in grant order and
+    wait in a FIFO; expiries wait in a heap keyed by deadline and workload
+    position. The run keeps each packet's node from its arrival until it
+    leaves the network, plus the ids of dropped packets.
 
     The `Medium` keeps, per node, the number of active senders and of active
     receivers in range, updated once per grant and once per completion.
@@ -373,13 +454,18 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
-    arrivals = len(packets)
+    pending = iter(packets)    # each packet is built when the cursor reads it
+    times = packets.arrival_time.tolist()
+    arrivals = len(times)
+    times.append(math.inf)     # past the last arrival
     # time-averaged demand: each packet claims size/deadline at every route
     # node for its deadline window, so the deadline cancels and the demand is
     # bit-hops injected per second
-    offered = sum(hop_count[p.origin] * size for p in packets) / config.duration
+    demand = {v: h * size for v, h in hop_count.items()}
+    offered = (sum(map(demand.__getitem__, packets.origin.tolist()))
+               / config.duration)
 
-    cursor = 0             # position of the next arrival in `packets`
+    cursor = 0             # position of the next arrival in the workload
     completions = deque()  # (time, Packet, ActiveTransmission), grant order
     expiries = []          # heap of (absolute deadline, position, Packet)
 
@@ -431,7 +517,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     while completions or cursor < arrivals or expiries:
         now = min(completions[0][0] if completions else math.inf,
-                  packets[cursor].arrival_time if cursor < arrivals else math.inf,
+                  times[cursor],
                   expiries[0][0] if expiries else math.inf)
         touched = set()    # nodes whose head or admissibility may have changed
 
@@ -463,8 +549,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 if log:
                     log(f"{now!r} deliver {r} {packet.id}")
 
-        while cursor < arrivals and packets[cursor].arrival_time == now:
-            packet = packets[cursor]
+        while times[cursor] == now:
+            packet = next(pending)
             at[packet.id] = packet.origin
             live[packet.id] = packet
             queues[packet.origin].push(packet)

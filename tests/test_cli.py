@@ -331,6 +331,16 @@ class TestSweep:
         assert sorted(v for v, err in errors.items() if err) == flagged
         assert all("arrival_rate must be finite" in errors[v] for v in flagged)
 
+    def test_non_finite_curve_limit_flags_its_row(self, tmp_path):
+        code, _ = run_cli(["sweep", "--kind", "convergecast_curves", "--mode",
+                           "approximate", "--values", "1,2.5,inf",
+                           "--out-dir", str(tmp_path)])
+        assert code == 2
+        [csv] = tmp_path.glob("*.csv")
+        errors = {row.split(",")[0]: row.split(",")[-1]
+                  for row in data_lines(csv.read_text())[1:]}
+        assert [v for v, err in errors.items() if err] == ["inf"]
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "sink_sweep", "--values", "1.5,2", "--rows", "4", "--cols", "4",
          "--radio-range", "15", "--reps", "1", "--duration", "2"],

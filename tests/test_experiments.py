@@ -132,6 +132,16 @@ class TestSweepSpec:
             ex.CurveSpec(kind="convergecast_curves", values=(2.5,),
                          analytic=ANALYTIC)
 
+    def test_curve_spec_checks_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'exakt'"):
+            ex.CurveSpec(kind="balanced_curves", values=(1,), analytic=ANALYTIC,
+                         mode="exakt")
+
+    def test_sweep_spec_checks_mode(self):
+        # refused at construction, before any row builds its network
+        with pytest.raises(ValueError, match="unknown mode 'exakt'"):
+            small_sim_spec("sink_sweep", (1, 2), mode="exakt")
+
     def test_too_many_sinks(self):
         with pytest.raises(ValueError):
             ex.SweepSpec(kind="sink_sweep", values=(1, 500), rows=6, cols=6)
@@ -232,6 +242,14 @@ class TestAnalyticSweeps:
         gaps = [(r.analytic_edf - r.analytic_dm) / r.analytic_edf for r in rows]
         assert gaps == sorted(gaps, reverse=True)
         assert all(r.analytic_dm <= r.analytic_edf for r in rows)
+
+    def test_non_finite_limit_flags_its_row(self):
+        spec = ex.CurveSpec(kind="convergecast_curves", values=(1, 2.5, math.inf),
+                            analytic=ANALYTIC, mode=an.APPROXIMATE)
+        rows = ex.run_sweep(spec)
+        assert [r.error is None for r in rows] == [True, True, False]
+        assert math.isnan(rows[-1].analytic_dm)
+        assert "not finite" in rows[-1].error
 
 
 class TestSimulationSweeps:

@@ -21,49 +21,34 @@ from pathlib import Path
 
 import pytest
 
-from rtcap import analytics as an
 from rtcap import cli
 from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
 
-from helpers import contended_run
-
-BANDWIDTH = 250_000.0
+from helpers import EVAL_GRID, contended_run, measured_dm_bound
 
 GOLDEN = {
     "contended-13-drop":
-        "4292b6179cc994d318febe9a0716d1872e92929541eb5ac9b18b89afe1354902",
+        "71b2351b76d62e816dded671deb14347f319c8fc7f74ba0eec325926944c0827",
     "contended-13-keep":
-        "d552b4a1e5fca4bd1b75b8b457e68e45772a9a4c8466eebd3b32a6ae74e689ab",
+        "1b760016762008256b8fc91b61f19dbce7a2e3e0dc2bd08b11ccd2d91a50165b",
     "knee-12x12-1x":
-        "80749c3bd5fa445f6a3f315f9951701a264ff35391d9991cd1c18b3589843c02",
+        "1a81a716df02ac957950d0166f9501fca5eb2826e39e9c4c889d3043b1c2d7ba",
     "knee-12x12-4x":
-        "d63322bf9630b0c3f81aeb56f27608fd6c37c2b778026912c48ddbc256e60b22",
+        "823f585193a2cbeb66b09853ae08d007ef7790b58d5ee670c98b748582f1bb60",
     "probe-800-1.25x":
-        "3df3651639cb238df714de68e8a11bd1f0c5bf1951b820a7b8f82c320748b932",
+        "0668c29ffb62d91c0b46ac38c171e37a57594c236d5029a98346c3536a79bdf6",
 }
 
 
 # the CSV data rows of both sweeps below, without their config_hash column
 SWEEP_ROWS_GOLDEN = \
-    "26c1768f36d0566330df55bcaa9b935d9d63cf4f85c3e96c805cf5800da48840"
+    "a52ac0baf8337172f79837835ea5e63b21fb32690bd6f67eb19a8c7ef9cffe67"
 
 
 def digest(log, metrics) -> str:
     return hashlib.sha256(("\n".join(log) + repr(metrics)).encode()).hexdigest()
-
-
-def measured_dm_bound(topo, routes) -> float:
-    """Convergecast DM bound (inversion factor 1) from the statistics
-    measured on this network."""
-    stats = tp.topology_stats(topo, routes)
-    params = an.AnalyticParams(
-        node_count=topo.node_count, bandwidth=BANDWIDTH,
-        neighborhood_bound=stats.neighborhood_bound, inversion_factor=1.0,
-        nodes_per_disk=max(1, stats.nodes_per_disk),
-        max_hops=max(1, stats.max_hops), sink_count=len(routes.sinks))
-    return an.rtcc_convergecast(an.DM, params, mode=an.EXACT).value
 
 
 def loaded_run(grid: dict, load: float, packet_size: float, duration: float,
@@ -92,9 +77,6 @@ def contended(drop_on_miss: bool):
 
 KNEE_GRID = dict(rows=12, cols=12, spacing=10.0, jitter=0.25, radio_range=20.5,
                  sink_count=4)
-# the 800-node, 12-sink evaluation network of criterion 6
-EVAL_GRID = dict(rows=20, cols=40, spacing=10.0, jitter=0.25, radio_range=20.5,
-                 sink_count=12)
 
 SCENARIOS = {
     "contended-13-drop": lambda: contended(True),

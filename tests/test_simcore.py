@@ -3,19 +3,24 @@ event-log audits of the exclusion and priority rules, and the cross-module
 schedulability property (analytically feasible instances never miss)."""
 
 import copy
+from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
 
 from helpers import (
+    EVAL_GRID,
     audit_priority_order,
     chain_network,
     contended_run,
     instance_is_dm_feasible,
+    measured_dm_bound,
     mk_packet,
     mk_workload,
     replay_active_sets,
@@ -130,6 +135,120 @@ class TestGenerateWorkload:
         # tx_time = 0.004 s, so 300 pkts/s/node claims > 100% of the channel
         assert sc.SimConfig(arrival_rate=300.0, duration=1.0).overloaded
         assert not sc.SimConfig(arrival_rate=1.0, duration=1.0).overloaded
+
+
+@pytest.fixture(scope="module")
+def probe_network():
+    """Criterion 6's network and its seed-0 probe config at 1.25x the
+    measured DM bound, stopped at the first miss."""
+    topo, routes = tp.make_network(seed=0, **EVAL_GRID)
+    rate = ex.probe_rate(1.25 * measured_dm_bound(topo, routes), routes, 1000.0)
+    cfg = sc.SimConfig(packet_size=1000.0, duration=30.0, arrival_rate=rate,
+                       seed=0, stop_at_first_miss=True)
+    return topo, routes, cfg
+
+
+class TestWorkloadStreams:
+    """The draw goes in rounds of per-node blocks, so the workload does not
+    depend on the duration, and a node's arrivals not on which other nodes
+    are sinks."""
+
+    def test_shorter_run_is_a_prefix(self, probe_network):
+        topo, routes, cfg = probe_network
+        long = sc.generate_workload(topo, routes, cfg)
+        short = sc.generate_workload(topo, routes, replace(cfg, duration=8.0))
+        assert 0 < len(short.packets) < len(long.packets)
+        assert short.packets == long.packets[:len(short.packets)]
+        assert long.packets[len(short.packets)].arrival_time > 8.0
+
+    def test_first_miss_does_not_depend_on_duration(self, probe_network):
+        topo, routes, cfg = probe_network
+        runs = []
+        for duration in (8.0, 30.0):
+            run_cfg = replace(cfg, duration=duration)
+            runs.append(sc.run_simulation(
+                topo, routes, sc.generate_workload(topo, routes, run_cfg),
+                run_cfg))
+        short, long = runs
+        assert short.first_miss_time is not None and short.first_miss_time < 8.0
+        assert short.first_miss_time == long.first_miss_time
+        assert short.capacity_consumption_at_first_miss == \
+            long.capacity_consumption_at_first_miss
+
+    def test_matches_a_per_arrival_loop(self):
+        # the same rounds drawn, then walked one arrival at a time
+        topo, routes = tp.make_network(3, 4, spacing=10.0, jitter=0.2, seed=1,
+                                       radio_range=15.0, sink_count=1)
+        cfg = sc.SimConfig(arrival_rate=9.0, duration=20.0, seed=6,
+                           deadline_set=(0.5, 1.0, 2.0))
+        rounds = np.random.SeedSequence(cfg.seed)
+        last = {node.id: 0.0 for node in topo.nodes}
+        raw = []
+        while any(last[v] <= cfg.duration for v in last if v not in routes.sinks):
+            rng = np.random.default_rng(rounds.spawn(1)[0])
+            shape = (len(topo.nodes), sc._BLOCK)
+            gaps = rng.exponential(1.0 / cfg.arrival_rate, shape)
+            index = rng.integers(len(cfg.deadline_set), size=shape)
+            ties = rng.random(shape)
+            for row, node in enumerate(topo.nodes):
+                for k in range(sc._BLOCK):
+                    last[node.id] += float(gaps[row, k])
+                    if node.id not in routes.sinks and \
+                            last[node.id] <= cfg.duration:
+                        raw.append((last[node.id], node.id,
+                                    cfg.deadline_set[index[row, k]],
+                                    float(ties[row, k])))
+        # more than two blocks per source: at least three rounds
+        assert len(raw) > 2 * sc._BLOCK * (len(topo.nodes) - 1)
+        expected = tuple(sc.Packet(pid, origin, t, d, tie)
+                         for pid, (t, origin, d, tie) in enumerate(sorted(raw)))
+        assert sc.generate_workload(topo, routes, cfg).packets == expected
+
+    def test_extra_sink_removes_only_its_arrivals(self):
+        topo = tp.generate_perturbed_grid(4, 4, 10.0, 0.2, seed=2,
+                                          radio_range=15.0)
+        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=3.0,
+                           duration=20.0, seed=4)
+
+        def per_node(sinks):
+            wl = sc.generate_workload(topo, tp.build_routes(topo, sinks), cfg)
+            out = {}
+            for p in wl.packets:
+                out.setdefault(p.origin, []).append(
+                    (p.arrival_time, p.relative_deadline, p.tie_key))
+            return out
+
+        before, after = per_node([0]), per_node([0, 10])
+        assert 10 in before and 0 not in before
+        assert after == {v: arrivals for v, arrivals in before.items()
+                         if v != 10}
+
+    @pytest.mark.parametrize("built", ["generated", "by hand"])
+    def test_packets_read_as_a_sequence(self, built):
+        if built == "generated":
+            topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.0,
+                                           seed=0, radio_range=10.0,
+                                           sink_count=1)
+            wl = sc.generate_workload(topo, routes,
+                                      sc.SimConfig(arrival_rate=3.0,
+                                                   duration=5.0))
+        else:
+            wl = mk_workload([mk_packet(4, 1, 0.5, 1.0, 0.3),
+                              mk_packet(9, 2, 0.2, 2.0, 0.1),
+                              mk_packet(7, 1, 0.9, 0.5, 0.2)])
+        packets = wl.packets
+        listed = tuple(packets)
+        assert len(packets) == len(listed) >= 3
+        assert all(type(p) is sc.Packet for p in listed)
+        assert packets[0] == listed[0] and packets[-1] == listed[-1]
+        assert packets[1:] == listed[1:]
+        assert packets == listed and packets != listed[:-1]
+        middle = listed[1].arrival_time
+        assert bisect_right(packets, middle, key=lambda p: p.arrival_time) == \
+            sum(p.arrival_time <= middle for p in listed)
+        assert sc.Workload(packets=listed, seed=wl.seed) == wl
+        if built == "by hand":
+            assert [p.id for p in listed] == [9, 4, 7]
 
 
 # ---------------------------------------------------------------------------
