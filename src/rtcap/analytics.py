@@ -100,21 +100,22 @@ class AnalyticParams:
     sink_count: int = 1
 
     def __post_init__(self):
-        if self.node_count < 1:
+        # each check is written so that NaN fails it
+        if not (self.node_count >= 1):
             raise ValueError("node_count must be >= 1")
         if not (self.bandwidth > 0):
             raise ValueError("bandwidth must be > 0")
-        if self.neighborhood_bound < 1:
+        if not (self.neighborhood_bound >= 1):
             raise ValueError("neighborhood_bound must be >= 1")
         if not (1.0 <= self.inversion_factor <= 2.0):
             raise ValueError("inversion_factor must lie in [1, 2]")
-        if self.path_length < 1:
+        if not (self.path_length >= 1):
             raise ValueError("path_length must be >= 1")
-        if self.nodes_per_disk < 1:
+        if not (self.nodes_per_disk >= 1):
             raise ValueError("nodes_per_disk must be >= 1")
-        if self.max_hops < 1:
+        if not (self.max_hops >= 1):
             raise ValueError("max_hops must be >= 1")
-        if self.sink_count < 1:
+        if not (self.sink_count >= 1):
             raise ValueError("sink_count must be >= 1")
 
 

@@ -304,10 +304,7 @@ def run_sweep(spec: CurveSpec | SweepSpec) -> list:
     return [row(spec, value, digest) for value in spec.values]
 
 
-_CSV_COLUMNS = ("swept_value", "analytic_dm", "analytic_edf", "simulated_critical",
-                "miss_ratio", "offered_demand", "neighborhood_bound",
-                "nodes_per_disk", "max_hops", "seed_lo", "seed_hi",
-                "config_hash", "error")
+_CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def _fmt(value) -> str:

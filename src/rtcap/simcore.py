@@ -37,7 +37,7 @@ deadline expiries. Each instant runs three phases, then one grant pass:
    deadline still counts as on time.
 
 Packets are immutable records of their arrival. The run owns what moves:
-the node that holds each packet and the set of dropped packets. Hops
+the node that holds each packet until it leaves the network. Hops
 traversed is hop_count[origin] - hop_count[node], since each route hop
 lowers the hop count by exactly one.
 
@@ -62,7 +62,7 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -249,17 +249,16 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
     a random priority tie key. The draw goes in rounds: round r takes the
     r-th child of `np.random.SeedSequence(seed)` and draws three
     (node count x `_BLOCK`) matrices, of exponential gaps (cumulated onto
-    each row's last arrival time), deadline indices and tie keys, row i for
-    the i-th node of `topology.nodes`. Sink rows are drawn and discarded,
-    and rounds go on until every non-sink node has passed the duration.
-    So a shorter run's workload is exactly the first part of a longer
+    each row's last arrival time), deadline indices and tie keys, row v for
+    node v. Sink rows are drawn and discarded, and rounds go on until every
+    non-sink node has passed the duration. So a shorter run's workload is exactly the first part of a longer
     one's, and making a node a sink removes only that node's arrivals.
     Packets are sorted by arrival time, then origin, and their ids are
     their positions in that order. The workload holds the columns; its
     packets are built when they are read.
     """
     use_seed = config.seed if seed is None else seed
-    origins = np.array([node.id for node in topology.nodes], dtype=np.int64)
+    origins = np.arange(topology.node_count)
     sources = ~np.isin(origins, routes.sinks)
     shape = (len(origins), _BLOCK)
     rounds = np.random.SeedSequence(use_seed)
@@ -391,14 +390,14 @@ def _release_reach(adjacency: dict, next_hop: dict) -> dict:
 
 
 class _NodeQueue:
-    """Per-node priority queue with lazy removal of the packets whose ids
-    are in the run's `dropped` set."""
+    """Per-node priority queue with lazy removal of dropped packets, the
+    queued packets whose ids have left the run's `at` mapping."""
 
-    __slots__ = ("heap", "dropped")
+    __slots__ = ("heap", "at")
 
-    def __init__(self, dropped: set):
+    def __init__(self, at: dict):
         self.heap = []
-        self.dropped = dropped
+        self.at = at
 
     def push(self, packet: Packet):
         heapq.heappush(self.heap, (priority_key(packet), packet))
@@ -406,7 +405,7 @@ class _NodeQueue:
     def head(self) -> Optional[Packet]:
         while self.heap:
             packet = self.heap[0][1]
-            if packet.id in self.dropped:
+            if packet.id not in self.at:
                 heapq.heappop(self.heap)
                 continue
             return packet
@@ -429,7 +428,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     Every hop takes `tx_time`, so completions come due in grant order and
     wait in a FIFO; expiries wait in a heap keyed by deadline and workload
     position. The run keeps each packet's node from its arrival until it
-    leaves the network, plus the ids of dropped packets.
+    leaves the network.
 
     The `Medium` keeps, per node, the number of active senders and of active
     receivers in range, updated once per grant and once per completion.
@@ -469,19 +468,14 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     completions = deque()  # (time, Packet, ActiveTransmission), grant order
     expiries = []          # heap of (absolute deadline, position, Packet)
 
-    dropped = set()        # ids of packets dropped on a miss
-    queues = {node.id: _NodeQueue(dropped) for node in topology.nodes}
+    # packet id -> the node holding it: queued, sending, or the sink that
+    # took it on time, until its expiry; a dropped or late packet has left
+    at = {}
+    queues = [_NodeQueue(at) for _ in range(topology.node_count)]
     backlog = set()
     medium = Medium(adjacency)
     busy = medium.busy
     air = {}               # busy endpoint -> its ActiveTransmission
-    # packet id -> the node holding it: queued, sending, or the sink that
-    # took it on time, until its expiry; a dropped or late packet has left
-    at = {}
-    # capacity accounting follows the demand model: a packet claims capacity
-    # from arrival until its deadline expires, even once delivered; only
-    # expiry (miss or deadline passing after delivery) releases the claim
-    live = {}              # packet id -> Packet
     log = event_log.append if event_log is not None else None
 
     delivered = 0
@@ -530,7 +524,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             touched.update(reach[r])
             if log:
                 log(f"{now!r} complete {s}->{r} {packet.id}")
-            if packet.id in dropped:
+            if packet.id not in at:
                 continue  # missed mid-flight and dropped at hop boundary
             if r in next_hop:
                 at[packet.id] = r
@@ -552,7 +546,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
         while times[cursor] == now:
             packet = next(pending)
             at[packet.id] = packet.origin
-            live[packet.id] = packet
             queues[packet.origin].push(packet)
             backlog.add(packet.origin)
             touched.add(packet.origin)
@@ -563,24 +556,26 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                     f"{packet.relative_deadline!r}")
 
         while expiries and expiries[0][0] == now:  # once per packet
-            packet = heapq.heappop(expiries)[2]
+            expiry = heapq.heappop(expiries)
+            packet = expiry[2]
             node = at[packet.id]
             if node not in next_hop:
-                del at[packet.id], live[packet.id]  # delivered on time
+                del at[packet.id]  # delivered on time
                 continue
             tx = air.get(node)
             was_queued = tx is None or tx.packet_id != packet.id
             missed += 1
             if first_miss_capacity is None:
-                # snapshot includes the packet that just expired
+                # a packet claims capacity from arrival until its expiry, even
+                # once delivered: before the first miss that is the expiry
+                # heap plus the packet just expired, summed in workload order
+                claimants = sorted([*expiries, expiry], key=itemgetter(1))
                 first_miss_capacity = measured_capacity_consumption(
                     ((hop_count[p.origin] - hop_count[at[p.id]],
-                      p.relative_deadline) for p in live.values()), size)
+                      p.relative_deadline) for _, _, p in claimants), size)
                 first_miss_time = now
                 stop = config.stop_at_first_miss
-            del live[packet.id]
             if config.drop_on_miss:
-                dropped.add(packet.id)
                 del at[packet.id]
                 if was_queued:
                     touched.add(node)

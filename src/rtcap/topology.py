@@ -2,6 +2,8 @@
 adjacency, uniform sink placement, and shortest-hop routing to the nearest
 sink.
 
+A node is its index: node v is `topology.nodes[v]`, a `Node` holds only its
+position, and a topology file's ids must read 0..n-1 in file order.
 Construction is deterministic for a fixed seed. A `Topology` is built whole:
 its adjacency is computed once, from its nodes and radio range, when it is
 constructed. The sinks live only in the route table: `place_sinks` chooses
@@ -13,6 +15,7 @@ pickle), so they may be shared freely across concurrent simulation runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -33,7 +36,6 @@ class RoutingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Node:
-    id: int
     x: float
     y: float
 
@@ -115,34 +117,30 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
 
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-jitter * spacing, jitter * spacing, size=(rows * cols, 2))
-    nodes = []
-    for r in range(rows):
-        for c in range(cols):
-            k = r * cols + c
-            nodes.append(Node(id=k,
-                              x=float(c * spacing + offsets[k, 0]),
-                              y=float(r * spacing + offsets[k, 1])))
-    return Topology(nodes, radio_range, GridSpec(rows, cols, spacing, jitter, seed))
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    positions = np.column_stack((c, r)) * spacing + offsets
+    return Topology(itertools.starmap(Node, positions.tolist()), radio_range,
+                    GridSpec(rows, cols, spacing, jitter, seed))
 
 
 def compute_adjacency(topology: Topology, radio_range: float) -> Mapping:
     """Disk-model adjacency of the topology's nodes at radio_range, as a
     read-only mapping: nodes are neighbors iff their Euclidean distance is
     <= radio_range (boundary inclusive). Symmetric by construction; a node
-    is not its own neighbor. Reads only the nodes and writes nothing.
+    is not its own neighbor. Reads only the nodes and writes nothing. Scans
+    one row of squared distances at a time (no n x n matrix); the sets hold
+    the keys' own `int` objects, one per node.
     """
     if not (radio_range > 0):
         raise ValueError("radio_range must be > 0")
     pos = topology.positions()
-    n = len(pos)
+    ids = list(range(len(pos)))
+    reach = radio_range * radio_range
     adjacency = {}
-    if n:
-        d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-        within = d2 <= radio_range * radio_range
-        np.fill_diagonal(within, False)
-        for i, node in enumerate(topology.nodes):
-            adjacency[node.id] = frozenset(
-                topology.nodes[j].id for j in np.flatnonzero(within[i]))
+    for v in ids:
+        within = ((pos - pos[v]) ** 2).sum(axis=1) <= reach
+        within[v] = False
+        adjacency[v] = frozenset(map(ids.__getitem__, np.flatnonzero(within).tolist()))
     return MappingProxyType(adjacency)
 
 
@@ -229,13 +227,12 @@ def build_routes(topology: Topology, sinks: Iterable) -> RouteTable:
                     nxt.append(w)
         frontier = sorted(nxt)
 
-    unreachable = [n.id for n in topology.nodes if n.id not in hop_count]
+    unreachable = [v for v in adjacency if v not in hop_count]
     if unreachable:
         raise RoutingError(unreachable)
 
     next_hop = {}
-    for node in topology.nodes:
-        v = node.id
+    for v in adjacency:
         if hop_count[v] == 0:
             continue
         next_hop[v] = min(w for w in adjacency[v] if hop_count[w] == hop_count[v] - 1)
@@ -256,7 +253,7 @@ def topology_stats(topology: Topology, routes: RouteTable) -> TopologyStats:
     neighborhood_bound is the largest contention set, nodes_per_disk the mean
     contention set rounded to the nearest integer, max_hops the longest route.
     """
-    sizes = [len(topology.adjacency[n.id]) + 1 for n in topology.nodes]
+    sizes = [len(nbrs) + 1 for nbrs in topology.adjacency.values()]
     u = max(sizes)
     m = int(math.floor(sum(sizes) / len(sizes) + 0.5))
     max_hops = max(routes.hop_count.values())
@@ -264,8 +261,9 @@ def topology_stats(topology: Topology, routes: RouteTable) -> TopologyStats:
 
 
 def save_topology(topology: Topology, path, sinks: Iterable) -> None:
-    """Write the node list as plain text: one `id x y is_sink` line per node,
-    is_sink 1 for the ids in `sinks`, preceded by a header recording the
+    """Write the node list as plain text: one `id x y is_sink` line per node
+    in node order, so the ids read 0..n-1, is_sink 1 for the ids in `sinks`,
+    preceded by a header recording the
     grid parameters and radio range. Floats are written with repr so a
     round trip is bit-exact."""
     sinks = set(sinks)
@@ -276,8 +274,8 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
                      f"jitter={g.jitter!r} seed={g.seed}")
     lines.append(f"# radio_range={topology.radio_range!r}")
     lines.append("# columns: id x y is_sink")
-    for node in topology.nodes:
-        lines.append(f"{node.id} {node.x!r} {node.y!r} {int(node.id in sinks)}")
+    for v, node in enumerate(topology.nodes):
+        lines.append(f"{v} {node.x!r} {node.y!r} {int(v in sinks)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -285,7 +283,8 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
 def load_topology(path) -> tuple:
     """Read a file written by save_topology and return (topology, sinks),
     sinks a tuple in node order. The adjacency is recomputed from the radio
-    range in the header; a file without one is a ValueError."""
+    range in the header; a file without one, or whose ids do not read
+    0..n-1 in file order, is a ValueError."""
     grid = None
     radio_range = None
     nodes = []
@@ -306,9 +305,12 @@ def load_topology(path) -> tuple:
                     radio_range = float(body.split("=", 1)[1])
                 continue
             ident, x, y, sink = line.split()
-            nodes.append(Node(id=int(ident), x=float(x), y=float(y)))
+            if int(ident) != len(nodes):
+                raise ValueError(f"{path}: node ids must read 0..n-1 in file "
+                                 f"order, found id {ident} at {len(nodes)}")
             if int(sink):
-                sinks.append(int(ident))
+                sinks.append(len(nodes))
+            nodes.append(Node(float(x), float(y)))
     if radio_range is None:
         raise ValueError(f"{path}: no radio_range in the header")
     return Topology(nodes, radio_range, grid), tuple(sinks)

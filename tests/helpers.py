@@ -134,12 +134,12 @@ def max_node_utilizations(topology, routes, workload, tx_time):
             deltas[v].append((p.arrival_time, u))
             deltas[v].append((p.absolute_deadline, -u))
     peaks = {}
-    for node in topology.nodes:
+    for v in topology.adjacency:
         level = peak = 0.0
-        for _, d in sorted(deltas.get(node.id, [])):
+        for _, d in sorted(deltas.get(v, [])):
             level += d
             peak = max(peak, level)
-        peaks[node.id] = peak
+        peaks[v] = peak
     return peaks
 
 
@@ -149,10 +149,10 @@ def instance_is_dm_feasible(topology, routes, workload, tx_time):
     peaks = max_node_utilizations(topology, routes, workload, tx_time)
     cont = tp.contention_sets(topology)
     vq = {x: sum(peaks[y] for y in members) for x, members in cont.items()}
-    for node in topology.nodes:
-        if node.id in routes.sinks:
+    for origin in topology.adjacency:
+        if origin in routes.sinks:
             continue
-        senders = routes.route(node.id)[:-1]
+        senders = routes.route(origin)[:-1]
         if not an.dm_path_feasible([vq[v] for v in senders]).feasible:
             return False
     return True

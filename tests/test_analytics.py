@@ -477,6 +477,15 @@ class TestAnalyticParamsValidation:
         with pytest.raises(ValueError):
             an.AnalyticParams(node_count=1, bandwidth=0.0)
 
+    @pytest.mark.parametrize("field", [
+        "node_count", "bandwidth", "neighborhood_bound", "inversion_factor",
+        "path_length", "nodes_per_disk", "max_hops", "sink_count"])
+    def test_nan_refused(self, field):
+        values = dict(node_count=1, bandwidth=1.0)
+        values[field] = math.nan
+        with pytest.raises(ValueError, match=field):
+            an.AnalyticParams(**values)
+
     def test_counts(self):
         with pytest.raises(ValueError):
             an.AnalyticParams(node_count=0, bandwidth=1.0)

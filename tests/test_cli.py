@@ -54,6 +54,19 @@ class TestAnalyze:
         assert code == 0
         assert float(out.strip()) == 1.0
 
+    @pytest.mark.parametrize("argv,field", [
+        (["--N", "nan"], "path_length"),
+        (["--topology", "convergecast", "--scheduler", "edf", "--m", "nan"],
+         "nodes_per_disk"),
+        (["--topology", "convergecast", "--mode", "approximate", "--Kd", "nan"],
+         "max_hops")], ids=["N", "m", "Kd"])
+    def test_nan_parameter_is_usage_error(self, argv, field, capsys):
+        # each of these printed nan and exited 0 before AnalyticParams
+        # refused NaN
+        code, _ = run_cli(["analyze"] + argv)
+        assert code == 1
+        assert field in capsys.readouterr().err
+
     def test_convergecast_round_trip(self):
         code, out = run_cli(["analyze", "--topology", "convergecast",
                              "--scheduler", "dm", "--m", "10", "--Kd", "4",

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from rtcap import experiments as ex
 from rtcap import simcore as sc
@@ -182,7 +181,7 @@ class TestWorkloadStreams:
         cfg = sc.SimConfig(arrival_rate=9.0, duration=20.0, seed=6,
                            deadline_set=(0.5, 1.0, 2.0))
         rounds = np.random.SeedSequence(cfg.seed)
-        last = {node.id: 0.0 for node in topo.nodes}
+        last = dict.fromkeys(range(topo.node_count), 0.0)
         raw = []
         while any(last[v] <= cfg.duration for v in last if v not in routes.sinks):
             rng = np.random.default_rng(rounds.spawn(1)[0])
@@ -190,14 +189,13 @@ class TestWorkloadStreams:
             gaps = rng.exponential(1.0 / cfg.arrival_rate, shape)
             index = rng.integers(len(cfg.deadline_set), size=shape)
             ties = rng.random(shape)
-            for row, node in enumerate(topo.nodes):
+            for v in range(topo.node_count):
                 for k in range(sc._BLOCK):
-                    last[node.id] += float(gaps[row, k])
-                    if node.id not in routes.sinks and \
-                            last[node.id] <= cfg.duration:
-                        raw.append((last[node.id], node.id,
-                                    cfg.deadline_set[index[row, k]],
-                                    float(ties[row, k])))
+                    last[v] += float(gaps[v, k])
+                    if v not in routes.sinks and last[v] <= cfg.duration:
+                        raw.append((last[v], v,
+                                    cfg.deadline_set[index[v, k]],
+                                    float(ties[v, k])))
         # more than two blocks per source: at least three rounds
         assert len(raw) > 2 * sc._BLOCK * (len(topo.nodes) - 1)
         expected = tuple(sc.Packet(pid, origin, t, d, tie)
@@ -586,7 +584,7 @@ class TestRunProperties:
         assert stopped.missed >= 1
 
     def test_miss_ratio_monotone_in_rate(self):
-        # statistical trend across seeds, not per-seed monotonicity
+        # trend of the per-rate means over seeds, not per-seed monotonicity
         rates = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
         topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2,
                                        seed=1, radio_range=15.0, sink_count=1)
@@ -599,8 +597,11 @@ class TestRunProperties:
                 wl = sc.generate_workload(topo, routes, cfg)
                 ratios.append(sc.run_simulation(topo, routes, wl, cfg).miss_ratio)
             means.append(np.mean(ratios))
-        rho = stats.spearmanr(rates, means).statistic
-        assert rho >= 0.9
+        # the trend as criterion 7 states it; a rank correlation is
+        # degenerate over the low rates' tied zero means
+        assert means == sorted(means)
+        assert means[0] == 0.0
+        assert means[-1] > 0.25
 
 
 # ---------------------------------------------------------------------------

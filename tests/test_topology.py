@@ -53,8 +53,8 @@ class TestPerturbedGrid:
 
     def test_jitter_bounded(self):
         topo = tp.generate_perturbed_grid(10, 10, 10.0, 0.25, seed=3, radio_range=10.0)
-        for node in topo.nodes:
-            r, c = divmod(node.id, 10)
+        for v, node in enumerate(topo.nodes):
+            r, c = divmod(v, 10)
             assert abs(node.x - c * 10.0) <= 2.5
             assert abs(node.y - r * 10.0) <= 2.5
 
@@ -89,6 +89,31 @@ class TestAdjacency:
             for b in nbrs:
                 assert a in adj[b]
 
+    @pytest.mark.parametrize("jitter,radio_range", [
+        (0.0, 10.0), (0.25, 9.0), (0.25, 14.5), (0.4, 20.5), (0.1, 31.0)],
+        ids=["grid-at-range", "sparse", "eight", "criterion6", "wide"])
+    def test_matches_pair_scan(self, jitter, radio_range):
+        # every ordered pair tested in pure Python, boundary inclusive; at
+        # jitter 0 and range = spacing the grid neighbours sit exactly on it
+        topo = tp.generate_perturbed_grid(7, 9, 10.0, jitter, seed=3,
+                                          radio_range=radio_range)
+        reach = radio_range * radio_range
+        oracle = {v: frozenset(w for w, b in enumerate(topo.nodes) if w != v
+                               and (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= reach)
+                  for v, a in enumerate(topo.nodes)}
+        assert list(topo.adjacency) == list(range(topo.node_count))
+        assert topo.adjacency == oracle
+        if jitter == 0.0:
+            assert topo.adjacency[10] == frozenset({1, 9, 11, 19})
+
+    def test_one_int_object_per_node(self):
+        # adjacency sets and route entries share the adjacency's keys, so
+        # the simulator's dict and set lookups hit by identity
+        topo, routes = tp.make_network(20, 20, radio_range=15.0, sink_count=4)
+        ids = list(topo.adjacency)
+        assert all(w is ids[w] for nbrs in topo.adjacency.values() for w in nbrs)
+        assert all(v is ids[v] and w is ids[w] for v, w in routes.next_hop.items())
+
     def test_contention_sets_add_self(self):
         topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0, radio_range=10.0)
         cont = tp.contention_sets(topo)
@@ -112,7 +137,7 @@ class TestSinkPlacement:
         topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0, radio_range=10.0)
         sinks = tp.place_sinks(topo, 9)
         assert sinks == list(range(9))
-        assert all(n.id in sinks for n in topo.nodes)
+        assert all(v in sinks for v in range(topo.node_count))
 
     def test_center_of_odd_square(self):
         topo = tp.generate_perturbed_grid(5, 5, 10.0, 0.0, seed=0, radio_range=10.0)
@@ -205,10 +230,10 @@ class TestRoutes:
     def test_following_next_hop_reaches_assigned_sink(self):
         topo, routes = tp.make_network(5, 8, spacing=10.0, jitter=0.2, seed=4,
                                        radio_range=12.0, sink_count=2)
-        for node in topo.nodes:
-            path = routes.route(node.id)
-            assert len(path) - 1 == routes.hop_count[node.id]
-            assert path[-1] == routes.assigned_sink[node.id]
+        for v in range(topo.node_count):
+            path = routes.route(v)
+            assert len(path) - 1 == routes.hop_count[v]
+            assert path[-1] == routes.assigned_sink[v]
             assert path[-1] in routes.sinks
 
 
@@ -289,8 +314,8 @@ class TestPersistence:
         path = tmp_path / "topo.txt"
         tp.save_topology(topo, path, routes.sinks)
         loaded, sinks = tp.load_topology(path)
-        assert [(n.id, n.x, n.y, n.id in sinks) for n in loaded.nodes] == \
-               [(n.id, n.x, n.y, n.id in routes.sinks) for n in topo.nodes]
+        assert [(v, n.x, n.y, v in sinks) for v, n in enumerate(loaded.nodes)] == \
+               [(v, n.x, n.y, v in routes.sinks) for v, n in enumerate(topo.nodes)]
         assert loaded.grid == topo.grid
         assert loaded.radio_range == topo.radio_range
         assert loaded.adjacency == topo.adjacency
@@ -323,6 +348,43 @@ class TestPersistence:
                                 if not line.startswith("# radio_range=")))
         with pytest.raises(ValueError, match="topo.txt"):
             tp.load_topology(path)
+
+    @pytest.mark.parametrize("renumber", [
+        lambda ids: [v + 100 for v in ids],
+        lambda ids: [ids[1], ids[0]] + ids[2:]], ids=["shifted", "swapped"])
+    def test_ids_out_of_order_rejected(self, tmp_path, renumber):
+        # ids are positions: a file that numbers its nodes any other way
+        # is refused, not loaded under ids no other code reads
+        topo, routes = tp.make_network(5, 5, radio_range=15.0, sink_count=1)
+        path = tmp_path / "topo.txt"
+        tp.save_topology(topo, path, routes.sinks)
+        lines = path.read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        rows = [line.split(" ", 1) for line in lines if not line.startswith("#")]
+        ids = renumber([int(ident) for ident, _ in rows])
+        path.write_text("\n".join(header + [f"{v} {rest}" for v, (_, rest)
+                                             in zip(ids, rows)]) + "\n")
+        with pytest.raises(ValueError, match="topo.txt"):
+            tp.load_topology(path)
+
+    @pytest.mark.parametrize("rows,cols,count,mode,with_grid", [
+        (5, 5, 1, "subgrid", True), (4, 7, 4, "subgrid", True),
+        (6, 6, 3, "random", True), (3, 8, 2, "random", False)],
+        ids=["center", "subgrid", "random", "no-grid"])
+    def test_loaded_topology_routes_placed_sinks(self, tmp_path, rows, cols,
+                                                 count, mode, with_grid):
+        # place_sinks chooses positions and build_routes takes ids: on a
+        # loaded topology they must name the same nodes
+        topo = tp.generate_perturbed_grid(rows, cols, 10.0, 0.25, seed=5,
+                                          radio_range=20.5)
+        if not with_grid:
+            topo = tp.Topology(topo.nodes, topo.radio_range)
+        path = tmp_path / "topo.txt"
+        tp.save_topology(topo, path, ())
+        loaded, _ = tp.load_topology(path)
+        sinks = tp.place_sinks(loaded, count, seed=5, mode=mode)
+        assert sinks == tp.place_sinks(topo, count, seed=5, mode=mode)
+        assert tp.build_routes(loaded, sinks) == tp.build_routes(topo, sinks)
 
     def test_full_determinism(self, tmp_path):
         a = tmp_path / "a.txt"
