@@ -9,6 +9,11 @@ the capacity consumed by deadline-live traffic at the instant of the first
 miss (a packet claims capacity from its arrival until its deadline passes;
 a missed packet's claim drops to zero).
 
+The scheduling policy lives in `priority_key` alone. A packet's key is
+computed once, when the packet is queued at a node, and queued with it; the
+MAC (`admissible_transmissions`) grants candidates in the order of the keys
+it is given and knows no rule of its own.
+
 Arbitration is incremental. A `Medium` holds the busy endpoints and, per
 node, how many active senders and how many active receivers have that node
 in radio range; each grant and each completion updates it once, in
@@ -60,7 +65,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
@@ -141,10 +145,10 @@ class SimConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Arrivals(Sequence):
+class Arrivals:
     """A workload's arrivals in workload order as five read-only numpy
-    columns, one per `Packet` field, read as a sequence of `Packet`s that
-    are built on demand. It supports `len`, indexing, slicing (to a tuple),
+    columns, one per `Packet` field, read as `Packet`s that are built on
+    demand. It supports `len`, integer indexing (so `bisect` works on it),
     iteration and equality with other `Arrivals` or with a tuple of
     packets."""
 
@@ -167,9 +171,7 @@ class Arrivals(Sequence):
     def __len__(self) -> int:
         return len(self.id)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
+    def __getitem__(self, index: int) -> Packet:
         return Packet._make(column[index].item() for column in self.columns())
 
     def __iter__(self):
@@ -289,8 +291,9 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
 class Medium:
     """The shared channel: busy endpoints plus, per node, how many active
     senders (`near_senders`) and active receivers (`near_receivers`) have
-    that node in radio range. Adjacency is open (a node is not its own
-    neighbour); an endpoint's own use of the channel is tracked by `busy`.
+    that node in radio range, as lists indexed by node. Adjacency is open
+    (a node is not its own neighbour); an endpoint's own use of the channel
+    is tracked by `busy`.
     """
 
     __slots__ = ("adjacency", "busy", "near_senders", "near_receivers")
@@ -298,8 +301,8 @@ class Medium:
     def __init__(self, adjacency: dict):
         self.adjacency = adjacency
         self.busy = set()
-        self.near_senders = dict.fromkeys(adjacency, 0)
-        self.near_receivers = dict.fromkeys(adjacency, 0)
+        self.near_senders = [0] * len(adjacency)
+        self.near_receivers = [0] * len(adjacency)
 
     def occupy(self, sender: int, receiver: int) -> None:
         self.busy.add(sender)
@@ -320,25 +323,27 @@ class Medium:
             near_receivers[v] -= 1
 
     def is_idle(self) -> bool:
-        return not (self.busy or any(self.near_senders.values())
-                    or any(self.near_receivers.values()))
+        return not (self.busy or any(self.near_senders)
+                    or any(self.near_receivers))
 
 
 def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
-    """Grant head-of-queue transmissions in global priority order under the
-    spatial exclusion rule.
+    """Grant head-of-queue transmissions in the order of their given keys
+    under the spatial exclusion rule.
 
-    candidates are (packet, sender, receiver) triples. A candidate is granted
-    iff its sender is outside radio range of every receiving node, its
-    receiver is outside radio range of every sending node (counting both the
-    already-active transmissions in `medium` and grants made earlier in this
-    pass), and neither endpoint is already engaged. Each grant occupies the
-    medium. Returns the granted triples in priority order.
+    candidates are (key, packet, sender, receiver) tuples; the key is the
+    packet's priority, computed when it was queued, smallest first. A
+    candidate is granted iff its sender is outside radio range of every
+    receiving node, its receiver is outside radio range of every sending node
+    (counting both the already-active transmissions in `medium` and grants
+    made earlier in this pass), and neither endpoint is already engaged. Each
+    grant occupies the medium. Returns the granted (packet, sender, receiver)
+    triples in key order.
     """
     busy = medium.busy
     near_senders, near_receivers = medium.near_senders, medium.near_receivers
     granted = []
-    for packet, sender, receiver in sorted(candidates, key=lambda c: priority_key(c[0])):
+    for _, packet, sender, receiver in sorted(candidates, key=itemgetter(0)):
         if sender in busy or receiver in busy:
             continue
         if near_receivers[sender] or near_senders[receiver]:
@@ -376,43 +381,17 @@ def _verify_exclusion(sender: int, receiver: int, air: dict,
                 f"receiver {receiver} inside range of sending node {v}")
 
 
-def _release_reach(adjacency: dict, next_hop: dict) -> dict:
-    """reach[x] = N[x] | {v : next_hop[v] in N[x]}: every node whose
-    head-of-queue transmission freeing endpoint x can unblock."""
-    senders_to = {x: [] for x in adjacency}
+def _release_reach(adjacency: dict, next_hop: dict) -> list:
+    """reach[x] = N[x] | {v : next_hop[v] in N[x]}, indexed by node x: every
+    node whose head-of-queue transmission freeing endpoint x can unblock."""
+    senders_to = [[] for _ in adjacency]
     for v, w in next_hop.items():
         senders_to[w].append(v)
-    reach = {}
+    reach = []
     for x, nbrs in adjacency.items():
         ball = nbrs | {x}
-        reach[x] = frozenset(ball.union(*(senders_to[y] for y in ball)))
+        reach.append(frozenset(ball.union(*(senders_to[y] for y in ball))))
     return reach
-
-
-class _NodeQueue:
-    """Per-node priority queue with lazy removal of dropped packets, the
-    queued packets whose ids have left the run's `at` mapping."""
-
-    __slots__ = ("heap", "at")
-
-    def __init__(self, at: dict):
-        self.heap = []
-        self.at = at
-
-    def push(self, packet: Packet):
-        heapq.heappush(self.heap, (priority_key(packet), packet))
-
-    def head(self) -> Optional[Packet]:
-        while self.heap:
-            packet = self.heap[0][1]
-            if packet.id not in self.at:
-                heapq.heappop(self.heap)
-                continue
-            return packet
-        return None
-
-    def pop_head(self) -> Packet:
-        return heapq.heappop(self.heap)[1]
 
 
 def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
@@ -428,18 +407,19 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     Every hop takes `tx_time`, so completions come due in grant order and
     wait in a FIFO; expiries wait in a heap keyed by deadline and workload
     position. The run keeps each packet's node from its arrival until it
-    leaves the network.
+    leaves the network, and one priority heap per backlogged node, whose
+    entries carry the key computed when the packet was queued.
 
     The `Medium` keeps, per node, the number of active senders and of active
     receivers in range, updated once per grant and once per completion.
     After the phases of each instant, the medium is re-arbitrated over the
-    backlogged nodes the instant touched (arrivals, dropped heads) plus
-    reach[x] for every endpoint x a completion freed. That gives the
-    same grants as a pass over the whole backlog: freeing x can only unblock
-    a head (v, next_hop[v]) through v or next_hop[v] lying in N[x], every
-    other idle head was blocked after the previous pass by a transmission
-    that is still active, and grants within a pass only add blocking. The
-    spatial exclusion invariant is re-verified on every grant against the
+    backlogged nodes (those with a heap) the instant touched (arrivals,
+    dropped heads) plus reach[x] for every endpoint x a completion freed.
+    That gives the same grants as a pass over the whole backlog: freeing x
+    can only unblock a head (v, next_hop[v]) through v or next_hop[v] lying
+    in N[x], every other idle head was blocked after the previous pass by a
+    transmission that is still active, and grants within a pass only add
+    blocking. The spatial exclusion invariant is re-verified on every grant against the
     active transmissions, and a run that drains without stopping must leave
     the medium idle. Deadline misses are detected eagerly by expiry timers so
     the capacity consumption at the first miss is sampled at the right
@@ -471,19 +451,24 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     # packet id -> the node holding it: queued, sending, or the sink that
     # took it on time, until its expiry; a dropped or late packet has left
     at = {}
-    queues = [_NodeQueue(at) for _ in range(topology.node_count)]
-    backlog = set()
+    kept = set()           # ids of missed packets that go on forwarding
+    # backlogged node -> heap of (priority_key(packet), packet), held only
+    # while the heap is non-empty; a dropped packet leaves once it is the head
+    queues = {}
     medium = Medium(adjacency)
     busy = medium.busy
     air = {}               # busy endpoint -> its ActiveTransmission
     log = event_log.append if event_log is not None else None
 
-    delivered = 0
     missed = 0
     delays = []
     first_miss_capacity = None
     first_miss_time = None
     stop = False
+
+    def enqueue(node, packet):
+        at[packet.id] = node
+        heapq.heappush(queues.setdefault(node, []), (priority_key(packet), packet))
 
     def grant_pass(nodes):
         if not nodes:
@@ -492,18 +477,20 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
         for v in nodes:
             if v in busy:
                 continue
-            head = queues[v].head()
-            if head is None:
-                backlog.discard(v)
-                continue
-            candidates.append((head, v, next_hop[v]))
+            heap = queues[v]
+            while heap and heap[0][1].id not in at:
+                heapq.heappop(heap)
+            if heap:
+                candidates.append((*heap[0], v, next_hop[v]))
+            else:
+                del queues[v]
         for packet, s, r in admissible_transmissions(candidates, medium):
             _verify_exclusion(s, r, air, adjacency)
-            popped = queues[s].pop_head()
-            if popped is not packet:
+            heap = queues[s]
+            if heapq.heappop(heap)[1] is not packet:
                 raise InvariantError(f"queue head changed under grant at node {s}")
-            if queues[s].head() is None:
-                backlog.discard(s)
+            if not heap:
+                del queues[s]
             tx = air[s] = air[r] = ActiveTransmission(s, r, packet.id)
             completions.append((now + tx_time, packet, tx))
             if log:
@@ -527,9 +514,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             if packet.id not in at:
                 continue  # missed mid-flight and dropped at hop boundary
             if r in next_hop:
-                at[packet.id] = r
-                queues[r].push(packet)
-                backlog.add(r)
+                enqueue(r, packet)
                 if log:
                     log(f"{now!r} enqueue {r} {packet.id}")
             elif now > packet.absolute_deadline:
@@ -538,16 +523,13 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 del at[packet.id]
             else:
                 at[packet.id] = r
-                delivered += 1
                 delays.append(now - packet.arrival_time)
                 if log:
                     log(f"{now!r} deliver {r} {packet.id}")
 
         while times[cursor] == now:
             packet = next(pending)
-            at[packet.id] = packet.origin
-            queues[packet.origin].push(packet)
-            backlog.add(packet.origin)
+            enqueue(packet.origin, packet)
             touched.add(packet.origin)
             heapq.heappush(expiries, (packet.absolute_deadline, cursor, packet))
             cursor += 1
@@ -579,6 +561,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 del at[packet.id]
                 if was_queued:
                     touched.add(node)
+            else:
+                kept.add(packet.id)
             if log:
                 loc = node if was_queued else "air"
                 log(f"{now!r} miss {loc} {packet.id} "
@@ -586,15 +570,19 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
         if stop:
             break
-        grant_pass(touched & backlog)
+        grant_pass(touched & queues.keys())
 
     if not stop and not medium.is_idle():
         raise InvariantError("medium not idle after the run drained")
 
-    in_flight = arrivals - delivered - missed
+    # counted from what the run still holds, not from the other counts:
+    # arrivals the cursor has not read, and packets at a non-sink node,
+    # queued or in the air, that have not missed
+    in_flight = arrivals - cursor + sum(
+        1 for pid, node in at.items() if node in next_hop and pid not in kept)
     return RunMetrics(
         packets_generated=arrivals,
-        delivered=delivered,
+        delivered=len(delays),
         missed=missed,
         miss_ratio=missed / arrivals if arrivals else 0.0,
         capacity_consumption_at_first_miss=first_miss_capacity,

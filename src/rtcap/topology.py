@@ -210,20 +210,28 @@ def build_routes(topology: Topology, sinks: Iterable) -> RouteTable:
     RoutingError when any node has no path to a sink.
     """
     adjacency = topology.adjacency
-    sink_list = sorted(set(sinks))
-    if not sink_list:
+    requested = set(sinks)
+    if not requested:
         raise ValueError("no sinks given")
-    unknown = [s for s in sink_list if s not in adjacency]
+    unknown = sorted(s for s in requested if s not in adjacency)
     if unknown:
         raise ValueError(f"sinks {unknown} are not nodes of the topology")
-    hop_count = {s: 0 for s in sink_list}
-    frontier = list(sink_list)
+    # the adjacency's own int objects; every frontier is scanned in
+    # ascending order, so the first node to discover w is w's smallest-id
+    # neighbour one hop closer
+    sink_ids = tuple(v for v in adjacency if v in requested)
+    hop_count = dict.fromkeys(sink_ids, 0)
+    next_hop = {}
+    assigned_sink = {s: s for s in sink_ids}
+    frontier = sink_ids
     while frontier:
         nxt = []
         for v in frontier:
             for w in adjacency[v]:
                 if w not in hop_count:
                     hop_count[w] = hop_count[v] + 1
+                    next_hop[w] = v
+                    assigned_sink[w] = assigned_sink[v]
                     nxt.append(w)
         frontier = sorted(nxt)
 
@@ -231,20 +239,9 @@ def build_routes(topology: Topology, sinks: Iterable) -> RouteTable:
     if unreachable:
         raise RoutingError(unreachable)
 
-    next_hop = {}
-    for v in adjacency:
-        if hop_count[v] == 0:
-            continue
-        next_hop[v] = min(w for w in adjacency[v] if hop_count[w] == hop_count[v] - 1)
-
-    assigned_sink = {s: s for s in sink_list}
-    for v in sorted(hop_count, key=hop_count.get):
-        if v not in assigned_sink:
-            assigned_sink[v] = assigned_sink[next_hop[v]]
-
     readonly = MappingProxyType
     return RouteTable(readonly(next_hop), readonly(hop_count), readonly(assigned_sink),
-                      tuple(sink_list))
+                      sink_ids)
 
 
 def topology_stats(topology: Topology, routes: RouteTable) -> TopologyStats:

@@ -157,7 +157,7 @@ class TestWorkloadStreams:
         long = sc.generate_workload(topo, routes, cfg)
         short = sc.generate_workload(topo, routes, replace(cfg, duration=8.0))
         assert 0 < len(short.packets) < len(long.packets)
-        assert short.packets == long.packets[:len(short.packets)]
+        assert short.packets == tuple(long.packets)[:len(short.packets)]
         assert long.packets[len(short.packets)].arrival_time > 8.0
 
     def test_first_miss_does_not_depend_on_duration(self, probe_network):
@@ -239,7 +239,6 @@ class TestWorkloadStreams:
         assert len(packets) == len(listed) >= 3
         assert all(type(p) is sc.Packet for p in listed)
         assert packets[0] == listed[0] and packets[-1] == listed[-1]
-        assert packets[1:] == listed[1:]
         assert packets == listed and packets != listed[:-1]
         middle = listed[1].arrival_time
         assert bisect_right(packets, middle, key=lambda p: p.arrival_time) == \
@@ -253,6 +252,12 @@ class TestWorkloadStreams:
 # Medium arbitration
 # ---------------------------------------------------------------------------
 
+def dm(packet, sender, receiver):
+    """A MAC candidate keyed in deadline-monotonic order, as the run queues
+    it."""
+    return (sc.priority_key(packet), packet, sender, receiver)
+
+
 class TestAdmissibleTransmissions:
     def medium(self, n, active=()):
         topo, _ = chain_network(n)
@@ -264,45 +269,64 @@ class TestAdmissibleTransmissions:
     def test_single_candidate_granted(self):
         medium = self.medium(3)
         pkt = mk_packet(0, 0, 0.0, 1.0)
-        grants = sc.admissible_transmissions([(pkt, 0, 1)], medium)
+        grants = sc.admissible_transmissions([dm(pkt, 0, 1)], medium)
         assert grants == [(pkt, 0, 1)]
 
     def test_sender_near_active_receiver_blocked(self):
         medium = self.medium(4, [sc.ActiveTransmission(0, 1, 99)])
         pkt = mk_packet(0, 2, 0.0, 1.0)
-        assert sc.admissible_transmissions([(pkt, 2, 3)], medium) == []
+        assert sc.admissible_transmissions([dm(pkt, 2, 3)], medium) == []
 
     def test_receiver_near_active_sender_blocked(self):
         medium = self.medium(4, [sc.ActiveTransmission(1, 0, 99)])
         pkt = mk_packet(0, 3, 0.0, 1.0)
         # receiver 2 is inside sender 1's range
-        assert sc.admissible_transmissions([(pkt, 3, 2)], medium) == []
+        assert sc.admissible_transmissions([dm(pkt, 3, 2)], medium) == []
 
     def test_disjoint_neighborhoods_both_granted(self):
         medium = self.medium(6)
         p1 = mk_packet(0, 0, 0.0, 1.0)
         p2 = mk_packet(1, 4, 0.0, 1.0)
-        grants = sc.admissible_transmissions([(p1, 0, 1), (p2, 4, 5)], medium)
+        grants = sc.admissible_transmissions([dm(p1, 0, 1), dm(p2, 4, 5)],
+                                             medium)
         assert len(grants) == 2
 
     def test_priority_wins_shared_receiver(self):
         medium = self.medium(4)
         urgent = mk_packet(0, 3, 0.0, 0.5)
         lax = mk_packet(1, 1, 0.0, 2.0)
-        grants = sc.admissible_transmissions([(lax, 1, 2), (urgent, 3, 2)], medium)
+        grants = sc.admissible_transmissions([dm(lax, 1, 2), dm(urgent, 3, 2)],
+                                             medium)
         assert [g[0].id for g in grants] == [0]
 
     def test_tie_breaks_by_key(self):
         medium = self.medium(4)
         a = mk_packet(5, 1, 0.0, 1.0, tie=0.9)
         b = mk_packet(9, 3, 0.0, 1.0, tie=0.1)
-        grants = sc.admissible_transmissions([(a, 1, 2), (b, 3, 2)], medium)
+        grants = sc.admissible_transmissions([dm(a, 1, 2), dm(b, 3, 2)], medium)
         assert [g[0].id for g in grants] == [9]
+
+    def test_grant_follows_the_given_keys(self):
+        # keys by absolute deadline, as EDF gives them, invert DM's order:
+        # the lax packet arrived first and is due first
+        medium = self.medium(4)
+        lax = mk_packet(0, 1, at=0.0, deadline=2.0)
+        urgent = mk_packet(1, 3, at=1.8, deadline=0.5)
+        assert lax.absolute_deadline < urgent.absolute_deadline
+        assert sc.priority_key(urgent) < sc.priority_key(lax)
+
+        def edf(packet, sender, receiver):
+            key = (packet.absolute_deadline, packet.tie_key, packet.id)
+            return (key, packet, sender, receiver)
+
+        grants = sc.admissible_transmissions(
+            [edf(urgent, 3, 2), edf(lax, 1, 2)], medium)
+        assert grants == [(lax, 1, 2)]
 
     def test_busy_endpoint_blocked(self):
         medium = self.medium(6, [sc.ActiveTransmission(4, 5, 99)])
         pkt = mk_packet(0, 4, 0.0, 1.0)
-        assert sc.admissible_transmissions([(pkt, 4, 3)], medium) == []
+        assert sc.admissible_transmissions([dm(pkt, 4, 3)], medium) == []
 
 
 class TestMedium:
@@ -311,10 +335,10 @@ class TestMedium:
         """Busy endpoints and per-node counts recomputed from the active
         transmissions alone."""
         busy = {v for tx in active for v in (tx.sender, tx.receiver)}
-        near_senders = {v: sum(v in adjacency[tx.sender] for tx in active)
-                        for v in adjacency}
-        near_receivers = {v: sum(v in adjacency[tx.receiver] for tx in active)
-                          for v in adjacency}
+        near_senders = [sum(v in adjacency[tx.sender] for tx in active)
+                        for v in adjacency]
+        near_receivers = [sum(v in adjacency[tx.receiver] for tx in active)
+                          for v in adjacency]
         return busy, near_senders, near_receivers
 
     @pytest.mark.parametrize("seed", range(5))
@@ -334,7 +358,7 @@ class TestMedium:
                 s = int(rng.choice(sorted(routes.next_hop)))
                 r = routes.next_hop[s]
                 pkt = mk_packet(step, s, 0.0, 1.0)
-                if not sc.admissible_transmissions([(pkt, s, r)], medium):
+                if not sc.admissible_transmissions([dm(pkt, s, r)], medium):
                     continue
                 air = {v: tx for tx in active for v in (tx.sender, tx.receiver)}
                 sc._verify_exclusion(s, r, air, adjacency)
@@ -358,8 +382,8 @@ class TestMedium:
         active = []
         for step, s in enumerate(rng.permutation(sorted(routes.next_hop))[:8]):
             s, r = int(s), routes.next_hop[int(s)]
-            if sc.admissible_transmissions([(mk_packet(step, s, 0.0, 1.0), s, r)],
-                                           medium):
+            pkt = mk_packet(step, s, 0.0, 1.0)
+            if sc.admissible_transmissions([dm(pkt, s, r)], medium):
                 active.append(sc.ActiveTransmission(s, r, step))
         air = {v: tx for tx in active for v in (tx.sender, tx.receiver)}
         for s, r in routes.next_hop.items():
@@ -473,7 +497,7 @@ class TestRunSimulationTraces:
                            seed=3)
         packets = sc.generate_workload(topo, routes, cfg).packets
         runs = []
-        for order in (packets, packets[::-1]):
+        for order in (packets, tuple(packets)[::-1]):
             log = []
             m = sc.run_simulation(topo, routes, mk_workload(order), cfg,
                                   event_log=log)
@@ -553,6 +577,32 @@ class TestRunProperties:
         assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
         assert m.in_flight_at_end == 0  # run drains completely
         assert m.miss_ratio == pytest.approx(m.missed / m.packets_generated)
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_in_flight_matches_a_log_replay(self, drop):
+        # a stopped run ends with arrivals unread and packets queued, in the
+        # air and, when kept, missed; its log says which arrived and left
+        topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=7,
+                                       radio_range=15.0, sink_count=1)
+        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=8.0, duration=8.0,
+                           seed=7, drop_on_miss=drop, stop_at_first_miss=True)
+        log = []
+        m = sc.run_simulation(topo, routes, sc.generate_workload(topo, routes, cfg),
+                              cfg, event_log=log)
+        arrived, held, events = 0, set(), {"deliver": 0, "miss": 0}
+        for line in log:
+            _, kind, *fields = line.split()
+            if kind == "arrival":
+                arrived += 1
+                held.add(int(fields[1]))
+            elif kind in events:
+                events[kind] += 1
+                held.remove(int(fields[1]))
+        assert m.first_miss_time is not None and held
+        assert 0 < arrived < m.packets_generated
+        assert (m.delivered, m.missed) == (events["deliver"], events["miss"])
+        assert m.in_flight_at_end == m.packets_generated - arrived + len(held)
+        assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
 
     @pytest.mark.parametrize("drop", [True, False])
     def test_workload_not_written(self, drop):

@@ -223,9 +223,13 @@ class TestRoutes:
     def test_route_progress(self):
         topo, routes = tp.make_network(6, 6, spacing=10.0, jitter=0.25, seed=2,
                                        radio_range=14.0, sink_count=2)
+        hop_count = routes.hop_count
         for v, nxt in routes.next_hop.items():
-            assert routes.hop_count[nxt] == routes.hop_count[v] - 1
+            assert hop_count[nxt] == hop_count[v] - 1
             assert nxt in topo.adjacency[v]
+            # the smallest-id neighbour one hop closer
+            assert nxt == min(w for w in topo.adjacency[v]
+                              if hop_count[w] == hop_count[v] - 1)
 
     def test_following_next_hop_reaches_assigned_sink(self):
         topo, routes = tp.make_network(5, 8, spacing=10.0, jitter=0.2, seed=4,
