@@ -6,11 +6,14 @@ A node is its index: node v is `topology.nodes[v]`, a `Node` holds only its
 position, and a topology file's ids must read 0..n-1 in file order.
 Construction is deterministic for a fixed seed. A `Topology` is built whole:
 its adjacency is computed once, from its nodes and radio range, when it is
-constructed. The sinks live only in the route table: `place_sinks` chooses
-ids and writes nothing, `build_routes` takes them as an argument, and the
-topology file stores them next to the nodes. Nodes, topologies and route
-tables are frozen and hold tuples and read-only mappings (which do not
-pickle), so they may be shared freely across concurrent simulation runs.
+constructed, by a cell list that tests each node only against the nodes of
+the 9 cells, each about one range wide, around it; a node whose position
+is not finite, or a range that is not, is refused there. The sinks live
+only in the route table: `place_sinks` chooses ids and writes nothing,
+`build_routes` takes them as an argument, and the topology file stores them
+next to the nodes. Nodes, topologies and route tables are frozen and hold
+tuples and read-only mappings (which do not pickle), so they may be shared
+freely across concurrent simulation runs.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class Topology:
         return len(self.nodes)
 
     def positions(self) -> np.ndarray:
-        return np.array([(n.x, n.y) for n in self.nodes], dtype=float)
+        return np.array([(n.x, n.y) for n in self.nodes], dtype=float).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -126,22 +129,89 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
 def compute_adjacency(topology: Topology, radio_range: float) -> Mapping:
     """Disk-model adjacency of the topology's nodes at radio_range, as a
     read-only mapping: nodes are neighbors iff their Euclidean distance is
-    <= radio_range (boundary inclusive). Symmetric by construction; a node
-    is not its own neighbor. Reads only the nodes and writes nothing. Scans
-    one row of squared distances at a time (no n x n matrix); the sets hold
-    the keys' own `int` objects, one per node.
+    <= radio_range (boundary inclusive), decided by the exact test
+    `((pos[w] - pos[v]) ** 2).sum() <= radio_range * radio_range`.
+    Symmetric by construction; a node is not its own neighbor. Reads only
+    the nodes and writes nothing. A non-positive radio range, one whose
+    square is not finite, or a node whose position is not finite is a
+    ValueError.
+
+    A cell list, with no loop over nodes and no n-wide distance row: the
+    nodes are binned into square cells of side a hair wider than the range
+    and every node is tested only against the nodes of the 9 cells around
+    and including its own. No pair is missed: floor(x / side) is monotone
+    in x, and the side exceeds the range by more than the rounding of
+    x / side (2**-40 of the range, plus 2**-50 of the largest coordinate),
+    so two coordinates within range land in the same or adjacent cells on
+    each axis. A wider cell only adds candidates, which the exact test then
+    drops. The kept pairs are sorted by (v, w) and each set is built from
+    its row's ascending neighbours, mapped to the keys' own `int` objects
+    (one per node): the same objects in the same order as a scan of every
+    pair, so the sets, and the order they iterate in, are that scan's.
     """
-    if not (radio_range > 0):
-        raise ValueError("radio_range must be > 0")
+    if not (radio_range > 0 and math.isfinite(radio_range * radio_range)):
+        raise ValueError(f"radio_range must be > 0 with a finite square, "
+                         f"got {radio_range!r}")
     pos = topology.positions()
-    ids = list(range(len(pos)))
+    finite = np.isfinite(pos).all(axis=1)
+    if not finite.all():
+        v = int(np.argmin(finite))
+        raise ValueError(f"node {v} has a non-finite position {tuple(pos[v].tolist())}")
+    n = len(pos)
+    pairs = _pairs_in_range(pos, radio_range)
+    bounds = np.searchsorted(pairs, np.arange(n + 1) * n).tolist()
+    ids = list(range(n))
+    # an object array of the ids hands out those very ints, and makes none
+    shared = np.empty(n, dtype=object)
+    shared[:] = ids
+    nbrs = shared[pairs % n].tolist()
+    return MappingProxyType({v: frozenset(nbrs[bounds[v]:bounds[v + 1]]) for v in ids})
+
+
+def _pairs_in_range(pos: np.ndarray, radio_range: float) -> np.ndarray:
+    """Every ordered pair (v, w), v != w, of the finite positions `pos`
+    within radio_range by the exact test, as the ascending keys v * n + w:
+    the cell list of `compute_adjacency`."""
+    n = len(pos)
     reach = radio_range * radio_range
-    adjacency = {}
-    for v in ids:
-        within = ((pos - pos[v]) ** 2).sum(axis=1) <= reach
-        within[v] = False
-        adjacency[v] = frozenset(map(ids.__getitem__, np.flatnonzero(within).tolist()))
-    return MappingProxyType(adjacency)
+    side = radio_range * (1 + 2.0 ** -40) + np.abs(pos).max(initial=0.0) * 2.0 ** -50
+    cells = np.floor(pos / side).astype(np.int64)
+    _, col_steps = _occupied_steps(cells[:, 0])
+    rows, row_steps = _occupied_steps(cells[:, 1])
+    key = col_steps[1] * rows + row_steps[1]
+    order = np.argsort(key)
+    by_cell = key[order]
+    kept = []
+    for col in col_steps:
+        for row in row_steps:
+            v = np.flatnonzero((col >= 0) & (row >= 0))
+            near = col[v] * rows + row[v]
+            lo = np.searchsorted(by_cell, near, "left")
+            count = np.searchsorted(by_cell, near, "right") - lo
+            # node v's candidates are order[lo:lo + count], laid end to end
+            first = np.cumsum(count) - count
+            v = np.repeat(v, count)
+            w = order[np.arange(len(v)) + np.repeat(lo - first, count)]
+            within = (((pos[w] - pos[v]) ** 2).sum(axis=1) <= reach) & (w != v)
+            kept.append(v[within] * n + w[within])
+    pairs = np.concatenate(kept)
+    pairs.sort()
+    return pairs
+
+
+def _occupied_steps(cells: np.ndarray):
+    """Cells along one axis, renumbered by rank among the occupied ones:
+    their count, and for each step d in (-1, 0, 1) the rank of the cell d
+    away from each node's own, -1 where that cell holds no node. Ranks keep
+    the 2-D cell keys below n * n however far apart the cells lie."""
+    occupied, rank = np.unique(cells, return_inverse=True)
+    steps = []
+    for d in (-1, 0, 1):
+        near = rank + d
+        held = (near >= 0) & (near < len(occupied))
+        held[held] = occupied[near[held]] == cells[held] + d
+        steps.append(np.where(held, near, -1))
+    return len(occupied), steps
 
 
 def contention_sets(topology: Topology) -> dict:

@@ -3,11 +3,14 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtcap import topology as tp
 
@@ -23,6 +26,15 @@ def bfs_distance(adjacency, sources):
                 dist[w] = dist[v] + 1
                 q.append(w)
     return dist
+
+
+def pair_scan(nodes, radio_range):
+    """Disk adjacency by testing every ordered pair in pure Python, boundary
+    inclusive: the oracle for `compute_adjacency`."""
+    reach = radio_range * radio_range
+    return {v: frozenset(w for w, b in enumerate(nodes) if w != v and
+                         (a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y) <= reach)
+            for v, a in enumerate(nodes)}
 
 
 def line_topology(n, spacing=10.0, radio_range=10.0):
@@ -97,14 +109,63 @@ class TestAdjacency:
         # jitter 0 and range = spacing the grid neighbours sit exactly on it
         topo = tp.generate_perturbed_grid(7, 9, 10.0, jitter, seed=3,
                                           radio_range=radio_range)
-        reach = radio_range * radio_range
-        oracle = {v: frozenset(w for w, b in enumerate(topo.nodes) if w != v
-                               and (a.x - b.x) ** 2 + (a.y - b.y) ** 2 <= reach)
-                  for v, a in enumerate(topo.nodes)}
         assert list(topo.adjacency) == list(range(topo.node_count))
-        assert topo.adjacency == oracle
+        assert topo.adjacency == pair_scan(topo.nodes, radio_range)
         if jitter == 0.0:
             assert topo.adjacency[10] == frozenset({1, 9, 11, 19})
+
+    def test_empty_topology(self):
+        topo = tp.Topology((), 10.0)
+        assert topo.positions().shape == (0, 2)
+        assert topo.adjacency == {}
+
+    def test_single_node(self):
+        assert tp.Topology([tp.Node(-3.0, 7.5)], 10.0).adjacency == {0: frozenset()}
+
+    def test_sparse_cloud_spanning_1e12_ranges(self):
+        # cell indices reach about 5e11 on each axis, so a key of column
+        # times row count would pass int64; every node has a partner 0.7
+        # ranges away, so an empty or shuffled answer cannot pass
+        rng = np.random.default_rng(12)
+        centres = rng.uniform(-5e11, 5e11, size=(100, 2))
+        angles = rng.uniform(0.0, 2 * np.pi, size=100)
+        partners = centres + 0.7 * np.column_stack((np.cos(angles), np.sin(angles)))
+        nodes = [tp.Node(x, y) for x, y in np.vstack((centres, partners)).tolist()]
+        adjacency = tp.Topology(nodes, 1.0).adjacency
+        assert adjacency == pair_scan(nodes, 1.0)
+        assert all(v + 100 in adjacency[v] for v in range(100))
+
+    def test_scale_matches_kd_tree(self):
+        from scipy.spatial import cKDTree
+        topo = tp.generate_perturbed_grid(100, 200, 10.0, 0.25, seed=0,
+                                          radio_range=20.5)
+        adjacency = topo.adjacency
+        edges = {(v, w) for v, nbrs in adjacency.items() for w in nbrs if v < w}
+        assert edges == cKDTree(topo.positions()).query_pairs(20.5)
+        assert all(v in adjacency[w] for v, nbrs in adjacency.items() for w in nbrs)
+
+    @pytest.mark.parametrize("nodes,radio_range,message", [
+        ([(0.0, 0.0), (5.0, 0.0), (math.nan, 1.0)], 10.0, "node 2"),
+        ([(0.0, 0.0), (5.0, math.inf)], 10.0, "node 1"),
+        ([(-math.inf, 0.0), (5.0, math.nan)], 10.0, "node 0"),
+        ([(0.0, 0.0), (1e300, 0.0)], math.inf, "radio_range"),
+        ([(0.0, 0.0), (1e300, 0.0)], 1e200, "radio_range"),
+        ([(0.0, 0.0)], math.nan, "radio_range")],
+        ids=["nan-x", "inf-y", "first-bad-node", "inf-range", "range-square-overflows",
+             "nan-range"])
+    def test_non_finite_geometry_refused(self, nodes, radio_range, message):
+        # a non-finite node used to come out isolated, and an infinite
+        # range made nodes 1e300 apart neighbours
+        with pytest.raises(ValueError, match=message):
+            tp.Topology(itertools.starmap(tp.Node, nodes), radio_range)
+
+    def test_load_passes_non_finite_node_on(self, tmp_path):
+        topo = line_topology(3)
+        path = tmp_path / "topo.txt"
+        tp.save_topology(topo, path, [2])
+        path.write_text(path.read_text().replace("\n1 10.0 0.0 0", "\n1 nan 0.0 0"))
+        with pytest.raises(ValueError, match="node 1"):
+            tp.load_topology(path)
 
     def test_one_int_object_per_node(self):
         # adjacency sets and route entries share the adjacency's keys, so
@@ -130,6 +191,51 @@ class TestAdjacency:
         assert topo.adjacency == before
         with pytest.raises(TypeError):
             narrower[0] = frozenset()
+
+
+@st.composite
+def point_clouds(draw):
+    """A radio range and up to 45 points around an origin, which may be
+    negative: points on multiples of the range (cell edges, and pairs
+    exactly one range apart across an edge), points spread from a
+    thousandth of a range (the range dwarfs the cloud) to fifty ranges
+    either side, points huddled inside one range, and repeats of earlier
+    points."""
+    radio_range = draw(st.sampled_from([1.0, 0.5, 2.5, 20.5]) | st.floats(1e-3, 1e3))
+    origin = draw(st.sampled_from([0.0, -7.0, 1e6]) | st.floats(-1e4, 1e4)) * radio_range
+    spread = draw(st.sampled_from([1e-3, 0.4, 3.0, 50.0])) * radio_range
+
+    def coordinate(strategy):
+        return strategy.map(lambda c: origin + c)
+
+    on_edges = st.integers(-6, 6).map(lambda k: k * radio_range)
+    spread_out = st.floats(-spread, spread)
+    huddled = st.floats(0.0, 0.9 * radio_range)
+    point = (st.tuples(coordinate(on_edges), coordinate(on_edges))
+             | st.tuples(coordinate(spread_out), coordinate(spread_out))
+             | st.tuples(coordinate(huddled), coordinate(huddled))
+             | st.tuples(coordinate(on_edges), coordinate(spread_out)))
+    points = draw(st.lists(point, max_size=40))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=5))
+    return radio_range, points
+
+
+class TestAdjacencyProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(point_clouds())
+    @example((1.0, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (-1.0, -1.0),
+                    (-1.0, 0.0), (1.0, 0.0)]))                 # one range across edges
+    @example((10.0, [(0.5, 0.5), (9.0, 9.0), (3.0, 7.0), (3.0, 7.0)]))  # one cell
+    @example((1e3, [(-0.5, 0.25), (0.75, -1.0), (0.0, 0.0)]))  # range dwarfs the cloud
+    @example((2.5, [(-5.0, -2.5), (-2.5, -2.5), (-7.5, 0.0), (-5.0, 0.0)]))  # negatives
+    def test_matches_pair_scan(self, cloud):
+        radio_range, points = cloud
+        nodes = list(itertools.starmap(tp.Node, points))
+        adjacency = tp.Topology(nodes, radio_range).adjacency
+        assert list(adjacency) == list(range(len(nodes)))
+        assert adjacency == pair_scan(nodes, radio_range)
+        assert all(v in adjacency[w] for v, nbrs in adjacency.items() for w in nbrs)
 
 
 class TestSinkPlacement:
