@@ -30,8 +30,8 @@ for k in (1, 2, 4, 8, 16, 32, 64):
     d_dm = convergecast_dm_sink_utilization(M, k)
     d_edf = convergecast_edf_sink_utilization(M, k, EXACT)
     d_apx = convergecast_edf_sink_utilization(M, k, APPROXIMATE)
-    note = " (saturated)" if d_edf.saturated else ""
-    print(f"{k:>4} {d_dm:>10.4f} {d_edf.value:>10.4f} {d_apx.value:>11.4f} "
+    note = " (saturated)" if d_edf > 1 else ""
+    print(f"{k:>4} {d_dm:>10.4f} {d_edf:>10.4f} {d_apx:>11.4f} "
           f"{harmonic_odd_sum(k):>11.4f}{note}")
 
 print()

@@ -5,6 +5,8 @@ priority-arbitrated packet simulation with an event log attached, and walks
 through the metrics and the first few logged events.
 """
 
+from dataclasses import replace
+
 from rtcap import (
     SimConfig,
     critical_capacity,
@@ -49,7 +51,8 @@ for line in log[:8]:
 # replications only differ in the workload seed; the minimum first-miss
 # consumption across them is the critical capacity estimate
 more = [run_simulation(topo, routes,
-                       generate_workload(topo, routes, config, seed=s), config)
+                       generate_workload(topo, routes, replace(config, seed=s)),
+                       config)
         for s in range(5)]
 cc = critical_capacity(more)
 if cc.miss_observed:

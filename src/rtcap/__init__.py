@@ -18,20 +18,16 @@ from .analytics import (
     FeasibilityReport,
     PacketLoad,
     PoleError,
-    SinkUtilization,
     SolverError,
     balanced_vq_bound,
     balanced_vs_convergecast_ratio,
     convergecast_dm_sink_utilization,
     convergecast_edf_sink_utilization,
-    convergecast_ring_population,
     dm_path_feasible,
     edf_path_feasible,
     harmonic_odd_sum,
     neighborhood_utilization,
-    network_capacity_demand,
     node_utilization,
-    path_delay_bound,
     rtcc_balanced,
     rtcc_convergecast,
     stage_delay_term,

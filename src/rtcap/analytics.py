@@ -140,14 +140,6 @@ class FeasibilityReport:
     margin: float
 
 
-@dataclass(frozen=True)
-class SinkUtilization:
-    """Analytic sink-neighborhood utilization; `saturated` marks raw values > 1."""
-
-    value: float
-    saturated: bool
-
-
 def node_utilization(loads: Iterable) -> float:
     """Sum of per-hop utilizations T/D over the packets claiming one node.
 
@@ -174,19 +166,6 @@ def neighborhood_utilization(node_utils: Mapping, neighborhood: Iterable) -> flo
     return total
 
 
-def network_capacity_demand(node_utils: Mapping, bandwidth: float) -> float:
-    """Network-wide real-time capacity demand in bits/s: bandwidth times the
-    summed node utilizations."""
-    if not (bandwidth > 0):
-        raise ValueError("bandwidth must be > 0")
-    total = 0.0
-    for node, util in node_utils.items():
-        if util < 0:
-            raise ValueError(f"negative utilization {util} for node {node!r}")
-        total += util
-    return bandwidth * total
-
-
 def stage_delay_term(vq: float) -> float:
     """Worst-case per-hop delay factor vq*(1 - vq/2)/(1 - vq).
 
@@ -204,13 +183,6 @@ def stage_delay_term(vq: float) -> float:
 def _stage_delay_vec(vq):
     # No pole/domain guard: callers keep vq inside [0, 1).
     return vq * (1.0 - 0.5 * vq) / (1.0 - vq)
-
-
-def path_delay_bound(vqs: Iterable[float], d_max: float) -> float:
-    """End-to-end worst-case delay: d_max times the summed stage delay factors."""
-    if not (d_max > 0):
-        raise ValueError("d_max must be > 0")
-    return d_max * sum(stage_delay_term(v) for v in vqs)
 
 
 def dm_path_feasible(vqs: Iterable[float], delta: float = 1.0) -> FeasibilityReport:
@@ -288,19 +260,6 @@ def rtcc_balanced(scheduler: str, params: AnalyticParams) -> CapacityBound:
                          mode=EXACT, utilization_at_bottleneck=vq)
 
 
-def convergecast_ring_population(hop_index: int, nodes_per_disk: int) -> int:
-    """Number of nodes whose shortest path to the sink is `hop_index` hops.
-
-    The ring between hop radii x-1 and x holds (2x - 1)*m nodes at disk
-    density m.
-    """
-    if hop_index < 1:
-        raise ValueError(f"hop_index must be >= 1, got {hop_index}")
-    if nodes_per_disk < 1:
-        raise ValueError(f"nodes_per_disk must be >= 1, got {nodes_per_disk}")
-    return (2 * hop_index - 1) * nodes_per_disk
-
-
 def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
                                      tolerance: float = 1e-10) -> float:
     """Largest sink-neighborhood utilization a convergecast DM network sustains.
@@ -365,18 +324,17 @@ def harmonic_odd_sum(max_hops: float, mode: str = EXACT) -> float:
 
 
 def convergecast_edf_sink_utilization(nodes_per_disk: float, max_hops: int,
-                                      mode: str = EXACT) -> SinkUtilization:
+                                      mode: str = EXACT) -> float:
     """Largest sink-neighborhood utilization under EDF: m over the odd
     harmonic sum.
 
-    Small hop counts with dense disks push the raw value above 1; it is
-    returned unclamped with `saturated` set so callers can decide.
+    Small hop counts with dense disks push the value above 1, a saturated
+    sink neighborhood; it is returned unclamped so callers can decide.
     """
     m = float(nodes_per_disk)
     if m < 1:
         raise ValueError(f"nodes_per_disk must be >= 1, got {nodes_per_disk}")
-    value = m / harmonic_odd_sum(max_hops, mode)
-    return SinkUtilization(value=value, saturated=value > 1.0)
+    return m / harmonic_odd_sum(max_hops, mode)
 
 
 def rtcc_convergecast(scheduler: str, params: AnalyticParams,
@@ -404,9 +362,9 @@ def rtcc_convergecast(scheduler: str, params: AnalyticParams,
         if mode == EXACT:
             d = convergecast_dm_sink_utilization(m, k)
         else:
-            d = m / harmonic_odd_sum(k, APPROXIMATE)
+            d = convergecast_edf_sink_utilization(m, k, APPROXIMATE)
     elif scheduler == EDF:
-        d = convergecast_edf_sink_utilization(m, k, mode).value
+        d = convergecast_edf_sink_utilization(m, k, mode)
     else:
         raise ValueError(f"unknown scheduler {scheduler!r}, expected DM or EDF")
     d_used = min(d, 1.0) if clamp else d

@@ -317,20 +317,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(rows: Iterable, destination,
-             spec: Optional[CurveSpec | SweepSpec] = None) -> None:
-    """Write rows as CSV: a comment block with the recorded configuration
-    (see `_recorded`), one column-name header, one line per row. Numeric
-    cells use 9 significant digits so repeated identical sweeps are
-    byte-identical."""
+def emit_csv(rows: Iterable, destination, spec: CurveSpec | SweepSpec) -> None:
+    """Write rows as CSV: a comment block with the spec's hash and recorded
+    configuration (see `_recorded`), one column-name header, one line per
+    row. Numeric cells use 9 significant digits so repeated identical
+    sweeps are byte-identical."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to write")
-    lines = ["# rtcap sweep results", f"# tool_version={__version__}"]
-    if spec is not None:
-        lines.append(f"# config_hash={config_hash(spec)}")
-        for key, value in sorted(_recorded(spec).items()):
-            lines.append(f"# {key}={value}")
+    lines = ["# rtcap sweep results", f"# tool_version={__version__}",
+             f"# config_hash={config_hash(spec)}"]
+    for key, value in sorted(_recorded(spec).items()):
+        lines.append(f"# {key}={value}")
     lines.append(",".join(_CSV_COLUMNS))
     for row in rows:
         lines.append(",".join(_fmt(getattr(row, col)) for col in _CSV_COLUMNS))

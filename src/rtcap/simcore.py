@@ -25,7 +25,7 @@ being s or r, v in N(r), or next_hop[v] in N(s), so freeing x unblocks
 nothing outside reach[x].
 
 A workload is drawn in rounds of numpy blocks, one row per node, each
-round from its own child of `np.random.SeedSequence(seed)` (see
+round from its own child of `np.random.SeedSequence(config.seed)` (see
 `generate_workload`). A node's arrivals therefore depend on neither the
 duration nor which other nodes are sinks: a shorter run's workload is
 exactly the first part of a longer one's. The workload holds its arrivals
@@ -48,7 +48,8 @@ lowers the hop count by exactly one.
 
 A single run is strictly sequential and reproducible: identical
 (topology, routes, workload) inputs give bit-identical metrics. Replications
-differ only in the workload seed.
+differ only in the workload seed: replication i draws with
+`config.seed + i`.
 
 The optional event log is plain text, one event per line:
 
@@ -65,7 +66,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -243,13 +244,13 @@ def priority_key(packet: Packet):
 _BLOCK = 64
 
 
-def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
-                      seed: Optional[int] = None) -> Workload:
+def generate_workload(topology: Topology, routes: RouteTable,
+                      config: SimConfig) -> Workload:
     """Seeded Poisson arrivals at every non-sink node over the run duration.
 
     Each packet gets a deadline drawn uniformly from the configured set and
     a random priority tie key. The draw goes in rounds: round r takes the
-    r-th child of `np.random.SeedSequence(seed)` and draws three
+    r-th child of `np.random.SeedSequence(config.seed)` and draws three
     (node count x `_BLOCK`) matrices, of exponential gaps (cumulated onto
     each row's last arrival time), deadline indices and tie keys, row v for
     node v. Sink rows are drawn and discarded, and rounds go on until every
@@ -259,11 +260,10 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
     their positions in that order. The workload holds the columns; its
     packets are built when they are read.
     """
-    use_seed = config.seed if seed is None else seed
     origins = np.arange(topology.node_count)
     sources = ~np.isin(origins, routes.sinks)
     shape = (len(origins), _BLOCK)
-    rounds = np.random.SeedSequence(use_seed)
+    rounds = np.random.SeedSequence(config.seed)
     last = np.zeros(len(origins))
     # an empty first entry gives the columns their types when nothing is drawn
     drawn = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64),
@@ -285,7 +285,7 @@ def generate_workload(topology: Topology, routes: RouteTable, config: SimConfig,
     deadlines = np.array(config.deadline_set, dtype=float)
     packets = Arrivals(np.arange(len(order)), origin[order], times[order],
                        deadlines[deadline_index[order]], ties[order])
-    return Workload(packets=packets, seed=use_seed)
+    return Workload(packets=packets, seed=config.seed)
 
 
 class Medium:
@@ -595,12 +595,13 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
 def run_replications(topology: Topology, routes: RouteTable,
                      config: SimConfig, event_log: Optional[list] = None) -> list:
-    """Independent seeded replications: workload seeds are seed, seed+1, ...
-    Results come back in seed order. A given `event_log` receives the first
-    replication's events."""
+    """Independent seeded replications: replication i draws its workload
+    from `replace(config, seed=config.seed + i)`. Results come back in seed
+    order. A given `event_log` receives the first replication's events."""
     results = []
     for i in range(config.replication_count):
-        workload = generate_workload(topology, routes, config, seed=config.seed + i)
+        workload = generate_workload(topology, routes,
+                                     replace(config, seed=config.seed + i))
         results.append(run_simulation(topology, routes, workload, config,
                                       event_log=event_log if i == 0 else None))
     return results

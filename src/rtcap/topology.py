@@ -5,8 +5,8 @@ sink.
 A node is its index: node v is `topology.nodes[v]`, a `Node` holds only its
 position, and a topology file's ids must read 0..n-1 in file order.
 Construction is deterministic for a fixed seed. A `Topology` is built whole:
-its adjacency is computed once, from its nodes and radio range, when it is
-constructed, by a cell list that tests each node only against the nodes of
+its adjacency is computed once, from its own nodes and radio range, when it
+is constructed, by a cell list that tests each node only against the nodes of
 the 9 cells, each about one range wide, around it; a node whose position
 is not finite, or a range that is not, is refused there. The sinks live
 only in the route table: `place_sinks` chooses ids and writes nothing,
@@ -65,7 +65,7 @@ class Topology:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "radio_range", float(self.radio_range))
-        object.__setattr__(self, "adjacency", compute_adjacency(self, self.radio_range))
+        object.__setattr__(self, "adjacency", compute_adjacency(self))
 
     @property
     def node_count(self) -> int:
@@ -110,11 +110,13 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
     jitter*spacing in x and y, with disk adjacency at radio_range.
 
     jitter must stay below 0.5 so neighboring cells cannot swap order.
+    The grid's extent, max(rows, cols) * spacing, must be finite.
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    if not (spacing > 0):
-        raise ValueError("spacing must be > 0")
+    if not (spacing > 0 and math.isfinite(max(rows, cols) * float(spacing))):
+        raise ValueError(f"spacing must be > 0 with a finite grid extent "
+                         f"max(rows, cols) * spacing, got {spacing!r}")
     if not (0 <= jitter < 0.5):
         raise ValueError(f"jitter must lie in [0, 0.5), got {jitter}")
 
@@ -126,9 +128,9 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
                     GridSpec(rows, cols, spacing, jitter, seed))
 
 
-def compute_adjacency(topology: Topology, radio_range: float) -> Mapping:
-    """Disk-model adjacency of the topology's nodes at radio_range, as a
-    read-only mapping: nodes are neighbors iff their Euclidean distance is
+def compute_adjacency(topology: Topology) -> Mapping:
+    """Disk-model adjacency of the topology's nodes at its radio_range, as
+    a read-only mapping: nodes are neighbors iff their Euclidean distance is
     <= radio_range (boundary inclusive), decided by the exact test
     `((pos[w] - pos[v]) ** 2).sum() <= radio_range * radio_range`.
     Symmetric by construction; a node is not its own neighbor. Reads only
@@ -149,6 +151,7 @@ def compute_adjacency(topology: Topology, radio_range: float) -> Mapping:
     (one per node): the same objects in the same order as a scan of every
     pair, so the sets, and the order they iterate in, are that scan's.
     """
+    radio_range = topology.radio_range
     if not (radio_range > 0 and math.isfinite(radio_range * radio_range)):
         raise ValueError(f"radio_range must be > 0 with a finite square, "
                          f"got {radio_range!r}")

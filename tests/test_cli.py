@@ -241,6 +241,15 @@ class TestSimulate:
         assert code == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spacing", ["inf", "1e308"])
+    def test_non_finite_grid_is_usage_error(self, spacing, capsys):
+        # both died with an OverflowError traceback, or as a non-finite node
+        code, _ = run_cli(["simulate", "--rows", "3", "--cols", "3",
+                           "--radio-range", "15", "--reps", "1",
+                           "--spacing", spacing])
+        assert code == 1
+        assert "invalid parameters: spacing" in capsys.readouterr().err
+
     def test_disconnected_network_is_runtime_error(self, capsys):
         code, _ = run_cli(["simulate", "--rows", "1", "--cols", "3",
                            "--spacing", "100", "--radio-range", "5",
@@ -343,6 +352,17 @@ class TestSweep:
                   for row in data_lines(csv.read_text())[1:]}
         assert sorted(v for v, err in errors.items() if err) == flagged
         assert all("arrival_rate must be finite" in errors[v] for v in flagged)
+
+    @pytest.mark.parametrize("spacing", ["inf", "1e308"])
+    def test_non_finite_grid_flags_its_row(self, tmp_path, spacing):
+        code, _ = run_cli(["sweep", "--kind", "sink_sweep", "--values", "1",
+                           "--rows", "3", "--cols", "3", "--radio-range", "15",
+                           "--reps", "1", "--duration", "2",
+                           "--spacing", spacing, "--out-dir", str(tmp_path)])
+        assert code == 2
+        [csv] = tmp_path.glob("*.csv")
+        [row] = data_lines(csv.read_text())[1:]
+        assert "ValueError: spacing must be" in row
 
     def test_non_finite_curve_limit_flags_its_row(self, tmp_path):
         code, _ = run_cli(["sweep", "--kind", "convergecast_curves", "--mode",

@@ -308,6 +308,18 @@ class TestSimulationSweeps:
         backward = sc.critical_capacity(list(reversed(metrics)))
         assert forward == backward
 
+    def test_replication_i_runs_on_seed_plus_i(self):
+        topo, routes = tp.make_network(4, 4, spacing=10.0, jitter=0.2, seed=3,
+                                       radio_range=15.0, sink_count=1)
+        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=4.0, duration=6.0,
+                           seed=5, replication_count=3)
+        metrics = sc.run_replications(topo, routes, cfg)
+        assert metrics == [
+            sc.run_simulation(topo, routes, sc.generate_workload(
+                topo, routes, replace(cfg, seed=cfg.seed + i)), cfg)
+            for i in range(cfg.replication_count)]
+        assert [m.seed for m in metrics] == [5, 6, 7]
+
 
 class TestCsv:
     def test_structure_and_single_row(self, tmp_path):
@@ -346,8 +358,9 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_rows_rejected(self, tmp_path):
+        spec = ex.CurveSpec(kind="balanced_curves", values=(1,), analytic=ANALYTIC)
         with pytest.raises(ValueError):
-            ex.emit_csv([], tmp_path / "x.csv")
+            ex.emit_csv([], tmp_path / "x.csv", spec)
 
     def test_filename_scheme(self):
         spec = small_sim_spec("sink_sweep", (1, 2))
@@ -366,6 +379,7 @@ class TestCsv:
     def test_none_cells_empty(self, tmp_path):
         row = ex.ResultRow(swept_value=1.0, analytic_dm=2.0, analytic_edf=3.0)
         dest = tmp_path / "row.csv"
-        ex.emit_csv([row], dest)
+        spec = ex.CurveSpec(kind="balanced_curves", values=(1,), analytic=ANALYTIC)
+        ex.emit_csv([row], dest, spec)
         data = dest.read_text().splitlines()[-1]
         assert ",," in data  # optional fields serialize as empty cells

@@ -51,8 +51,8 @@ class TestGenerateWorkload:
     def test_different_seed_differs(self):
         topo, routes = self._network()
         cfg = sc.SimConfig(arrival_rate=2.0, duration=10.0)
-        a = sc.generate_workload(topo, routes, cfg, seed=1)
-        b = sc.generate_workload(topo, routes, cfg, seed=2)
+        a = sc.generate_workload(topo, routes, replace(cfg, seed=1))
+        b = sc.generate_workload(topo, routes, replace(cfg, seed=2))
         assert a != b
 
     def test_single_deadline_set(self):

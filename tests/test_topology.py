@@ -74,6 +74,17 @@ class TestPerturbedGrid:
         with pytest.raises(ValueError):
             tp.generate_perturbed_grid(2, 2, 10.0, 0.5, seed=0, radio_range=10.0)
 
+    @pytest.mark.parametrize("spacing,jitter", [
+        (math.inf, 0.25), (1e308, 0.0), (math.nan, 0.0)],
+        ids=["inf", "extent-overflows", "nan"])
+    def test_non_finite_spacing_refused(self, spacing, jitter, monkeypatch):
+        # inf failed inside numpy with OverflowError, and 1e308 overflowed
+        # the positions and was refused as a non-finite node; the refusal
+        # now names the spacing and comes before any numpy call
+        monkeypatch.setattr(tp, "np", None)
+        with pytest.raises(ValueError, match="spacing"):
+            tp.generate_perturbed_grid(2, 3, spacing, jitter, radio_range=10.0)
+
 
 class TestAdjacency:
     def test_boundary_distance_counts(self):
@@ -185,7 +196,8 @@ class TestAdjacency:
     def test_compute_adjacency_writes_nothing(self):
         topo, _ = tp.make_network(4, 4, radio_range=15.0)
         before = dict(topo.adjacency)
-        narrower = tp.compute_adjacency(topo, 9.0)
+        assert tp.compute_adjacency(topo) == before
+        narrower = tp.Topology(topo.nodes, 9.0).adjacency
         assert narrower != topo.adjacency
         assert topo.radio_range == 15.0
         assert topo.adjacency == before
@@ -388,7 +400,7 @@ class TestFrozen:
             topo.adjacency[5] = frozenset()
         with pytest.raises(TypeError):
             del topo.adjacency[5]
-        assert topo.adjacency == tp.compute_adjacency(topo, 15.0)
+        assert topo.adjacency == tp.Topology(topo.nodes, 15.0).adjacency
 
     def test_topology_nodes(self):
         topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0, radio_range=10.0)
