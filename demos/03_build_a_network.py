@@ -19,8 +19,8 @@ from rtcap import (
 
 topo = generate_perturbed_grid(rows=10, cols=10, spacing=10.0, jitter=0.25,
                                seed=42, radio_range=20.5)
-print(f"generated {topo.node_count} nodes; node 0 sits at "
-      f"({topo.nodes[0].x:.2f}, {topo.nodes[0].y:.2f})")
+x, y = topo.nodes[0]
+print(f"generated {topo.node_count} nodes; node 0 sits at ({x:.2f}, {y:.2f})")
 
 # the adjacency is part of the topology, computed once at construction
 degrees = sorted(len(nbrs) for nbrs in topo.adjacency.values())
@@ -44,6 +44,6 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "network.txt")
     save_topology(topo, path, routes.sinks)
     again, again_sinks = load_topology(path)
-    same = again.nodes == topo.nodes and again_sinks == routes.sinks
+    same = (again.nodes == topo.nodes).all() and again_sinks == routes.sinks
     print(f"text round trip of {path.split('/')[-1]}: "
           f"{'bit-exact' if same else 'MISMATCH'}")

@@ -62,7 +62,6 @@ from .simcore import (
 )
 from .topology import (
     GridSpec,
-    Node,
     RouteTable,
     RoutingError,
     Topology,

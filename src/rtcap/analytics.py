@@ -18,7 +18,7 @@ increasing one-dimensional equation and is solved by guarded bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -100,7 +100,10 @@ class AnalyticParams:
     sink_count: int = 1
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} is not finite: {value!r}")
         if not (self.node_count >= 1):
             raise ValueError("node_count must be >= 1")
         if not (self.bandwidth > 0):

@@ -274,15 +274,21 @@ def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
 
 def _curve_row(spec: CurveSpec, value, digest: str) -> ResultRow:
     """Closed-form DM and EDF limits at one path length (balanced_curves)
-    or sink hop radius (convergecast_curves). A row whose limit is not
-    finite is flagged, like a failed simulated row."""
-    if spec.kind == "balanced_curves":
-        params = replace(spec.analytic, path_length=value)
-        dm, edf = (an.rtcc_balanced(s, params) for s in (an.DM, an.EDF))
-    else:
-        params = replace(spec.analytic, max_hops=value)
-        dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
-                   for s in (an.DM, an.EDF))
+    or sink hop radius (convergecast_curves). A swept value the params
+    refuse, a failed solve, or a limit that is not finite flags the row,
+    like a failed simulated row."""
+    try:
+        if spec.kind == "balanced_curves":
+            params = replace(spec.analytic, path_length=value)
+            dm, edf = (an.rtcc_balanced(s, params) for s in (an.DM, an.EDF))
+        else:
+            params = replace(spec.analytic, max_hops=value)
+            dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
+                       for s in (an.DM, an.EDF))
+    except (an.SolverError, ValueError) as err:
+        return ResultRow(swept_value=value, analytic_dm=float("nan"),
+                         analytic_edf=float("nan"), config_hash=digest,
+                         error=f"{type(err).__name__}: {err}")
     finite = math.isfinite(dm.value) and math.isfinite(edf.value)
     return ResultRow(swept_value=value, analytic_dm=dm.value,
                      analytic_edf=edf.value, config_hash=digest,

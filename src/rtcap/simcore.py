@@ -226,12 +226,15 @@ class CriticalCapacity:
     """Minimum capacity consumption at which any replication first missed.
 
     value is None when no replication observed a miss up to its offered
-    demand; miss_observed distinguishes that case from a true zero.
+    demand, and a true zero is 0.0.
     """
 
     value: Optional[float]
-    miss_observed: bool
     replications: int
+
+    @property
+    def miss_observed(self) -> bool:
+        return self.value is not None
 
 
 def priority_key(packet: Packet):
@@ -389,8 +392,8 @@ def _release_reach(adjacency: dict, next_hop: dict) -> list:
         senders_to[w].append(v)
     reach = []
     for x, nbrs in adjacency.items():
-        ball = nbrs | {x}
-        reach.append(frozenset(ball.union(*(senders_to[y] for y in ball))))
+        ball = (x, *nbrs)
+        reach.append(frozenset(ball).union(*(senders_to[y] for y in ball)))
     return reach
 
 
@@ -614,8 +617,7 @@ def critical_capacity(metrics: Iterable) -> CriticalCapacity:
         raise ValueError("need at least one replication")
     values = [m.capacity_consumption_at_first_miss for m in metrics
               if m.capacity_consumption_at_first_miss is not None]
-    return CriticalCapacity(value=min(values, default=None),
-                            miss_observed=bool(values), replications=len(metrics))
+    return CriticalCapacity(value=min(values, default=None), replications=len(metrics))
 
 
 def write_event_log(lines: Iterable, path) -> None:

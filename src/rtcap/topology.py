@@ -2,23 +2,23 @@
 adjacency, uniform sink placement, and shortest-hop routing to the nearest
 sink.
 
-A node is its index: node v is `topology.nodes[v]`, a `Node` holds only its
-position, and a topology file's ids must read 0..n-1 in file order.
-Construction is deterministic for a fixed seed. A `Topology` is built whole:
-its adjacency is computed once, from its own nodes and radio range, when it
-is constructed, by a cell list that tests each node only against the nodes of
-the 9 cells, each about one range wide, around it; a node whose position
-is not finite, or a range that is not, is refused there. The sinks live
-only in the route table: `place_sinks` chooses ids and writes nothing,
-`build_routes` takes them as an argument, and the topology file stores them
-next to the nodes. Nodes, topologies and route tables are frozen and hold
-tuples and read-only mappings (which do not pickle), so they may be shared
-freely across concurrent simulation runs.
+A node is its index: node v sits at `topology.nodes[v]`, a row of one
+read-only (n, 2) float64 array of positions, and a topology file's ids must
+read 0..n-1 in file order. Construction is deterministic for a fixed seed.
+A `Topology` is built whole: its adjacency, each node's neighbours as an
+ascending tuple, is computed once, from its own positions and radio range,
+when it is constructed, by a cell list that tests each node only against
+the nodes of the 9 cells, each about one range wide, around it; a node
+whose position is not finite, or a range that is not, is refused there.
+The sinks live only in the route table: `place_sinks` chooses ids and
+writes nothing, `build_routes` takes them as an argument, and the topology
+file stores them next to the nodes. Topologies and route tables are frozen
+and hold read-only arrays, tuples and read-only mappings (which do not
+pickle), so they may be shared freely across concurrent simulation runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -38,12 +38,6 @@ class RoutingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Node:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class GridSpec:
     rows: int
     cols: int
@@ -52,18 +46,25 @@ class GridSpec:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Nodes, radio range, optional grid metadata, and the disk-model
-    adjacency they imply: a read-only mapping computed at construction."""
+    """Node positions, a read-only float64 (n, 2) copy of the caller's, the
+    radio range, optional grid metadata, and the disk-model adjacency they
+    imply, computed at construction. Equality is identity."""
 
-    nodes: tuple
+    nodes: np.ndarray
     radio_range: float
     grid: Optional[GridSpec] = None
-    adjacency: Mapping = field(init=False, repr=False, compare=False)
+    adjacency: Mapping = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        nodes = np.array(self.nodes, dtype=np.float64)
+        if nodes.shape == (0,):
+            nodes = nodes.reshape(0, 2)
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise ValueError(f"nodes must have shape (n, 2), got {nodes.shape}")
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "radio_range", float(self.radio_range))
         object.__setattr__(self, "adjacency", compute_adjacency(self))
 
@@ -72,7 +73,7 @@ class Topology:
         return len(self.nodes)
 
     def positions(self) -> np.ndarray:
-        return np.array([(n.x, n.y) for n in self.nodes], dtype=float).reshape(-1, 2)
+        return self.nodes
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,7 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
     offsets = rng.uniform(-jitter * spacing, jitter * spacing, size=(rows * cols, 2))
     r, c = np.divmod(np.arange(rows * cols), cols)
     positions = np.column_stack((c, r)) * spacing + offsets
-    return Topology(itertools.starmap(Node, positions.tolist()), radio_range,
-                    GridSpec(rows, cols, spacing, jitter, seed))
+    return Topology(positions, radio_range, GridSpec(rows, cols, spacing, jitter, seed))
 
 
 def compute_adjacency(topology: Topology) -> Mapping:
@@ -146,16 +146,15 @@ def compute_adjacency(topology: Topology) -> Mapping:
     x / side (2**-40 of the range, plus 2**-50 of the largest coordinate),
     so two coordinates within range land in the same or adjacent cells on
     each axis. A wider cell only adds candidates, which the exact test then
-    drops. The kept pairs are sorted by (v, w) and each set is built from
-    its row's ascending neighbours, mapped to the keys' own `int` objects
-    (one per node): the same objects in the same order as a scan of every
-    pair, so the sets, and the order they iterate in, are that scan's.
+    drops. The kept pairs are sorted by (v, w), so each node's neighbours
+    come out as an ascending tuple, mapped to the keys' own `int` objects
+    (one per node).
     """
     radio_range = topology.radio_range
     if not (radio_range > 0 and math.isfinite(radio_range * radio_range)):
         raise ValueError(f"radio_range must be > 0 with a finite square, "
                          f"got {radio_range!r}")
-    pos = topology.positions()
+    pos = topology.nodes
     finite = np.isfinite(pos).all(axis=1)
     if not finite.all():
         v = int(np.argmin(finite))
@@ -168,7 +167,7 @@ def compute_adjacency(topology: Topology) -> Mapping:
     shared = np.empty(n, dtype=object)
     shared[:] = ids
     nbrs = shared[pairs % n].tolist()
-    return MappingProxyType({v: frozenset(nbrs[bounds[v]:bounds[v + 1]]) for v in ids})
+    return MappingProxyType({v: tuple(nbrs[bounds[v]:bounds[v + 1]]) for v in ids})
 
 
 def _pairs_in_range(pos: np.ndarray, radio_range: float) -> np.ndarray:
@@ -195,7 +194,9 @@ def _pairs_in_range(pos: np.ndarray, radio_range: float) -> np.ndarray:
             first = np.cumsum(count) - count
             v = np.repeat(v, count)
             w = order[np.arange(len(v)) + np.repeat(lo - first, count)]
-            within = (((pos[w] - pos[v]) ** 2).sum(axis=1) <= reach) & (w != v)
+            # a far pair's square may overflow to inf, which is not <= reach
+            with np.errstate(over="ignore"):
+                within = (((pos[w] - pos[v]) ** 2).sum(axis=1) <= reach) & (w != v)
             kept.append(v[within] * n + w[within])
     pairs = np.concatenate(kept)
     pairs.sort()
@@ -220,7 +221,7 @@ def _occupied_steps(cells: np.ndarray):
 def contention_sets(topology: Topology) -> dict:
     """Each node's contention set: its radio neighborhood plus itself (a
     node's own queued traffic competes for the same channel)."""
-    return {x: frozenset(nbrs | {x}) for x, nbrs in topology.adjacency.items()}
+    return {x: frozenset((x, *nbrs)) for x, nbrs in topology.adjacency.items()}
 
 
 def _subgrid_factors(sink_count: int, rows: int, cols: int):
@@ -344,8 +345,8 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
                      f"jitter={g.jitter!r} seed={g.seed}")
     lines.append(f"# radio_range={topology.radio_range!r}")
     lines.append("# columns: id x y is_sink")
-    for v, node in enumerate(topology.nodes):
-        lines.append(f"{v} {node.x!r} {node.y!r} {int(v in sinks)}")
+    for v, (x, y) in enumerate(topology.nodes.tolist()):
+        lines.append(f"{v} {x!r} {y!r} {int(v in sinks)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -380,7 +381,7 @@ def load_topology(path) -> tuple:
                                  f"order, found id {ident} at {len(nodes)}")
             if int(sink):
                 sinks.append(len(nodes))
-            nodes.append(Node(float(x), float(y)))
+            nodes.append((float(x), float(y)))
     if radio_range is None:
         raise ValueError(f"{path}: no radio_range in the header")
     return Topology(nodes, radio_range, grid), tuple(sinks)

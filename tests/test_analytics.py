@@ -438,6 +438,17 @@ class TestAnalyticParamsValidation:
         with pytest.raises(ValueError, match=field):
             an.AnalyticParams(**values)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", [
+        "node_count", "bandwidth", "neighborhood_bound", "inversion_factor",
+        "path_length", "nodes_per_disk", "max_hops", "sink_count"])
+    def test_non_finite_refused_by_name(self, field, value):
+        values = dict(node_count=1, bandwidth=1.0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"{field} is not finite"):
+            an.AnalyticParams(**values)
+
     def test_counts(self):
         with pytest.raises(ValueError):
             an.AnalyticParams(node_count=0, bandwidth=1.0)

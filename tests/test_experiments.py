@@ -251,6 +251,15 @@ class TestAnalyticSweeps:
         assert math.isnan(rows[-1].analytic_dm)
         assert "not finite" in rows[-1].error
 
+    def test_refused_value_flags_its_row(self):
+        # the params refuse an infinite path length for that row alone
+        spec = ex.CurveSpec(kind="balanced_curves", values=(1, math.inf),
+                            analytic=ANALYTIC)
+        ok, bad = ex.run_sweep(spec)
+        assert ok.error is None and ok.analytic_dm > 0
+        assert math.isnan(bad.analytic_dm) and math.isnan(bad.analytic_edf)
+        assert bad.error == "ValueError: path_length is not finite: inf"
+
 
 class TestSimulationSweeps:
     def test_sink_sweep_rows_and_pairing(self):

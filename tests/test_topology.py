@@ -1,9 +1,7 @@
 """Tests for grid generation, disk adjacency, sink placement, and routing."""
 
-import copy
 import dataclasses
 import hashlib
-import itertools
 import math
 from collections import deque
 
@@ -30,11 +28,13 @@ def bfs_distance(adjacency, sources):
 
 def pair_scan(nodes, radio_range):
     """Disk adjacency by testing every ordered pair in pure Python, boundary
-    inclusive: the oracle for `compute_adjacency`."""
+    inclusive, each node's neighbours ascending: the oracle for
+    `compute_adjacency`."""
     reach = radio_range * radio_range
-    return {v: frozenset(w for w, b in enumerate(nodes) if w != v and
-                         (a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y) <= reach)
-            for v, a in enumerate(nodes)}
+    points = np.asarray(nodes, dtype=float).reshape(-1, 2).tolist()
+    return {v: tuple(w for w, (bx, by) in enumerate(points) if w != v and
+                     (ax - bx) * (ax - bx) + (ay - by) * (ay - by) <= reach)
+            for v, (ax, ay) in enumerate(points)}
 
 
 def line_topology(n, spacing=10.0, radio_range=10.0):
@@ -45,30 +45,30 @@ def line_topology(n, spacing=10.0, radio_range=10.0):
 class TestPerturbedGrid:
     def test_zero_jitter_exact_positions(self):
         topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=1, radio_range=10.0)
-        got = {(n.x, n.y) for n in topo.nodes}
+        got = {(x, y) for x, y in topo.nodes.tolist()}
         assert got == {(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)}
 
     def test_same_seed_identical(self):
         a = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=42, radio_range=10.0)
         b = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=42, radio_range=10.0)
-        assert [(n.x, n.y) for n in a.nodes] == [(n.x, n.y) for n in b.nodes]
+        assert a.nodes.tolist() == b.nodes.tolist()
 
     def test_different_seed_differs(self):
         a = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=1, radio_range=10.0)
         b = tp.generate_perturbed_grid(4, 5, 7.5, 0.3, seed=2, radio_range=10.0)
-        assert [(n.x, n.y) for n in a.nodes] != [(n.x, n.y) for n in b.nodes]
+        assert a.nodes.tolist() != b.nodes.tolist()
 
     def test_single_node_at_origin(self):
         topo = tp.generate_perturbed_grid(1, 1, 10.0, 0.0, seed=0, radio_range=10.0)
         assert topo.node_count == 1
-        assert (topo.nodes[0].x, topo.nodes[0].y) == (0.0, 0.0)
+        assert tuple(topo.nodes[0]) == (0.0, 0.0)
 
     def test_jitter_bounded(self):
         topo = tp.generate_perturbed_grid(10, 10, 10.0, 0.25, seed=3, radio_range=10.0)
-        for v, node in enumerate(topo.nodes):
+        for v, (x, y) in enumerate(topo.nodes):
             r, c = divmod(v, 10)
-            assert abs(node.x - c * 10.0) <= 2.5
-            assert abs(node.y - r * 10.0) <= 2.5
+            assert abs(x - c * 10.0) <= 2.5
+            assert abs(y - r * 10.0) <= 2.5
 
     def test_excessive_jitter_rejected(self):
         with pytest.raises(ValueError):
@@ -89,11 +89,11 @@ class TestPerturbedGrid:
 class TestAdjacency:
     def test_boundary_distance_counts(self):
         adj = line_topology(2).adjacency
-        assert adj[0] == frozenset({1}) and adj[1] == frozenset({0})
+        assert adj[0] == (1,) and adj[1] == (0,)
 
     def test_just_out_of_range(self):
         adj = line_topology(2, radio_range=9.9).adjacency
-        assert adj[0] == frozenset() and adj[1] == frozenset()
+        assert adj[0] == () and adj[1] == ()
 
     def test_square_excludes_diagonal(self):
         adj = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0,
@@ -123,7 +123,7 @@ class TestAdjacency:
         assert list(topo.adjacency) == list(range(topo.node_count))
         assert topo.adjacency == pair_scan(topo.nodes, radio_range)
         if jitter == 0.0:
-            assert topo.adjacency[10] == frozenset({1, 9, 11, 19})
+            assert topo.adjacency[10] == (1, 9, 11, 19)
 
     def test_empty_topology(self):
         topo = tp.Topology((), 10.0)
@@ -131,7 +131,20 @@ class TestAdjacency:
         assert topo.adjacency == {}
 
     def test_single_node(self):
-        assert tp.Topology([tp.Node(-3.0, 7.5)], 10.0).adjacency == {0: frozenset()}
+        assert tp.Topology([(-3.0, 7.5)], 10.0).adjacency == {0: ()}
+
+    @pytest.mark.parametrize("nodes,shape", [
+        ([(0.0, 0.0, 0.0)], r"\(1, 3\)"), ([1.0, 2.0], r"\(2,\)"),
+        ([[(0.0, 0.0)]], r"\(1, 1, 2\)")], ids=["three-columns", "flat", "nested"])
+    def test_positions_not_n_by_2_refused(self, nodes, shape):
+        with pytest.raises(ValueError, match=shape):
+            tp.Topology(nodes, 10.0)
+
+    def test_far_pair_does_not_overflow(self):
+        # the pair sits in adjacent cells, and its squared distance, about
+        # 7e308, overflows to inf, which the suite's filter makes an error
+        topo = tp.Topology([(0.0, 0.0), (1.9e154, 1.9e154)], 1e154)
+        assert topo.adjacency == {0: (), 1: ()}
 
     def test_sparse_cloud_spanning_1e12_ranges(self):
         # cell indices reach about 5e11 on each axis, so a key of column
@@ -141,7 +154,7 @@ class TestAdjacency:
         centres = rng.uniform(-5e11, 5e11, size=(100, 2))
         angles = rng.uniform(0.0, 2 * np.pi, size=100)
         partners = centres + 0.7 * np.column_stack((np.cos(angles), np.sin(angles)))
-        nodes = [tp.Node(x, y) for x, y in np.vstack((centres, partners)).tolist()]
+        nodes = np.vstack((centres, partners))
         adjacency = tp.Topology(nodes, 1.0).adjacency
         assert adjacency == pair_scan(nodes, 1.0)
         assert all(v + 100 in adjacency[v] for v in range(100))
@@ -168,7 +181,7 @@ class TestAdjacency:
         # a non-finite node used to come out isolated, and an infinite
         # range made nodes 1e300 apart neighbours
         with pytest.raises(ValueError, match=message):
-            tp.Topology(itertools.starmap(tp.Node, nodes), radio_range)
+            tp.Topology(nodes, radio_range)
 
     def test_load_passes_non_finite_node_on(self, tmp_path):
         topo = line_topology(3)
@@ -202,7 +215,7 @@ class TestAdjacency:
         assert topo.radio_range == 15.0
         assert topo.adjacency == before
         with pytest.raises(TypeError):
-            narrower[0] = frozenset()
+            narrower[0] = ()
 
 
 @st.composite
@@ -243,11 +256,20 @@ class TestAdjacencyProperties:
     @example((2.5, [(-5.0, -2.5), (-2.5, -2.5), (-7.5, 0.0), (-5.0, 0.0)]))  # negatives
     def test_matches_pair_scan(self, cloud):
         radio_range, points = cloud
-        nodes = list(itertools.starmap(tp.Node, points))
-        adjacency = tp.Topology(nodes, radio_range).adjacency
-        assert list(adjacency) == list(range(len(nodes)))
-        assert adjacency == pair_scan(nodes, radio_range)
+        adjacency = tp.Topology(points, radio_range).adjacency
+        assert list(adjacency) == list(range(len(points)))
+        assert adjacency == pair_scan(points, radio_range)
         assert all(v in adjacency[w] for v, nbrs in adjacency.items() for w in nbrs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_clouds())
+    def test_tuples_ascending_and_symmetric(self, cloud):
+        radio_range, points = cloud
+        adjacency = tp.Topology(points, radio_range).adjacency
+        for v, nbrs in adjacency.items():
+            assert type(nbrs) is tuple
+            assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+            assert all(v in adjacency[w] for w in nbrs)
 
 
 class TestSinkPlacement:
@@ -280,10 +302,10 @@ class TestSinkPlacement:
     def test_writes_nothing(self):
         topo, routes = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=1,
                                        radio_range=12.0, sink_count=1)
-        nodes = copy.deepcopy(topo.nodes)
+        nodes = topo.nodes.copy()
         tp.place_sinks(topo, 4)
         tp.place_sinks(topo, 3, seed=2, mode="random")
-        assert topo.nodes == nodes
+        assert np.array_equal(topo.nodes, nodes)
         assert routes.sinks == (12,)
 
     def test_prime_count_falls_back_to_even_spacing(self):
@@ -317,9 +339,9 @@ class TestRoutes:
     def test_disconnected_raises_with_ids(self):
         line = line_topology(4)
         # a copy of the line with node 3 moved away, so it is isolated
-        topo = tp.Topology(nodes=line.nodes[:3]
-                           + (dataclasses.replace(line.nodes[3], x=1000.0),),
-                           radio_range=10.0)
+        nodes = line.nodes.copy()
+        nodes[3, 0] = 1000.0
+        topo = tp.Topology(nodes=nodes, radio_range=10.0)
         with pytest.raises(tp.RoutingError) as exc:
             tp.build_routes(topo, [0])
         assert exc.value.unreachable == [3]
@@ -363,8 +385,8 @@ class TestFrozen:
     def test_node(self):
         node = tp.generate_perturbed_grid(1, 2, 10.0, 0.0, seed=0,
                                           radio_range=10.0).nodes[1]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            node.x = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            node[0] = 0.0
 
     def test_route_table(self):
         _, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
@@ -392,21 +414,29 @@ class TestFrozen:
                 setattr(topo, name, value)
         # the adjacency comes from the nodes and the range, never from outside
         with pytest.raises(TypeError):
-            tp.Topology(topo.nodes, radio_range=50.0, adjacency={0: frozenset()})
+            tp.Topology(topo.nodes, radio_range=50.0, adjacency={0: ()})
 
     def test_topology_adjacency_contents(self):
         topo, _ = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
         with pytest.raises(TypeError):
-            topo.adjacency[5] = frozenset()
+            topo.adjacency[5] = ()
         with pytest.raises(TypeError):
             del topo.adjacency[5]
         assert topo.adjacency == tp.Topology(topo.nodes, 15.0).adjacency
 
     def test_topology_nodes(self):
         topo = tp.generate_perturbed_grid(1, 3, 10.0, 0.0, seed=0, radio_range=10.0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="read-only"):
             topo.nodes[0] = topo.nodes[1]
-        assert isinstance(tp.Topology(list(topo.nodes), 10.0).nodes, tuple)
+        assert topo.positions() is topo.nodes
+        # the topology keeps its own copy: the caller's array stays writable,
+        # and writing to it changes neither the positions nor the adjacency
+        mine = np.array([[0, 0], [10, 0]])
+        built = tp.Topology(mine, 10.0)
+        mine[1, 0] = 50
+        assert built.nodes.dtype == np.float64 and not built.nodes.flags.writeable
+        assert built.nodes.tolist() == [[0.0, 0.0], [10.0, 0.0]]
+        assert built.adjacency == {0: (1,), 1: (0,)}
 
 
 class TestStats:
@@ -436,8 +466,8 @@ class TestPersistence:
         path = tmp_path / "topo.txt"
         tp.save_topology(topo, path, routes.sinks)
         loaded, sinks = tp.load_topology(path)
-        assert [(v, n.x, n.y, v in sinks) for v, n in enumerate(loaded.nodes)] == \
-               [(v, n.x, n.y, v in routes.sinks) for v, n in enumerate(topo.nodes)]
+        assert [(v, x, y, v in sinks) for v, (x, y) in enumerate(loaded.nodes.tolist())] == \
+               [(v, x, y, v in routes.sinks) for v, (x, y) in enumerate(topo.nodes.tolist())]
         assert loaded.grid == topo.grid
         assert loaded.radio_range == topo.radio_range
         assert loaded.adjacency == topo.adjacency
