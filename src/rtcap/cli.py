@@ -359,7 +359,7 @@ def dispatch(argv, out=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         print(f"invalid parameters: {err}", file=sys.stderr)
         return 1
     except (an.SolverError, tp.RoutingError, sc.InvariantError, OSError) as err:

@@ -14,15 +14,15 @@ computed once, when the packet is queued at a node, and queued with it; the
 MAC (`admissible_transmissions`) grants candidates in the order of the keys
 it is given and knows no rule of its own.
 
-Arbitration is incremental. A `Medium` holds the busy endpoints and, per
-node, how many active senders and how many active receivers have that node
-in radio range; each grant and each completion updates it once, in
-O(degree). After a completion frees endpoint x, only backlogged nodes in
-reach[x] = N[x] | {v : next_hop[v] in N[x]} (N[x] the closed
-neighbourhood) are re-arbitrated besides the nodes the instant touched: a
+Arbitration is by set membership. A `Medium` holds the busy endpoints,
+active senders and active receivers as sets, each grant and completion
+updating them in O(1). After a completion frees the link (s, next_hop[s]),
+only backlogged nodes in its reach, reach(s) | reach(next_hop[s]) with
+reach(x) = N[x] | {v : next_hop[v] in N[x]} (N[x] the closed
+neighbourhood), are re-arbitrated besides the nodes the instant touched: a
 head (v, next_hop[v]) is blocked by (s, r) only through v or next_hop[v]
-being s or r, v in N(r), or next_hop[v] in N(s), so freeing x unblocks
-nothing outside reach[x].
+being s or r, v in N(r), or next_hop[v] in N(s), so freeing the link
+unblocks nothing outside its reach.
 
 A workload is drawn in rounds of numpy blocks, one row per node, each
 round from its own child of `np.random.SeedSequence(config.seed)` (see
@@ -95,8 +95,7 @@ class Packet(NamedTuple):
         return self.arrival_time + self.relative_deadline
 
 
-@dataclass(frozen=True)
-class ActiveTransmission:
+class ActiveTransmission(NamedTuple):
     sender: int
     receiver: int
     packet_id: int
@@ -292,42 +291,33 @@ def generate_workload(topology: Topology, routes: RouteTable,
 
 
 class Medium:
-    """The shared channel: busy endpoints plus, per node, how many active
-    senders (`near_senders`) and active receivers (`near_receivers`) have
-    that node in radio range, as lists indexed by node. Adjacency is open
-    (a node is not its own neighbour); an endpoint's own use of the channel
-    is tracked by `busy`.
-    """
+    """The shared channel: the endpoints (`busy`), the senders and the
+    receivers of the active transmissions, as sets. Adjacency is open (a
+    node is not its own neighbour) and symmetric, so a node is in range of
+    an active receiver iff `receivers` meets its neighbours."""
 
-    __slots__ = ("adjacency", "busy", "near_senders", "near_receivers")
+    __slots__ = ("adjacency", "busy", "senders", "receivers")
 
     def __init__(self, adjacency: dict):
         self.adjacency = adjacency
         self.busy = set()
-        self.near_senders = [0] * len(adjacency)
-        self.near_receivers = [0] * len(adjacency)
+        self.senders = set()
+        self.receivers = set()
 
     def occupy(self, sender: int, receiver: int) -> None:
         self.busy.add(sender)
         self.busy.add(receiver)
-        near_senders, near_receivers = self.near_senders, self.near_receivers
-        for v in self.adjacency[sender]:
-            near_senders[v] += 1
-        for v in self.adjacency[receiver]:
-            near_receivers[v] += 1
+        self.senders.add(sender)
+        self.receivers.add(receiver)
 
     def release(self, sender: int, receiver: int) -> None:
         self.busy.discard(sender)
         self.busy.discard(receiver)
-        near_senders, near_receivers = self.near_senders, self.near_receivers
-        for v in self.adjacency[sender]:
-            near_senders[v] -= 1
-        for v in self.adjacency[receiver]:
-            near_receivers[v] -= 1
+        self.senders.discard(sender)
+        self.receivers.discard(receiver)
 
     def is_idle(self) -> bool:
-        return not (self.busy or any(self.near_senders)
-                    or any(self.near_receivers))
+        return not (self.busy or self.senders or self.receivers)
 
 
 def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
@@ -343,13 +333,14 @@ def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
     grant occupies the medium. Returns the granted (packet, sender, receiver)
     triples in key order.
     """
-    busy = medium.busy
-    near_senders, near_receivers = medium.near_senders, medium.near_receivers
+    adjacency, busy = medium.adjacency, medium.busy
+    senders, receivers = medium.senders, medium.receivers
     granted = []
     for _, packet, sender, receiver in sorted(candidates, key=itemgetter(0)):
         if sender in busy or receiver in busy:
             continue
-        if near_receivers[sender] or near_senders[receiver]:
+        if not (receivers.isdisjoint(adjacency[sender])
+                and senders.isdisjoint(adjacency[receiver])):
             continue
         medium.occupy(sender, receiver)
         granted.append((packet, sender, receiver))
@@ -374,26 +365,28 @@ def _verify_exclusion(sender: int, receiver: int, air: dict,
             raise InvariantError(
                 f"node reuse: grant {sender}->{receiver} overlaps "
                 f"{tx.sender}->{tx.receiver}")
-    for v in adjacency[sender]:
-        if v in air and air[v].receiver == v:
+    for v in filter(air.__contains__, adjacency[sender]):
+        if air[v].receiver == v:
             raise InvariantError(
                 f"sender {sender} inside range of receiving node {v}")
-    for v in adjacency[receiver]:
-        if v in air and air[v].sender == v:
+    for v in filter(air.__contains__, adjacency[receiver]):
+        if air[v].sender == v:
             raise InvariantError(
                 f"receiver {receiver} inside range of sending node {v}")
 
 
-def _release_reach(adjacency: dict, next_hop: dict) -> list:
-    """reach[x] = N[x] | {v : next_hop[v] in N[x]}, indexed by node x: every
-    node whose head-of-queue transmission freeing endpoint x can unblock."""
+def _release_reach(adjacency: dict, next_hop: dict) -> dict:
+    """reach[s] = reach(s) | reach(next_hop[s]) for every sender s, with
+    reach(x) = N[x] | {v : next_hop[v] in N[x]}: every node whose
+    head-of-queue transmission freeing the link (s, next_hop[s]) can
+    unblock."""
     senders_to = [[] for _ in adjacency]
     for v, w in next_hop.items():
         senders_to[w].append(v)
-    reach = []
-    for x, nbrs in adjacency.items():
-        ball = (x, *nbrs)
-        reach.append(frozenset(ball).union(*(senders_to[y] for y in ball)))
+    reach = {}
+    for s, r in next_hop.items():
+        ball = {s, r, *adjacency[s], *adjacency[r]}
+        reach[s] = frozenset(ball.union(*(senders_to[y] for y in ball)))
     return reach
 
 
@@ -413,17 +406,19 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     leaves the network, and one priority heap per backlogged node, whose
     entries carry the key computed when the packet was queued.
 
-    The `Medium` keeps, per node, the number of active senders and of active
-    receivers in range, updated once per grant and once per completion.
-    After the phases of each instant, the medium is re-arbitrated over the
-    backlogged nodes (those with a heap) the instant touched (arrivals,
-    dropped heads) plus reach[x] for every endpoint x a completion freed.
-    That gives the same grants as a pass over the whole backlog: freeing x
-    can only unblock a head (v, next_hop[v]) through v or next_hop[v] lying
-    in N[x], every other idle head was blocked after the previous pass by a
-    transmission that is still active, and grants within a pass only add
-    blocking. The spatial exclusion invariant is re-verified on every grant against the
-    active transmissions, and a run that drains without stopping must leave
+    The `Medium` keeps the busy endpoints, active senders and active
+    receivers as sets, added to once per grant and discarded from once per
+    completion. After the phases of each instant that touched a node, the
+    medium is re-arbitrated over the backlogged nodes (those with a heap)
+    the instant touched (arrivals, dropped heads) plus reach[s] for every
+    link (s, next_hop[s]) a completion freed. That gives the same grants as
+    a pass over the whole backlog: freeing the link can only unblock a head
+    (v, next_hop[v]) through v or next_hop[v] lying in N[s] or
+    N[next_hop[s]], every other idle head was blocked after the previous
+    pass by a transmission that is still active, and grants within a pass
+    only add blocking. The spatial exclusion invariant is re-verified on
+    every grant against the active transmissions, never against the
+    `Medium`, and a run that drains without stopping must leave
     the medium idle. Deadline misses are detected eagerly by expiry timers so
     the capacity consumption at the first miss is sampled at the right
     instant. Packet size and per-hop time come from `config`, hop counts
@@ -469,9 +464,12 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     first_miss_time = None
     stop = False
 
+    key_of, push = priority_key, heapq.heappush
+
     def enqueue(node, packet):
         at[packet.id] = node
-        heapq.heappush(queues.setdefault(node, []), (priority_key(packet), packet))
+        push(queues.get(node) or queues.setdefault(node, []),
+             (key_of(packet), packet))
 
     def grant_pass(nodes):
         if not nodes:
@@ -507,11 +505,10 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
         while completions and completions[0][0] == now:
             _, packet, tx = completions.popleft()
-            s, r = tx.sender, tx.receiver
+            s, r, _ = tx
             del air[s], air[r]
             medium.release(s, r)
-            touched.update(reach[s])
-            touched.update(reach[r])
+            touched |= reach[s]
             if log:
                 log(f"{now!r} complete {s}->{r} {packet.id}")
             if packet.id not in at:
@@ -573,7 +570,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
         if stop:
             break
-        grant_pass(touched & queues.keys())
+        if touched:
+            grant_pass(touched & queues.keys())
 
     if not stop and not medium.is_idle():
         raise InvariantError("medium not idle after the run drained")

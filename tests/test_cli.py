@@ -80,6 +80,13 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "invalid parameters" in err and f"{field} is not finite" in err
 
+    def test_integer_too_large_for_a_float_is_usage_error(self, capsys):
+        # an int past the float range used to escape as an OverflowError
+        # traceback from the params' finiteness check
+        code, _ = run_cli(["analyze", "--n", "1" + "0" * 400])
+        assert code == 1
+        assert "invalid parameters" in capsys.readouterr().err
+
     def test_convergecast_round_trip(self):
         code, out = run_cli(["analyze", "--topology", "convergecast",
                              "--scheduler", "dm", "--m", "10", "--Kd", "4",

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtcap import experiments as ex
 from rtcap import simcore as sc
@@ -331,15 +333,12 @@ class TestAdmissibleTransmissions:
 
 class TestMedium:
     @staticmethod
-    def rebuilt(adjacency, active):
-        """Busy endpoints and per-node counts recomputed from the active
+    def rebuilt(active):
+        """Busy endpoints, senders and receivers recomputed from the active
         transmissions alone."""
         busy = {v for tx in active for v in (tx.sender, tx.receiver)}
-        near_senders = [sum(v in adjacency[tx.sender] for tx in active)
-                        for v in adjacency]
-        near_receivers = [sum(v in adjacency[tx.receiver] for tx in active)
-                          for v in adjacency]
-        return busy, near_senders, near_receivers
+        return (busy, {tx.sender for tx in active},
+                {tx.receiver for tx in active})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_occupy_release_matches_rebuild(self, seed):
@@ -363,8 +362,8 @@ class TestMedium:
                 air = {v: tx for tx in active for v in (tx.sender, tx.receiver)}
                 sc._verify_exclusion(s, r, air, adjacency)
                 active.append(sc.ActiveTransmission(s, r, step))
-            assert (medium.busy, medium.near_senders, medium.near_receivers) \
-                == self.rebuilt(adjacency, active)
+            assert (medium.busy, medium.senders, medium.receivers) \
+                == self.rebuilt(active)
         for tx in active:
             medium.release(tx.sender, tx.receiver)
         assert medium.is_idle()
@@ -398,16 +397,95 @@ class TestMedium:
             assert raised == conflict
 
     def test_run_must_leave_medium_idle(self, monkeypatch):
-        # a release that forgets the sender's range leaves counts behind
+        # a release that forgets the sender leaves it in `senders`
         def leaky_release(medium, sender, receiver):
             medium.busy.discard(sender)
             medium.busy.discard(receiver)
-            for v in medium.adjacency[receiver]:
-                medium.near_receivers[v] -= 1
+            medium.receivers.discard(receiver)
 
         monkeypatch.setattr(sc.Medium, "release", leaky_release)
         with pytest.raises(sc.InvariantError, match="medium not idle"):
             contended_run(seed=3)
+
+
+@st.composite
+def small_networks(draw):
+    """A small perturbed grid whose grid neighbours are always in range,
+    with its routes."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    return tp.make_network(rows, cols, spacing=10.0, jitter=0.2,
+                           seed=draw(st.integers(0, 2**16)),
+                           radio_range=draw(st.floats(15.0, 25.0)),
+                           sink_count=draw(st.integers(1, 2)))
+
+
+@st.composite
+def mac_cases(draw):
+    """A network, random active links and random candidates over its
+    directed radio links: endpoints may repeat, within the candidates and
+    against the active links."""
+    topo, _ = draw(small_networks())
+    links = [(v, w) for v, nbrs in topo.adjacency.items() for w in nbrs]
+    active = draw(st.lists(st.sampled_from(links), max_size=4))
+    candidates = draw(st.lists(st.tuples(st.sampled_from(links),
+                                         st.integers(0, 3)), max_size=8))
+    return topo.adjacency, active, candidates
+
+
+class TestMacProperties:
+    @staticmethod
+    def oracle(adjacency, active, candidates):
+        """The docstring's rule by brute force: in key order, a candidate is
+        granted iff no active or earlier-granted (s0, r0) shares an endpoint
+        with it, has r0 in range of its sender or s0 in range of its
+        receiver."""
+        on_air = list(active)
+        granted = []
+        for _, packet, s, r in sorted(candidates, key=lambda c: c[0]):
+            if any({s, r} & {s0, r0} or s in adjacency[r0]
+                   or r in adjacency[s0] for s0, r0 in on_air):
+                continue
+            on_air.append((s, r))
+            granted.append((packet, s, r))
+        return granted
+
+    @settings(max_examples=300, deadline=None)
+    @given(mac_cases())
+    def test_grants_match_brute_force(self, case):
+        adjacency, active, drawn = case
+        candidates = [((rank, i), mk_packet(i, s, 0.0, 1.0), s, r)
+                      for i, ((s, r), rank) in enumerate(drawn)]
+        medium = sc.Medium(adjacency)
+        for s, r in active:
+            medium.occupy(s, r)
+        assert sc.admissible_transmissions(candidates, medium) \
+            == self.oracle(adjacency, active, candidates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_networks())
+    def test_link_reach_covers_every_head_it_can_unblock(self, network):
+        topo, routes = network
+        adjacency, next_hop = topo.adjacency, routes.next_hop
+        reach = sc._release_reach(adjacency, next_hop)
+        assert reach.keys() == next_hop.keys()
+        for s, r in next_hop.items():
+            ball = {s, r, *adjacency[s], *adjacency[r]}
+            unblockable = {v for v, w in next_hop.items()
+                           if v in ball or w in ball}
+            assert unblockable <= reach[s]
+
+    def test_run_reaches_the_mac_through_the_module(self, monkeypatch):
+        # a tracer times the MAC by replacing this module attribute
+        calls = []
+        mac = sc.admissible_transmissions
+
+        def counting(candidates, medium):
+            calls.append(len(candidates))
+            return mac(candidates, medium)
+
+        monkeypatch.setattr(sc, "admissible_transmissions", counting)
+        contended_run(seed=3)
+        assert calls
 
 
 # ---------------------------------------------------------------------------
