@@ -102,7 +102,11 @@ class AnalyticParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(f"{f.name} is too large for a float") from None
+            if not finite:
                 raise ValueError(f"{f.name} is not finite: {value!r}")
         if not (self.node_count >= 1):
             raise ValueError("node_count must be >= 1")

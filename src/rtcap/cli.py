@@ -7,21 +7,22 @@ Three commands:
 * simulate   run seeded replications on one generated network
 * sweep      run a parameter sweep and write its CSV
 
-Options can come from an INI-style config file (sections [analytics],
-[topology], [simulation], [sweep]; flat key = value entries). Command-line
-flags override file values, which override built-in defaults; unknown file
-keys are rejected rather than ignored, and file values get the same type and
-choice checks as flags. Values printed by `analyze` use
-repr so they round-trip bit-for-bit to the underlying library results.
+Every option a command reads is a flag of that command, and nothing else
+sets it. A file of flags stands in for any run of them: in
+`rtcap sweep @run.args --rows 30`, the words of run.args, split on
+whitespace, take the place of `@run.args`. A later flag overrides an
+earlier one, so `--rows 30` here wins over a `--rows` in the file.
+Flags must be spelled out in full; no prefix abbreviates one. Values
+printed by `analyze` use repr so they round-trip bit-for-bit to the
+underlying library results.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 solver or simulation
-error. All diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error or refused setting, 2 solver or
+simulation error. All diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
 from typing import NamedTuple, Optional
@@ -41,49 +42,57 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    # a line of a file of flags may hold several words
+    def convert_arg_line_to_args(self, arg_line):
+        return arg_line.split()
+
 
 class _Option(NamedTuple):
-    kind: object        # int, float, str or bool, or a tuple of allowed strings
+    kind: object        # int, float or str, or a tuple of allowed strings
     default: object
-    section: str        # config-file section
     commands: tuple     # commands that take it as a --flag
     help: Optional[str] = None
 
 
 _A, _S, _W = "analyze", "simulate", "sweep"  # command names, for the table
 
-# The one declaration of every option: the config-file reader, the merge
-# and the flag parsers are all derived from this table.
+# The one declaration of every option a command reads: each row becomes a
+# --flag of each command it names, with the row's default. A new option is
+# one row here.
 _OPTIONS = {
-    "n": _Option(int, 100, "analytics", (_A,)),
-    "B": _Option(float, 250_000.0, "analytics", (_A, _S, _W)),
-    "u": _Option(int, 10, "analytics", (_A,)),
-    "alpha": _Option(float, 2.0, "analytics", (_A, _W)),
-    "N": _Option(float, 5.0, "analytics", (_A,)),
-    "m": _Option(float, 10.0, "analytics", (_A,)),
-    "Kd": _Option(float, 4.0, "analytics", (_A,)),
-    "sinks": _Option(int, 1, "analytics", (_A, _S, _W)),
-    "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, "analytics", (_A, _W)),
-    "delta": _Option(float, 1.0, "analytics", (_A,)),
-    "rows": _Option(int, 20, "topology", (_S, _W)),
-    "cols": _Option(int, 20, "topology", (_S, _W)),
-    "spacing": _Option(float, 10.0, "topology", (_S, _W)),
-    "jitter": _Option(float, 0.25, "topology", (_S, _W)),
-    "radio_range": _Option(float, 20.0, "topology", (_S, _W)),
-    "sink_mode": _Option(("subgrid", "random"), "subgrid", "topology", (_S,)),
-    "rate": _Option(float, 1.0, "simulation", (_S,)),
-    "duration": _Option(float, 30.0, "simulation", (_S, _W)),
-    "packet_size": _Option(float, 1000.0, "simulation", (_S, _W)),
-    "deadlines": _Option(str, "0.5,1.0,2.0", "simulation", (_S,),
+    "n": _Option(int, 100, (_A, _W)),
+    "B": _Option(float, 250_000.0, (_A, _S, _W)),
+    "u": _Option(int, 10, (_A, _W)),
+    "alpha": _Option(float, 2.0, (_A, _W)),
+    "N": _Option(float, 5.0, (_A,)),
+    "m": _Option(float, 10.0, (_A, _W)),
+    "Kd": _Option(float, 4.0, (_A,)),
+    "sinks": _Option(int, 1, (_A, _S, _W)),
+    "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, (_A, _W)),
+    "delta": _Option(float, 1.0, (_A,)),
+    "rows": _Option(int, 20, (_S, _W)),
+    "cols": _Option(int, 20, (_S, _W)),
+    "spacing": _Option(float, 10.0, (_S, _W)),
+    "jitter": _Option(float, 0.25, (_S, _W)),
+    "radio_range": _Option(float, 20.0, (_S, _W)),
+    "sink_mode": _Option(("subgrid", "random"), "subgrid", (_S, _W)),
+    "rate": _Option(float, 1.0, (_S,)),
+    "duration": _Option(float, 30.0, (_S, _W)),
+    "packet_size": _Option(float, 1000.0, (_S, _W)),
+    "deadlines": _Option(str, "0.5,1.0,2.0", (_S, _W),
                          "comma-separated deadline set, seconds"),
-    # set from the command line only through simulate's --keep-on-miss
-    "drop_on_miss": _Option(bool, True, "simulation", ()),
-    "seed": _Option(int, 0, "simulation", (_S, _W)),
-    "reps": _Option(int, 10, "simulation", (_S, _W)),
-    "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", "sweep", (_W,)),
-    "values": _Option(str, "", "sweep", (_W,), "comma-separated swept values"),
-    "load_factor": _Option(float, 1.5, "sweep", (_W,)),
+    "seed": _Option(int, 0, (_S, _W)),
+    "reps": _Option(int, 10, (_S, _W)),
+    "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", (_W,)),
+    "values": _Option(str, "", (_W,), "comma-separated swept values"),
+    "load_factor": _Option(float, 1.5, (_W,)),
 }
+
+# the AnalyticParams field each option sets; a sweep's swept value replaces
+# path_length or max_hops, so `sweep` has no --N or --Kd
+_PARAM_FIELDS = {"n": "node_count", "B": "bandwidth", "u": "neighborhood_bound",
+                 "alpha": "inversion_factor", "N": "path_length",
+                 "m": "nodes_per_disk", "Kd": "max_hops", "sinks": "sink_count"}
 
 _DEFAULT_SWEPT_VALUES = {
     "balanced_curves": tuple(float(n) for n in range(1, 31)),
@@ -91,50 +100,6 @@ _DEFAULT_SWEPT_VALUES = {
     "missratio_sweep": ex.load_multiplier_series(),
     "sink_sweep": (1.0, 2.0, 4.0, 8.0, 16.0),
 }
-
-
-def _file_value(section: str, key: str, raw: str):
-    """Convert one config-file entry with the same checks its flag gets."""
-    kind = _OPTIONS[key].kind
-    try:
-        if kind is bool:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        if isinstance(kind, tuple):
-            if raw not in kind:
-                raise ValueError(raw)
-            return raw
-        return kind(raw)
-    except (KeyError, ValueError):
-        raise UsageError(f"bad value for {section}.{key}: {raw!r}")
-
-
-def _load_config_file(path) -> dict:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keys are case-sensitive (N vs n, B, Kd)
-    if not parser.read(path):
-        raise UsageError(f"cannot read config file {path}")
-    out = {}
-    offending = []
-    for section in parser.sections():
-        for key, raw in parser[section].items():
-            if key in _OPTIONS and _OPTIONS[key].section == section:
-                out[key] = _file_value(section, key, raw)
-            else:
-                offending.append(f"{section}.{key}")
-    if offending:
-        raise UsageError("unknown config keys: " + ", ".join(sorted(offending)))
-    return out
-
-
-def _merge(args: argparse.Namespace, file_values: dict) -> dict:
-    """Flag > config file > default, for every option in the table."""
-    merged = {key: opt.default for key, opt in _OPTIONS.items()}
-    merged.update(file_values)
-    for key in _OPTIONS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
 
 
 def _parse_floats(text: str) -> tuple:
@@ -145,27 +110,26 @@ def _parse_floats(text: str) -> tuple:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="rtcap", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="rtcap", description=__doc__.splitlines()[0],
+                     fromfile_prefix_chars="@", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command")
-
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="INI config file")
-    common.add_argument("-v", "--verbose", action="store_true")
-
     commands = {
-        "analyze": sub.add_parser("analyze", parents=[common],
-                                  help="print analytic capacity bounds"),
-        "simulate": sub.add_parser("simulate", parents=[common],
-                                   help="run seeded simulation replications"),
-        "sweep": sub.add_parser("sweep", parents=[common],
-                                help="run a sweep and write CSV"),
-    }
+        name: sub.add_parser(name, help=text, allow_abbrev=False)
+        for name, text in ((_A, "print analytic capacity bounds"),
+                           (_S, "run seeded simulation replications"),
+                           (_W, "run a sweep and write CSV"))}
     for key, opt in _OPTIONS.items():
         choices = opt.kind if isinstance(opt.kind, tuple) else None
         for command in opt.commands:
             commands[command].add_argument(
-                "--" + key.replace("_", "-"), dest=key, help=opt.help,
-                type=None if choices else opt.kind, choices=choices)
+                "--" + key.replace("_", "-"), dest=key, default=opt.default,
+                help=opt.help, type=None if choices else opt.kind,
+                choices=choices)
+    for command in (commands[_S], commands[_W]):
+        command.add_argument("-v", "--verbose", action="store_true")
+        command.add_argument("--keep-on-miss", dest="drop_on_miss",
+                             action="store_false",
+                             help="keep forwarding packets that missed")
 
     pa = commands["analyze"]
     pa.add_argument("--topology", choices=["balanced", "convergecast"],
@@ -180,8 +144,6 @@ def _build_parser() -> _Parser:
     pa.add_argument("--csv", help="also write the bounds as CSV")
 
     ps = commands["simulate"]
-    ps.add_argument("--keep-on-miss", dest="drop_on_miss", action="store_false",
-                    default=None, help="keep forwarding packets that missed")
     ps.add_argument("--event-log", dest="event_log",
                     help="write the first replication's event log here")
 
@@ -193,10 +155,8 @@ def _build_parser() -> _Parser:
 
 
 def _params_from(cfg: dict) -> an.AnalyticParams:
-    return an.AnalyticParams(
-        node_count=cfg["n"], bandwidth=cfg["B"], neighborhood_bound=cfg["u"],
-        inversion_factor=cfg["alpha"], path_length=cfg["N"],
-        nodes_per_disk=cfg["m"], max_hops=cfg["Kd"], sink_count=cfg["sinks"])
+    return an.AnalyticParams(**{field: cfg[key] for key, field
+                                in _PARAM_FIELDS.items() if key in cfg})
 
 
 def _sim_from(cfg: dict, **fields) -> sc.SimConfig:
@@ -214,16 +174,18 @@ def _echo_params(cfg: dict, keys, out) -> None:
     print(f"# params {pairs}", file=out)
 
 
-def _cmd_analyze(args, cfg, out) -> int:
-    if args.ratio:
+def _cmd_analyze(cfg, out) -> int:
+    if cfg["ratio"]:
         print(repr(an.balanced_vs_convergecast_ratio(cfg["Kd"])), file=out)
         return 0
 
+    # built first, so a refused setting writes nothing to stdout
+    params = _params_from(cfg) if cfg["vqs"] is None else None
     _echo_params(cfg, ("n", "B", "u", "alpha", "N", "m", "Kd", "sinks",
                        "mode", "delta"), out)
 
-    if args.vqs is not None:
-        vqs = _parse_floats(args.vqs)
+    if cfg["vqs"] is not None:
+        vqs = _parse_floats(cfg["vqs"])
         dm = an.dm_path_feasible(vqs, delta=cfg["delta"])
         edf = an.edf_path_feasible(vqs)
         print(f"{'test':<5} {'feasible':<9} {'lhs':<22} {'bound':<22} margin",
@@ -234,24 +196,23 @@ def _cmd_analyze(args, cfg, out) -> int:
                   file=out)
         return 0
 
-    params = _params_from(cfg)
     schedulers = {"dm": [an.DM], "edf": [an.EDF], "both": [an.DM, an.EDF]}
     bounds = []
-    for scheduler in schedulers[args.scheduler]:
-        if args.topology == "balanced":
+    for scheduler in schedulers[cfg["scheduler"]]:
+        if cfg["topology"] == "balanced":
             bounds.append(an.rtcc_balanced(scheduler, params))
         else:
             bounds.append(an.rtcc_convergecast(scheduler, params,
                                                mode=cfg["mode"],
-                                               clamp=args.clamp))
+                                               clamp=cfg["clamp"]))
     print(f"{'scheduler':<10} {'topology':<13} {'mode':<12} "
           f"{'bits_per_s':<24} bottleneck_utilization", file=out)
     for b in bounds:
         print(f"{b.scheduler:<10} {b.topology_class:<13} {b.mode:<12} "
               f"{b.value!r:<24} {b.utilization_at_bottleneck!r}", file=out)
 
-    if args.csv:
-        with open(args.csv, "w") as fh:
+    if cfg["csv"]:
+        with open(cfg["csv"], "w") as fh:
             fh.write("# rtcap analyze\n")
             fh.write("scheduler,topology,mode,bits_per_s,bottleneck_utilization\n")
             for b in bounds:
@@ -260,7 +221,7 @@ def _cmd_analyze(args, cfg, out) -> int:
     return 0
 
 
-def _cmd_simulate(args, cfg, out) -> int:
+def _cmd_simulate(cfg, out) -> int:
     sim = _sim_from(cfg, arrival_rate=cfg["rate"])
     topo, routes = tp.make_network(cfg["rows"], cfg["cols"], cfg["spacing"],
                                    cfg["jitter"], cfg["seed"],
@@ -273,10 +234,10 @@ def _cmd_simulate(args, cfg, out) -> int:
     print(f"# measured u={stats.neighborhood_bound} m={stats.nodes_per_disk} "
           f"Kd={stats.max_hops}", file=out)
 
-    log = [] if args.event_log else None
+    log = [] if cfg["event_log"] else None
     results = sc.run_replications(topo, routes, sim, event_log=log)
     if log is not None:
-        sc.write_event_log(log, args.event_log)
+        sc.write_event_log(log, cfg["event_log"])
     for metrics in results:
         fm = metrics.capacity_consumption_at_first_miss
         print(f"replication seed={metrics.seed}: generated={metrics.packets_generated} "
@@ -284,7 +245,7 @@ def _cmd_simulate(args, cfg, out) -> int:
               f"miss_ratio={metrics.miss_ratio!r} "
               f"offered_demand={metrics.offered_demand!r} "
               f"first_miss_capacity={fm!r}", file=out)
-        if args.verbose and metrics.delays:
+        if cfg["verbose"] and metrics.delays:
             mean_delay = sum(metrics.delays) / len(metrics.delays)
             print(f"  delays: n={len(metrics.delays)} mean={mean_delay!r} "
                   f"max={max(metrics.delays)!r}", file=out)
@@ -299,7 +260,7 @@ def _cmd_simulate(args, cfg, out) -> int:
     return 0
 
 
-def _cmd_sweep(args, cfg, out) -> int:
+def _cmd_sweep(cfg, out) -> int:
     kind = cfg["kind"]
     if cfg["values"]:
         values = _parse_floats(cfg["values"])
@@ -318,12 +279,12 @@ def _cmd_sweep(args, cfg, out) -> int:
             sink_mode=cfg["sink_mode"], inversion_factor=cfg["alpha"],
             mode=cfg["mode"], load_factor=cfg["load_factor"])
     # a bad output directory fails before the sweep runs, not after
-    out_dir = args.out_dir or os.environ.get("RTCAP_OUT_DIR", ".")
+    out_dir = cfg["out_dir"] or os.environ.get("RTCAP_OUT_DIR", ".")
     os.makedirs(out_dir, exist_ok=True)
     rows = ex.run_sweep(spec)
     dest = os.path.join(out_dir, ex.csv_filename(spec))
     ex.emit_csv(rows, dest, spec)
-    if args.verbose:
+    if cfg["verbose"]:
         for r in rows:
             print(f"  {r.swept_value}: analytic_dm={r.analytic_dm!r} "
                   f"analytic_edf={r.analytic_edf!r} "
@@ -345,17 +306,8 @@ def dispatch(argv, out=None) -> int:
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        file_values = _load_config_file(args.config) if args.config else {}
-        if args.command == "sweep" and "rate" in file_values:
-            # sweeps load the network at a multiple of its measured bound
-            raise UsageError("sweep does not read simulation.rate; set the load "
-                             "with load_factor (or values for missratio_sweep)")
-        cfg = _merge(args, file_values)
-        if args.command == "analyze":
-            return _cmd_analyze(args, cfg, out)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg, out)
-        return _cmd_sweep(args, cfg, out)
+        handlers = {_A: _cmd_analyze, _S: _cmd_simulate, _W: _cmd_sweep}
+        return handlers[args.command](vars(args), out)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -73,6 +73,22 @@ def replay_active_sets(log, adjacency):
     assert not active
 
 
+def receive_gaps(log):
+    """The time between each two consecutive `complete` lines into the same
+    receiver, read from the text event log alone. A receiver takes one
+    packet at a time, so each gap is at least one packet's airtime: no node
+    receives more than B*w plus one packet's bits in any window w."""
+    last, gaps = {}, []
+    for line in log:
+        time, kind, link = line.split()[:3]
+        if kind == "complete":
+            receiver = link.split("->")[1]
+            if receiver in last:
+                gaps.append(float(time) - last[receiver])
+            last[receiver] = float(time)
+    return gaps
+
+
 def audit_priority_order(log, adjacency, next_hop):
     """No grant may leapfrog a strictly-smaller-deadline packet that was
     queued and unblocked in the same contention set at that instant."""

@@ -1,11 +1,13 @@
-"""CLI behavior: flag parsing, config-file precedence, round-trip printing,
-and exit codes."""
+"""CLI behavior: flag parsing, files of flags and their precedence,
+round-trip printing, and exit codes."""
 
+import argparse
 import io
 
 import pytest
 
 from rtcap import analytics as an
+from rtcap import cli
 from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
@@ -22,6 +24,12 @@ def run_cli(argv):
 
 def data_lines(text):
     return [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+
+
+def header(text):
+    """The `# key=value` lines of a sweep CSV's comment block, as a dict."""
+    return dict(ln[2:].split("=", 1) for ln in text.splitlines()
+                if ln.startswith("# ") and "=" in ln)
 
 
 class TestAnalyze:
@@ -87,6 +95,17 @@ class TestAnalyze:
         assert code == 1
         assert "invalid parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "1" + "0" * 400], "node_count is too large for a float"),
+        (["--topology", "convergecast", "--m", "inf"],
+         "nodes_per_disk is not finite")], ids=["n_overflow", "m_inf"])
+    def test_refused_setting_prints_nothing(self, argv, message, capsys):
+        # the params are built before the `# params` line is echoed
+        code, out = run_cli(["analyze"] + argv)
+        assert code == 1
+        assert out == ""
+        assert message in capsys.readouterr().err
+
     def test_convergecast_round_trip(self):
         code, out = run_cli(["analyze", "--topology", "convergecast",
                              "--scheduler", "dm", "--m", "10", "--Kd", "4",
@@ -146,49 +165,117 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["analyze", "--seed", "5"],
         ["simulate", "--out-dir", "x"],
-    ], ids=["analyze-seed", "simulate-out-dir"])
+        ["analyze", "-v"],
+        ["sweep", "--kind", "balanced_curves", "--N", "5"],
+    ], ids=["analyze-seed", "simulate-out-dir", "analyze-verbose", "sweep-N"])
     def test_flags_a_command_never_reads_rejected(self, argv):
         code, _ = run_cli(argv)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kind", "sink_sweep", "--load", "2"],
+        ["analyze", "--sched", "edf"],
+        ["simulate", "--dead", "0.5"],
+    ], ids=["sweep-load", "analyze-sched", "simulate-dead"])
+    def test_prefix_of_a_flag_rejected(self, tmp_path, argv, capsys):
+        # argparse would read each as its unique longer flag
+        code, _ = run_cli([*argv, "--rows", "3", "--cols", "3", "--reps", "1",
+                           "--duration", "1", "--out-dir", str(tmp_path)]
+                          if argv[0] == "sweep" else argv)
+        assert code == 1
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    # a small run of every branch of every command
+    EVERY_BRANCH = [
+        ["analyze", "--scheduler", "edf", "--csv", "{tmp}/bounds.csv"],
+        ["analyze", "--topology", "convergecast", "--clamp", "--mode",
+         "approximate"],
+        ["analyze", "--vqs", "0.3,0.2"],
+        ["analyze", "--ratio"],
+        ["simulate", "-v", "--rows", "2", "--cols", "2", "--radio-range", "15",
+         "--duration", "2", "--reps", "1", "--event-log", "{tmp}/events.log"],
+        *(["sweep", "-v", "--kind", kind, "--values", values, "--rows", "3",
+           "--cols", "3", "--radio-range", "15", "--duration", "2", "--reps",
+           "1", "--out-dir", "{tmp}/" + kind]
+          for kind, values in (("balanced_curves", "1,2"),
+                               ("convergecast_curves", "1,2"),
+                               ("radio_sweep", "15"), ("sink_sweep", "1"),
+                               ("missratio_sweep", "0.5"))),
+    ]
+
+    def test_every_option_read_is_a_flag_of_its_command(self, tmp_path,
+                                                        monkeypatch):
+        # each handler reads its options from one dict; record the keys it
+        # reads on every branch, and compare them with the command's flags
+        reads = {}
+
+        class Recorded(dict):
+            def __getitem__(self, key):
+                reads[self.command].add(key)
+                return super().__getitem__(key)
+
+        for command in ("analyze", "simulate", "sweep"):
+            reads[command] = set()
+            handler = getattr(cli, "_cmd_" + command)
+
+            def recorded(cfg, out, handler=handler, command=command):
+                cfg = Recorded(cfg)
+                cfg.command = command
+                return handler(cfg, out)
+
+            monkeypatch.setattr(cli, "_cmd_" + command, recorded)
+        for argv in self.EVERY_BRANCH:
+            code, _ = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
+            assert code == 0, argv
+        [subparsers] = [a for a in cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        for command, parser in subparsers.choices.items():
+            flags = {a.dest for a in parser._actions} - {"help"}
+            assert reads[command] == flags, command
+
 
 class TestConfigFile:
+    """Options files are files of flags, read with `@path`."""
+
     def test_file_values_used_and_overridden(self, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[analytics]\nN = 5\nB = 250000\nu = 10\nn = 100\n"
-                       "alpha = 2\n")
-        code, out = run_cli(["analyze", "--config", str(cfg),
-                             "--scheduler", "edf"])
+        args = tmp_path / "run.args"
+        args.write_text("--N 5 --B 250000\n--u 10 --n 100\n\n--alpha 2\n")
+        code, out = run_cli(["analyze", f"@{args}", "--scheduler", "edf"])
         assert code == 0
         assert float(data_lines(out)[1].split()[3]) == 250000.0
-        # a flag takes precedence over the file
-        code, out = run_cli(["analyze", "--config", str(cfg),
-                             "--scheduler", "edf", "--N", "10"])
+        # a later flag takes precedence over the file, and the file over an
+        # earlier flag
+        code, out = run_cli(["analyze", f"@{args}", "--scheduler", "edf",
+                             "--N", "10"])
         assert float(data_lines(out)[1].split()[3]) == 125000.0
+        code, out = run_cli(["analyze", "--N", "10", f"@{args}",
+                             "--scheduler", "edf"])
+        assert float(data_lines(out)[1].split()[3]) == 250000.0
 
     def test_unknown_keys_rejected_by_name(self, tmp_path, capsys):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[analytics]\nbandwidht = 1\n[simulation]\nrate = 1\n")
-        code, _ = run_cli(["analyze", "--config", str(cfg)])
+        args = tmp_path / "run.args"
+        args.write_text("--bandwidht 1\n")
+        code, _ = run_cli(["analyze", f"@{args}"])
         assert code == 1
-        assert "analytics.bandwidht" in capsys.readouterr().err
+        assert "--bandwidht" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
-        code, _ = run_cli(["analyze", "--config", "/nonexistent.ini"])
+        code, _ = run_cli(["analyze", "@/nonexistent.args"])
         assert code == 1
+        assert "/nonexistent.args" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, argv, key", [
-        ("[topology]\nsink_mode = grid\n", ["sweep", "--kind", "sink_sweep"],
-         "topology.sink_mode"),
-        ("[analytics]\nmode = exakt\n", ["analyze"], "analytics.mode"),
+    @pytest.mark.parametrize("text, argv, flag", [
+        ("--sink-mode grid\n", ["sweep", "--kind", "sink_sweep"], "--sink-mode"),
+        ("--mode exakt\n", ["analyze"], "--mode"),
     ], ids=["sweep-sink-mode", "analyze-mode"])
-    def test_values_checked_like_flags(self, tmp_path, capsys, text, argv, key):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(text)
+    def test_values_checked_like_flags(self, tmp_path, capsys, text, argv, flag):
+        args = tmp_path / "run.args"
+        args.write_text(text)
         out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "sweep" else []
-        code, _ = run_cli([*argv, "--config", str(cfg), *out_dir])
+        code, _ = run_cli([*argv, f"@{args}", *out_dir])
         assert code == 1
-        assert key in capsys.readouterr().err
+        assert f"argument {flag}: invalid choice" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
 
@@ -295,6 +382,29 @@ class TestSweep:
         assert code == 0
         assert list(tmp_path.glob("convergecast_curves_*.csv"))
 
+    def test_analytic_flags_recorded(self, tmp_path):
+        code, _ = run_cli(["sweep", "--kind", "balanced_curves", "--n", "200",
+                           "--u", "12", "--values", "1,2",
+                           "--out-dir", str(tmp_path)])
+        assert code == 0
+        [csv] = tmp_path.glob("balanced_curves_200_*.csv")
+        analytic = header(csv.read_text())["analytic"]
+        assert "'node_count': 200" in analytic
+        assert "'neighborhood_bound': 12" in analytic
+
+    def test_workload_flags_recorded(self, tmp_path):
+        code, _ = run_cli(["sweep", "--kind", "sink_sweep", "--values", "1",
+                           "--rows", "3", "--cols", "3", "--radio-range", "15",
+                           "--duration", "2", "--reps", "1",
+                           "--deadlines", "0.25,0.5", "--sink-mode", "random",
+                           "--keep-on-miss", "--out-dir", str(tmp_path)])
+        assert code == 0
+        [csv] = tmp_path.glob("*.csv")
+        recorded = header(csv.read_text())
+        assert recorded["sink_mode"] == "random"
+        assert "'deadline_set': (0.25, 0.5)" in recorded["sim"]
+        assert "'drop_on_miss': False" in recorded["sim"]
+
     def test_sim_sweep_small(self, tmp_path):
         code, out = run_cli(["sweep", "--kind", "sink_sweep", "--values", "1,2",
                              "--rows", "5", "--cols", "5", "--radio-range", "15",
@@ -325,14 +435,13 @@ class TestSweep:
         assert written[0] == written[1]
 
     def test_convergecast_file_name_has_no_node_count(self, tmp_path):
-        # convergecast rows never read analytics.n, so it must not name the file
+        # convergecast rows never read the node count, so it must not name
+        # the file
         written = []
         for n in ("100", "200"):
-            cfg = tmp_path / f"n{n}.ini"
-            cfg.write_text(f"[analytics]\nn = {n}\n")
             out_dir = tmp_path / n
             code, _ = run_cli(["sweep", "--kind", "convergecast_curves",
-                               "--values", "1,2,4", "--config", str(cfg),
+                               "--values", "1,2,4", "--n", n,
                                "--out-dir", str(out_dir)])
             assert code == 0
             [csv] = out_dir.glob("*.csv")
@@ -435,14 +544,14 @@ class TestSweep:
         assert calls == []
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_rate_rejected(self, tmp_path):
+    def test_rate_rejected(self, tmp_path, capsys):
         # sweeps load the network at a multiple of its measured bound
         code, _ = run_cli(["sweep", "--kind", "sink_sweep", "--rate", "2",
                            "--out-dir", str(tmp_path)])
         assert code == 1
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[simulation]\nrate = 2\n")
-        code, _ = run_cli(["sweep", "--kind", "sink_sweep", "--config", str(cfg),
-                           "--out-dir", str(tmp_path)])
+        args = tmp_path / "run.args"
+        args.write_text("--kind sink_sweep\n--rate 2\n")
+        code, _ = run_cli(["sweep", f"@{args}", "--out-dir", str(tmp_path)])
         assert code == 1
+        assert "unrecognized arguments: --rate 2" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))

@@ -26,7 +26,7 @@ from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
 
-from helpers import EVAL_GRID, contended_run, measured_dm_bound
+from helpers import EVAL_GRID, contended_run, measured_dm_bound, receive_gaps
 
 GOLDEN = {
     "contended-13-drop":
@@ -120,6 +120,23 @@ def test_event_log_and_metrics_unchanged(name):
     log, metrics = SCENARIOS[name]()
     assert log, "the scenario must log events"
     assert digest(log, metrics) == GOLDEN[name]
+
+
+# each scenario's packet airtime, packet_size / bandwidth, in seconds
+TX_TIME = {"contended-13-drop": 12_500 / 250_000,
+           "contended-13-keep": 12_500 / 250_000,
+           "knee-12x12-4x": 5_000 / 250_000}
+
+
+@pytest.mark.parametrize("name", sorted(TX_TIME))
+def test_no_receiver_outpaces_the_channel(name):
+    # the receive-rate law, checked on the event log text alone; the slack
+    # covers float rounding (the smallest contended-13 gap is
+    # 0.9999999999999964 airtimes)
+    log, _ = SCENARIOS[name]()
+    gaps = receive_gaps(log)
+    assert gaps
+    assert min(gaps) >= TX_TIME[name] * (1 - 1e-9)
 
 
 def test_sweep_rows_unchanged():
