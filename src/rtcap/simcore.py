@@ -10,9 +10,10 @@ miss (a packet claims capacity from its arrival until its deadline passes;
 a missed packet's claim drops to zero).
 
 The scheduling policy lives in `priority_key` alone. A packet's key is
-computed once, when the packet is queued at a node, and queued with it; the
-MAC (`admissible_transmissions`) grants candidates in the order of the keys
-it is given and knows no rule of its own.
+computed once per packet, at its arrival, and carried hop by hop in the
+packet's one heap entry; the MAC (`admissible_transmissions`) grants
+candidates in the order of the keys it is given and knows no rule of its
+own.
 
 Arbitration is by set membership. A `Medium` holds the busy endpoints,
 active senders and active receivers as sets, each grant and completion
@@ -41,10 +42,10 @@ deadline expiries. Each instant runs three phases, then one grant pass:
 3. expiries at that instant, so a completion landing exactly at the
    deadline still counts as on time.
 
-Packets are immutable records of their arrival. The run owns what moves:
-the node that holds each packet until it leaves the network. Hops
-traversed is hop_count[origin] - hop_count[node], since each route hop
-lowers the hop count by exactly one.
+Packets are immutable records of their arrival. The run owns what moves,
+kept per packet by workload position: the node that holds each packet
+until it leaves the network. Hops traversed is hop_count[origin] -
+hop_count[node], since each route hop lowers the hop count by exactly one.
 
 A single run is strictly sequential and reproducible: identical
 (topology, routes, workload) inputs give bit-identical metrics. Replications
@@ -67,6 +68,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -96,9 +98,12 @@ class Packet(NamedTuple):
 
 
 class ActiveTransmission(NamedTuple):
+    """The fields of a live transmission as `run_simulation` holds it, a
+    plain (sender, receiver, workload position) tuple per busy endpoint."""
+
     sender: int
     receiver: int
-    packet_id: int
+    position: int
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,14 @@ class Arrivals:
     columns, one per `Packet` field, read as `Packet`s that are built on
     demand. It supports `len`, integer indexing (so `bisect` works on it),
     iteration and equality with other `Arrivals` or with a tuple of
-    packets."""
+    packets.
+
+    The float columns must be finite, deadlines > 0, arrival times in
+    order and ids distinct: a NaN arrival never comes due, an infinite one
+    or a NaN deadline ends the run short, a deadline <= 0 misses before its
+    arrival, an arrival out of order would be read after later events, and
+    the run's priority keys tell packets apart by id. A breach raises
+    `ValueError` naming the field and the first offending packet id."""
 
     id: np.ndarray
     origin: np.ndarray
@@ -164,6 +176,25 @@ class Arrivals:
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        for name in ("arrival_time", "relative_deadline", "tie_key"):
+            self._refuse(~np.isfinite(getattr(self, name)),
+                         f"{name} must be finite")
+        self._refuse(self.relative_deadline <= 0,
+                     "relative_deadline must be > 0")
+        times = self.arrival_time
+        self._refuse(np.append(False, times[1:] < times[:-1]),
+                     "arrival_time must not decrease")
+        ids = self.id
+        if not (ids[1:] > ids[:-1]).all():  # ascending ids are distinct
+            order = np.argsort(ids, kind="stable")
+            repeats = np.zeros(len(ids), dtype=bool)
+            repeats[order[1:][np.diff(ids[order]) == 0]] = True
+            self._refuse(repeats, "id must be unique")
+
+    def _refuse(self, bad: np.ndarray, rule: str) -> None:
+        if bad.any():
+            raise ValueError(f"{rule}, first broken by packet "
+                             f"{self.id[bad.argmax()]}")
 
     def columns(self) -> tuple:
         return tuple(getattr(self, name) for name in Packet._fields)
@@ -325,13 +356,14 @@ def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
     under the spatial exclusion rule.
 
     candidates are (key, packet, sender, receiver) tuples; the key is the
-    packet's priority, computed when it was queued, smallest first. A
-    candidate is granted iff its sender is outside radio range of every
-    receiving node, its receiver is outside radio range of every sending node
-    (counting both the already-active transmissions in `medium` and grants
-    made earlier in this pass), and neither endpoint is already engaged. Each
-    grant occupies the medium. Returns the granted (packet, sender, receiver)
-    triples in key order.
+    packet's priority, computed at its arrival, smallest first, and the
+    packet is whatever the caller wants back (the run passes its heap
+    entry). A candidate is granted iff its sender is outside radio range of
+    every receiving node, its receiver is outside radio range of every
+    sending node (counting both the already-active transmissions in
+    `medium` and grants made earlier in this pass), and neither endpoint is
+    already engaged. Each grant occupies the medium. Returns the granted
+    (packet, sender, receiver) triples in key order.
     """
     adjacency, busy = medium.adjacency, medium.busy
     senders, receivers = medium.senders, medium.receivers
@@ -357,20 +389,21 @@ def measured_capacity_consumption(claims: Iterable, packet_size: float) -> float
 def _verify_exclusion(sender: int, receiver: int, air: dict,
                       adjacency: dict) -> None:
     # independent re-check of every grant against the live transmissions,
-    # `air` mapping each busy endpoint to its transmission; adjacency is
-    # symmetric, so only the two endpoints' neighbours can conflict
+    # `air` mapping each busy endpoint to its transmission's (sender,
+    # receiver, ...) tuple; adjacency is symmetric, so only the two
+    # endpoints' neighbours can conflict
     for v in (sender, receiver):
         if v in air:
             tx = air[v]
             raise InvariantError(
                 f"node reuse: grant {sender}->{receiver} overlaps "
-                f"{tx.sender}->{tx.receiver}")
+                f"{tx[0]}->{tx[1]}")
     for v in filter(air.__contains__, adjacency[sender]):
-        if air[v].receiver == v:
+        if air[v][1] == v:
             raise InvariantError(
                 f"sender {sender} inside range of receiving node {v}")
     for v in filter(air.__contains__, adjacency[receiver]):
-        if air[v].sender == v:
+        if air[v][0] == v:
             raise InvariantError(
                 f"receiver {receiver} inside range of sending node {v}")
 
@@ -390,6 +423,26 @@ def _release_reach(adjacency: dict, next_hop: dict) -> dict:
     return reach
 
 
+def _offered_demand(packets: Arrivals, routes: RouteTable,
+                    size: float) -> float:
+    """Bit-hops the packets inject, summed in workload order; over the
+    duration that is the time-averaged demand, since each packet claims
+    size/deadline at every route node for its deadline window and the
+    deadline cancels. A packet whose origin is a sink or not a node is
+    refused with a `ValueError` naming the packet and the node."""
+    hop_count = routes.hop_count
+    demand = {v: hop_count[v] * size for v in routes.next_hop}
+    origins = packets.origin.tolist()
+    try:
+        return sum(map(demand.__getitem__, origins))
+    except KeyError:
+        pos = next(i for i, v in enumerate(origins) if v not in demand)
+        node = origins[pos]
+        what = "a sink" if node in hop_count else "not a node"
+        raise ValueError(f"packet {packets.id[pos]} originates at node "
+                         f"{node}, which is {what}") from None
+
+
 def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                    config: SimConfig, event_log: Optional[list] = None) -> RunMetrics:
     """Event-driven run over the workload; returns the per-run metrics.
@@ -402,9 +455,15 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     exactly at the deadline counts as on time because expiries come last.
     Every hop takes `tx_time`, so completions come due in grant order and
     wait in a FIFO; expiries wait in a heap keyed by deadline and workload
-    position. The run keeps each packet's node from its arrival until it
-    leaves the network, and one priority heap per backlogged node, whose
-    entries carry the key computed when the packet was queued.
+    position.
+
+    A packet's `priority_key` is computed once, at its arrival, into its
+    entry (key, workload position, absolute deadline). That one entry moves
+    unchanged from its node's priority heap to the completion FIFO and on
+    to the next node's heap, hop by hop. The run keeps its per-packet state
+    by workload position: the node holding each packet from its arrival
+    until it leaves the network. Before the first event, a packet whose
+    origin is a sink or not a node is refused with a `ValueError`.
 
     The `Medium` keeps the busy endpoints, active senders and active
     receivers as sets, added to once per grant and discarded from once per
@@ -431,31 +490,29 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
+    ids = packets.id
     pending = iter(packets)    # each packet is built when the cursor reads it
     times = packets.arrival_time.tolist()
     arrivals = len(times)
     times.append(math.inf)     # past the last arrival
-    # time-averaged demand: each packet claims size/deadline at every route
-    # node for its deadline window, so the deadline cancels and the demand is
-    # bit-hops injected per second
-    demand = {v: h * size for v, h in hop_count.items()}
-    offered = (sum(map(demand.__getitem__, packets.origin.tolist()))
-               / config.duration)
+    offered = _offered_demand(packets, routes, size) / config.duration
 
     cursor = 0             # position of the next arrival in the workload
-    completions = deque()  # (time, Packet, ActiveTransmission), grant order
-    expiries = []          # heap of (absolute deadline, position, Packet)
+    completions = deque()  # (time, entry, (sender, receiver, position))
+    expiries = []          # heap of (absolute deadline, position)
 
-    # packet id -> the node holding it: queued, sending, or the sink that
-    # took it on time, until its expiry; a dropped or late packet has left
-    at = {}
-    kept = set()           # ids of missed packets that go on forwarding
-    # backlogged node -> heap of (priority_key(packet), packet), held only
-    # while the heap is non-empty; a dropped packet leaves once it is the head
+    # position -> the node holding that packet: queued, sending, or the sink
+    # that took it on time, until its expiry; None once it has left (dropped
+    # or late) or before it arrives
+    at = [None] * arrivals
+    kept = set()           # positions of missed packets that go on forwarding
+    # backlogged node -> heap of entries (key, position, absolute deadline),
+    # held only while the heap is non-empty; a dropped packet's entry leaves
+    # once it is the head
     queues = {}
     medium = Medium(adjacency)
-    busy = medium.busy
-    air = {}               # busy endpoint -> its ActiveTransmission
+    busy, release = medium.busy, medium.release
+    air = {}               # busy endpoint -> its (sender, receiver, position)
     log = event_log.append if event_log is not None else None
 
     missed = 0
@@ -464,114 +521,123 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     first_miss_time = None
     stop = False
 
-    key_of, push = priority_key, heapq.heappush
-
-    def enqueue(node, packet):
-        at[packet.id] = node
-        push(queues.get(node) or queues.setdefault(node, []),
-             (key_of(packet), packet))
-
-    def grant_pass(nodes):
-        if not nodes:
-            return
-        candidates = []
-        for v in nodes:
-            if v in busy:
-                continue
-            heap = queues[v]
-            while heap and heap[0][1].id not in at:
-                heapq.heappop(heap)
-            if heap:
-                candidates.append((*heap[0], v, next_hop[v]))
-            else:
-                del queues[v]
-        for packet, s, r in admissible_transmissions(candidates, medium):
-            _verify_exclusion(s, r, air, adjacency)
-            heap = queues[s]
-            if heapq.heappop(heap)[1] is not packet:
-                raise InvariantError(f"queue head changed under grant at node {s}")
-            if not heap:
-                del queues[s]
-            tx = air[s] = air[r] = ActiveTransmission(s, r, packet.id)
-            completions.append((now + tx_time, packet, tx))
-            if log:
-                log(f"{now!r} grant {s}->{r} {packet.id}")
+    key_of = priority_key
+    push, pop = heapq.heappush, heapq.heappop
 
     while completions or cursor < arrivals or expiries:
-        now = min(completions[0][0] if completions else math.inf,
-                  times[cursor],
-                  expiries[0][0] if expiries else math.inf)
-        touched = set()    # nodes whose head or admissibility may have changed
+        now = times[cursor]
+        if completions and completions[0][0] < now:
+            now = completions[0][0]
+        if expiries and expiries[0][0] < now:
+            now = expiries[0][0]
+        # backlogged nodes whose head or admissibility may have changed; a
+        # node is added once it has a heap, and heaps are deleted only in
+        # the grant pass
+        touched = set()
 
         while completions and completions[0][0] == now:
-            _, packet, tx = completions.popleft()
-            s, r, _ = tx
+            _, entry, tx = completions.popleft()
+            s, r, pos = tx
             del air[s], air[r]
-            medium.release(s, r)
-            touched |= reach[s]
+            release(s, r)
+            # the backlogged nodes in the freed link's reach, found by
+            # iterating the smaller of the reach and the backlog
+            near = reach[s]
+            touched |= (near.intersection(queues) if len(queues) < len(near)
+                        else queues.keys() & near)
             if log:
-                log(f"{now!r} complete {s}->{r} {packet.id}")
-            if packet.id not in at:
+                log(f"{now!r} complete {s}->{r} {ids[pos]}")
+            if at[pos] is None:
                 continue  # missed mid-flight and dropped at hop boundary
             if r in next_hop:
-                enqueue(r, packet)
+                at[pos] = r
+                push(queues.get(r) or queues.setdefault(r, []), entry)
+                touched.add(r)
                 if log:
-                    log(f"{now!r} enqueue {r} {packet.id}")
-            elif now > packet.absolute_deadline:
+                    log(f"{now!r} enqueue {r} {ids[pos]}")
+            elif now > entry[2]:
                 # a kept packet whose expiry already fired arrives late and
                 # contributes nothing
-                del at[packet.id]
+                at[pos] = None
             else:
-                at[packet.id] = r
-                delays.append(now - packet.arrival_time)
+                at[pos] = r
+                delays.append(now - times[pos])
                 if log:
-                    log(f"{now!r} deliver {r} {packet.id}")
+                    log(f"{now!r} deliver {r} {ids[pos]}")
 
         while times[cursor] == now:
             packet = next(pending)
-            enqueue(packet.origin, packet)
-            touched.add(packet.origin)
-            heapq.heappush(expiries, (packet.absolute_deadline, cursor, packet))
+            origin, deadline = packet.origin, packet.absolute_deadline
+            at[cursor] = origin
+            push(queues.get(origin) or queues.setdefault(origin, []),
+                 (key_of(packet), cursor, deadline))
+            touched.add(origin)
+            push(expiries, (deadline, cursor))
             cursor += 1
             if log:
-                log(f"{now!r} arrival {packet.origin} {packet.id} "
+                log(f"{now!r} arrival {origin} {packet.id} "
                     f"{packet.relative_deadline!r}")
 
         while expiries and expiries[0][0] == now:  # once per packet
-            expiry = heapq.heappop(expiries)
-            packet = expiry[2]
-            node = at[packet.id]
+            expiry = pop(expiries)
+            pos = expiry[1]
+            node = at[pos]
             if node not in next_hop:
-                del at[packet.id]  # delivered on time
+                at[pos] = None  # delivered on time
                 continue
             tx = air.get(node)
-            was_queued = tx is None or tx.packet_id != packet.id
+            was_queued = tx is None or tx[2] != pos
             missed += 1
             if first_miss_capacity is None:
                 # a packet claims capacity from arrival until its expiry, even
                 # once delivered: before the first miss that is the expiry
                 # heap plus the packet just expired, summed in workload order
-                claimants = sorted([*expiries, expiry], key=itemgetter(1))
+                claimants = sorted(p for _, p in [*expiries, expiry])
+                hops = [hop_count[v] - hop_count[at[p]] for p, v in zip(
+                    claimants, packets.origin[claimants].tolist())]
                 first_miss_capacity = measured_capacity_consumption(
-                    ((hop_count[p.origin] - hop_count[at[p.id]],
-                      p.relative_deadline) for _, _, p in claimants), size)
+                    zip(hops, packets.relative_deadline[claimants].tolist()),
+                    size)
                 first_miss_time = now
                 stop = config.stop_at_first_miss
             if config.drop_on_miss:
-                del at[packet.id]
+                at[pos] = None
                 if was_queued:
                     touched.add(node)
             else:
-                kept.add(packet.id)
+                kept.add(pos)
             if log:
                 loc = node if was_queued else "air"
-                log(f"{now!r} miss {loc} {packet.id} "
+                log(f"{now!r} miss {loc} {ids[pos]} "
                     f"{'dropped' if config.drop_on_miss else 'kept'}")
 
         if stop:
             break
-        if touched:
-            grant_pass(touched & queues.keys())
+        if not touched:
+            continue
+        candidates = []
+        for v in touched:
+            if v in busy:
+                continue
+            heap = queues[v]
+            while heap and at[heap[0][1]] is None:
+                pop(heap)
+            if heap:
+                entry = heap[0]
+                candidates.append((entry[0], entry, v, next_hop[v]))
+            else:
+                del queues[v]
+        for entry, s, r in admissible_transmissions(candidates, medium):
+            _verify_exclusion(s, r, air, adjacency)
+            heap = queues[s]
+            if pop(heap) is not entry:
+                raise InvariantError(f"queue head changed under grant at node {s}")
+            if not heap:
+                del queues[s]
+            tx = air[s] = air[r] = (s, r, entry[1])
+            completions.append((now + tx_time, entry, tx))
+            if log:
+                log(f"{now!r} grant {s}->{r} {ids[entry[1]]}")
 
     if not stop and not medium.is_idle():
         raise InvariantError("medium not idle after the run drained")
@@ -580,7 +646,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     # arrivals the cursor has not read, and packets at a non-sink node,
     # queued or in the air, that have not missed
     in_flight = arrivals - cursor + sum(
-        1 for pid, node in at.items() if node in next_hop and pid not in kept)
+        1 for pos, node in enumerate(islice(at, cursor))
+        if node in next_hop and pos not in kept)
     return RunMetrics(
         packets_generated=arrivals,
         delivered=len(delays),

@@ -138,6 +138,52 @@ class TestGenerateWorkload:
         assert not sc.SimConfig(arrival_rate=1.0, duration=1.0).overloaded
 
 
+class TestMalformedInputs:
+    """Hand-built arrivals and origins the run cannot serve are refused
+    with a `ValueError` naming the field or node and the first offending
+    packet, before any run starts."""
+
+    @pytest.mark.parametrize("field, packet", [
+        ("arrival_time", mk_packet(7, 0, at=float("nan"), deadline=1.0)),
+        ("arrival_time", mk_packet(7, 0, at=float("inf"), deadline=1.0)),
+        ("relative_deadline", mk_packet(7, 0, at=0.5, deadline=float("nan"))),
+        ("relative_deadline", mk_packet(7, 0, at=0.5, deadline=-1.0)),
+        ("relative_deadline", mk_packet(7, 0, at=0.5, deadline=0.0)),
+        ("tie_key", mk_packet(7, 0, at=0.5, deadline=1.0, tie=float("nan"))),
+    ])
+    def test_bad_float_column_refused(self, field, packet):
+        good = mk_packet(3, 1, at=0.0, deadline=1.0)
+        with pytest.raises(ValueError, match=rf"{field} .*packet 7\b"):
+            mk_workload([good, packet])
+
+    def test_repeated_id_refused(self):
+        # the first packet to repeat an earlier id, in workload order
+        packets = [mk_packet(4, 0, 0.0, 1.0), mk_packet(5, 0, 0.1, 1.0),
+                   mk_packet(9, 1, 0.2, 1.0), mk_packet(5, 1, 0.3, 1.0),
+                   mk_packet(4, 1, 0.4, 1.0)]
+        with pytest.raises(ValueError, match=r"id must be unique.*packet 5\b"):
+            mk_workload(packets)
+
+    def test_arrivals_out_of_time_order_refused(self):
+        # a Workload sorts packets given by hand but takes Arrivals as they
+        # are, so a run would read the later-listed, earlier arrival after
+        # events that come after it
+        with pytest.raises(ValueError,
+                           match=r"arrival_time must not decrease.*packet 6\b"):
+            sc.Arrivals([5, 6, 7], [0, 1, 0], [1.0, 0.5, 2.0], [1.0] * 3,
+                        [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("origin, what", [(2, "a sink"),
+                                              (7, "not a node")])
+    def test_origin_outside_the_route_table_refused(self, origin, what):
+        topo, routes = chain_network(3)
+        wl = mk_workload([mk_packet(3, 0, 0.0, 1.0),
+                          mk_packet(8, origin, 0.1, 1.0)])
+        with pytest.raises(ValueError,
+                           match=rf"packet 8 .*node {origin}, which is {what}"):
+            sc.run_simulation(topo, routes, wl, sc.SimConfig(duration=1.0))
+
+
 @pytest.fixture(scope="module")
 def probe_network():
     """Criterion 6's network and its seed-0 probe config at 1.25x the
@@ -730,6 +776,70 @@ class TestRunProperties:
         assert means == sorted(means)
         assert means[0] == 0.0
         assert means[-1] > 0.25
+
+
+@st.composite
+def relabelled_workloads(draw):
+    """A small network and a hand-built workload on it with shuffled,
+    non-contiguous distinct ids and distinct tie keys, so ids never break a
+    priority tie."""
+    topo, routes = draw(small_networks())
+    n = draw(st.integers(1, 30))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
+                        unique=True))
+    origins = draw(st.lists(st.sampled_from(sorted(routes.next_hop)),
+                            min_size=n, max_size=n))
+    # arrivals on a 0.1 s grid and 0.4 s hops give same-instant events
+    slots = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    deadlines = draw(st.lists(st.sampled_from([0.3, 0.8, 1.2, 2.0, 5.0]),
+                              min_size=n, max_size=n))
+    ties = draw(st.permutations(range(n)))
+    packets = [mk_packet(pid, origin, 0.1 * slot, deadline, tie / n)
+               for pid, origin, slot, deadline, tie
+               in zip(ids, origins, slots, deadlines, ties)]
+    return topo, routes, mk_workload(packets)
+
+
+class TestPositionIndexedRun:
+    """The run keeps per-packet state by workload position and computes
+    each packet's priority key once, at its arrival."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_workloads(), st.booleans(), st.booleans())
+    def test_ids_are_only_labels(self, case, drop, stop):
+        topo, routes, wl = case
+        cfg = sc.SimConfig(bandwidth=2500.0, duration=10.0, drop_on_miss=drop,
+                           stop_at_first_miss=stop)
+        positional = mk_workload([p._replace(id=i)
+                                  for i, p in enumerate(wl.packets)])
+        position_of = {p.id: i for i, p in enumerate(wl.packets)}
+        logs = [], []
+        runs = [sc.run_simulation(topo, routes, w, cfg, event_log=log)
+                for w, log in zip((wl, positional), logs)]
+        assert runs[0] == runs[1]
+
+        def relabel(line):
+            fields = line.split(" ")
+            fields[3] = str(position_of[int(fields[3])])
+            return " ".join(fields)
+
+        assert [relabel(line) for line in logs[0]] == logs[1]
+
+    def test_priority_key_once_per_arrival(self, monkeypatch):
+        keyed = []
+        key = sc.priority_key
+
+        def counting(packet):
+            keyed.append(packet.id)
+            return key(packet)
+
+        monkeypatch.setattr(sc, "priority_key", counting)
+        log = []
+        _, _, _, m = contended_run(seed=3, event_log=log)
+        arrived = [int(line.split()[3]) for line in log if " arrival " in line]
+        assert any(" enqueue " in line for line in log)  # packets relayed
+        assert len(arrived) == m.packets_generated > 0
+        assert sorted(keyed) == sorted(arrived)
 
 
 # ---------------------------------------------------------------------------
