@@ -44,7 +44,6 @@ from .experiments import (
     run_sweep,
 )
 from .simcore import (
-    ActiveTransmission,
     Arrivals,
     CriticalCapacity,
     InvariantError,

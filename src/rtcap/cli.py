@@ -223,6 +223,9 @@ def _cmd_analyze(cfg, out) -> int:
 
 def _cmd_simulate(cfg, out) -> int:
     sim = _sim_from(cfg, arrival_rate=cfg["rate"])
+    if cfg["event_log"]:
+        # a bad log path fails before the runs, not after
+        open(cfg["event_log"], "w").close()
     topo, routes = tp.make_network(cfg["rows"], cfg["cols"], cfg["spacing"],
                                    cfg["jitter"], cfg["seed"],
                                    cfg["radio_range"], cfg["sinks"],

@@ -24,6 +24,7 @@ identical sweeps produce byte-identical CSV files.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -38,12 +39,6 @@ from . import analytics as an
 from . import simcore as sc
 from . import topology as tp
 
-SWEEP_KINDS = ("balanced_curves", "convergecast_curves", "radio_sweep",
-               "sink_sweep", "missratio_sweep")
-
-# the kinds a CurveSpec describes; SweepSpec describes the others
-CURVE_KINDS = ("balanced_curves", "convergecast_curves")
-
 # the `analytic` fields each closed form reads besides the swept one
 _CURVE_READS = {
     "balanced_curves": ("node_count", "bandwidth", "neighborhood_bound",
@@ -55,6 +50,10 @@ _CURVE_READS = {
 # the fixed field each simulated kind's swept value replaces
 _SWEPT_FIELD = {"radio_sweep": "radio_range", "sink_sweep": "sink_count",
                 "missratio_sweep": "load_factor"}
+
+# the kinds a CurveSpec describes; SweepSpec describes the others
+CURVE_KINDS = tuple(_CURVE_READS)
+SWEEP_KINDS = (*CURVE_KINDS, *_SWEPT_FIELD)
 
 
 def _check_mode(mode: str) -> None:
@@ -228,73 +227,52 @@ def _measured_bounds(spec: SweepSpec, topo: tp.Topology, routes: tp.RouteTable):
     return stats, dm, edf
 
 
-def _simulation_row(spec: SweepSpec, value, digest: str) -> ResultRow:
-    """Build the row's own network, measure its bounds, and run seeded
-    replications at a load that is a multiple of the measured DM bound.
+def _simulation_row(spec: SweepSpec, value) -> dict:
+    """The cells of one simulated row: build the row's own network, measure
+    its bounds, and run seeded replications at a load that is a multiple of
+    the measured DM bound.
 
-    The swept value replaces the kind's `_SWEPT_FIELD`: the radio range,
-    the sink count, or the load multiple of missratio_sweep, whose runs go
-    the full duration; the other kinds stop each run at its first miss. The
-    row's critical capacity is the minimum first-miss consumption across
-    replications. A failure flags the row instead of raising.
+    The swept value replaces the kind's `_SWEPT_FIELD` through the spec,
+    whose checks apply to it: the radio range, the sink count, or the load
+    multiple of missratio_sweep, whose runs go the full duration; the other
+    kinds stop each run at its first miss. The row's critical capacity is
+    the minimum first-miss consumption across replications.
     """
-    seeds = dict(seed_lo=spec.sim.seed,
-                 seed_hi=spec.sim.seed + spec.sim.replication_count - 1)
-    missratio = spec.kind == "missratio_sweep"
-    # the swept value is set here, not through the spec, whose checks would
-    # refuse an infinite load before the row could be flagged for it
-    settings = dict(radio_range=spec.radio_range, sink_count=spec.sink_count,
-                    load_factor=spec.load_factor)
-    settings[_SWEPT_FIELD[spec.kind]] = value
-    try:
-        topo, routes = tp.make_network(spec.rows, spec.cols, spec.spacing,
-                                       spec.jitter, spec.sim.seed,
-                                       settings["radio_range"],
-                                       settings["sink_count"], spec.sink_mode)
-        stats, dm, edf = _measured_bounds(spec, topo, routes)
-        cfg = replace(spec.sim,
-                      arrival_rate=probe_rate(settings["load_factor"] * dm.value,
-                                              routes, spec.sim.packet_size),
-                      stop_at_first_miss=not missratio)
-        metrics = sc.run_replications(topo, routes, cfg)
-    except (tp.RoutingError, an.SolverError, sc.InvariantError, ValueError) as err:
-        return ResultRow(swept_value=value, analytic_dm=float("nan"),
-                         analytic_edf=float("nan"), config_hash=digest,
-                         error=f"{type(err).__name__}: {err}", **seeds)
-    return ResultRow(
-        swept_value=value, analytic_dm=dm.value, analytic_edf=edf.value,
+    row = replace(spec, **{_SWEPT_FIELD[spec.kind]: value})
+    missratio = row.kind == "missratio_sweep"
+    topo, routes = tp.make_network(row.rows, row.cols, row.spacing, row.jitter,
+                                   row.sim.seed, row.radio_range,
+                                   row.sink_count, row.sink_mode)
+    stats, dm, edf = _measured_bounds(row, topo, routes)
+    cfg = replace(row.sim,
+                  arrival_rate=probe_rate(row.load_factor * dm.value, routes,
+                                          row.sim.packet_size),
+                  stop_at_first_miss=not missratio)
+    metrics = sc.run_replications(topo, routes, cfg)
+    return dict(
+        analytic_dm=dm.value, analytic_edf=edf.value,
         simulated_critical=sc.critical_capacity(metrics).value,
         miss_ratio=(float(np.mean([m.miss_ratio for m in metrics]))
                     if missratio else None),
         offered_demand=float(np.mean([m.offered_demand for m in metrics])),
         neighborhood_bound=stats.neighborhood_bound,
-        nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops,
-        config_hash=digest, **seeds)
+        nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops)
 
 
-def _curve_row(spec: CurveSpec, value, digest: str) -> ResultRow:
-    """Closed-form DM and EDF limits at one path length (balanced_curves)
-    or sink hop radius (convergecast_curves). A swept value the params
-    refuse, a failed solve, or a limit that is not finite flags the row,
-    like a failed simulated row."""
-    try:
-        if spec.kind == "balanced_curves":
-            params = replace(spec.analytic, path_length=value)
-            dm, edf = (an.rtcc_balanced(s, params) for s in (an.DM, an.EDF))
-        else:
-            params = replace(spec.analytic, max_hops=value)
-            dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
-                       for s in (an.DM, an.EDF))
-    except (an.SolverError, ValueError) as err:
-        return ResultRow(swept_value=value, analytic_dm=float("nan"),
-                         analytic_edf=float("nan"), config_hash=digest,
-                         error=f"{type(err).__name__}: {err}")
-    finite = math.isfinite(dm.value) and math.isfinite(edf.value)
-    return ResultRow(swept_value=value, analytic_dm=dm.value,
-                     analytic_edf=edf.value, config_hash=digest,
-                     error=None if finite else
-                     f"ValueError: limit not finite (DM {dm.value!r}, "
-                     f"EDF {edf.value!r})")
+def _curve_row(spec: CurveSpec, value) -> dict:
+    """The cells of one closed-form row: DM and EDF limits at one path
+    length (balanced_curves) or sink hop radius (convergecast_curves). A
+    limit that is not finite raises, like a swept value the params refuse."""
+    if spec.kind == "balanced_curves":
+        params = replace(spec.analytic, path_length=value)
+        dm, edf = (an.rtcc_balanced(s, params) for s in (an.DM, an.EDF))
+    else:
+        params = replace(spec.analytic, max_hops=value)
+        dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
+                   for s in (an.DM, an.EDF))
+    if not (math.isfinite(dm.value) and math.isfinite(edf.value)):
+        raise ValueError(f"limit not finite (DM {dm.value!r}, EDF {edf.value!r})")
+    return dict(analytic_dm=dm.value, analytic_edf=edf.value)
 
 
 def run_sweep(spec: CurveSpec | SweepSpec) -> list:
@@ -302,44 +280,53 @@ def run_sweep(spec: CurveSpec | SweepSpec) -> list:
 
     A CurveSpec evaluates the closed forms directly. A SweepSpec builds the
     network for each swept value, measures its statistics, derives the
-    analytic bound from them, and aggregates seeded replications. A failure
-    in one simulated value flags that row and the sweep continues.
+    analytic bound from them, and aggregates seeded replications. A value
+    that fails flags its own row, with NaN bounds and the error as
+    `"<Type>: <message>"`, and the sweep continues. Simulated rows carry
+    their seed range, flagged or not.
     """
     digest = config_hash(spec)
-    row = _curve_row if isinstance(spec, CurveSpec) else _simulation_row
-    return [row(spec, value, digest) for value in spec.values]
+    curve = isinstance(spec, CurveSpec)
+    seeds = {} if curve else dict(
+        seed_lo=spec.sim.seed,
+        seed_hi=spec.sim.seed + spec.sim.replication_count - 1)
+    rows = []
+    for value in spec.values:
+        try:
+            cells = (_curve_row if curve else _simulation_row)(spec, value)
+        except (tp.RoutingError, an.SolverError, sc.InvariantError, ValueError) as err:
+            cells = dict(analytic_dm=math.nan, analytic_edf=math.nan,
+                         error=f"{type(err).__name__}: {err}")
+        rows.append(ResultRow(swept_value=value, config_hash=digest,
+                              **cells, **seeds))
+    return rows
 
 
 _CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
+def _fmt(value):
+    return format(value, ".9g") if isinstance(value, float) else value
 
 
 def emit_csv(rows: Iterable, destination, spec: CurveSpec | SweepSpec) -> None:
     """Write rows as CSV: a comment block with the spec's hash and recorded
     configuration (see `_recorded`), one column-name header, one line per
-    row. Numeric cells use 9 significant digits so repeated identical
-    sweeps are byte-identical."""
+    row. Float cells use 9 significant digits so repeated identical sweeps
+    are byte-identical; a `None` cell is empty, and a cell holding a comma,
+    a quote or a newline is quoted."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to write")
-    lines = ["# rtcap sweep results", f"# tool_version={__version__}",
-             f"# config_hash={config_hash(spec)}"]
-    for key, value in sorted(_recorded(spec).items()):
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(_CSV_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in _CSV_COLUMNS))
-    with open(destination, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    comments = ["rtcap sweep results", f"tool_version={__version__}",
+                f"config_hash={config_hash(spec)}",
+                *(f"{key}={value}" for key, value in sorted(_recorded(spec).items()))]
+    with open(destination, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(_CSV_COLUMNS)
+        out.writerows([_fmt(getattr(row, col)) for col in _CSV_COLUMNS]
+                      for row in rows)
 
 
 def csv_filename(spec: CurveSpec | SweepSpec) -> str:

@@ -97,15 +97,6 @@ class Packet(NamedTuple):
         return self.arrival_time + self.relative_deadline
 
 
-class ActiveTransmission(NamedTuple):
-    """The fields of a live transmission as `run_simulation` holds it, a
-    plain (sender, receiver, workload position) tuple per busy endpoint."""
-
-    sender: int
-    receiver: int
-    position: int
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Workload and run parameters. Rates are per non-sink node."""

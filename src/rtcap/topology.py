@@ -354,14 +354,15 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
 def load_topology(path) -> tuple:
     """Read a file written by save_topology and return (topology, sinks),
     sinks a tuple in node order. The adjacency is recomputed from the radio
-    range in the header; a file without one, or whose ids do not read
-    0..n-1 in file order, is a ValueError."""
+    range in the header; a file without one, a data line that is not
+    `id x y is_sink`, or ids that do not read 0..n-1 in file order, is a
+    ValueError naming the file."""
     grid = None
     radio_range = None
     nodes = []
     sinks = []
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -375,13 +376,18 @@ def load_topology(path) -> tuple:
                 elif body.startswith("radio_range="):
                     radio_range = float(body.split("=", 1)[1])
                 continue
-            ident, x, y, sink = line.split()
-            if int(ident) != len(nodes):
+            try:
+                ident, x, y, sink = line.split()
+                ident, point, sink = int(ident), (float(x), float(y)), int(sink)
+            except ValueError:
+                raise ValueError(f"{path}:{number}: expected 'id x y is_sink', "
+                                 f"got {line!r}") from None
+            if ident != len(nodes):
                 raise ValueError(f"{path}: node ids must read 0..n-1 in file "
                                  f"order, found id {ident} at {len(nodes)}")
-            if int(sink):
+            if sink:
                 sinks.append(len(nodes))
-            nodes.append((float(x), float(y)))
+            nodes.append(point)
     if radio_range is None:
         raise ValueError(f"{path}: no radio_range in the header")
     return Topology(nodes, radio_range, grid), tuple(sinks)

@@ -1,6 +1,8 @@
 """Shared test fixtures and independent oracles used by the unit and
 acceptance suites."""
 
+import csv
+import itertools
 from collections import defaultdict
 
 from rtcap import analytics as an
@@ -23,6 +25,14 @@ def mk_packet(pid, origin, at, deadline, tie=0.0):
 
 def mk_workload(packets):
     return sc.Workload(packets=tuple(packets), seed=0)
+
+
+def sweep_csv_rows(path):
+    """The rows under a sweep CSV's `#` comment block, column names first,
+    as `csv.reader` parses them."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(itertools.dropwhile(
+            lambda line: line.startswith("#"), fh)))
 
 
 # the 800-node, 12-sink evaluation network of criterion 6

@@ -13,7 +13,7 @@ from rtcap import simcore as sc
 from rtcap import topology as tp
 from rtcap.cli import dispatch
 
-from helpers import contended_run
+from helpers import contended_run, sweep_csv_rows
 
 
 def run_cli(argv):
@@ -320,6 +320,16 @@ class TestSimulate:
                           cfg, event_log=direct)
         assert log.read_text() == "".join(line + "\n" for line in direct)
 
+    def test_bad_event_log_fails_before_the_runs(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sc, "run_replications",
+                            lambda *args, **kw: calls.append(args))
+        code, out = run_cli(["simulate", "--rows", "2", "--cols", "2",
+                             "--radio-range", "15", "--reps", "1",
+                             "--event-log", str(tmp_path / "no" / "log.txt")])
+        assert code == 2
+        assert calls == [] and out == ""
+
     @pytest.mark.parametrize("keep", [True, False], ids=["keep", "drop"])
     def test_keep_on_miss(self, tmp_path, keep):
         # the contended 3x3 network of helpers.contended_run, through the CLI
@@ -465,9 +475,9 @@ class TestSweep:
          None)],
         ids=["swept_inf", "load_factor_inf"])
     def test_infinite_load_flags_its_row(self, tmp_path, argv, flagged):
-        # an infinite swept load is an infinite arrival rate, which SimConfig
-        # refuses for that row alone; the spec refuses an infinite
-        # --load-factor before any row runs
+        # the swept load goes through the spec, whose check refuses an
+        # infinite one for that row alone; an infinite --load-factor is
+        # refused before any row runs
         code, _ = run_cli(["sweep", *argv, "--rows", "4", "--cols", "4",
                            "--radio-range", "15", "--reps", "1",
                            "--duration", "2", "--out-dir", str(tmp_path)])
@@ -477,10 +487,10 @@ class TestSweep:
             return
         assert code == 2
         [csv] = tmp_path.glob("*.csv")
-        errors = {row.split(",")[0]: row.split(",")[-1]
-                  for row in data_lines(csv.read_text())[1:]}
+        errors = {row[0]: row[-1] for row in sweep_csv_rows(csv)[1:]}
         assert sorted(v for v, err in errors.items() if err) == flagged
-        assert all("arrival_rate must be finite" in errors[v] for v in flagged)
+        assert all(errors[v] == "ValueError: load_factor must be finite and > 0"
+                   for v in flagged)
 
     @pytest.mark.parametrize("spacing", ["inf", "1e308"])
     def test_non_finite_grid_flags_its_row(self, tmp_path, spacing):
@@ -490,8 +500,28 @@ class TestSweep:
                            "--spacing", spacing, "--out-dir", str(tmp_path)])
         assert code == 2
         [csv] = tmp_path.glob("*.csv")
-        [row] = data_lines(csv.read_text())[1:]
-        assert "ValueError: spacing must be" in row
+        columns, row = sweep_csv_rows(csv)
+        assert len(row) == len(columns)
+        assert row[-1].startswith("ValueError: spacing must be")
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "radio_sweep", "--values", "5,15", "--rows", "4",
+         "--cols", "4"],
+        ["--kind", "sink_sweep", "--values", "1,2", "--rows", "3", "--cols", "3",
+         "--radio-range", "15", "--spacing", "inf"]],
+        ids=["disconnected_radio_sweep", "spacing_inf"])
+    def test_flagged_rows_keep_the_header_width(self, tmp_path, argv):
+        # the error texts hold commas (the node ids that reach no sink, and
+        # "max(rows, cols) * spacing"), so the writer quotes them
+        code, _ = run_cli(["sweep", *argv, "--packet-size", "12500",
+                           "--duration", "3", "--reps", "1",
+                           "--out-dir", str(tmp_path)])
+        assert code == 2
+        [csv] = tmp_path.glob("*.csv")
+        columns, *rows = sweep_csv_rows(csv)
+        assert columns == list(ex._CSV_COLUMNS)
+        assert rows and all(len(row) == len(columns) for row in rows)
+        assert any("," in row[-1] for row in rows)
 
     def test_non_finite_curve_limit_flags_its_row(self, tmp_path):
         code, _ = run_cli(["sweep", "--kind", "convergecast_curves", "--mode",
@@ -499,8 +529,7 @@ class TestSweep:
                            "--out-dir", str(tmp_path)])
         assert code == 2
         [csv] = tmp_path.glob("*.csv")
-        errors = {row.split(",")[0]: row.split(",")[-1]
-                  for row in data_lines(csv.read_text())[1:]}
+        errors = {row[0]: row[-1] for row in sweep_csv_rows(csv)[1:]}
         assert [v for v, err in errors.items() if err] == ["inf"]
 
     def test_refused_curve_value_flags_its_row(self, tmp_path):
@@ -509,8 +538,7 @@ class TestSweep:
                            "1,inf", "--out-dir", str(tmp_path)])
         assert code == 2
         [csv] = tmp_path.glob("*.csv")
-        errors = {row.split(",")[0]: row.split(",")[-1]
-                  for row in data_lines(csv.read_text())[1:]}
+        errors = {row[0]: row[-1] for row in sweep_csv_rows(csv)[1:]}
         assert [v for v, err in errors.items() if err] == ["inf"]
         assert "path_length is not finite" in errors["inf"]
 

@@ -3,6 +3,7 @@ replication aggregation, and byte-stable CSV output."""
 
 import dataclasses
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -259,6 +260,35 @@ class TestAnalyticSweeps:
         assert ok.error is None and ok.analytic_dm > 0
         assert math.isnan(bad.analytic_dm) and math.isnan(bad.analytic_edf)
         assert bad.error == "ValueError: path_length is not finite: inf"
+
+
+class TestFlaggedRows:
+    """A value that fails flags its own row one way, on every path: NaN
+    bounds and the error as "<Type>: <message>"; a simulated row keeps its
+    seed range."""
+
+    @pytest.mark.parametrize("spec,error", [
+        (ex.CurveSpec(kind="balanced_curves", values=(math.inf,),
+                      analytic=ANALYTIC),
+         r"ValueError: path_length is not finite: inf"),
+        (ex.CurveSpec(kind="balanced_curves", values=(1,),
+                      analytic=replace(ANALYTIC, node_count=10**308)),
+         r"ValueError: limit not finite \(DM inf, EDF inf\)"),
+        (small_sim_spec("radio_sweep", (5.0,)),
+         r"RoutingError: 34 node\(s\) cannot reach a sink: \[0, 1, .*"),
+        (small_sim_spec("missratio_sweep", (math.inf,)),
+         r"ValueError: load_factor must be finite and > 0")],
+        ids=["curve_refusal", "curve_limit_not_finite", "simulated_error",
+             "swept_load_inf"])
+    def test_nan_bounds_and_typed_error(self, spec, error):
+        [row] = ex.run_sweep(spec)
+        assert math.isnan(row.analytic_dm) and math.isnan(row.analytic_edf)
+        assert re.fullmatch(error, row.error)
+        assert row.swept_value == spec.values[0]
+        assert row.config_hash == ex.config_hash(spec)
+        assert row.simulated_critical is None and row.offered_demand is None
+        simulated = isinstance(spec, ex.SweepSpec)
+        assert (row.seed_lo, row.seed_hi) == ((1, 2) if simulated else (None, None))
 
 
 class TestSimulationSweeps:

@@ -26,7 +26,8 @@ from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
 
-from helpers import EVAL_GRID, contended_run, measured_dm_bound, receive_gaps
+from helpers import (EVAL_GRID, contended_run, measured_dm_bound, receive_gaps,
+                     sweep_csv_rows)
 
 GOLDEN = {
     "contended-13-drop":
@@ -108,8 +109,7 @@ def sweep_rows_digest() -> str:
                                  "--out-dir", str(written)], out=io.StringIO())
             assert code == 0
             [csv] = written.glob("*.csv")
-            rows = [ln.split(",") for ln in csv.read_text().splitlines()
-                    if not ln.startswith("#")]
+            rows = sweep_csv_rows(csv)
             drop = rows[0].index("config_hash")
             lines += [",".join(r[:drop] + r[drop + 1:]) for r in rows]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rtcap import experiments as ex
@@ -310,8 +310,8 @@ class TestAdmissibleTransmissions:
     def medium(self, n, active=()):
         topo, _ = chain_network(n)
         medium = sc.Medium(topo.adjacency)
-        for tx in active:
-            medium.occupy(tx.sender, tx.receiver)
+        for s, r, _ in active:
+            medium.occupy(s, r)
         return medium
 
     def test_single_candidate_granted(self):
@@ -321,12 +321,12 @@ class TestAdmissibleTransmissions:
         assert grants == [(pkt, 0, 1)]
 
     def test_sender_near_active_receiver_blocked(self):
-        medium = self.medium(4, [sc.ActiveTransmission(0, 1, 99)])
+        medium = self.medium(4, [(0, 1, 99)])
         pkt = mk_packet(0, 2, 0.0, 1.0)
         assert sc.admissible_transmissions([dm(pkt, 2, 3)], medium) == []
 
     def test_receiver_near_active_sender_blocked(self):
-        medium = self.medium(4, [sc.ActiveTransmission(1, 0, 99)])
+        medium = self.medium(4, [(1, 0, 99)])
         pkt = mk_packet(0, 3, 0.0, 1.0)
         # receiver 2 is inside sender 1's range
         assert sc.admissible_transmissions([dm(pkt, 3, 2)], medium) == []
@@ -372,7 +372,7 @@ class TestAdmissibleTransmissions:
         assert grants == [(lax, 1, 2)]
 
     def test_busy_endpoint_blocked(self):
-        medium = self.medium(6, [sc.ActiveTransmission(4, 5, 99)])
+        medium = self.medium(6, [(4, 5, 99)])
         pkt = mk_packet(0, 4, 0.0, 1.0)
         assert sc.admissible_transmissions([dm(pkt, 4, 3)], medium) == []
 
@@ -381,10 +381,9 @@ class TestMedium:
     @staticmethod
     def rebuilt(active):
         """Busy endpoints, senders and receivers recomputed from the active
-        transmissions alone."""
-        busy = {v for tx in active for v in (tx.sender, tx.receiver)}
-        return (busy, {tx.sender for tx in active},
-                {tx.receiver for tx in active})
+        (sender, receiver, position) transmissions alone."""
+        busy = {v for s, r, _ in active for v in (s, r)}
+        return busy, {s for s, _, _ in active}, {r for _, r, _ in active}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_occupy_release_matches_rebuild(self, seed):
@@ -397,21 +396,21 @@ class TestMedium:
         active = []
         for step in range(400):
             if active and rng.random() < 0.45:
-                tx = active.pop(int(rng.integers(len(active))))
-                medium.release(tx.sender, tx.receiver)
+                s, r, _ = active.pop(int(rng.integers(len(active))))
+                medium.release(s, r)
             else:
                 s = int(rng.choice(sorted(routes.next_hop)))
                 r = routes.next_hop[s]
                 pkt = mk_packet(step, s, 0.0, 1.0)
                 if not sc.admissible_transmissions([dm(pkt, s, r)], medium):
                     continue
-                air = {v: tx for tx in active for v in (tx.sender, tx.receiver)}
+                air = {v: tx for tx in active for v in tx[:2]}
                 sc._verify_exclusion(s, r, air, adjacency)
-                active.append(sc.ActiveTransmission(s, r, step))
+                active.append((s, r, step))
             assert (medium.busy, medium.senders, medium.receivers) \
                 == self.rebuilt(active)
-        for tx in active:
-            medium.release(tx.sender, tx.receiver)
+        for s, r, _ in active:
+            medium.release(s, r)
         assert medium.is_idle()
 
     @pytest.mark.parametrize("seed", range(3))
@@ -429,12 +428,11 @@ class TestMedium:
             s, r = int(s), routes.next_hop[int(s)]
             pkt = mk_packet(step, s, 0.0, 1.0)
             if sc.admissible_transmissions([dm(pkt, s, r)], medium):
-                active.append(sc.ActiveTransmission(s, r, step))
-        air = {v: tx for tx in active for v in (tx.sender, tx.receiver)}
+                active.append((s, r, step))
+        air = {v: tx for tx in active for v in tx[:2]}
         for s, r in routes.next_hop.items():
-            conflict = any({s, r} & {tx.sender, tx.receiver}
-                           or s in adjacency[tx.receiver]
-                           or r in adjacency[tx.sender] for tx in active)
+            conflict = any({s, r} & {ts, tr} or s in adjacency[tr]
+                           or r in adjacency[ts] for ts, tr, _ in active)
             try:
                 sc._verify_exclusion(s, r, air, adjacency)
                 raised = False
@@ -784,6 +782,7 @@ def relabelled_workloads(draw):
     non-contiguous distinct ids and distinct tie keys, so ids never break a
     priority tie."""
     topo, routes = draw(small_networks())
+    assume(routes.next_hop)  # a grid of sinks alone has no origin
     n = draw(st.integers(1, 30))
     ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
                         unique=True))

@@ -519,6 +519,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="topo.txt"):
             tp.load_topology(path)
 
+    @pytest.mark.parametrize("bad", ["1 0.0", "1 0.0 0.0 0 7", "1 abc 0.0 0"],
+                             ids=["2_fields", "5_fields", "not_a_number"])
+    def test_malformed_line_named_by_file_and_line(self, tmp_path, bad):
+        topo, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
+        path = tmp_path / "topo.txt"
+        tp.save_topology(topo, path, routes.sinks)
+        lines = path.read_text().splitlines()
+        number = next(i for i, line in enumerate(lines, 1)
+                      if line.startswith("1 "))
+        lines[number - 1] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as refused:
+            tp.load_topology(path)
+        assert str(refused.value) == \
+            f"{path}:{number}: expected 'id x y is_sink', got {bad!r}"
+
     @pytest.mark.parametrize("rows,cols,count,mode,with_grid", [
         (5, 5, 1, "subgrid", True), (4, 7, 4, "subgrid", True),
         (6, 6, 3, "random", True), (3, 8, 2, "random", False)],
