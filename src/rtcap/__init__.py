@@ -16,7 +16,6 @@ from .analytics import (
     AnalyticParams,
     CapacityBound,
     FeasibilityReport,
-    PacketLoad,
     PoleError,
     SolverError,
     balanced_vq_bound,

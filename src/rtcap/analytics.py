@@ -54,28 +54,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PacketLoad:
-    """One packet's claim on a node: per-hop transmission time and relative deadline."""
-
-    tx_time: float
-    deadline: float
-
-    def __post_init__(self):
-        if not (self.tx_time > 0):
-            raise ValueError(f"tx_time must be > 0, got {self.tx_time}")
-        if not (self.deadline > 0):
-            raise ValueError(f"deadline must be > 0, got {self.deadline}")
-        if self.tx_time > self.deadline:
-            raise ValueError(
-                f"tx_time {self.tx_time} exceeds deadline {self.deadline}: "
-                "such a packet can never be delivered on time")
-
-    @property
-    def utilization(self) -> float:
-        return self.tx_time / self.deadline
-
-
-@dataclass(frozen=True)
 class AnalyticParams:
     """Parameter bag feeding the capacity-limit expressions.
 
@@ -148,16 +126,21 @@ class FeasibilityReport:
 
 
 def node_utilization(loads: Iterable) -> float:
-    """Sum of per-hop utilizations T/D over the packets claiming one node.
-
-    Accepts PacketLoad instances or (tx_time, deadline) pairs; pairs are
-    validated on the way in.
-    """
+    """Sum of per-hop utilizations T/D over the packets claiming one node,
+    each given as a (tx_time, deadline) pair. A pair with tx_time or
+    deadline <= 0, or with tx_time beyond its deadline (a packet that can
+    never be delivered on time), is a ValueError."""
     total = 0.0
-    for load in loads:
-        if not isinstance(load, PacketLoad):
-            load = PacketLoad(*load)
-        total += load.utilization
+    for tx_time, deadline in loads:
+        if not (tx_time > 0):
+            raise ValueError(f"tx_time must be > 0, got {tx_time}")
+        if not (deadline > 0):
+            raise ValueError(f"deadline must be > 0, got {deadline}")
+        if tx_time > deadline:
+            raise ValueError(
+                f"tx_time {tx_time} exceeds deadline {deadline}: "
+                "such a packet can never be delivered on time")
+        total += tx_time / deadline
     return total
 
 

@@ -48,17 +48,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Option(NamedTuple):
-    kind: object        # int, float or str, or a tuple of allowed strings
+    kind: object        # int, float, str, _floats, bool (a switch) or choices
     default: object
     commands: tuple     # commands that take it as a --flag
     help: Optional[str] = None
 
 
+def _floats(text: str) -> tuple:
+    """A comma-separated list of numbers; blank items are skipped."""
+    try:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 _A, _S, _W = "analyze", "simulate", "sweep"  # command names, for the table
 
-# The one declaration of every option a command reads: each row becomes a
-# --flag of each command it names, with the row's default. A new option is
-# one row here.
+# The one declaration of every flag a command takes: each row becomes a
+# --flag of each command it names, with the row's default, and argparse
+# parses its value by the row's kind. A new option is one row here.
 _OPTIONS = {
     "n": _Option(int, 100, (_A, _W)),
     "B": _Option(float, 250_000.0, (_A, _S, _W)),
@@ -70,6 +79,14 @@ _OPTIONS = {
     "sinks": _Option(int, 1, (_A, _S, _W)),
     "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, (_A, _W)),
     "delta": _Option(float, 1.0, (_A,)),
+    "topology": _Option(("balanced", "convergecast"), "balanced", (_A,)),
+    "scheduler": _Option(("dm", "edf", "both"), "both", (_A,)),
+    "clamp": _Option(bool, False, (_A,), "cap saturated sink utilizations at 1"),
+    "ratio": _Option(bool, False, (_A,),
+                     "print the balanced/convergecast capacity ratio for --Kd"),
+    "vqs": _Option(_floats, None, (_A,), "comma-separated neighborhood "
+                   "utilizations: print DM and EDF path feasibility reports"),
+    "csv": _Option(str, None, (_A,), "also write the bounds as CSV"),
     "rows": _Option(int, 20, (_S, _W)),
     "cols": _Option(int, 20, (_S, _W)),
     "spacing": _Option(float, 10.0, (_S, _W)),
@@ -79,13 +96,20 @@ _OPTIONS = {
     "rate": _Option(float, 1.0, (_S,)),
     "duration": _Option(float, 30.0, (_S, _W)),
     "packet_size": _Option(float, 1000.0, (_S, _W)),
-    "deadlines": _Option(str, "0.5,1.0,2.0", (_S, _W),
+    "deadlines": _Option(_floats, "0.5,1.0,2.0", (_S, _W),
                          "comma-separated deadline set, seconds"),
+    "keep_on_miss": _Option(bool, False, (_S, _W),
+                            "keep forwarding packets that missed"),
     "seed": _Option(int, 0, (_S, _W)),
     "reps": _Option(int, 10, (_S, _W)),
+    "verbose": _Option(bool, False, (_S, _W)),
+    "event_log": _Option(str, None, (_S,),
+                         "write the first replication's event log here"),
     "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", (_W,)),
-    "values": _Option(str, "", (_W,), "comma-separated swept values"),
+    "values": _Option(_floats, None, (_W,), "comma-separated swept values"),
     "load_factor": _Option(float, 1.5, (_W,)),
+    "out_dir": _Option(str, None, (_W,),
+                       "output directory (default $RTCAP_OUT_DIR or .)"),
 }
 
 # the AnalyticParams field each option sets; a sweep's swept value replaces
@@ -102,13 +126,6 @@ _DEFAULT_SWEPT_VALUES = {
 }
 
 
-def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rtcap", description=__doc__.splitlines()[0],
                      fromfile_prefix_chars="@", allow_abbrev=False)
@@ -119,38 +136,14 @@ def _build_parser() -> _Parser:
                            (_S, "run seeded simulation replications"),
                            (_W, "run a sweep and write CSV"))}
     for key, opt in _OPTIONS.items():
-        choices = opt.kind if isinstance(opt.kind, tuple) else None
+        parse = ({"action": "store_true"} if opt.kind is bool else
+                 {"choices": opt.kind} if isinstance(opt.kind, tuple) else
+                 {"type": opt.kind})
+        flags = (("-v", "--verbose") if key == "verbose"
+                 else ("--" + key.replace("_", "-"),))
         for command in opt.commands:
-            commands[command].add_argument(
-                "--" + key.replace("_", "-"), dest=key, default=opt.default,
-                help=opt.help, type=None if choices else opt.kind,
-                choices=choices)
-    for command in (commands[_S], commands[_W]):
-        command.add_argument("-v", "--verbose", action="store_true")
-        command.add_argument("--keep-on-miss", dest="drop_on_miss",
-                             action="store_false",
-                             help="keep forwarding packets that missed")
-
-    pa = commands["analyze"]
-    pa.add_argument("--topology", choices=["balanced", "convergecast"],
-                    default="balanced")
-    pa.add_argument("--scheduler", choices=["dm", "edf", "both"], default="both")
-    pa.add_argument("--clamp", action="store_true",
-                    help="cap saturated sink utilizations at 1")
-    pa.add_argument("--ratio", action="store_true",
-                    help="print the balanced/convergecast capacity ratio for --Kd")
-    pa.add_argument("--vqs", help="comma-separated neighborhood utilizations: "
-                                  "print DM and EDF path feasibility reports")
-    pa.add_argument("--csv", help="also write the bounds as CSV")
-
-    ps = commands["simulate"]
-    ps.add_argument("--event-log", dest="event_log",
-                    help="write the first replication's event log here")
-
-    pw = commands["sweep"]
-    pw.add_argument("--out-dir", dest="out_dir",
-                    help="output directory (default $RTCAP_OUT_DIR or .)")
-
+            commands[command].add_argument(*flags, dest=key, default=opt.default,
+                                           help=opt.help, **parse)
     return parser
 
 
@@ -164,8 +157,8 @@ def _sim_from(cfg: dict, **fields) -> sc.SimConfig:
     shares; `fields` adds the ones only some commands set."""
     return sc.SimConfig(
         bandwidth=cfg["B"], packet_size=cfg["packet_size"],
-        deadline_set=_parse_floats(cfg["deadlines"]),
-        duration=cfg["duration"], drop_on_miss=cfg["drop_on_miss"],
+        deadline_set=cfg["deadlines"], duration=cfg["duration"],
+        drop_on_miss=not cfg["keep_on_miss"],
         seed=cfg["seed"], replication_count=cfg["reps"], **fields)
 
 
@@ -185,9 +178,8 @@ def _cmd_analyze(cfg, out) -> int:
                        "mode", "delta"), out)
 
     if cfg["vqs"] is not None:
-        vqs = _parse_floats(cfg["vqs"])
-        dm = an.dm_path_feasible(vqs, delta=cfg["delta"])
-        edf = an.edf_path_feasible(vqs)
+        dm = an.dm_path_feasible(cfg["vqs"], delta=cfg["delta"])
+        edf = an.edf_path_feasible(cfg["vqs"])
         print(f"{'test':<5} {'feasible':<9} {'lhs':<22} {'bound':<22} margin",
               file=out)
         for name, rep in (("DM", dm), ("EDF", edf)):
@@ -233,7 +225,7 @@ def _cmd_simulate(cfg, out) -> int:
     stats = tp.topology_stats(topo, routes)
     _echo_params(cfg, ("rows", "cols", "spacing", "jitter", "radio_range",
                        "sinks", "sink_mode", "B", "packet_size", "deadlines",
-                       "rate", "duration", "drop_on_miss", "seed", "reps"), out)
+                       "rate", "duration", "keep_on_miss", "seed", "reps"), out)
     print(f"# measured u={stats.neighborhood_bound} m={stats.nodes_per_disk} "
           f"Kd={stats.max_hops}", file=out)
 
@@ -264,13 +256,11 @@ def _cmd_simulate(cfg, out) -> int:
 
 
 def _cmd_sweep(cfg, out) -> int:
-    kind = cfg["kind"]
-    if cfg["values"]:
-        values = _parse_floats(cfg["values"])
-    elif kind in _DEFAULT_SWEPT_VALUES:
+    kind, values = cfg["kind"], cfg["values"]
+    if values is None:
+        if kind not in _DEFAULT_SWEPT_VALUES:
+            raise UsageError(f"--values is required for {kind}")
         values = _DEFAULT_SWEPT_VALUES[kind]
-    else:
-        raise UsageError(f"--values is required for {kind}")
     if kind in ex.CURVE_KINDS:
         spec = ex.CurveSpec(kind=kind, values=values, analytic=_params_from(cfg),
                             mode=cfg["mode"])

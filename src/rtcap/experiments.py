@@ -188,16 +188,15 @@ def config_hash(spec: CurveSpec | SweepSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def load_multiplier_series(start: float = 0.25, stop: float = 4.0,
-                           step: float = 1.25) -> tuple:
-    """Multiplicative load grid for the miss-ratio sweep: start, start*step,
-    ... capped so the final point is exactly `stop`."""
+def load_multiplier_series() -> tuple:
+    """Multiplicative load grid for the miss-ratio sweep: 0.25, 0.25*1.25,
+    ... capped so the final point is exactly 4.0."""
     out = []
-    v = start
-    while v < stop * (1 - 1e-12):
+    v = 0.25
+    while v < 4.0 * (1 - 1e-12):
         out.append(round(v, 12))
-        v *= step
-    out.append(stop)
+        v *= 1.25
+    out.append(4.0)
     return tuple(out)
 
 

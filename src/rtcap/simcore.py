@@ -126,8 +126,14 @@ class SimConfig:
             raise ValueError("arrival_rate must be finite and >= 0")
         if not 0 < self.duration < math.inf:
             raise ValueError("duration must be finite and > 0")
-        if self.replication_count < 1:
-            raise ValueError("replication_count must be >= 1")
+        # a float seed or count fails deep inside numpy or range(), and a
+        # negative seed fails in every replication's SeedSequence
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if (not isinstance(self.replication_count, (int, np.integer))
+                or self.replication_count < 1):
+            raise ValueError(f"replication_count must be an integer >= 1, "
+                             f"got {self.replication_count!r}")
 
     @property
     def tx_time(self) -> float:

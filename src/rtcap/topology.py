@@ -354,9 +354,10 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
 def load_topology(path) -> tuple:
     """Read a file written by save_topology and return (topology, sinks),
     sinks a tuple in node order. The adjacency is recomputed from the radio
-    range in the header; a file without one, a data line that is not
-    `id x y is_sink`, or ids that do not read 0..n-1 in file order, is a
-    ValueError naming the file."""
+    range in the header; a file without one, a malformed `grid` or
+    `radio_range` header line, a data line that is not `id x y is_sink`, or
+    ids that do not read 0..n-1 in file order, is a ValueError naming the
+    file (and the line, for a malformed one)."""
     grid = None
     radio_range = None
     nodes = []
@@ -364,23 +365,28 @@ def load_topology(path) -> tuple:
     with open(path) as fh:
         for number, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
+            header = line.startswith("#")
+            body = line.lstrip("# ").strip()
+            if not line or header and not body.startswith(("grid ", "radio_range=")):
                 continue
-            if line.startswith("#"):
-                body = line.lstrip("# ").strip()
-                if body.startswith("grid "):
+            try:
+                if not header:
+                    expected = "'id x y is_sink'"
+                    ident, x, y, sink = line.split()
+                    ident, point, sink = int(ident), (float(x), float(y)), int(sink)
+                elif body.startswith("grid "):
+                    expected = "'# grid rows=R cols=C spacing=S jitter=J seed=N'"
                     kv = dict(part.split("=", 1) for part in body[5:].split())
                     grid = GridSpec(rows=int(kv["rows"]), cols=int(kv["cols"]),
                                     spacing=float(kv["spacing"]),
                                     jitter=float(kv["jitter"]), seed=int(kv["seed"]))
-                elif body.startswith("radio_range="):
+                    continue
+                else:
+                    expected = "'# radio_range=R'"
                     radio_range = float(body.split("=", 1)[1])
-                continue
-            try:
-                ident, x, y, sink = line.split()
-                ident, point, sink = int(ident), (float(x), float(y)), int(sink)
-            except ValueError:
-                raise ValueError(f"{path}:{number}: expected 'id x y is_sink', "
+                    continue
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}:{number}: expected {expected}, "
                                  f"got {line!r}") from None
             if ident != len(nodes):
                 raise ValueError(f"{path}: node ids must read 0..n-1 in file "

@@ -59,7 +59,7 @@ class TestNodeUtilization:
         assert an.node_utilization([]) == 0.0
 
     def test_single_ratio(self):
-        assert an.node_utilization([an.PacketLoad(0.1, 1.0)]) == pytest.approx(0.1)
+        assert an.node_utilization([(0.1, 1.0)]) == pytest.approx(0.1)
 
     def test_sum_of_ratios(self):
         loads = [(0.1, 1.0), (0.2, 2.0), (0.05, 0.5)]
@@ -71,8 +71,8 @@ class TestNodeUtilization:
             an.node_utilization([(tx, dl)])
 
     def test_tx_beyond_deadline_rejected(self):
-        with pytest.raises(ValueError):
-            an.PacketLoad(2.0, 1.0)
+        with pytest.raises(ValueError, match="exceeds deadline"):
+            an.node_utilization([(0.1, 1.0), (2.0, 1.0)])
 
 
 class TestNeighborhoodUtilization:

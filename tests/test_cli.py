@@ -235,6 +235,35 @@ class TestUsage:
             assert reads[command] == flags, command
 
 
+    @pytest.mark.parametrize("argv,flag,text", [
+        (["simulate", "--deadlines", "0.5,x"], "--deadlines", "0.5,x"),
+        (["sweep", "--kind", "sink_sweep", "--values", "1,x"], "--values", "1,x"),
+        (["analyze", "--vqs", "0.1,y"], "--vqs", "0.1,y")],
+        ids=["simulate-deadlines", "sweep-values", "analyze-vqs"])
+    def test_malformed_list_names_its_flag(self, tmp_path, capsys, argv, flag,
+                                           text):
+        # argparse parses a comma list by its row's kind, so the refusal
+        # names the flag, and no handler runs
+        out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "sweep" else []
+        code, out = run_cli([*argv, *out_dir])
+        assert code == 1 and out == ""
+        assert (f"usage error: argument {flag}: expected comma-separated "
+                f"numbers, got {text!r}") in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_every_flag_is_an_option_row(self):
+        # no flag is declared by hand beside the table
+        [subparsers] = [a for a in cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        for command, parser in subparsers.choices.items():
+            flags = {a.dest: a.option_strings for a in parser._actions
+                     if a.dest != "help"}
+            assert set(flags) == {key for key, opt in cli._OPTIONS.items()
+                                  if command in opt.commands}, command
+            for key, names in flags.items():
+                assert names[-1] == "--" + key.replace("_", "-")
+
+
 class TestConfigFile:
     """Options files are files of flags, read with `@path`."""
 
@@ -334,13 +363,15 @@ class TestSimulate:
     def test_keep_on_miss(self, tmp_path, keep):
         # the contended 3x3 network of helpers.contended_run, through the CLI
         log = tmp_path / "events.log"
-        code, _ = run_cli(["simulate", "--rows", "3", "--cols", "3",
-                           "--jitter", "0.2", "--radio-range", "15",
-                           "--sinks", "1", "--packet-size", "12500",
-                           "--rate", "6", "--duration", "8", "--seed", "3",
-                           "--reps", "1", "--event-log", str(log)]
-                          + (["--keep-on-miss"] if keep else []))
+        code, out = run_cli(["simulate", "--rows", "3", "--cols", "3",
+                             "--jitter", "0.2", "--radio-range", "15",
+                             "--sinks", "1", "--packet-size", "12500",
+                             "--rate", "6", "--duration", "8", "--seed", "3",
+                             "--reps", "1", "--event-log", str(log)]
+                            + (["--keep-on-miss"] if keep else []))
         assert code == 0
+        # the echo names the flag a user types
+        assert f" keep_on_miss={keep} " in out.splitlines()[0]
         misses = [ln.split()[-1] for ln in log.read_text().splitlines()
                   if " miss " in ln]
         assert misses and set(misses) == {"kept" if keep else "dropped"}
@@ -524,13 +555,18 @@ class TestSweep:
         assert any("," in row[-1] for row in rows)
 
     def test_non_finite_curve_limit_flags_its_row(self, tmp_path):
+        # at --B 1e306 a 1e4-hop radius overflows the limit itself; an
+        # infinite radius is refused by the params first
         code, _ = run_cli(["sweep", "--kind", "convergecast_curves", "--mode",
-                           "approximate", "--values", "1,2.5,inf",
-                           "--out-dir", str(tmp_path)])
+                           "approximate", "--values", "1,2.5,1e4,inf",
+                           "--B", "1e306", "--out-dir", str(tmp_path)])
         assert code == 2
         [csv] = tmp_path.glob("*.csv")
         errors = {row[0]: row[-1] for row in sweep_csv_rows(csv)[1:]}
-        assert [v for v, err in errors.items() if err] == ["inf"]
+        assert errors == {
+            "1": "", "2.5": "",
+            "10000": "ValueError: limit not finite (DM inf, EDF inf)",
+            "inf": "ValueError: max_hops is not finite: inf"}
 
     def test_refused_curve_value_flags_its_row(self, tmp_path):
         # the params refuse an infinite path length for that row alone
@@ -559,8 +595,12 @@ class TestSweep:
         (["--kind", "radio_sweep", "--values", "15,nan"], "> 0"),
         (["--kind", "balanced_curves", "--values", "nan"], "> 0"),
         (["--kind", "convergecast_curves", "--mode", "approximate",
-          "--values", "1,nan"], "> 0")],
-        ids=["alpha_3", "radio_nan", "balanced_nan", "convergecast_nan"])
+          "--values", "1,nan"], "> 0"),
+        (["--kind", "sink_sweep", "--seed", "-1"], "seed must be an integer >= 0"),
+        (["--kind", "sink_sweep", "--values", ""],
+         "swept values must be non-empty")],
+        ids=["alpha_3", "radio_nan", "balanced_nan", "convergecast_nan",
+             "seed_negative", "values_empty"])
     def test_bad_setting_fails_before_the_sweep(self, tmp_path, monkeypatch,
                                                 capsys, argv, key):
         # the spec refuses it, so no network is built and no row is written

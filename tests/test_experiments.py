@@ -245,12 +245,17 @@ class TestAnalyticSweeps:
         assert all(r.analytic_dm <= r.analytic_edf for r in rows)
 
     def test_non_finite_limit_flags_its_row(self):
-        spec = ex.CurveSpec(kind="convergecast_curves", values=(1, 2.5, math.inf),
-                            analytic=ANALYTIC, mode=an.APPROXIMATE)
+        # at B = 1e306 a 1e4-hop radius overflows the limit itself, while an
+        # infinite radius is refused by the params before any limit is taken
+        spec = ex.CurveSpec(kind="convergecast_curves",
+                            values=(1, 2.5, 1e4, math.inf),
+                            analytic=replace(ANALYTIC, bandwidth=1e306),
+                            mode=an.APPROXIMATE)
         rows = ex.run_sweep(spec)
-        assert [r.error is None for r in rows] == [True, True, False]
-        assert math.isnan(rows[-1].analytic_dm)
-        assert "not finite" in rows[-1].error
+        assert [r.error for r in rows] == [
+            None, None, "ValueError: limit not finite (DM inf, EDF inf)",
+            "ValueError: max_hops is not finite: inf"]
+        assert all(math.isnan(r.analytic_dm) for r in rows[2:])
 
     def test_refused_value_flags_its_row(self):
         # the params refuse an infinite path length for that row alone

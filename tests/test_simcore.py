@@ -132,6 +132,21 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError, match="deadline_set"):
             sc.SimConfig(deadline_set=(0.5, value))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("replication_count", 2.5, "replication_count must be an integer >= 1"),
+        ("seed", 1.5, "seed must be an integer >= 0"),
+        ("seed", -1, "seed must be an integer >= 0")],
+        ids=["fractional_count", "fractional_seed", "negative_seed"])
+    def test_bad_seed_or_count_rejected(self, field, value, message):
+        # each failed inside numpy or range(), naming no field: a sweep
+        # aborted on the first two, and flagged every row on the third
+        with pytest.raises(ValueError, match=message):
+            sc.SimConfig(**{field: value})
+
+    def test_numpy_integer_seed_and_count_accepted(self):
+        cfg = sc.SimConfig(seed=np.int64(3), replication_count=np.int32(2))
+        assert (cfg.seed, cfg.replication_count) == (3, 2)
+
     def test_overload_flag(self):
         # tx_time = 0.004 s, so 300 pkts/s/node claims > 100% of the channel
         assert sc.SimConfig(arrival_rate=300.0, duration=1.0).overloaded

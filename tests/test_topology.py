@@ -535,6 +535,30 @@ class TestPersistence:
         assert str(refused.value) == \
             f"{path}:{number}: expected 'id x y is_sink', got {bad!r}"
 
+    @pytest.mark.parametrize("bad,expected", [
+        ("# grid rows=1", "grid"),
+        ("# grid rows=1 cols=2", "grid"),
+        ("# grid rows=1 cols=x spacing=10.0 jitter=0.25 seed=0", "grid"),
+        ("# grid rows", "grid"),
+        ("# radio_range=abc", "radio_range")],
+        ids=["no_cols", "no_spacing", "cols_not_a_number", "no_equals",
+             "radio_range_not_a_number"])
+    def test_malformed_header_named_by_file_and_line(self, tmp_path, bad,
+                                                     expected):
+        # each escaped as a bare KeyError or ValueError naming no file
+        topo, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
+        path = tmp_path / "topo.txt"
+        tp.save_topology(topo, path, routes.sinks)
+        lines = path.read_text().splitlines()
+        number = next(i for i, line in enumerate(lines, 1)
+                      if line.startswith("# " + expected))
+        lines[number - 1] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as refused:
+            tp.load_topology(path)
+        assert str(refused.value).startswith(f"{path}:{number}: expected '# {expected}")
+        assert str(refused.value).endswith(f", got {bad!r}")
+
     @pytest.mark.parametrize("rows,cols,count,mode,with_grid", [
         (5, 5, 1, "subgrid", True), (4, 7, 4, "subgrid", True),
         (6, 6, 3, "random", True), (3, 8, 2, "random", False)],
