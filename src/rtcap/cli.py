@@ -1,9 +1,11 @@
 """Command-line front end: closed-form analysis, single simulations, and
 figure-reproduction sweeps.
 
-Three commands:
+Five commands, one question each:
 
-* analyze    print capacity bounds (and optional path feasibility reports)
+* analyze    print the DM/EDF capacity bounds of one topology
+* feasible   test one path for DM and EDF feasibility
+* ratio      print the balanced/convergecast capacity ratio
 * simulate   run seeded replications on one generated network
 * sweep      run a parameter sweep and write its CSV
 
@@ -63,7 +65,7 @@ def _floats(text: str) -> tuple:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-_A, _S, _W = "analyze", "simulate", "sweep"  # command names, for the table
+_A, _F, _R, _S, _W = "analyze", "feasible", "ratio", "simulate", "sweep"
 
 # The one declaration of every flag a command takes: each row becomes a
 # --flag of each command it names, with the row's default, and argparse
@@ -75,18 +77,16 @@ _OPTIONS = {
     "alpha": _Option(float, 2.0, (_A, _W)),
     "N": _Option(float, 5.0, (_A,)),
     "m": _Option(float, 10.0, (_A, _W)),
-    "Kd": _Option(float, 4.0, (_A,)),
+    "Kd": _Option(float, 4.0, (_A, _R)),
     "sinks": _Option(int, 1, (_A, _S, _W)),
     "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, (_A, _W)),
-    "delta": _Option(float, 1.0, (_A,)),
     "topology": _Option(("balanced", "convergecast"), "balanced", (_A,)),
     "scheduler": _Option(("dm", "edf", "both"), "both", (_A,)),
     "clamp": _Option(bool, False, (_A,), "cap saturated sink utilizations at 1"),
-    "ratio": _Option(bool, False, (_A,),
-                     "print the balanced/convergecast capacity ratio for --Kd"),
-    "vqs": _Option(_floats, None, (_A,), "comma-separated neighborhood "
-                   "utilizations: print DM and EDF path feasibility reports"),
     "csv": _Option(str, None, (_A,), "also write the bounds as CSV"),
+    "vqs": _Option(_floats, None, (_F,),
+                   "comma-separated neighborhood utilizations of the path"),
+    "delta": _Option(float, 1.0, (_F,)),
     "rows": _Option(int, 20, (_S, _W)),
     "cols": _Option(int, 20, (_S, _W)),
     "spacing": _Option(float, 10.0, (_S, _W)),
@@ -133,6 +133,8 @@ def _build_parser() -> _Parser:
     commands = {
         name: sub.add_parser(name, help=text, allow_abbrev=False)
         for name, text in ((_A, "print analytic capacity bounds"),
+                           (_F, "test one path's DM and EDF feasibility"),
+                           (_R, "print the balanced/convergecast ratio"),
                            (_S, "run seeded simulation replications"),
                            (_W, "run a sweep and write CSV"))}
     for key, opt in _OPTIONS.items():
@@ -162,54 +164,53 @@ def _sim_from(cfg: dict, **fields) -> sc.SimConfig:
         seed=cfg["seed"], replication_count=cfg["reps"], **fields)
 
 
-def _echo_params(cfg: dict, keys, out) -> None:
-    pairs = " ".join(f"{k}={cfg[k]!r}" for k in keys)
-    print(f"# params {pairs}", file=out)
+def _params_line(cfg: dict, keys) -> str:
+    return "# params " + " ".join(f"{k}={cfg[k]!r}" for k in keys)
 
 
 def _cmd_analyze(cfg, out) -> int:
-    if cfg["ratio"]:
-        print(repr(an.balanced_vs_convergecast_ratio(cfg["Kd"])), file=out)
-        return 0
-
-    # built first, so a refused setting writes nothing to stdout
-    params = _params_from(cfg) if cfg["vqs"] is None else None
-    _echo_params(cfg, ("n", "B", "u", "alpha", "N", "m", "Kd", "sinks",
-                       "mode", "delta"), out)
-
-    if cfg["vqs"] is not None:
-        dm = an.dm_path_feasible(cfg["vqs"], delta=cfg["delta"])
-        edf = an.edf_path_feasible(cfg["vqs"])
-        print(f"{'test':<5} {'feasible':<9} {'lhs':<22} {'bound':<22} margin",
-              file=out)
-        for name, rep in (("DM", dm), ("EDF", edf)):
-            print(f"{name:<5} {('yes' if rep.feasible else 'no'):<9} "
-                  f"{rep.lhs_value!r:<22} {rep.bound!r:<22} {rep.margin!r}",
-                  file=out)
-        return 0
-
+    # computed, and the CSV written, before stdout: a failure prints nothing
+    params = _params_from(cfg)
     schedulers = {"dm": [an.DM], "edf": [an.EDF], "both": [an.DM, an.EDF]}
-    bounds = []
-    for scheduler in schedulers[cfg["scheduler"]]:
-        if cfg["topology"] == "balanced":
-            bounds.append(an.rtcc_balanced(scheduler, params))
-        else:
-            bounds.append(an.rtcc_convergecast(scheduler, params,
-                                               mode=cfg["mode"],
-                                               clamp=cfg["clamp"]))
+    bounds = [an.rtcc_balanced(s, params) if cfg["topology"] == "balanced"
+              else an.rtcc_convergecast(s, params, mode=cfg["mode"],
+                                        clamp=cfg["clamp"])
+              for s in schedulers[cfg["scheduler"]]]
+    echo = _params_line(cfg, ("topology", "scheduler", "n", "B", "u", "alpha",
+                              "N", "m", "Kd", "sinks", "mode", "clamp"))
+    if cfg["csv"]:
+        with open(cfg["csv"], "w") as fh:
+            fh.write(f"# rtcap analyze\n{echo}\n")
+            fh.write("scheduler,topology,mode,bits_per_s,bottleneck_utilization\n")
+            for b in bounds:
+                fh.write(f"{b.scheduler},{b.topology_class},{b.mode},"
+                         f"{b.value:.9g},{b.utilization_at_bottleneck:.9g}\n")
+    print(echo, file=out)
     print(f"{'scheduler':<10} {'topology':<13} {'mode':<12} "
           f"{'bits_per_s':<24} bottleneck_utilization", file=out)
     for b in bounds:
         print(f"{b.scheduler:<10} {b.topology_class:<13} {b.mode:<12} "
               f"{b.value!r:<24} {b.utilization_at_bottleneck!r}", file=out)
+    return 0
 
-    if cfg["csv"]:
-        with open(cfg["csv"], "w") as fh:
-            fh.write("# rtcap analyze\n")
-            fh.write("scheduler,topology,mode,bits_per_s,bottleneck_utilization\n")
-            for b in bounds:
-                fh.write(f"{b.scheduler},{b.topology_class},{b.mode},"
-                         f"{b.value:.9g},{b.utilization_at_bottleneck:.9g}\n")
+
+def _cmd_feasible(cfg, out) -> int:
+    if not cfg["vqs"]:  # the library calls a path of no hops feasible
+        raise UsageError("--vqs needs at least one neighborhood utilization")
+    reports = (("DM", an.dm_path_feasible(cfg["vqs"], delta=cfg["delta"])),
+               ("EDF", an.edf_path_feasible(cfg["vqs"])))
+    print(_params_line(cfg, ("vqs", "delta")), file=out)
+    print(f"{'test':<5} {'feasible':<9} {'lhs':<22} {'bound':<22} margin",
+          file=out)
+    for name, rep in reports:
+        print(f"{name:<5} {('yes' if rep.feasible else 'no'):<9} "
+              f"{rep.lhs_value!r:<22} {rep.bound!r:<22} {rep.margin!r}",
+              file=out)
+    return 0
+
+
+def _cmd_ratio(cfg, out) -> int:
+    print(repr(an.balanced_vs_convergecast_ratio(cfg["Kd"])), file=out)
     return 0
 
 
@@ -223,16 +224,16 @@ def _cmd_simulate(cfg, out) -> int:
                                    cfg["radio_range"], cfg["sinks"],
                                    cfg["sink_mode"])
     stats = tp.topology_stats(topo, routes)
-    _echo_params(cfg, ("rows", "cols", "spacing", "jitter", "radio_range",
-                       "sinks", "sink_mode", "B", "packet_size", "deadlines",
-                       "rate", "duration", "keep_on_miss", "seed", "reps"), out)
-    print(f"# measured u={stats.neighborhood_bound} m={stats.nodes_per_disk} "
-          f"Kd={stats.max_hops}", file=out)
-
     log = [] if cfg["event_log"] else None
     results = sc.run_replications(topo, routes, sim, event_log=log)
     if log is not None:
         sc.write_event_log(log, cfg["event_log"])
+    print(_params_line(cfg, ("rows", "cols", "spacing", "jitter", "radio_range",
+                             "sinks", "sink_mode", "B", "packet_size",
+                             "deadlines", "rate", "duration", "keep_on_miss",
+                             "seed", "reps")), file=out)
+    print(f"# measured u={stats.neighborhood_bound} m={stats.nodes_per_disk} "
+          f"Kd={stats.max_hops}", file=out)
     for metrics in results:
         fm = metrics.capacity_consumption_at_first_miss
         print(f"replication seed={metrics.seed}: generated={metrics.packets_generated} "
@@ -299,7 +300,8 @@ def dispatch(argv, out=None) -> int:
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        handlers = {_A: _cmd_analyze, _S: _cmd_simulate, _W: _cmd_sweep}
+        handlers = {_A: _cmd_analyze, _F: _cmd_feasible, _R: _cmd_ratio,
+                    _S: _cmd_simulate, _W: _cmd_sweep}
         return handlers[args.command](vars(args), out)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -63,8 +63,8 @@ def _check_mode(mode: str) -> None:
 
 def _swept_values(kind: str, values, whole: bool) -> tuple:
     """The swept values in ascending order. Each must be > 0, which NaN is
-    not; with `whole`, each must be a whole number and becomes an int, so
-    `(1.0, 2.0)` and `(1, 2)` describe one sweep."""
+    not, and appear once; with `whole`, each must be a whole number and
+    becomes an int, so `(1.0, 2.0)` and `(1, 2)` describe one sweep."""
     if not values:
         raise ValueError("swept values must be non-empty")
     if not all(v > 0 for v in values):
@@ -73,7 +73,11 @@ def _swept_values(kind: str, values, whole: bool) -> tuple:
         if not all(float(v).is_integer() for v in values):
             raise ValueError(f"{kind} values must be integers")
         values = [int(v) for v in values]
-    return tuple(sorted(values))
+    values = tuple(sorted(values))
+    repeated = [a for a, b in zip(values, values[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"swept value {repeated[0]!r} is repeated")
+    return values
 
 
 @dataclass(frozen=True)

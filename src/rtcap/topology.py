@@ -20,6 +20,7 @@ pickle), so they may be shared freely across concurrent simulation runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -113,6 +114,11 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
     jitter must stay below 0.5 so neighboring cells cannot swap order.
     The grid's extent, max(rows, cols) * spacing, must be finite.
     """
+    # a float size fails deep inside numpy with a bare TypeError; an int
+    # or numpy integer is a numbers.Integral
+    for name, size in (("rows", rows), ("cols", cols)):
+        if not isinstance(size, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {size!r}")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
     if not (spacing > 0 and math.isfinite(max(rows, cols) * float(spacing))):
@@ -336,8 +342,12 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
     in node order, so the ids read 0..n-1, is_sink 1 for the ids in `sinks`,
     preceded by a header recording the
     grid parameters and radio range. Floats are written with repr so a
-    round trip is bit-exact."""
+    round trip is bit-exact. A sink id that is not a node is a ValueError,
+    raised before the file is opened."""
     sinks = set(sinks)
+    unknown = sorted(s for s in sinks if s not in range(topology.node_count))
+    if unknown:
+        raise ValueError(f"sinks {unknown} are not nodes of the topology")
     lines = ["# rtcap topology v1"]
     if topology.grid is not None:
         g = topology.grid

@@ -57,11 +57,6 @@ class TestAnalyze:
         assert [r.split()[0] for r in rows] == ["DM", "EDF"]
         assert float(rows[0].split()[3]) <= float(rows[1].split()[3])
 
-    def test_ratio_at_unity(self):
-        code, out = run_cli(["analyze", "--ratio", "--Kd", "1"])
-        assert code == 0
-        assert float(out.strip()) == 1.0
-
     @pytest.mark.parametrize("argv,field", [
         (["--N", "nan"], "path_length"),
         (["--topology", "convergecast", "--scheduler", "edf", "--m", "nan"],
@@ -118,8 +113,65 @@ class TestAnalyze:
                                    max_hops=4.0, sink_count=4)
         assert float(row[3]) == an.rtcc_convergecast(an.DM, params).value
 
+    def test_defaults_echoed(self):
+        code, out = run_cli(["analyze"])
+        assert code == 0
+        assert out.startswith("# params ")
+        assert "alpha=2.0" in out
+
+    def test_echo_names_every_setting_read(self):
+        code, out = run_cli(["analyze", "--topology", "convergecast",
+                             "--scheduler", "dm", "--clamp"])
+        assert code == 0
+        echo = out.splitlines()[0]
+        assert [pair.split("=")[0] for pair in echo.split()[2:]] == [
+            "topology", "scheduler", "n", "B", "u", "alpha", "N", "m", "Kd",
+            "sinks", "mode", "clamp"]
+        assert "topology='convergecast'" in echo and "clamp=True" in echo
+
+    def test_csv_output(self, tmp_path):
+        dest = tmp_path / "bounds.csv"
+        code, _ = run_cli(["analyze", "--scheduler", "both", "--csv", str(dest)])
+        assert code == 0
+        lines = dest.read_text().splitlines()
+        assert lines[2].startswith("scheduler,")
+        assert len(lines) == 5
+
+    def test_csv_records_the_params_line(self, tmp_path):
+        dest = tmp_path / "bounds.csv"
+        code, out = run_cli(["analyze", "--topology", "convergecast", "--clamp",
+                             "--csv", str(dest)])
+        assert code == 0
+        lines = dest.read_text().splitlines()
+        assert lines[0] == "# rtcap analyze"
+        assert lines[1] == out.splitlines()[0]
+        assert lines[1].startswith("# params ") and "clamp=True" in lines[1]
+
+    def test_bad_csv_path_prints_nothing(self, tmp_path):
+        # the file is opened before the first line of stdout
+        code, out = run_cli(["analyze", "--csv",
+                             str(tmp_path / "missing" / "b.csv")])
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--ratio"], "--ratio"), (["--vqs", "0.3"], "--vqs")],
+        ids=["ratio", "vqs"])
+    def test_other_questions_are_other_commands(self, argv, flag, capsys):
+        # each is a question of its own command, `ratio` or `feasible`
+        code, out = run_cli(["analyze", *argv])
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_invalid_alpha_is_usage_error(self, capsys):
+        code, _ = run_cli(["analyze", "--alpha", "9"])
+        assert code == 1
+        assert "invalid parameters" in capsys.readouterr().err
+
+
+class TestFeasible:
     def test_feasibility_reports(self):
-        code, out = run_cli(["analyze", "--vqs", "0.381966,0.381966"])
+        code, out = run_cli(["feasible", "--vqs", "0.381966,0.381966"])
         assert code == 0
         lines = data_lines(out)
         dm = next(ln for ln in lines if ln.startswith("DM"))
@@ -128,24 +180,39 @@ class TestAnalyze:
         assert float(dm.split()[2]) == pytest.approx(1.0, abs=1e-6)
         assert float(edf.split()[2]) == pytest.approx(0.763932, abs=1e-6)
 
-    def test_defaults_echoed(self):
-        code, out = run_cli(["analyze"])
+    def test_output_round_trips(self):
+        code, out = run_cli(["feasible", "--vqs", "0.3,0.2", "--delta", "0.5"])
         assert code == 0
-        assert out.startswith("# params ")
-        assert "alpha=2.0" in out
+        echo, _, dm, edf = out.splitlines()
+        assert echo == "# params vqs=(0.3, 0.2) delta=0.5"
+        rep = an.dm_path_feasible((0.3, 0.2), delta=0.5)
+        assert dm.split()[2:] == [repr(rep.lhs_value), repr(rep.bound),
+                                  repr(rep.margin)]
+        assert float(edf.split()[2]) == an.edf_path_feasible((0.3, 0.2)).lhs_value
 
-    def test_csv_output(self, tmp_path):
-        dest = tmp_path / "bounds.csv"
-        code, _ = run_cli(["analyze", "--scheduler", "both", "--csv", str(dest)])
+    @pytest.mark.parametrize("argv,message", [
+        ([], "--vqs needs at least one"),
+        (["--vqs", ""], "--vqs needs at least one"),
+        (["--vqs", "1.5,-1"], "neighborhood utilization must be >= 0")],
+        ids=["missing", "empty", "negative"])
+    def test_refused_path_prints_nothing(self, argv, message, capsys):
+        # an empty path was reported feasible, and a refused one echoed its
+        # params before the refusal
+        code, out = run_cli(["feasible", *argv])
+        assert code == 1 and out == ""
+        assert message in capsys.readouterr().err
+
+
+class TestRatio:
+    def test_ratio_at_unity(self):
+        code, out = run_cli(["ratio", "--Kd", "1"])
         assert code == 0
-        lines = dest.read_text().splitlines()
-        assert lines[1].startswith("scheduler,")
-        assert len(lines) == 4
+        assert float(out.strip()) == 1.0
 
-    def test_invalid_alpha_is_usage_error(self, capsys):
-        code, _ = run_cli(["analyze", "--alpha", "9"])
-        assert code == 1
-        assert "invalid parameters" in capsys.readouterr().err
+    def test_prints_one_number(self):
+        code, out = run_cli(["ratio", "--Kd", "4"])
+        assert code == 0
+        assert out == repr(an.balanced_vs_convergecast_ratio(4.0)) + "\n"
 
 
 class TestUsage:
@@ -191,8 +258,8 @@ class TestUsage:
         ["analyze", "--scheduler", "edf", "--csv", "{tmp}/bounds.csv"],
         ["analyze", "--topology", "convergecast", "--clamp", "--mode",
          "approximate"],
-        ["analyze", "--vqs", "0.3,0.2"],
-        ["analyze", "--ratio"],
+        ["feasible", "--vqs", "0.3,0.2"],
+        ["ratio"],
         ["simulate", "-v", "--rows", "2", "--cols", "2", "--radio-range", "15",
          "--duration", "2", "--reps", "1", "--event-log", "{tmp}/events.log"],
         *(["sweep", "-v", "--kind", kind, "--values", values, "--rows", "3",
@@ -206,40 +273,44 @@ class TestUsage:
 
     def test_every_option_read_is_a_flag_of_its_command(self, tmp_path,
                                                         monkeypatch):
-        # each handler reads its options from one dict; record the keys it
-        # reads on every branch, and compare them with the command's flags
-        reads = {}
+        # each handler reads its options from one dict; record the keys
+        # each run reads. Every branch of a command reads every flag it
+        # takes, except for sweep, whose kinds read different flags: there
+        # the union over its branches must equal its flags
+        [subparsers] = [a for a in cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        flags = {command: {a.dest for a in parser._actions} - {"help"}
+                 for command, parser in subparsers.choices.items()}
+        reads = []
 
         class Recorded(dict):
             def __getitem__(self, key):
-                reads[self.command].add(key)
+                reads[-1].add(key)
                 return super().__getitem__(key)
 
-        for command in ("analyze", "simulate", "sweep"):
-            reads[command] = set()
+        for command in flags:
             handler = getattr(cli, "_cmd_" + command)
-
-            def recorded(cfg, out, handler=handler, command=command):
-                cfg = Recorded(cfg)
-                cfg.command = command
-                return handler(cfg, out)
-
-            monkeypatch.setattr(cli, "_cmd_" + command, recorded)
+            monkeypatch.setattr(
+                cli, "_cmd_" + command,
+                lambda cfg, out, handler=handler: handler(Recorded(cfg), out))
+        sweep_reads = set()
         for argv in self.EVERY_BRANCH:
+            reads.append(set())
             code, _ = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
             assert code == 0, argv
-        [subparsers] = [a for a in cli._build_parser()._actions
-                        if isinstance(a, argparse._SubParsersAction)]
-        for command, parser in subparsers.choices.items():
-            flags = {a.dest for a in parser._actions} - {"help"}
-            assert reads[command] == flags, command
+            if argv[0] == "sweep":
+                sweep_reads |= reads[-1]
+            else:
+                assert reads[-1] == flags[argv[0]], argv
+        assert {argv[0] for argv in self.EVERY_BRANCH} == set(flags)
+        assert sweep_reads == flags["sweep"]
 
 
     @pytest.mark.parametrize("argv,flag,text", [
         (["simulate", "--deadlines", "0.5,x"], "--deadlines", "0.5,x"),
         (["sweep", "--kind", "sink_sweep", "--values", "1,x"], "--values", "1,x"),
-        (["analyze", "--vqs", "0.1,y"], "--vqs", "0.1,y")],
-        ids=["simulate-deadlines", "sweep-values", "analyze-vqs"])
+        (["feasible", "--vqs", "0.1,y"], "--vqs", "0.1,y")],
+        ids=["simulate-deadlines", "sweep-values", "feasible-vqs"])
     def test_malformed_list_names_its_flag(self, tmp_path, capsys, argv, flag,
                                            text):
         # argparse parses a comma list by its row's kind, so the refusal
@@ -598,9 +669,14 @@ class TestSweep:
           "--values", "1,nan"], "> 0"),
         (["--kind", "sink_sweep", "--seed", "-1"], "seed must be an integer >= 0"),
         (["--kind", "sink_sweep", "--values", ""],
-         "swept values must be non-empty")],
+         "swept values must be non-empty"),
+        (["--kind", "balanced_curves", "--values", "1,1,2"],
+         "swept value 1.0 is repeated"),
+        (["--kind", "sink_sweep", "--values", "1,1.0"],
+         "swept value 1 is repeated")],
         ids=["alpha_3", "radio_nan", "balanced_nan", "convergecast_nan",
-             "seed_negative", "values_empty"])
+             "seed_negative", "values_empty", "balanced_repeated",
+             "sink_repeated"])
     def test_bad_setting_fails_before_the_sweep(self, tmp_path, monkeypatch,
                                                 capsys, argv, key):
         # the spec refuses it, so no network is built and no row is written

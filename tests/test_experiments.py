@@ -121,6 +121,18 @@ class TestSweepSpec:
         assert ex.config_hash(floats) == ex.config_hash(ints)
         assert ex.csv_filename(floats) == ex.csv_filename(ints)
 
+    @pytest.mark.parametrize("kind,values,repeated", [
+        ("balanced_curves", (1, 1, 2), "1"),
+        ("convergecast_curves", (2, 1, 2.0), "2"),
+        ("sink_sweep", (1, 1.0), "1"),
+        ("radio_sweep", (15.0, 20.0, 15), "15")])
+    def test_repeated_value_refused(self, kind, values, repeated):
+        # a repeated value ran its row, or every replication of it, twice;
+        # whole-number kinds compare the values after conversion to int
+        with pytest.raises(ValueError,
+                           match=rf"swept value {repeated}(\.0)? is repeated"):
+            spec_for(kind, values)
+
     def test_approximate_hop_radii_stay_real(self):
         spec = ex.CurveSpec(kind="convergecast_curves", values=(2.5, 1.0),
                             analytic=ANALYTIC, mode=an.APPROXIMATE)
@@ -294,6 +306,17 @@ class TestFlaggedRows:
         assert row.simulated_critical is None and row.offered_demand is None
         simulated = isinstance(spec, ex.SweepSpec)
         assert (row.seed_lo, row.seed_hi) == ((1, 2) if simulated else (None, None))
+
+    def test_non_integer_grid_flags_every_row(self):
+        # the grid refuses a float size by name, so each row is flagged and
+        # the sweep finishes, where numpy's TypeError aborted it
+        spec = ex.SweepSpec(kind="radio_sweep", values=(15, 20), rows=2.5,
+                            cols=3, sink_count=1,
+                            sim=sc.SimConfig(duration=1, replication_count=1))
+        rows = ex.run_sweep(spec)
+        assert [r.swept_value for r in rows] == [15, 20]
+        assert all(r.error == "ValueError: rows must be an integer, got 2.5"
+                   for r in rows)
 
 
 class TestSimulationSweeps:

@@ -85,6 +85,16 @@ class TestPerturbedGrid:
         with pytest.raises(ValueError, match="spacing"):
             tp.generate_perturbed_grid(2, 3, spacing, jitter, radio_range=10.0)
 
+    @pytest.mark.parametrize("rows,cols,field", [
+        (2.5, 3, "rows"), (2, 3.0, "cols"), ("2", 3, "rows")])
+    def test_non_integer_size_refused(self, rows, cols, field):
+        # a float size failed inside numpy with a bare TypeError, which no
+        # sweep flags; the refusal names the field
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tp.generate_perturbed_grid(rows, cols, 10.0, 0.0, radio_range=15.0)
+        assert tp.generate_perturbed_grid(
+            np.int64(2), 3, 10.0, 0.0, radio_range=15.0).node_count == 6
+
 
 class TestAdjacency:
     def test_boundary_distance_counts(self):
@@ -481,6 +491,16 @@ class TestPersistence:
         loaded, sinks = tp.load_topology(path)
         assert sinks == routes.sinks
         assert tp.build_routes(loaded, sinks) == routes
+
+    @pytest.mark.parametrize("sinks", [[7], [-1], [1.5]],
+                             ids=["past-end", "negative", "non-integer"])
+    def test_sink_that_is_not_a_node_refused(self, tmp_path, sinks):
+        # such ids were dropped, so the file loaded with no sinks at all
+        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, radio_range=15.0)
+        path = tmp_path / "topo.txt"
+        with pytest.raises(ValueError, match="are not nodes of the topology"):
+            tp.save_topology(topo, path, [1, *sinks])
+        assert not path.exists()
 
     def test_header_records_parameters(self, tmp_path):
         topo, routes = tp.make_network(3, 3, spacing=5.0, jitter=0.1, seed=7,
