@@ -1,15 +1,17 @@
 """One seeded simulation run, inside out.
 
 Generates a Poisson workload with random deadlines, runs the
-priority-arbitrated packet simulation with an event log attached, and walks
-through the metrics and the first few logged events.
+priority-arbitrated packet simulation with an event trace attached, and
+walks through the metrics and the first few events, rendered as text.
 """
 
 from dataclasses import replace
+from itertools import islice
 
 from rtcap import (
     SimConfig,
     critical_capacity,
+    format_events,
     generate_workload,
     make_network,
     run_simulation,
@@ -45,7 +47,7 @@ if metrics.delays:
           f"{len(metrics.delays)} deliveries")
 
 print("\nfirst 8 events of the log:")
-for line in log[:8]:
+for line in islice(format_events(log, workload, config), 8):
     print("  " + line)
 
 # replications only differ in the workload seed; the minimum first-miss

@@ -53,6 +53,7 @@ from .simcore import (
     Workload,
     admissible_transmissions,
     critical_capacity,
+    format_events,
     generate_workload,
     measured_capacity_consumption,
     run_replications,

@@ -53,6 +53,17 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+def _refuse_non_finite(name: str, value) -> None:
+    """Raise `ValueError` naming `name` and the value when it is NaN,
+    infinite or an int past the float range."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} is too large for a float") from None
+    if not finite:
+        raise ValueError(f"{name} is not finite: {value!r}")
+
+
 @dataclass(frozen=True)
 class AnalyticParams:
     """Parameter bag feeding the capacity-limit expressions.
@@ -79,13 +90,7 @@ class AnalyticParams:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int past the float range
-                raise ValueError(f"{f.name} is too large for a float") from None
-            if not finite:
-                raise ValueError(f"{f.name} is not finite: {value!r}")
+            _refuse_non_finite(f.name, getattr(self, f.name))
         if not (self.node_count >= 1):
             raise ValueError("node_count must be >= 1")
         if not (self.bandwidth > 0):
@@ -161,9 +166,11 @@ def stage_delay_term(vq: float) -> float:
 
     The factor multiplies the largest higher-priority deadline to bound the
     delay a packet can accumulate at one hop. It is 0 at vq=0, strictly
-    increasing and convex on [0, 1), and diverges at vq=1.
+    increasing and convex on [0, 1), and diverges at vq=1. A NaN or
+    infinite vq is refused with a `ValueError`.
     """
-    if vq < 0:
+    _refuse_non_finite("neighborhood utilization", vq)
+    if not (vq >= 0):
         raise ValueError(f"neighborhood utilization must be >= 0, got {vq}")
     if vq >= 1.0:
         raise PoleError(f"delay bound diverges at utilization {vq} >= 1")
@@ -181,8 +188,9 @@ def dm_path_feasible(vqs: Iterable[float], delta: float = 1.0) -> FeasibilityRep
     The path is feasible when the summed stage delay factors do not exceed
     delta, the minimal deadline ratio of the priority policy. Deadline
     monotonic gives delta = 1, the largest possible bound; smaller values
-    model other fixed-priority policies. A utilization at the pole (>= 1)
-    yields an infeasible report with infinite lhs rather than an exception.
+    model other fixed-priority policies. A finite utilization at the pole
+    (>= 1) yields an infeasible report with infinite lhs rather than an
+    exception; a NaN or infinite one is refused with a `ValueError`.
     """
     if not (0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
@@ -198,10 +206,12 @@ def dm_path_feasible(vqs: Iterable[float], delta: float = 1.0) -> FeasibilityRep
 
 
 def edf_path_feasible(vqs: Iterable[float]) -> FeasibilityReport:
-    """EDF schedulability test along a path: utilizations must sum to <= 1."""
+    """EDF schedulability test along a path: utilizations must sum to <= 1.
+    A NaN or infinite utilization is refused with a `ValueError`."""
     lhs = 0.0
     for v in vqs:
-        if v < 0:
+        _refuse_non_finite("neighborhood utilization", v)
+        if not (v >= 0):
             raise ValueError(f"neighborhood utilization must be >= 0, got {v}")
         lhs += v
     return FeasibilityReport(
@@ -300,8 +310,11 @@ def harmonic_odd_sum(max_hops: float, mode: str = EXACT) -> float:
     exact:        1 + 1/3 + 1/5 + ... + 1/(2K - 1), integer K only
     approximate:  1 + 0.5*ln(K), the large-K closed form (any K >= 1);
                   its error stays below 0.02 for every integer K.
+
+    A NaN or infinite K is refused with a `ValueError`.
     """
-    if max_hops < 1:
+    _refuse_non_finite("max_hops", max_hops)
+    if not (max_hops >= 1):
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     if mode == EXACT:
         k = int(max_hops)

@@ -224,10 +224,14 @@ def _cmd_simulate(cfg, out) -> int:
                                    cfg["radio_range"], cfg["sinks"],
                                    cfg["sink_mode"])
     stats = tp.topology_stats(topo, routes)
-    log = [] if cfg["event_log"] else None
-    results = sc.run_replications(topo, routes, sim, event_log=log)
-    if log is not None:
-        sc.write_event_log(log, cfg["event_log"])
+    trace = [] if cfg["event_log"] else None
+    results = sc.run_replications(topo, routes, sim, event_log=trace)
+    if trace is not None:
+        # replication 0 draws with the seed of `sim` itself
+        workload = sc.generate_workload(topo, routes, sim)
+        with open(cfg["event_log"], "w") as fh:
+            fh.writelines(line + "\n"
+                          for line in sc.format_events(trace, workload, sim))
     print(_params_line(cfg, ("rows", "cols", "spacing", "jitter", "radio_range",
                              "sinks", "sink_mode", "B", "packet_size",
                              "deadlines", "rate", "duration", "keep_on_miss",

@@ -52,14 +52,9 @@ A single run is strictly sequential and reproducible: identical
 differ only in the workload seed: replication i draws with
 `config.seed + i`.
 
-The optional event log is plain text, one event per line:
-
-    <time> arrival <node> <pid> <deadline>
-    <time> enqueue <node> <pid>
-    <time> grant <sender>-><receiver> <pid>
-    <time> complete <sender>-><receiver> <pid>
-    <time> deliver <node> <pid>
-    <time> miss <node|air> <pid> <dropped|kept>
+The optional event log is a trace of number tuples, one per event:
+(time, kind, node, receiver, workload position), `kind` one of the six
+event codes ARRIVAL ... MISS. `format_events` renders a trace as text.
 """
 
 from __future__ import annotations
@@ -75,6 +70,10 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .topology import RouteTable, Topology
+
+
+# event codes, the `kind` of a trace record
+ARRIVAL, ENQUEUE, GRANT, COMPLETE, DELIVER, MISS = range(6)
 
 
 class InvariantError(RuntimeError):
@@ -479,7 +478,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     the capacity consumption at the first miss is sampled at the right
     instant. Packet size and per-hop time come from `config`, hop counts
     from `routes`; a packet is delivered when it reaches a sink, a node
-    with no next hop.
+    with no next hop. A given `event_log` list receives one (time, kind,
+    node, receiver, workload position) tuple per event.
     """
     adjacency = topology.adjacency
     next_hop, hop_count = routes.next_hop, routes.hop_count
@@ -487,7 +487,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
-    ids = packets.id
     pending = iter(packets)    # each packet is built when the cursor reads it
     times = packets.arrival_time.tolist()
     arrivals = len(times)
@@ -543,7 +542,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             touched |= (near.intersection(queues) if len(queues) < len(near)
                         else queues.keys() & near)
             if log:
-                log(f"{now!r} complete {s}->{r} {ids[pos]}")
+                log((now, COMPLETE, s, r, pos))
             if at[pos] is None:
                 continue  # missed mid-flight and dropped at hop boundary
             if r in next_hop:
@@ -551,7 +550,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 push(queues.get(r) or queues.setdefault(r, []), entry)
                 touched.add(r)
                 if log:
-                    log(f"{now!r} enqueue {r} {ids[pos]}")
+                    log((now, ENQUEUE, r, -1, pos))
             elif now > entry[2]:
                 # a kept packet whose expiry already fired arrives late and
                 # contributes nothing
@@ -560,7 +559,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 at[pos] = r
                 delays.append(now - times[pos])
                 if log:
-                    log(f"{now!r} deliver {r} {ids[pos]}")
+                    log((now, DELIVER, r, -1, pos))
 
         while times[cursor] == now:
             packet = next(pending)
@@ -570,10 +569,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                  (key_of(packet), cursor, deadline))
             touched.add(origin)
             push(expiries, (deadline, cursor))
-            cursor += 1
             if log:
-                log(f"{now!r} arrival {origin} {packet.id} "
-                    f"{packet.relative_deadline!r}")
+                log((now, ARRIVAL, origin, -1, cursor))
+            cursor += 1
 
         while expiries and expiries[0][0] == now:  # once per packet
             expiry = pop(expiries)
@@ -604,9 +602,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             else:
                 kept.add(pos)
             if log:
-                loc = node if was_queued else "air"
-                log(f"{now!r} miss {loc} {ids[pos]} "
-                    f"{'dropped' if config.drop_on_miss else 'kept'}")
+                log((now, MISS, node if was_queued else -1, -1, pos))
 
         if stop:
             break
@@ -634,7 +630,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             tx = air[s] = air[r] = (s, r, entry[1])
             completions.append((now + tx_time, entry, tx))
             if log:
-                log(f"{now!r} grant {s}->{r} {ids[entry[1]]}")
+                log((now, GRANT, s, r, entry[1]))
 
     if not stop and not medium.is_idle():
         raise InvariantError("medium not idle after the run drained")
@@ -662,7 +658,9 @@ def run_replications(topology: Topology, routes: RouteTable,
                      config: SimConfig, event_log: Optional[list] = None) -> list:
     """Independent seeded replications: replication i draws its workload
     from `replace(config, seed=config.seed + i)`. Results come back in seed
-    order. A given `event_log` receives the first replication's events."""
+    order. A given `event_log` receives the first replication's trace;
+    `format_events` renders it against that replication's workload,
+    `generate_workload(topology, routes, config)`."""
     results = []
     for i in range(config.replication_count):
         workload = generate_workload(topology, routes,
@@ -682,7 +680,36 @@ def critical_capacity(metrics: Iterable) -> CriticalCapacity:
     return CriticalCapacity(value=min(values, default=None), replications=len(metrics))
 
 
-def write_event_log(lines: Iterable, path) -> None:
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def format_events(trace: Iterable, workload: Workload, config: SimConfig):
+    """The text lines of a run's event trace, one per record, in trace
+    order:
+
+        <time> arrival <node> <pid> <deadline>
+        <time> enqueue <node> <pid>
+        <time> grant <sender>-><receiver> <pid>
+        <time> complete <sender>-><receiver> <pid>
+        <time> deliver <node> <pid>
+        <time> miss <node|air> <pid> <dropped|kept>
+
+    `workload` and `config` are the run's own. A packet is named by its id
+    and an arrival carries its relative deadline, both read from the
+    workload's columns by position; a miss in the air has node -1, and a
+    miss is dropped or kept as `config.drop_on_miss` says. Times and
+    deadlines are written with repr, so they read back bit for bit."""
+    ids = workload.packets.id.tolist()
+    deadlines = workload.packets.relative_deadline.tolist()
+    fate = "dropped" if config.drop_on_miss else "kept"
+    for time, kind, node, receiver, pos in trace:
+        if kind == ARRIVAL:
+            yield f"{time!r} arrival {node} {ids[pos]} {deadlines[pos]!r}"
+        elif kind == ENQUEUE:
+            yield f"{time!r} enqueue {node} {ids[pos]}"
+        elif kind == GRANT:
+            yield f"{time!r} grant {node}->{receiver} {ids[pos]}"
+        elif kind == COMPLETE:
+            yield f"{time!r} complete {node}->{receiver} {ids[pos]}"
+        elif kind == DELIVER:
+            yield f"{time!r} deliver {node} {ids[pos]}"
+        else:
+            where = "air" if node < 0 else node
+            yield f"{time!r} miss {where} {ids[pos]} {fate}"

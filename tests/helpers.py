@@ -53,14 +53,16 @@ def measured_dm_bound(topo, routes) -> float:
 
 
 def contended_run(seed=3, rate=6.0, drop_on_miss=True, event_log=None):
-    """3x3 grid under enough load (50 ms hops) to produce real contention."""
+    """3x3 grid under enough load (50 ms hops) to produce real contention.
+    Returns the network, the config, the workload that ran and its metrics,
+    so a caller can render `event_log` with `sc.format_events`."""
     topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=seed,
                                    radio_range=15.0, sink_count=1)
     cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=rate, duration=8.0,
                        seed=seed, drop_on_miss=drop_on_miss)
     wl = sc.generate_workload(topo, routes, cfg)
     metrics = sc.run_simulation(topo, routes, wl, cfg, event_log=event_log)
-    return topo, routes, cfg, metrics
+    return topo, routes, cfg, wl, metrics
 
 
 def replay_active_sets(log, adjacency):

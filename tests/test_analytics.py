@@ -111,6 +111,13 @@ class TestStageDelayTerm:
         with pytest.raises(ValueError):
             an.stage_delay_term(-0.1)
 
+    @pytest.mark.parametrize("vq", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_by_value(self, vq):
+        # NaN passed the old `vq < 0` check; +inf read as the pole
+        with pytest.raises(ValueError, match=f"not finite: {vq!r}") as err:
+            an.stage_delay_term(vq)
+        assert not isinstance(err.value, an.PoleError)
+
     def test_strictly_increasing_and_convex(self):
         rng = np.random.default_rng(7)
         vs = np.sort(rng.uniform(0.0, 0.999, size=500))
@@ -154,6 +161,13 @@ class TestDmPathFeasible:
         assert rep.lhs_value == math.inf
         assert rep.margin == -math.inf
 
+    @pytest.mark.parametrize("vq", [math.nan, math.inf])
+    def test_non_finite_refused_not_reported(self, vq):
+        # a finite vq >= 1 gives the report above; these gave a NaN lhs or
+        # an infeasible report
+        with pytest.raises(ValueError, match=f"not finite: {vq!r}"):
+            an.dm_path_feasible([0.2, vq])
+
     def test_delta_range(self):
         with pytest.raises(ValueError):
             an.dm_path_feasible([0.1], delta=0.0)
@@ -183,6 +197,12 @@ class TestEdfPathFeasible:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             an.edf_path_feasible([-0.1])
+
+    @pytest.mark.parametrize("vq", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_by_value(self, vq):
+        # a NaN or infinite utilization gave a NaN or infinite lhs
+        with pytest.raises(ValueError, match=f"not finite: {vq!r}"):
+            an.edf_path_feasible([0.2, vq])
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +342,13 @@ class TestHarmonicOddSum:
                         [int(k) for k in np.logspace(0, 6, 40)]))
         for k in ks:
             assert abs(an.harmonic_odd_sum(k) - an.harmonic_odd_sum(k, an.APPROXIMATE)) <= 0.02
+
+    @pytest.mark.parametrize("mode", [an.EXACT, an.APPROXIMATE])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_by_value(self, k, mode):
+        # the approximate form gave nan or inf for these
+        with pytest.raises(ValueError, match=f"max_hops is not finite: {k!r}"):
+            an.harmonic_odd_sum(k, mode)
 
     def test_exact_mode_rejects_fraction(self):
         with pytest.raises(ValueError):

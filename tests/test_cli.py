@@ -193,11 +193,14 @@ class TestFeasible:
     @pytest.mark.parametrize("argv,message", [
         ([], "--vqs needs at least one"),
         (["--vqs", ""], "--vqs needs at least one"),
-        (["--vqs", "1.5,-1"], "neighborhood utilization must be >= 0")],
-        ids=["missing", "empty", "negative"])
+        (["--vqs", "1.5,-1"], "neighborhood utilization must be >= 0"),
+        (["--vqs", "nan"], "neighborhood utilization is not finite: nan"),
+        (["--vqs", "0.2,inf"], "neighborhood utilization is not finite: inf")],
+        ids=["missing", "empty", "negative", "nan", "inf"])
     def test_refused_path_prints_nothing(self, argv, message, capsys):
-        # an empty path was reported feasible, and a refused one echoed its
-        # params before the refusal
+        # an empty path was reported feasible, a refused one echoed its
+        # params before the refusal, and a non-finite one printed NaN or
+        # infinite reports
         code, out = run_cli(["feasible", *argv])
         assert code == 1 and out == ""
         assert message in capsys.readouterr().err
@@ -213,6 +216,13 @@ class TestRatio:
         code, out = run_cli(["ratio", "--Kd", "4"])
         assert code == 0
         assert out == repr(an.balanced_vs_convergecast_ratio(4.0)) + "\n"
+
+    @pytest.mark.parametrize("kd", ["nan", "inf"])
+    def test_non_finite_hops_refused(self, kd, capsys):
+        # printed nan or inf and exited 0 before harmonic_odd_sum refused it
+        code, out = run_cli(["ratio", "--Kd", kd])
+        assert code == 1 and out == ""
+        assert f"max_hops is not finite: {kd}" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -415,10 +425,11 @@ class TestSimulate:
         topo, routes = tp.make_network(2, 2, spacing=10.0, jitter=0.25, seed=7,
                                        radio_range=15.0, sink_count=1)
         cfg = sc.SimConfig(arrival_rate=2.0, duration=5.0, seed=7)
-        direct = []
-        sc.run_simulation(topo, routes, sc.generate_workload(topo, routes, cfg),
-                          cfg, event_log=direct)
-        assert log.read_text() == "".join(line + "\n" for line in direct)
+        wl = sc.generate_workload(topo, routes, cfg)
+        trace = []
+        sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
+        assert log.read_text() == "".join(
+            line + "\n" for line in sc.format_events(trace, wl, cfg))
 
     def test_bad_event_log_fails_before_the_runs(self, tmp_path, monkeypatch):
         calls = []
@@ -446,9 +457,11 @@ class TestSimulate:
         misses = [ln.split()[-1] for ln in log.read_text().splitlines()
                   if " miss " in ln]
         assert misses and set(misses) == {"kept" if keep else "dropped"}
-        direct = []
-        contended_run(seed=3, drop_on_miss=not keep, event_log=direct)
-        assert log.read_text() == "".join(line + "\n" for line in direct)
+        trace = []
+        _, _, cfg, wl, _ = contended_run(seed=3, drop_on_miss=not keep,
+                                         event_log=trace)
+        assert log.read_text() == "".join(
+            line + "\n" for line in sc.format_events(trace, wl, cfg))
 
     @pytest.mark.parametrize("flag,value,key", [
         ("--rate", "inf", "arrival_rate"), ("--duration", "inf", "duration"),

@@ -1,10 +1,11 @@
-"""Golden digests: fixed-seed runs whose event log and metrics must stay
-byte-identical across refactors of the simulator, and the data rows of two
-small simulated sweeps, which must stay byte-identical across refactors of
-the sweeps.
+"""Golden digests: fixed-seed runs whose formatted event trace and metrics
+must stay byte-identical across refactors of the simulator, and the data
+rows of two small simulated sweeps, which must stay byte-identical across
+refactors of the sweeps.
 
-Each scenario digest is the sha256 of the text event log, one line per
-event, joined by newlines, followed by `repr(RunMetrics)`. The sweep digest
+Each scenario digest is the sha256 of the run's event trace as
+`format_events` renders it, one line per event, joined by newlines,
+followed by `repr(RunMetrics)`. The sweep digest
 is the sha256 of the CSV data rows, header row included, without the
 `config_hash` column, which changes whenever a spec's recorded fields do. A
 change that alters the random streams or the event order on purpose
@@ -55,25 +56,24 @@ def digest(log, metrics) -> str:
 def loaded_run(grid: dict, load: float, packet_size: float, duration: float,
                stop_at_first_miss: bool = False):
     """Grid seed 0 and traffic seed 0, offered `load` times the network's
-    measured DM bound."""
+    measured DM bound. Returns the formatted event trace and the metrics."""
     topo, routes = tp.make_network(seed=0, **grid)
     rate = ex.probe_rate(load * measured_dm_bound(topo, routes), routes,
                          packet_size)
     cfg = sc.SimConfig(packet_size=packet_size, duration=duration,
                        arrival_rate=rate, seed=0,
                        stop_at_first_miss=stop_at_first_miss)
-    log = []
-    metrics = sc.run_simulation(topo, routes,
-                                sc.generate_workload(topo, routes, cfg), cfg,
-                                event_log=log)
-    return log, metrics
+    wl = sc.generate_workload(topo, routes, cfg)
+    trace = []
+    metrics = sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
+    return list(sc.format_events(trace, wl, cfg)), metrics
 
 
 def contended(drop_on_miss: bool):
-    log = []
-    _, _, _, metrics = contended_run(seed=13, drop_on_miss=drop_on_miss,
-                                     event_log=log)
-    return log, metrics
+    trace = []
+    _, _, cfg, wl, metrics = contended_run(seed=13, drop_on_miss=drop_on_miss,
+                                           event_log=trace)
+    return list(sc.format_events(trace, wl, cfg)), metrics
 
 
 KNEE_GRID = dict(rows=12, cols=12, spacing=10.0, jitter=0.25, radio_range=20.5,

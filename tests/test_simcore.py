@@ -575,11 +575,11 @@ class TestRunSimulationTraces:
             mk_packet(0, 0, at=0.0, deadline=2.0),
             mk_packet(1, 0, at=0.0, deadline=0.9),
         ])
-        log = []
-        m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=log)
-        grants = [line for line in log if " grant " in line]
+        trace = []
+        m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=trace)
+        grants = [pos for _, kind, _, _, pos in trace if kind == sc.GRANT]
         # the smaller-deadline packet goes first; the other waits one slot
-        assert grants[0].endswith(" 1") and grants[1].endswith(" 0")
+        assert grants == [1, 0]
         assert m.delivered == 2
         assert sorted(m.delays) == [pytest.approx(0.4), pytest.approx(0.8)]
 
@@ -616,10 +616,11 @@ class TestRunSimulationTraces:
             mk_packet(1, 0, at=0.5, deadline=4.0),
             mk_packet(2, 2, at=1.0, deadline=0.2),
         ])
-        log = []
-        m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=log)
-        assert [line.split(" ", 1)[1] for line in log if " miss " in line] == [
-            "miss 2 2 dropped"]
+        trace = []
+        m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=trace)
+        # packet 2 misses while queued at node 2
+        assert [(node, pos) for _, kind, node, _, pos in trace
+                if kind == sc.MISS] == [(2, 2)]
         assert m.first_miss_time == pytest.approx(1.2)
         assert m.missed == 1 and m.delivered == 2
         # one hop over 5.0 s for packet 0, one hop over 4.0 s for packet 1,
@@ -701,15 +702,28 @@ class TestCriticalCapacity:
 # Whole-run properties
 # ---------------------------------------------------------------------------
 
+def traced_run(drop, stop):
+    """The contended 3x3 network of `contended_run` at seed 7 and 8
+    packets/s: the run's metrics and its event trace."""
+    topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=7,
+                                   radio_range=15.0, sink_count=1)
+    cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=8.0, duration=8.0,
+                       seed=7, drop_on_miss=drop, stop_at_first_miss=stop)
+    trace = []
+    m = sc.run_simulation(topo, routes, sc.generate_workload(topo, routes, cfg),
+                          cfg, event_log=trace)
+    return m, trace
+
+
 class TestRunProperties:
     def test_determinism(self):
-        _, _, _, a = contended_run(seed=11)
-        _, _, _, b = contended_run(seed=11)
+        *_, a = contended_run(seed=11)
+        *_, b = contended_run(seed=11)
         assert a == b
 
     @pytest.mark.parametrize("drop", [True, False])
     def test_conservation(self, drop):
-        _, _, _, m = contended_run(seed=7, drop_on_miss=drop)
+        *_, m = contended_run(seed=7, drop_on_miss=drop)
         assert m.packets_generated > 0
         assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
         assert m.in_flight_at_end == 0  # run drains completely
@@ -718,28 +732,35 @@ class TestRunProperties:
     @pytest.mark.parametrize("drop", [True, False])
     def test_in_flight_matches_a_log_replay(self, drop):
         # a stopped run ends with arrivals unread and packets queued, in the
-        # air and, when kept, missed; its log says which arrived and left
-        topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=7,
-                                       radio_range=15.0, sink_count=1)
-        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=8.0, duration=8.0,
-                           seed=7, drop_on_miss=drop, stop_at_first_miss=True)
-        log = []
-        m = sc.run_simulation(topo, routes, sc.generate_workload(topo, routes, cfg),
-                              cfg, event_log=log)
-        arrived, held, events = 0, set(), {"deliver": 0, "miss": 0}
-        for line in log:
-            _, kind, *fields = line.split()
-            if kind == "arrival":
+        # air and, when kept, missed; its trace says which arrived and left
+        m, trace = traced_run(drop, stop=True)
+        arrived, held, events = 0, set(), {sc.DELIVER: 0, sc.MISS: 0}
+        for _, kind, _, _, pos in trace:
+            if kind == sc.ARRIVAL:
                 arrived += 1
-                held.add(int(fields[1]))
+                held.add(pos)
             elif kind in events:
                 events[kind] += 1
-                held.remove(int(fields[1]))
+                held.remove(pos)
         assert m.first_miss_time is not None and held
         assert 0 < arrived < m.packets_generated
-        assert (m.delivered, m.missed) == (events["deliver"], events["miss"])
+        assert (m.delivered, m.missed) == (events[sc.DELIVER], events[sc.MISS])
         assert m.in_flight_at_end == m.packets_generated - arrived + len(held)
         assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
+
+    @pytest.mark.parametrize("drop,stop", [(True, False), (False, False),
+                                           (True, True)],
+                             ids=["drop", "keep", "stopped"])
+    def test_trace_records_are_numbers(self, drop, stop):
+        # the run formats nothing: each event is a (time, kind, node,
+        # receiver, position) tuple, and `format_events` owns the text
+        m, trace = traced_run(drop, stop)
+        assert m.missed > 0
+        for record in trace:
+            assert type(record) is tuple
+            assert tuple(map(type, record)) == (float, int, int, int, int)
+        # every logging site is reached, and each kind is one of the six
+        assert {kind for _, kind, *_ in trace} == set(range(6))
 
     @pytest.mark.parametrize("drop", [True, False])
     def test_workload_not_written(self, drop):
@@ -826,18 +847,12 @@ class TestPositionIndexedRun:
                            stop_at_first_miss=stop)
         positional = mk_workload([p._replace(id=i)
                                   for i, p in enumerate(wl.packets)])
-        position_of = {p.id: i for i, p in enumerate(wl.packets)}
-        logs = [], []
-        runs = [sc.run_simulation(topo, routes, w, cfg, event_log=log)
-                for w, log in zip((wl, positional), logs)]
+        traces = [], []
+        runs = [sc.run_simulation(topo, routes, w, cfg, event_log=trace)
+                for w, trace in zip((wl, positional), traces)]
         assert runs[0] == runs[1]
-
-        def relabel(line):
-            fields = line.split(" ")
-            fields[3] = str(position_of[int(fields[3])])
-            return " ".join(fields)
-
-        assert [relabel(line) for line in logs[0]] == logs[1]
+        # a trace names packets by workload position, not by id
+        assert traces[0] == traces[1]
 
     def test_priority_key_once_per_arrival(self, monkeypatch):
         keyed = []
@@ -848,10 +863,11 @@ class TestPositionIndexedRun:
             return key(packet)
 
         monkeypatch.setattr(sc, "priority_key", counting)
-        log = []
-        _, _, _, m = contended_run(seed=3, event_log=log)
-        arrived = [int(line.split()[3]) for line in log if " arrival " in line]
-        assert any(" enqueue " in line for line in log)  # packets relayed
+        trace = []
+        _, _, _, wl, m = contended_run(seed=3, event_log=trace)
+        arrived = [wl.packets.id[pos] for _, kind, _, _, pos in trace
+                   if kind == sc.ARRIVAL]
+        assert any(kind == sc.ENQUEUE for _, kind, *_ in trace)  # relayed
         assert len(arrived) == m.packets_generated > 0
         assert sorted(keyed) == sorted(arrived)
 
@@ -863,18 +879,21 @@ class TestPositionIndexedRun:
 class TestEventLogAudits:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_exclusion_holds_everywhere(self, seed):
-        log = []
-        topo, _, _, m = contended_run(seed=seed, rate=8.0, event_log=log)
+        trace = []
+        topo, _, cfg, wl, m = contended_run(seed=seed, rate=8.0,
+                                            event_log=trace)
         assert m.packets_generated > 0
-        replay_active_sets(log, topo.adjacency)
+        replay_active_sets(sc.format_events(trace, wl, cfg), topo.adjacency)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("drop", [True, False])
     def test_no_priority_leapfrogging(self, seed, drop):
-        log = []
-        topo, routes, _, _ = contended_run(seed=seed, rate=8.0,
-                                           drop_on_miss=drop, event_log=log)
-        violations = audit_priority_order(log, topo.adjacency, routes.next_hop)
+        trace = []
+        topo, routes, cfg, wl, _ = contended_run(seed=seed, rate=8.0,
+                                                 drop_on_miss=drop,
+                                                 event_log=trace)
+        violations = audit_priority_order(sc.format_events(trace, wl, cfg),
+                                          topo.adjacency, routes.next_hop)
         assert violations == []
 
 
