@@ -47,7 +47,7 @@ if metrics.delays:
           f"{len(metrics.delays)} deliveries")
 
 print("\nfirst 8 events of the log:")
-for line in islice(format_events(log, workload, config), 8):
+for line in islice(format_events(log, workload), 8):
     print("  " + line)
 
 # replications only differ in the workload seed; the minimum first-miss

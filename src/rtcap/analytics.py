@@ -332,7 +332,7 @@ def convergecast_edf_sink_utilization(nodes_per_disk: float, max_hops: int,
     harmonic sum.
 
     Small hop counts with dense disks push the value above 1, a saturated
-    sink neighborhood; it is returned unclamped so callers can decide.
+    sink neighborhood; such a value is reported as is.
     """
     m = float(nodes_per_disk)
     if m < 1:
@@ -341,7 +341,7 @@ def convergecast_edf_sink_utilization(nodes_per_disk: float, max_hops: int,
 
 
 def rtcc_convergecast(scheduler: str, params: AnalyticParams,
-                      mode: str = EXACT, clamp: bool = False) -> CapacityBound:
+                      mode: str = EXACT) -> CapacityBound:
     """Network capacity limit in bits/s for convergecast traffic.
 
     With S the odd harmonic sum over the sink's hop radius K:
@@ -352,8 +352,8 @@ def rtcc_convergecast(scheduler: str, params: AnalyticParams,
 
     The sink utilization D is divided by the disk population m so that the
     DM and EDF expressions are directly comparable; the DM value never
-    exceeds the EDF value at equal mode. With clamp=True a saturated sink
-    utilization is capped at 1 before entering the formula.
+    exceeds the EDF value at equal mode. D enters the formula as solved,
+    above 1 included, and is reported as `utilization_at_bottleneck`.
     """
     scheduler = scheduler.upper()
     if mode not in (EXACT, APPROXIMATE):
@@ -370,11 +370,10 @@ def rtcc_convergecast(scheduler: str, params: AnalyticParams,
         d = convergecast_edf_sink_utilization(m, k, mode)
     else:
         raise ValueError(f"unknown scheduler {scheduler!r}, expected DM or EDF")
-    d_used = min(d, 1.0) if clamp else d
-    value = params.sink_count * params.bandwidth * k * d_used / (m * alpha)
+    value = params.sink_count * params.bandwidth * k * d / (m * alpha)
     return CapacityBound(value=value, scheduler=scheduler,
                          topology_class=CONVERGECAST, mode=mode,
-                         utilization_at_bottleneck=d_used)
+                         utilization_at_bottleneck=d)
 
 
 def balanced_vs_convergecast_ratio(max_hops: float) -> float:

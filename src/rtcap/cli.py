@@ -48,6 +48,16 @@ class _Parser(argparse.ArgumentParser):
     def convert_arg_line_to_args(self, arg_line):
         return arg_line.split()
 
+    # argparse takes a word that starts with "-" as a value only if it
+    # reads as -5 or -.5; here every word float() parses is a value, so
+    # `--Kd -inf` reaches the check that refuses it. No flag is a number.
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 class _Option(NamedTuple):
     kind: object        # int, float, str, _floats, bool (a switch) or choices
@@ -82,7 +92,6 @@ _OPTIONS = {
     "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, (_A, _W)),
     "topology": _Option(("balanced", "convergecast"), "balanced", (_A,)),
     "scheduler": _Option(("dm", "edf", "both"), "both", (_A,)),
-    "clamp": _Option(bool, False, (_A,), "cap saturated sink utilizations at 1"),
     "csv": _Option(str, None, (_A,), "also write the bounds as CSV"),
     "vqs": _Option(_floats, None, (_F,),
                    "comma-separated neighborhood utilizations of the path"),
@@ -98,8 +107,6 @@ _OPTIONS = {
     "packet_size": _Option(float, 1000.0, (_S, _W)),
     "deadlines": _Option(_floats, "0.5,1.0,2.0", (_S, _W),
                          "comma-separated deadline set, seconds"),
-    "keep_on_miss": _Option(bool, False, (_S, _W),
-                            "keep forwarding packets that missed"),
     "seed": _Option(int, 0, (_S, _W)),
     "reps": _Option(int, 10, (_S, _W)),
     "verbose": _Option(bool, False, (_S, _W)),
@@ -108,8 +115,7 @@ _OPTIONS = {
     "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", (_W,)),
     "values": _Option(_floats, None, (_W,), "comma-separated swept values"),
     "load_factor": _Option(float, 1.5, (_W,)),
-    "out_dir": _Option(str, None, (_W,),
-                       "output directory (default $RTCAP_OUT_DIR or .)"),
+    "out_dir": _Option(str, ".", (_W,), "output directory"),
 }
 
 # the AnalyticParams field each option sets; a sweep's swept value replaces
@@ -160,7 +166,6 @@ def _sim_from(cfg: dict, **fields) -> sc.SimConfig:
     return sc.SimConfig(
         bandwidth=cfg["B"], packet_size=cfg["packet_size"],
         deadline_set=cfg["deadlines"], duration=cfg["duration"],
-        drop_on_miss=not cfg["keep_on_miss"],
         seed=cfg["seed"], replication_count=cfg["reps"], **fields)
 
 
@@ -173,11 +178,10 @@ def _cmd_analyze(cfg, out) -> int:
     params = _params_from(cfg)
     schedulers = {"dm": [an.DM], "edf": [an.EDF], "both": [an.DM, an.EDF]}
     bounds = [an.rtcc_balanced(s, params) if cfg["topology"] == "balanced"
-              else an.rtcc_convergecast(s, params, mode=cfg["mode"],
-                                        clamp=cfg["clamp"])
+              else an.rtcc_convergecast(s, params, mode=cfg["mode"])
               for s in schedulers[cfg["scheduler"]]]
     echo = _params_line(cfg, ("topology", "scheduler", "n", "B", "u", "alpha",
-                              "N", "m", "Kd", "sinks", "mode", "clamp"))
+                              "N", "m", "Kd", "sinks", "mode"))
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write(f"# rtcap analyze\n{echo}\n")
@@ -231,11 +235,11 @@ def _cmd_simulate(cfg, out) -> int:
         workload = sc.generate_workload(topo, routes, sim)
         with open(cfg["event_log"], "w") as fh:
             fh.writelines(line + "\n"
-                          for line in sc.format_events(trace, workload, sim))
+                          for line in sc.format_events(trace, workload))
     print(_params_line(cfg, ("rows", "cols", "spacing", "jitter", "radio_range",
                              "sinks", "sink_mode", "B", "packet_size",
-                             "deadlines", "rate", "duration", "keep_on_miss",
-                             "seed", "reps")), file=out)
+                             "deadlines", "rate", "duration", "seed",
+                             "reps")), file=out)
     print(f"# measured u={stats.neighborhood_bound} m={stats.nodes_per_disk} "
           f"Kd={stats.max_hops}", file=out)
     for metrics in results:
@@ -277,7 +281,7 @@ def _cmd_sweep(cfg, out) -> int:
             sink_mode=cfg["sink_mode"], inversion_factor=cfg["alpha"],
             mode=cfg["mode"], load_factor=cfg["load_factor"])
     # a bad output directory fails before the sweep runs, not after
-    out_dir = cfg["out_dir"] or os.environ.get("RTCAP_OUT_DIR", ".")
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     rows = ex.run_sweep(spec)
     dest = os.path.join(out_dir, ex.csv_filename(spec))

@@ -43,9 +43,10 @@ deadline expiries. Each instant runs three phases, then one grant pass:
    deadline still counts as on time.
 
 Packets are immutable records of their arrival. The run owns what moves,
-kept per packet by workload position: the node that holds each packet
-until it leaves the network. Hops traversed is hop_count[origin] -
-hop_count[node], since each route hop lowers the hop count by exactly one.
+held per packet by workload position: the node that holds each packet
+until it leaves the network, which a packet that misses its deadline does
+at once. Hops traversed is hop_count[origin] - hop_count[node], since each
+route hop lowers the hop count by exactly one.
 
 A single run is strictly sequential and reproducible: identical
 (topology, routes, workload) inputs give bit-identical metrics. Replications
@@ -105,7 +106,6 @@ class SimConfig:
     deadline_set: tuple = (0.5, 1.0, 2.0)
     arrival_rate: float = 1.0
     duration: float = 30.0
-    drop_on_miss: bool = True
     seed: int = 0
     replication_count: int = 1
     stop_at_first_miss: bool = False
@@ -305,10 +305,10 @@ def generate_workload(topology: Topology, routes: RouteTable,
         deadline_index = rng.integers(len(config.deadline_set), size=shape)
         ties = rng.random(shape)
         last = times[:, -1]
-        kept = sources[:, None] & (times <= config.duration)
-        drawn.append((times[kept],
-                      np.broadcast_to(origins[:, None], shape)[kept],
-                      deadline_index[kept], ties[kept]))
+        live = sources[:, None] & (times <= config.duration)
+        drawn.append((times[live],
+                      np.broadcast_to(origins[:, None], shape)[live],
+                      deadline_index[live], ties[live]))
     times, origin, deadline_index, ties = map(np.concatenate, zip(*drawn))
     order = np.lexsort((origin, times))
     deadlines = np.array(config.deadline_set, dtype=float)
@@ -476,10 +476,13 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     `Medium`, and a run that drains without stopping must leave
     the medium idle. Deadline misses are detected eagerly by expiry timers so
     the capacity consumption at the first miss is sampled at the right
-    instant. Packet size and per-hop time come from `config`, hop counts
-    from `routes`; a packet is delivered when it reaches a sink, a node
-    with no next hop. A given `event_log` list receives one (time, kind,
-    node, receiver, workload position) tuple per event.
+    instant. A missed packet leaves the network at once and is never sent
+    on: a queued one's heap entry is discarded once it reaches the head,
+    and one in the air goes no further when its hop completes. Packet size
+    and per-hop time come from `config`, hop counts from `routes`; a packet
+    is delivered when it reaches a sink, a node with no next hop. A given
+    `event_log` list receives one (time, kind, node, receiver, workload
+    position) tuple per event.
     """
     adjacency = topology.adjacency
     next_hop, hop_count = routes.next_hop, routes.hop_count
@@ -498,10 +501,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     expiries = []          # heap of (absolute deadline, position)
 
     # position -> the node holding that packet: queued, sending, or the sink
-    # that took it on time, until its expiry; None once it has left (dropped
-    # or late) or before it arrives
+    # that took it on time, until its expiry; None before it arrives and
+    # once it has left
     at = [None] * arrivals
-    kept = set()           # positions of missed packets that go on forwarding
     # backlogged node -> heap of entries (key, position, absolute deadline),
     # held only while the heap is non-empty; a dropped packet's entry leaves
     # once it is the head
@@ -551,10 +553,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 touched.add(r)
                 if log:
                     log((now, ENQUEUE, r, -1, pos))
-            elif now > entry[2]:
-                # a kept packet whose expiry already fired arrives late and
-                # contributes nothing
-                at[pos] = None
             else:
                 at[pos] = r
                 delays.append(now - times[pos])
@@ -595,12 +593,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                     size)
                 first_miss_time = now
                 stop = config.stop_at_first_miss
-            if config.drop_on_miss:
-                at[pos] = None
-                if was_queued:
-                    touched.add(node)
-            else:
-                kept.add(pos)
+            at[pos] = None
+            if was_queued:
+                touched.add(node)
             if log:
                 log((now, MISS, node if was_queued else -1, -1, pos))
 
@@ -637,10 +632,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     # counted from what the run still holds, not from the other counts:
     # arrivals the cursor has not read, and packets at a non-sink node,
-    # queued or in the air, that have not missed
+    # queued or in the air
     in_flight = arrivals - cursor + sum(
-        1 for pos, node in enumerate(islice(at, cursor))
-        if node in next_hop and pos not in kept)
+        1 for node in islice(at, cursor) if node in next_hop)
     return RunMetrics(
         packets_generated=arrivals,
         delivered=len(delays),
@@ -680,7 +674,7 @@ def critical_capacity(metrics: Iterable) -> CriticalCapacity:
     return CriticalCapacity(value=min(values, default=None), replications=len(metrics))
 
 
-def format_events(trace: Iterable, workload: Workload, config: SimConfig):
+def format_events(trace: Iterable, workload: Workload):
     """The text lines of a run's event trace, one per record, in trace
     order:
 
@@ -689,16 +683,14 @@ def format_events(trace: Iterable, workload: Workload, config: SimConfig):
         <time> grant <sender>-><receiver> <pid>
         <time> complete <sender>-><receiver> <pid>
         <time> deliver <node> <pid>
-        <time> miss <node|air> <pid> <dropped|kept>
+        <time> miss <node|air> <pid> dropped
 
-    `workload` and `config` are the run's own. A packet is named by its id
-    and an arrival carries its relative deadline, both read from the
-    workload's columns by position; a miss in the air has node -1, and a
-    miss is dropped or kept as `config.drop_on_miss` says. Times and
-    deadlines are written with repr, so they read back bit for bit."""
+    `workload` is the run's own. A packet is named by its id and an arrival
+    carries its relative deadline, both read from the workload's columns by
+    position; a miss in the air has node -1. Times and deadlines are
+    written with repr, so they read back bit for bit."""
     ids = workload.packets.id.tolist()
     deadlines = workload.packets.relative_deadline.tolist()
-    fate = "dropped" if config.drop_on_miss else "kept"
     for time, kind, node, receiver, pos in trace:
         if kind == ARRIVAL:
             yield f"{time!r} arrival {node} {ids[pos]} {deadlines[pos]!r}"
@@ -712,4 +704,4 @@ def format_events(trace: Iterable, workload: Workload, config: SimConfig):
             yield f"{time!r} deliver {node} {ids[pos]}"
         else:
             where = "air" if node < 0 else node
-            yield f"{time!r} miss {where} {ids[pos]} {fate}"
+            yield f"{time!r} miss {where} {ids[pos]} dropped"

@@ -152,7 +152,7 @@ def compute_adjacency(topology: Topology) -> Mapping:
     x / side (2**-40 of the range, plus 2**-50 of the largest coordinate),
     so two coordinates within range land in the same or adjacent cells on
     each axis. A wider cell only adds candidates, which the exact test then
-    drops. The kept pairs are sorted by (v, w), so each node's neighbours
+    drops. The pairs in range are sorted by (v, w), so each node's neighbours
     come out as an ascending tuple, mapped to the keys' own `int` objects
     (one per node).
     """
@@ -189,7 +189,7 @@ def _pairs_in_range(pos: np.ndarray, radio_range: float) -> np.ndarray:
     key = col_steps[1] * rows + row_steps[1]
     order = np.argsort(key)
     by_cell = key[order]
-    kept = []
+    found = []
     for col in col_steps:
         for row in row_steps:
             v = np.flatnonzero((col >= 0) & (row >= 0))
@@ -203,8 +203,8 @@ def _pairs_in_range(pos: np.ndarray, radio_range: float) -> np.ndarray:
             # a far pair's square may overflow to inf, which is not <= reach
             with np.errstate(over="ignore"):
                 within = (((pos[w] - pos[v]) ** 2).sum(axis=1) <= reach) & (w != v)
-            kept.append(v[within] * n + w[within])
-    pairs = np.concatenate(kept)
+            found.append(v[within] * n + w[within])
+    pairs = np.concatenate(found)
     pairs.sort()
     return pairs
 

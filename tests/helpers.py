@@ -52,14 +52,14 @@ def measured_dm_bound(topo, routes) -> float:
     return an.rtcc_convergecast(an.DM, params, mode=an.EXACT).value
 
 
-def contended_run(seed=3, rate=6.0, drop_on_miss=True, event_log=None):
+def contended_run(seed=3, rate=6.0, event_log=None):
     """3x3 grid under enough load (50 ms hops) to produce real contention.
     Returns the network, the config, the workload that ran and its metrics,
     so a caller can render `event_log` with `sc.format_events`."""
     topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=seed,
                                    radio_range=15.0, sink_count=1)
     cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=rate, duration=8.0,
-                       seed=seed, drop_on_miss=drop_on_miss)
+                       seed=seed)
     wl = sc.generate_workload(topo, routes, cfg)
     metrics = sc.run_simulation(topo, routes, wl, cfg, event_log=event_log)
     return topo, routes, cfg, wl, metrics
@@ -144,8 +144,8 @@ def audit_priority_order(log, adjacency, next_hop):
         elif kind == "complete":
             active.pop(int(parts[3]))
         elif kind == "miss":
-            loc, pid, disposition = parts[2], int(parts[3]), parts[4]
-            if loc != "air" and disposition == "dropped":
+            loc, pid = parts[2], int(parts[3])
+            if loc != "air":
                 queued[int(loc)].pop(pid, None)
     return violations
 

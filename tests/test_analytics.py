@@ -420,16 +420,6 @@ class TestRtccConvergecast:
                 edf = an.rtcc_convergecast(an.EDF, p, mode=mode).value
                 assert dm <= edf * (1 + 1e-9)
 
-    def test_clamping(self):
-        p = an.AnalyticParams(node_count=100, bandwidth=1000, inversion_factor=1.0,
-                              nodes_per_disk=10, max_hops=1, sink_count=1)
-        raw = an.rtcc_convergecast(an.EDF, p)
-        clamped = an.rtcc_convergecast(an.EDF, p, clamp=True)
-        assert raw.utilization_at_bottleneck == pytest.approx(10.0)
-        assert clamped.utilization_at_bottleneck == 1.0
-        assert clamped.value == pytest.approx(raw.value / 10.0)
-        assert 0.0 <= clamped.utilization_at_bottleneck <= 1.0
-
 
 class TestBalancedVsConvergecastRatio:
     def test_unity_at_single_hop(self):

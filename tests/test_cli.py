@@ -121,13 +121,13 @@ class TestAnalyze:
 
     def test_echo_names_every_setting_read(self):
         code, out = run_cli(["analyze", "--topology", "convergecast",
-                             "--scheduler", "dm", "--clamp"])
+                             "--scheduler", "dm"])
         assert code == 0
         echo = out.splitlines()[0]
         assert [pair.split("=")[0] for pair in echo.split()[2:]] == [
             "topology", "scheduler", "n", "B", "u", "alpha", "N", "m", "Kd",
-            "sinks", "mode", "clamp"]
-        assert "topology='convergecast'" in echo and "clamp=True" in echo
+            "sinks", "mode"]
+        assert "topology='convergecast'" in echo and "scheduler='dm'" in echo
 
     def test_csv_output(self, tmp_path):
         dest = tmp_path / "bounds.csv"
@@ -139,13 +139,14 @@ class TestAnalyze:
 
     def test_csv_records_the_params_line(self, tmp_path):
         dest = tmp_path / "bounds.csv"
-        code, out = run_cli(["analyze", "--topology", "convergecast", "--clamp",
+        code, out = run_cli(["analyze", "--topology", "convergecast",
                              "--csv", str(dest)])
         assert code == 0
         lines = dest.read_text().splitlines()
         assert lines[0] == "# rtcap analyze"
         assert lines[1] == out.splitlines()[0]
-        assert lines[1].startswith("# params ") and "clamp=True" in lines[1]
+        assert (lines[1].startswith("# params ")
+                and "topology='convergecast'" in lines[1])
 
     def test_bad_csv_path_prints_nothing(self, tmp_path):
         # the file is opened before the first line of stdout
@@ -250,6 +251,35 @@ class TestUsage:
         assert code == 1
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--rows", "3", "--cols", "3", "--radio-range", "15",
+         "--duration", "1", "--reps", "1", "--keep-on-miss"],
+        ["sweep", "--kind", "convergecast_curves", "--values", "1",
+         "--out-dir", "{tmp}", "--keep-on-miss"],
+        ["analyze", "--topology", "convergecast", "--clamp"],
+    ], ids=["simulate-keep-on-miss", "sweep-keep-on-miss", "analyze-clamp"])
+    def test_retired_result_modes_rejected(self, tmp_path, argv, capsys):
+        # a missed packet always leaves the network, and a convergecast
+        # bound is never clamped: neither rule has a second mode
+        code, out = run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["ratio", "--Kd", "-inf"], "max_hops is not finite"),
+        (["simulate", "--rows", "3", "--cols", "3", "--reps", "1",
+          "--jitter", "-1e-3"], "jitter must lie in [0, 0.5)"),
+        (["analyze", "--B", "-1e5"], "bandwidth must be > 0"),
+    ], ids=["ratio-Kd", "simulate-jitter", "analyze-B"])
+    def test_value_that_starts_with_a_dash_is_a_value(self, argv, message,
+                                                      capsys):
+        # argparse alone reads -inf, -1e-3 and -1e5 as flags and reports
+        # the flag before them as missing its value
+        code, out = run_cli(argv)
+        assert code == 1 and out == ""
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["sweep", "--kind", "sink_sweep", "--load", "2"],
         ["analyze", "--sched", "edf"],
         ["simulate", "--dead", "0.5"],
@@ -266,8 +296,7 @@ class TestUsage:
     # a small run of every branch of every command
     EVERY_BRANCH = [
         ["analyze", "--scheduler", "edf", "--csv", "{tmp}/bounds.csv"],
-        ["analyze", "--topology", "convergecast", "--clamp", "--mode",
-         "approximate"],
+        ["analyze", "--topology", "convergecast", "--mode", "approximate"],
         ["feasible", "--vqs", "0.3,0.2"],
         ["ratio"],
         ["simulate", "-v", "--rows", "2", "--cols", "2", "--radio-range", "15",
@@ -429,7 +458,7 @@ class TestSimulate:
         trace = []
         sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
         assert log.read_text() == "".join(
-            line + "\n" for line in sc.format_events(trace, wl, cfg))
+            line + "\n" for line in sc.format_events(trace, wl))
 
     def test_bad_event_log_fails_before_the_runs(self, tmp_path, monkeypatch):
         calls = []
@@ -441,27 +470,22 @@ class TestSimulate:
         assert code == 2
         assert calls == [] and out == ""
 
-    @pytest.mark.parametrize("keep", [True, False], ids=["keep", "drop"])
-    def test_keep_on_miss(self, tmp_path, keep):
+    def test_missed_packets_logged_as_dropped(self, tmp_path):
         # the contended 3x3 network of helpers.contended_run, through the CLI
         log = tmp_path / "events.log"
-        code, out = run_cli(["simulate", "--rows", "3", "--cols", "3",
-                             "--jitter", "0.2", "--radio-range", "15",
-                             "--sinks", "1", "--packet-size", "12500",
-                             "--rate", "6", "--duration", "8", "--seed", "3",
-                             "--reps", "1", "--event-log", str(log)]
-                            + (["--keep-on-miss"] if keep else []))
+        code, _ = run_cli(["simulate", "--rows", "3", "--cols", "3",
+                           "--jitter", "0.2", "--radio-range", "15",
+                           "--sinks", "1", "--packet-size", "12500",
+                           "--rate", "6", "--duration", "8", "--seed", "3",
+                           "--reps", "1", "--event-log", str(log)])
         assert code == 0
-        # the echo names the flag a user types
-        assert f" keep_on_miss={keep} " in out.splitlines()[0]
         misses = [ln.split()[-1] for ln in log.read_text().splitlines()
                   if " miss " in ln]
-        assert misses and set(misses) == {"kept" if keep else "dropped"}
+        assert misses and set(misses) == {"dropped"}
         trace = []
-        _, _, cfg, wl, _ = contended_run(seed=3, drop_on_miss=not keep,
-                                         event_log=trace)
+        _, _, _, wl, _ = contended_run(seed=3, event_log=trace)
         assert log.read_text() == "".join(
-            line + "\n" for line in sc.format_events(trace, wl, cfg))
+            line + "\n" for line in sc.format_events(trace, wl))
 
     @pytest.mark.parametrize("flag,value,key", [
         ("--rate", "inf", "arrival_rate"), ("--duration", "inf", "duration"),
@@ -500,13 +524,6 @@ class TestSweep:
         assert str(files[0]) in out
         assert len(data_lines(files[0].read_text())) == 4  # header + 3 rows
 
-    def test_out_dir_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RTCAP_OUT_DIR", str(tmp_path))
-        code, _ = run_cli(["sweep", "--kind", "convergecast_curves",
-                           "--values", "1,4"])
-        assert code == 0
-        assert list(tmp_path.glob("convergecast_curves_*.csv"))
-
     def test_analytic_flags_recorded(self, tmp_path):
         code, _ = run_cli(["sweep", "--kind", "balanced_curves", "--n", "200",
                            "--u", "12", "--values", "1,2",
@@ -522,13 +539,12 @@ class TestSweep:
                            "--rows", "3", "--cols", "3", "--radio-range", "15",
                            "--duration", "2", "--reps", "1",
                            "--deadlines", "0.25,0.5", "--sink-mode", "random",
-                           "--keep-on-miss", "--out-dir", str(tmp_path)])
+                           "--out-dir", str(tmp_path)])
         assert code == 0
         [csv] = tmp_path.glob("*.csv")
         recorded = header(csv.read_text())
         assert recorded["sink_mode"] == "random"
         assert "'deadline_set': (0.25, 0.5)" in recorded["sim"]
-        assert "'drop_on_miss': False" in recorded["sim"]
 
     def test_sim_sweep_small(self, tmp_path):
         code, out = run_cli(["sweep", "--kind", "sink_sweep", "--values", "1,2",

@@ -36,19 +36,19 @@ STDOUT_SHA256 = {
     "04_single_simulation.py":
         "657241d1ca53f687ab072af30575e0e468c3061e71c523fbd9fcf9847e374e02",
     "05_sink_sweep.py":
-        "0f7d31751532e1c7196a5c2074e3605305ed8b29631cc7c0c5b45767d95286d0",
+        "fbbf4ab2bc8d08ab93f8842649fe12ebed6addd08d0a85ad34634a706a6b5220",
     "06_missratio_knee.py":
-        "89e7ddc04bf0366e77d96dd673d6dfe984949f8c583081875c6198537bfa8a12",
+        "c290776a55fef201335ee90349cc6b6981b9cc8dda2882207a1ae990b41dbb6a",
 }
 
 # the file each sweep demo writes, and the sha256 of its bytes
 CSV_SHA256 = {
     "05_sink_sweep.py": (
-        "sink_sweep_400_41bc7638a12a.csv",
-        "e57ee6afc1bbf3e219c025ab8b2245d5d6bb4b953437acbd63a6b0eef7abcc3d"),
+        "sink_sweep_400_5915727a1159.csv",
+        "4772f4dfb45271556fed336e7863270252e7baf19970a4e1459a8fe028653e76"),
     "06_missratio_knee.py": (
-        "missratio_sweep_144_ec20cddbd21e.csv",
-        "ef78860f013d552a3321f563e8e7d38b71124fa13281fa42cbd5185a72faaf76"),
+        "missratio_sweep_144_e76956534aa3.csv",
+        "5510e1b3fe587b0cba818f59adb3a0aa947a73c26fee4d4defcc11a6a071b26b"),
 }
 
 

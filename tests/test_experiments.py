@@ -47,7 +47,7 @@ ALTERED = {
     "analytic.max_hops": 8, "analytic.sink_count": 3,
     "sim.bandwidth": 1_000_000.0, "sim.packet_size": 2_000.0,
     "sim.deadline_set": (1.0,), "sim.arrival_rate": 7.0, "sim.duration": 3.0,
-    "sim.drop_on_miss": False, "sim.seed": 4, "sim.replication_count": 3,
+    "sim.seed": 4, "sim.replication_count": 3,
     "sim.stop_at_first_miss": True,
 }
 

@@ -33,8 +33,6 @@ from helpers import (EVAL_GRID, contended_run, measured_dm_bound, receive_gaps,
 GOLDEN = {
     "contended-13-drop":
         "71b2351b76d62e816dded671deb14347f319c8fc7f74ba0eec325926944c0827",
-    "contended-13-keep":
-        "1b760016762008256b8fc91b61f19dbce7a2e3e0dc2bd08b11ccd2d91a50165b",
     "knee-12x12-1x":
         "1a81a716df02ac957950d0166f9501fca5eb2826e39e9c4c889d3043b1c2d7ba",
     "knee-12x12-4x":
@@ -66,22 +64,20 @@ def loaded_run(grid: dict, load: float, packet_size: float, duration: float,
     wl = sc.generate_workload(topo, routes, cfg)
     trace = []
     metrics = sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
-    return list(sc.format_events(trace, wl, cfg)), metrics
+    return list(sc.format_events(trace, wl)), metrics
 
 
-def contended(drop_on_miss: bool):
+def contended():
     trace = []
-    _, _, cfg, wl, metrics = contended_run(seed=13, drop_on_miss=drop_on_miss,
-                                           event_log=trace)
-    return list(sc.format_events(trace, wl, cfg)), metrics
+    *_, wl, metrics = contended_run(seed=13, event_log=trace)
+    return list(sc.format_events(trace, wl)), metrics
 
 
 KNEE_GRID = dict(rows=12, cols=12, spacing=10.0, jitter=0.25, radio_range=20.5,
                  sink_count=4)
 
 SCENARIOS = {
-    "contended-13-drop": lambda: contended(True),
-    "contended-13-keep": lambda: contended(False),
+    "contended-13-drop": contended,
     "knee-12x12-1x": lambda: loaded_run(KNEE_GRID, 1.0, 5000.0, 10.0),
     "knee-12x12-4x": lambda: loaded_run(KNEE_GRID, 4.0, 5000.0, 10.0),
     # criterion 6's probe replication, stopped at its first miss
@@ -124,7 +120,6 @@ def test_event_log_and_metrics_unchanged(name):
 
 # each scenario's packet airtime, packet_size / bandwidth, in seconds
 TX_TIME = {"contended-13-drop": 12_500 / 250_000,
-           "contended-13-keep": 12_500 / 250_000,
            "knee-12x12-4x": 5_000 / 250_000}
 
 

@@ -702,13 +702,13 @@ class TestCriticalCapacity:
 # Whole-run properties
 # ---------------------------------------------------------------------------
 
-def traced_run(drop, stop):
+def traced_run(stop):
     """The contended 3x3 network of `contended_run` at seed 7 and 8
     packets/s: the run's metrics and its event trace."""
     topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=7,
                                    radio_range=15.0, sink_count=1)
     cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=8.0, duration=8.0,
-                       seed=7, drop_on_miss=drop, stop_at_first_miss=stop)
+                       seed=7, stop_at_first_miss=stop)
     trace = []
     m = sc.run_simulation(topo, routes, sc.generate_workload(topo, routes, cfg),
                           cfg, event_log=trace)
@@ -721,19 +721,17 @@ class TestRunProperties:
         *_, b = contended_run(seed=11)
         assert a == b
 
-    @pytest.mark.parametrize("drop", [True, False])
-    def test_conservation(self, drop):
-        *_, m = contended_run(seed=7, drop_on_miss=drop)
+    def test_conservation(self):
+        *_, m = contended_run(seed=7)
         assert m.packets_generated > 0
         assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
         assert m.in_flight_at_end == 0  # run drains completely
         assert m.miss_ratio == pytest.approx(m.missed / m.packets_generated)
 
-    @pytest.mark.parametrize("drop", [True, False])
-    def test_in_flight_matches_a_log_replay(self, drop):
-        # a stopped run ends with arrivals unread and packets queued, in the
-        # air and, when kept, missed; its trace says which arrived and left
-        m, trace = traced_run(drop, stop=True)
+    def test_in_flight_matches_a_log_replay(self):
+        # a stopped run ends with arrivals unread and packets queued or in
+        # the air; its trace says which arrived and left
+        m, trace = traced_run(stop=True)
         arrived, held, events = 0, set(), {sc.DELIVER: 0, sc.MISS: 0}
         for _, kind, _, _, pos in trace:
             if kind == sc.ARRIVAL:
@@ -748,13 +746,11 @@ class TestRunProperties:
         assert m.in_flight_at_end == m.packets_generated - arrived + len(held)
         assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
 
-    @pytest.mark.parametrize("drop,stop", [(True, False), (False, False),
-                                           (True, True)],
-                             ids=["drop", "keep", "stopped"])
-    def test_trace_records_are_numbers(self, drop, stop):
+    @pytest.mark.parametrize("stop", [False, True], ids=["drop", "stopped"])
+    def test_trace_records_are_numbers(self, stop):
         # the run formats nothing: each event is a (time, kind, node,
         # receiver, position) tuple, and `format_events` owns the text
-        m, trace = traced_run(drop, stop)
+        m, trace = traced_run(stop)
         assert m.missed > 0
         for record in trace:
             assert type(record) is tuple
@@ -762,17 +758,40 @@ class TestRunProperties:
         # every logging site is reached, and each kind is one of the six
         assert {kind for _, kind, *_ in trace} == set(range(6))
 
-    @pytest.mark.parametrize("drop", [True, False])
-    def test_workload_not_written(self, drop):
+    def test_workload_not_written(self):
         topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=7,
                                        radio_range=15.0, sink_count=1)
         cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=8.0, duration=8.0,
-                           seed=7, drop_on_miss=drop)
+                           seed=7)
         wl = sc.generate_workload(topo, routes, cfg)
         before = copy.deepcopy(wl)
         m = sc.run_simulation(topo, routes, wl, cfg)
         assert m.missed > 0
         assert wl == before
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, None],
+                             ids=["1", "2", "3", "4", "5", "stopped"])
+    def test_missed_packet_leaves_the_network(self, seed):
+        # after its miss a packet is never queued, sent or delivered again;
+        # a miss in the air (node -1) still ends the hop it was on, so that
+        # transmission's completion is the one later record naming it
+        if seed is None:
+            m, trace = traced_run(stop=True)
+        else:
+            trace = []
+            *_, m = contended_run(seed=seed, rate=8.0, event_log=trace)
+        assert m.missed > 0
+        gone = {}  # missed position -> whether its hop's completion is due
+        for record in trace:
+            _, kind, node, _, pos = record
+            if pos in gone:
+                assert kind == sc.COMPLETE and gone[pos], record
+                gone[pos] = False
+            elif kind == sc.MISS:
+                gone[pos] = node == -1
+        assert len(gone) == m.missed
+        if seed is not None:  # a drained run completes every hop
+            assert not any(gone.values())
 
     def test_stop_at_first_miss_matches_full_run(self):
         topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=5,
@@ -840,10 +859,10 @@ class TestPositionIndexedRun:
     each packet's priority key once, at its arrival."""
 
     @settings(max_examples=60, deadline=None)
-    @given(relabelled_workloads(), st.booleans(), st.booleans())
-    def test_ids_are_only_labels(self, case, drop, stop):
+    @given(relabelled_workloads(), st.booleans())
+    def test_ids_are_only_labels(self, case, stop):
         topo, routes, wl = case
-        cfg = sc.SimConfig(bandwidth=2500.0, duration=10.0, drop_on_miss=drop,
+        cfg = sc.SimConfig(bandwidth=2500.0, duration=10.0,
                            stop_at_first_miss=stop)
         positional = mk_workload([p._replace(id=i)
                                   for i, p in enumerate(wl.packets)])
@@ -880,19 +899,17 @@ class TestEventLogAudits:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_exclusion_holds_everywhere(self, seed):
         trace = []
-        topo, _, cfg, wl, m = contended_run(seed=seed, rate=8.0,
-                                            event_log=trace)
+        topo, _, _, wl, m = contended_run(seed=seed, rate=8.0,
+                                          event_log=trace)
         assert m.packets_generated > 0
-        replay_active_sets(sc.format_events(trace, wl, cfg), topo.adjacency)
+        replay_active_sets(sc.format_events(trace, wl), topo.adjacency)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("drop", [True, False])
-    def test_no_priority_leapfrogging(self, seed, drop):
+    def test_no_priority_leapfrogging(self, seed):
         trace = []
-        topo, routes, cfg, wl, _ = contended_run(seed=seed, rate=8.0,
-                                                 drop_on_miss=drop,
-                                                 event_log=trace)
-        violations = audit_priority_order(sc.format_events(trace, wl, cfg),
+        topo, routes, _, wl, _ = contended_run(seed=seed, rate=8.0,
+                                               event_log=trace)
+        violations = audit_priority_order(sc.format_events(trace, wl),
                                           topo.adjacency, routes.next_hop)
         assert violations == []
 
