@@ -12,7 +12,8 @@ extreme traffic patterns:
   sinks and the sink neighborhoods are the bottleneck.
 
 The convergecast DM bound has no closed form; it is the root of a strictly
-increasing one-dimensional equation and is solved by guarded bisection.
+increasing, convex one-dimensional equation and is solved by Newton's method
+from a closed-form upper bound, guarded by a bisection bracket.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class PoleError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Bisection failed to reach the requested residual tolerance.
+    """The convergecast DM root solve failed to reach the requested residual
+    tolerance.
 
     Carries the final bracket so the caller can inspect how far the solve got.
     """
@@ -264,15 +266,24 @@ def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
                                      tolerance: float = 1e-10) -> float:
     """Largest sink-neighborhood utilization a convergecast DM network sustains.
 
-    Traffic destined to a sink loads ring x (population (2x-1)*m) with
-    per-node utilization D/((2x-1)*m). D is the root of
+    Traffic destined to a sink loads ring x (population r_x = (2x-1)*m) with
+    per-node utilization D/r_x. D is the root of
 
-        sum_{x=1..K} stage_delay_term(D / ((2x-1)*m)) = 1
+        f(D) = sum_{x=1..K} stage_delay_term(D / r_x) - 1 = 0
 
-    The left side is strictly increasing in D on (0, m), from 0 toward
-    infinity at the innermost ring's pole, so bisection always converges.
-    Returns D with residual |lhs - 1| <= tolerance.
+    f is strictly increasing and convex on (0, m), from -1 toward infinity at
+    the innermost ring's pole. Since stage_delay_term(v) >= v + v^2/2 on
+    [0, 1), the root of sum(v + v^2/2) = 1,
+
+        D0 = 2 / (b + sqrt(b^2 + 4a)),  b = sum 1/r_x,  a = sum 1/(2 r_x^2),
+
+    lies at or above D, and below m (0.732m at K = 1). Newton's method
+    started at D0 therefore descends monotonically onto D; a step that
+    leaves the bracket of the last points with f < 0 and f > 0 (rounding
+    near the root) is replaced by bisection of that bracket. Returns the
+    first D with residual |f(D)| <= tolerance.
     """
+    _refuse_non_finite("nodes_per_disk", nodes_per_disk)
     m = float(nodes_per_disk)
     if m < 1:
         raise ValueError(f"nodes_per_disk must be >= 1, got {nodes_per_disk}")
@@ -282,25 +293,26 @@ def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
         raise ValueError("tolerance must be > 0")
 
     rings = (2.0 * np.arange(1, int(max_hops) + 1) - 1.0) * m
-
-    def residual(d: float) -> float:
-        return float(np.sum(_stage_delay_vec(d / rings))) - 1.0
-
+    b = float(np.sum(1.0 / rings))
+    a = float(np.sum(0.5 / (rings * rings)))
+    d = 2.0 / (b + math.sqrt(b * b + 4.0 * a))
     lo, f_lo = 0.0, -1.0
-    hi = m * (1.0 - 1e-12)      # keep the innermost ring below its pole
-    f_hi = residual(hi)
+    hi, f_hi = m, math.inf      # the innermost ring's pole
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if abs(f_mid) <= tolerance:
-            return mid
-        if f_mid > 0.0:
-            hi, f_hi = mid, f_mid
+        v = d / rings
+        f = float(np.sum(_stage_delay_vec(v))) - 1.0
+        if abs(f) <= tolerance:
+            return d
+        if f > 0.0:
+            hi, f_hi = d, f
         else:
-            lo, f_lo = mid, f_mid
+            lo, f_lo = d, f
+        # f'(D) = sum g'(v)/r_x with g'(v) = (1 + (1 - v)^-2) / 2
+        step = d - f / float(np.sum((0.5 + 0.5 / (1.0 - v) ** 2) / rings))
+        d = step if lo < step < hi else 0.5 * (lo + hi)
     raise SolverError(
-        f"bisection did not reach residual {tolerance:g} within 200 iterations "
-        f"(bracket [{lo!r}, {hi!r}], residuals [{f_lo:.3e}, {f_hi:.3e}])",
+        f"Newton iteration did not reach residual {tolerance:g} within 200 "
+        f"iterations (bracket [{lo!r}, {hi!r}], residuals [{f_lo:.3e}, {f_hi:.3e}])",
         lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi, iterations=200)
 
 
@@ -334,6 +346,7 @@ def convergecast_edf_sink_utilization(nodes_per_disk: float, max_hops: int,
     Small hop counts with dense disks push the value above 1, a saturated
     sink neighborhood; such a value is reported as is.
     """
+    _refuse_non_finite("nodes_per_disk", nodes_per_disk)
     m = float(nodes_per_disk)
     if m < 1:
         raise ValueError(f"nodes_per_disk must be >= 1, got {nodes_per_disk}")

@@ -63,7 +63,7 @@ def test_criterion_2_convergecast_gap_shrinks():
 
 
 def test_criterion_3_solver_residuals():
-    """Closed-form and bisection roots satisfy their defining equalities with
+    """Closed-form and numeric roots satisfy their defining equalities with
     residual <= 1e-9 over 1000 random parameter draws."""
     rng = np.random.default_rng(31415)
     for _ in range(1000):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtcap import analytics as an
 
@@ -291,7 +293,7 @@ class TestConvergecastDmSinkUtilization:
     def test_single_ring_closed_form(self):
         # one ring reduces to the single-hop balanced root scaled by m
         d = an.convergecast_dm_sink_utilization(10, 1)
-        assert d == pytest.approx(10 * (2 - math.sqrt(2)), abs=1e-5)
+        assert d == pytest.approx(10 * (2 - math.sqrt(2)), abs=1e-9)
 
     def test_two_rings_oracle(self):
         d = an.convergecast_dm_sink_utilization(10, 2)
@@ -317,9 +319,28 @@ class TestConvergecastDmSinkUtilization:
         assert err.iterations == 200
         assert 0 <= err.lo < err.hi <= 10
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1.0, 100.0), st.integers(1, 256))
+    @example(10.0, 1)
+    @example(10.0, 256)
+    @example(1.0, 1)
+    @example(1.0, 256)
+    @example(100.0, 1)
+    def test_matches_bisection_oracle(self, m, k):
+        # the suite's error::RuntimeWarning filter fails any step that
+        # reaches the innermost ring's pole
+        d = an.convergecast_dm_sink_utilization(m, k)
+        assert 0 < d < m
+        assert abs(d - bisect_convergecast_root(m, k)) <= 1e-8 * m
+
     def test_rejects_fractional_hops(self):
         with pytest.raises(ValueError):
             an.convergecast_dm_sink_utilization(10, 2.5)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_non_finite_disk_refused_by_name(self, m):
+        with pytest.raises(ValueError, match=f"nodes_per_disk is not finite: {m!r}"):
+            an.convergecast_dm_sink_utilization(m, 2)
 
 
 class TestHarmonicOddSum:
@@ -373,6 +394,11 @@ class TestConvergecastEdfSinkUtilization:
     def test_unsaturated_case(self):
         util = an.convergecast_edf_sink_utilization(1, 100)
         assert util < 1
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_non_finite_disk_refused_by_name(self, m):
+        with pytest.raises(ValueError, match=f"nodes_per_disk is not finite: {m!r}"):
+            an.convergecast_edf_sink_utilization(m, 2)
 
     def test_dm_root_never_exceeds_edf(self):
         # the DM stage factor dominates the identity, so its root is smaller

@@ -34,11 +34,11 @@ GOLDEN = {
     "contended-13-drop":
         "71b2351b76d62e816dded671deb14347f319c8fc7f74ba0eec325926944c0827",
     "knee-12x12-1x":
-        "1a81a716df02ac957950d0166f9501fca5eb2826e39e9c4c889d3043b1c2d7ba",
+        "3a6fc1c3254d72240b17fd32426d210a1c21e92421a4f1bf7bf3fbb9d1d7b0d1",
     "knee-12x12-4x":
-        "823f585193a2cbeb66b09853ae08d007ef7790b58d5ee670c98b748582f1bb60",
+        "974cf200ab66195b1fdbdfd5c61c74025965edd027e83061b49ccfe6a695736b",
     "probe-800-1.25x":
-        "0668c29ffb62d91c0b46ac38c171e37a57594c236d5029a98346c3536a79bdf6",
+        "992dd26ef07c1daa114f3f0f94e6b02f2521e4076612ab775635838780065fa9",
 }
 
 
