@@ -27,7 +27,7 @@ degrees = sorted(len(nbrs) for nbrs in topo.adjacency.values())
 print(f"disk adjacency at R=20.5: degree min={degrees[0]} "
       f"median={degrees[len(degrees) // 2]} max={degrees[-1]}")
 
-sinks = place_sinks(topo, sink_count=4)
+sinks = place_sinks(10, 10, sink_count=4)
 print(f"sinks on the quadrant centers: {sinks}")
 
 # the route table is the one record of the sinks; the nodes stay unmarked

@@ -14,6 +14,7 @@ from rtcap import (
     format_events,
     generate_workload,
     make_network,
+    run_replications,
     run_simulation,
     topology_stats,
 )
@@ -52,10 +53,7 @@ for line in islice(format_events(log, workload), 8):
 
 # replications only differ in the workload seed; the minimum first-miss
 # consumption across them is the critical capacity estimate
-more = [run_simulation(topo, routes,
-                       generate_workload(topo, routes, replace(config, seed=s)),
-                       config)
-        for s in range(5)]
+more = run_replications(topo, routes, replace(config, seed=0, replication_count=5))
 cc = critical_capacity(more)
 if cc.miss_observed:
     print(f"\ncritical capacity over {cc.replications} replications: "

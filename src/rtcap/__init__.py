@@ -60,7 +60,6 @@ from .simcore import (
     run_simulation,
 )
 from .topology import (
-    GridSpec,
     RouteTable,
     RoutingError,
     Topology,

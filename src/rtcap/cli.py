@@ -101,7 +101,6 @@ _OPTIONS = {
     "spacing": _Option(float, 10.0, (_S, _W)),
     "jitter": _Option(float, 0.25, (_S, _W)),
     "radio_range": _Option(float, 20.0, (_S, _W)),
-    "sink_mode": _Option(("subgrid", "random"), "subgrid", (_S, _W)),
     "rate": _Option(float, 1.0, (_S,)),
     "duration": _Option(float, 30.0, (_S, _W)),
     "packet_size": _Option(float, 1000.0, (_S, _W)),
@@ -225,8 +224,7 @@ def _cmd_simulate(cfg, out) -> int:
         open(cfg["event_log"], "w").close()
     topo, routes = tp.make_network(cfg["rows"], cfg["cols"], cfg["spacing"],
                                    cfg["jitter"], cfg["seed"],
-                                   cfg["radio_range"], cfg["sinks"],
-                                   cfg["sink_mode"])
+                                   cfg["radio_range"], cfg["sinks"])
     stats = tp.topology_stats(topo, routes)
     trace = [] if cfg["event_log"] else None
     results = sc.run_replications(topo, routes, sim, event_log=trace)
@@ -237,7 +235,7 @@ def _cmd_simulate(cfg, out) -> int:
             fh.writelines(line + "\n"
                           for line in sc.format_events(trace, workload))
     print(_params_line(cfg, ("rows", "cols", "spacing", "jitter", "radio_range",
-                             "sinks", "sink_mode", "B", "packet_size",
+                             "sinks", "B", "packet_size",
                              "deadlines", "rate", "duration", "seed",
                              "reps")), file=out)
     print(f"# measured u={stats.neighborhood_bound} m={stats.nodes_per_disk} "
@@ -278,8 +276,7 @@ def _cmd_sweep(cfg, out) -> int:
             kind=kind, values=values, sim=_sim_from(cfg), rows=cfg["rows"],
             cols=cfg["cols"], spacing=cfg["spacing"], jitter=cfg["jitter"],
             radio_range=cfg["radio_range"], sink_count=cfg["sinks"],
-            sink_mode=cfg["sink_mode"], inversion_factor=cfg["alpha"],
-            mode=cfg["mode"], load_factor=cfg["load_factor"])
+            inversion_factor=cfg["alpha"], load_factor=cfg["load_factor"])
     # a bad output directory fails before the sweep runs, not after
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)

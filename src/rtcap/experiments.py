@@ -56,11 +56,6 @@ CURVE_KINDS = tuple(_CURVE_READS)
 SWEEP_KINDS = (*CURVE_KINDS, *_SWEPT_FIELD)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in (an.EXACT, an.APPROXIMATE):
-        raise ValueError(f"unknown mode {mode!r}, expected exact or approximate")
-
-
 def _swept_values(kind: str, values, whole: bool) -> tuple:
     """The swept values in ascending order. Each must be > 0, which NaN is
     not, and appear once; with `whole`, each must be a whole number and
@@ -98,7 +93,9 @@ class CurveSpec:
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"unknown curve kind {self.kind!r}")
-        _check_mode(self.mode)
+        if self.mode not in (an.EXACT, an.APPROXIMATE):
+            raise ValueError(f"unknown mode {self.mode!r}, "
+                             "expected exact or approximate")
         whole = self.kind == "convergecast_curves" and self.mode == an.EXACT
         object.__setattr__(self, "values",
                            _swept_values(self.kind, self.values, whole))
@@ -111,10 +108,10 @@ class SweepSpec:
     """A simulated convergecast sweep: the swept variable plus the network,
     the workload and the settings of the measured bounds.
 
-    The grid, radio range, and sink fields describe the network each row
-    builds; `sim` the workload, the seed, the replication count and the
-    channel bandwidth the bounds are computed for. `inversion_factor` and
-    `mode` (the EDF evaluation mode; DM is always exact) set the bounds.
+    The grid, radio range, and sink count describe the network each row
+    builds, its sinks placed by `topology.place_sinks`; `sim` the workload,
+    the seed, the replication count and the channel bandwidth the bounds
+    are computed for. Both bounds are exact; `inversion_factor` scales them.
     `load_factor` sets the probe load for critical-capacity runs as a
     multiple of the measured-topology DM bound. The swept value replaces
     `radio_range` (radio_sweep), `sink_count` (sink_sweep, whole numbers) or
@@ -130,15 +127,12 @@ class SweepSpec:
     jitter: float = 0.25
     radio_range: float = 20.0
     sink_count: int = 12
-    sink_mode: str = "subgrid"
     inversion_factor: float = 2.0
-    mode: str = an.EXACT
     load_factor: float = 1.5
 
     def __post_init__(self):
         if self.kind not in _SWEPT_FIELD:
             raise ValueError(f"unknown simulated sweep kind {self.kind!r}")
-        _check_mode(self.mode)
         object.__setattr__(self, "values",
                            _swept_values(self.kind, self.values,
                                          self.kind == "sink_sweep"))
@@ -173,14 +167,14 @@ def _recorded(spec: CurveSpec | SweepSpec) -> dict:
     `_CURVE_READS` and, for convergecast, the mode. A simulated sweep
     records all of itself except the swept field and the two `sim` fields
     each row sets itself, `arrival_rate` and `stop_at_first_miss`."""
+    recorded = dataclasses.asdict(spec)
     if isinstance(spec, CurveSpec):
         reads = _CURVE_READS[spec.kind]
-        recorded = dict(kind=spec.kind, values=spec.values, analytic={
-            k: v for k, v in dataclasses.asdict(spec.analytic).items() if k in reads})
-        if spec.kind == "convergecast_curves":
-            recorded["mode"] = spec.mode
+        recorded["analytic"] = {k: v for k, v in recorded["analytic"].items()
+                                if k in reads}
+        if spec.kind != "convergecast_curves":
+            del recorded["mode"]
         return recorded
-    recorded = dataclasses.asdict(spec)
     del recorded[_SWEPT_FIELD[spec.kind]]
     del recorded["sim"]["arrival_rate"], recorded["sim"]["stop_at_first_miss"]
     return recorded
@@ -225,8 +219,8 @@ def _measured_bounds(spec: SweepSpec, topo: tp.Topology, routes: tp.RouteTable):
         nodes_per_disk=max(1, stats.nodes_per_disk),
         max_hops=max(1, stats.max_hops),
         sink_count=len(routes.sinks))
-    dm = an.rtcc_convergecast(an.DM, params, mode=an.EXACT)
-    edf = an.rtcc_convergecast(an.EDF, params, mode=spec.mode)
+    dm, edf = (an.rtcc_convergecast(s, params, mode=an.EXACT)
+               for s in (an.DM, an.EDF))
     return stats, dm, edf
 
 
@@ -245,7 +239,7 @@ def _simulation_row(spec: SweepSpec, value) -> dict:
     missratio = row.kind == "missratio_sweep"
     topo, routes = tp.make_network(row.rows, row.cols, row.spacing, row.jitter,
                                    row.sim.seed, row.radio_range,
-                                   row.sink_count, row.sink_mode)
+                                   row.sink_count)
     stats, dm, edf = _measured_bounds(row, topo, routes)
     cfg = replace(row.sim,
                   arrival_rate=probe_rate(row.load_factor * dm.value, routes,
@@ -262,16 +256,16 @@ def _simulation_row(spec: SweepSpec, value) -> dict:
         nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops)
 
 
-def _curve_row(spec: CurveSpec, value) -> dict:
+def _curve_row(curve: CurveSpec, value) -> dict:
     """The cells of one closed-form row: DM and EDF limits at one path
     length (balanced_curves) or sink hop radius (convergecast_curves). A
     limit that is not finite raises, like a swept value the params refuse."""
-    if spec.kind == "balanced_curves":
-        params = replace(spec.analytic, path_length=value)
+    if curve.kind == "balanced_curves":
+        params = replace(curve.analytic, path_length=value)
         dm, edf = (an.rtcc_balanced(s, params) for s in (an.DM, an.EDF))
     else:
-        params = replace(spec.analytic, max_hops=value)
-        dm, edf = (an.rtcc_convergecast(s, params, mode=spec.mode)
+        params = replace(curve.analytic, max_hops=value)
+        dm, edf = (an.rtcc_convergecast(s, params, mode=curve.mode)
                    for s in (an.DM, an.EDF))
     if not (math.isfinite(dm.value) and math.isfinite(edf.value)):
         raise ValueError(f"limit not finite (DM {dm.value!r}, EDF {edf.value!r})")

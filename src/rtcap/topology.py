@@ -10,11 +10,12 @@ ascending tuple, is computed once, from its own positions and radio range,
 when it is constructed, by a cell list that tests each node only against
 the nodes of the 9 cells, each about one range wide, around it; a node
 whose position is not finite, or a range that is not, is refused there.
-The sinks live only in the route table: `place_sinks` chooses ids and
-writes nothing, `build_routes` takes them as an argument, and the topology
-file stores them next to the nodes. Topologies and route tables are frozen
-and hold read-only arrays, tuples and read-only mappings (which do not
-pickle), so they may be shared freely across concurrent simulation runs.
+The sinks live only in the route table: `place_sinks` chooses ids from the
+grid's shape alone, `build_routes` takes them as an argument, and the
+topology file stores them next to the nodes and the radio range.
+Topologies and route tables are frozen and hold read-only arrays, tuples
+and read-only mappings (which do not pickle), so they may be shared freely
+across concurrent simulation runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,24 +39,14 @@ class RoutingError(RuntimeError):
             f"{self.unreachable[:20]}{'...' if len(self.unreachable) > 20 else ''}")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    rows: int
-    cols: int
-    spacing: float
-    jitter: float
-    seed: int
-
-
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Node positions, a read-only float64 (n, 2) copy of the caller's, the
-    radio range, optional grid metadata, and the disk-model adjacency they
-    imply, computed at construction. Equality is identity."""
+    radio range, and the disk-model adjacency they imply, computed at
+    construction. Equality is identity."""
 
     nodes: np.ndarray
     radio_range: float
-    grid: Optional[GridSpec] = None
     adjacency: Mapping = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -105,6 +96,15 @@ class TopologyStats(NamedTuple):
     nodes_per_disk: int       # mean contention-set size, rounded
 
 
+def _check_shape(rows, cols) -> None:
+    """Refuse a grid side that is not an integer >= 1, by its field name. A
+    float side fails deep inside numpy with a bare TypeError; an int or a
+    numpy integer is a numbers.Integral."""
+    for name, size in (("rows", rows), ("cols", cols)):
+        if not (isinstance(size, numbers.Integral) and size >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+
+
 def generate_perturbed_grid(rows: int, cols: int, spacing: float,
                             jitter: float, seed: int = 0, *,
                             radio_range: float) -> Topology:
@@ -114,13 +114,7 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
     jitter must stay below 0.5 so neighboring cells cannot swap order.
     The grid's extent, max(rows, cols) * spacing, must be finite.
     """
-    # a float size fails deep inside numpy with a bare TypeError; an int
-    # or numpy integer is a numbers.Integral
-    for name, size in (("rows", rows), ("cols", cols)):
-        if not isinstance(size, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {size!r}")
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
+    _check_shape(rows, cols)
     if not (spacing > 0 and math.isfinite(max(rows, cols) * float(spacing))):
         raise ValueError(f"spacing must be > 0 with a finite grid extent "
                          f"max(rows, cols) * spacing, got {spacing!r}")
@@ -131,7 +125,7 @@ def generate_perturbed_grid(rows: int, cols: int, spacing: float,
     offsets = rng.uniform(-jitter * spacing, jitter * spacing, size=(rows * cols, 2))
     r, c = np.divmod(np.arange(rows * cols), cols)
     positions = np.column_stack((c, r)) * spacing + offsets
-    return Topology(positions, radio_range, GridSpec(rows, cols, spacing, jitter, seed))
+    return Topology(positions, radio_range)
 
 
 def compute_adjacency(topology: Topology) -> Mapping:
@@ -246,39 +240,27 @@ def _subgrid_factors(sink_count: int, rows: int, cols: int):
     return (best[1], best[2]) if best else None
 
 
-def place_sinks(topology: Topology, sink_count: int, seed: int = 0,
-                mode: str = "subgrid") -> list:
-    """Choose sink_count sink ids, ascending; the topology is not changed.
+def place_sinks(rows: int, cols: int, sink_count: int) -> list:
+    """Choose sink_count sink ids, ascending, on a rows x cols grid whose
+    node ids run row-major, as `generate_perturbed_grid` numbers them.
 
-    subgrid mode (the default) selects an evenly spaced sub-grid of the node
-    grid: one sink on an odd square grid lands on the center node, four on a
-    square grid land on the quadrant centers. random mode draws uniformly
-    without replacement using the seed.
+    The sinks form an evenly spaced sub-grid whose aspect is closest to the
+    grid's: one sink on an odd square grid lands on the center node, four
+    on a square grid land on the quadrant centers. A count that no sub-grid
+    fits (e.g. a large prime) is spaced evenly along the row-major order.
     """
-    n = topology.node_count
-    if not (1 <= sink_count <= n):
-        raise ValueError(f"sink_count must lie in [1, {n}], got {sink_count}")
-
-    if mode == "random":
-        rng = np.random.default_rng(seed)
-        chosen = sorted(rng.choice(n, size=sink_count, replace=False).tolist())
-    elif mode == "subgrid":
-        if topology.grid is None:
-            raise ValueError("subgrid placement needs grid metadata; use random mode")
-        rows, cols = topology.grid.rows, topology.grid.cols
-        pair = _subgrid_factors(sink_count, rows, cols)
-        if pair is not None:
-            a, b = pair
-            sel_rows = [int((i + 0.5) * rows / a) for i in range(a)]
-            sel_cols = [int((j + 0.5) * cols / b) for j in range(b)]
-            chosen = sorted(r * cols + c for r in sel_rows for c in sel_cols)
-        else:
-            # no factor pair fits the grid (e.g. a large prime): space the
-            # sinks evenly along the row-major node order instead
-            chosen = sorted(int((i + 0.5) * n / sink_count) for i in range(sink_count))
-    else:
-        raise ValueError(f"unknown sink placement mode {mode!r}")
-    return chosen
+    _check_shape(rows, cols)
+    n = rows * cols
+    if not (isinstance(sink_count, numbers.Integral) and 1 <= sink_count <= n):
+        raise ValueError(f"sink_count must be an integer in [1, {n}], "
+                         f"got {sink_count!r}")
+    pair = _subgrid_factors(sink_count, rows, cols)
+    if pair is None:
+        return sorted(int((i + 0.5) * n / sink_count) for i in range(sink_count))
+    a, b = pair
+    sel_rows = [int((i + 0.5) * rows / a) for i in range(a)]
+    sel_cols = [int((j + 0.5) * cols / b) for j in range(b)]
+    return sorted(r * cols + c for r in sel_rows for c in sel_cols)
 
 
 def build_routes(topology: Topology, sinks: Iterable) -> RouteTable:
@@ -340,21 +322,15 @@ def topology_stats(topology: Topology, routes: RouteTable) -> TopologyStats:
 def save_topology(topology: Topology, path, sinks: Iterable) -> None:
     """Write the node list as plain text: one `id x y is_sink` line per node
     in node order, so the ids read 0..n-1, is_sink 1 for the ids in `sinks`,
-    preceded by a header recording the
-    grid parameters and radio range. Floats are written with repr so a
-    round trip is bit-exact. A sink id that is not a node is a ValueError,
-    raised before the file is opened."""
+    preceded by a header recording the radio range. Floats are written with
+    repr so a round trip is bit-exact. A sink id that is not a node is a
+    ValueError, raised before the file is opened."""
     sinks = set(sinks)
     unknown = sorted(s for s in sinks if s not in range(topology.node_count))
     if unknown:
         raise ValueError(f"sinks {unknown} are not nodes of the topology")
-    lines = ["# rtcap topology v1"]
-    if topology.grid is not None:
-        g = topology.grid
-        lines.append(f"# grid rows={g.rows} cols={g.cols} spacing={g.spacing!r} "
-                     f"jitter={g.jitter!r} seed={g.seed}")
-    lines.append(f"# radio_range={topology.radio_range!r}")
-    lines.append("# columns: id x y is_sink")
+    lines = ["# rtcap topology v1", f"# radio_range={topology.radio_range!r}",
+             "# columns: id x y is_sink"]
     for v, (x, y) in enumerate(topology.nodes.tolist()):
         lines.append(f"{v} {x!r} {y!r} {int(v in sinks)}")
     with open(path, "w") as fh:
@@ -364,11 +340,10 @@ def save_topology(topology: Topology, path, sinks: Iterable) -> None:
 def load_topology(path) -> tuple:
     """Read a file written by save_topology and return (topology, sinks),
     sinks a tuple in node order. The adjacency is recomputed from the radio
-    range in the header; a file without one, a malformed `grid` or
-    `radio_range` header line, a data line that is not `id x y is_sink`, or
-    ids that do not read 0..n-1 in file order, is a ValueError naming the
-    file (and the line, for a malformed one)."""
-    grid = None
+    range in the header; every other `#` line is a comment. A file without
+    a radio range, a malformed `radio_range` line, a data line that is not
+    `id x y is_sink`, or ids that do not read 0..n-1 in file order, is a
+    ValueError naming the file (and the line, for a malformed one)."""
     radio_range = None
     nodes = []
     sinks = []
@@ -376,26 +351,17 @@ def load_topology(path) -> tuple:
         for number, raw in enumerate(fh, 1):
             line = raw.strip()
             header = line.startswith("#")
-            body = line.lstrip("# ").strip()
-            if not line or header and not body.startswith(("grid ", "radio_range=")):
+            if not line or header and not line.lstrip("# ").startswith("radio_range="):
                 continue
             try:
-                if not header:
-                    expected = "'id x y is_sink'"
-                    ident, x, y, sink = line.split()
-                    ident, point, sink = int(ident), (float(x), float(y)), int(sink)
-                elif body.startswith("grid "):
-                    expected = "'# grid rows=R cols=C spacing=S jitter=J seed=N'"
-                    kv = dict(part.split("=", 1) for part in body[5:].split())
-                    grid = GridSpec(rows=int(kv["rows"]), cols=int(kv["cols"]),
-                                    spacing=float(kv["spacing"]),
-                                    jitter=float(kv["jitter"]), seed=int(kv["seed"]))
-                    continue
-                else:
+                if header:
                     expected = "'# radio_range=R'"
-                    radio_range = float(body.split("=", 1)[1])
+                    radio_range = float(line.split("=", 1)[1])
                     continue
-            except (KeyError, ValueError):
+                expected = "'id x y is_sink'"
+                ident, x, y, sink = line.split()
+                ident, point, sink = int(ident), (float(x), float(y)), int(sink)
+            except ValueError:
                 raise ValueError(f"{path}:{number}: expected {expected}, "
                                  f"got {line!r}") from None
             if ident != len(nodes):
@@ -406,17 +372,17 @@ def load_topology(path) -> tuple:
             nodes.append(point)
     if radio_range is None:
         raise ValueError(f"{path}: no radio_range in the header")
-    return Topology(nodes, radio_range, grid), tuple(sinks)
+    return Topology(nodes, radio_range), tuple(sinks)
 
 
 def make_network(rows: int, cols: int, spacing: float = 10.0, jitter: float = 0.25,
-                 seed: int = 0, radio_range: float = 20.0, sink_count: int = 1,
-                 sink_mode: str = "subgrid"):
-    """One-call pipeline: perturbed grid, adjacency, sinks, routes.
+                 seed: int = 0, radio_range: float = 20.0, sink_count: int = 1):
+    """One-call pipeline: perturbed grid and its adjacency, sinks chosen by
+    `place_sinks` from the grid's shape, routes. Only the grid's jitter
+    draws from `seed`.
 
     Returns (topology, routes).
     """
     topo = generate_perturbed_grid(rows, cols, spacing, jitter, seed,
                                    radio_range=radio_range)
-    sinks = place_sinks(topo, sink_count, seed=seed, mode=sink_mode)
-    return topo, build_routes(topo, sinks)
+    return topo, build_routes(topo, place_sinks(rows, cols, sink_count))

@@ -151,7 +151,11 @@ def test_criterion_7_missratio_knee(knee_rows):
 
     rho = stats.spearmanr([r.swept_value for r in rows],
                           [r.miss_ratio for r in rows]).statistic
-    assert rho >= 0.9
+    # a shortfall made of ties among the zero-miss loads reads apart from
+    # a real reversal in the listed ratios
+    assert rho >= 0.9, (
+        f"Spearman rho {rho:.4f} < 0.9; mean miss ratio per load: "
+        + ", ".join(f"{r.swept_value:.4g}:{r.miss_ratio:.4g}" for r in rows))
 
 
 @pytest.mark.parametrize("rows,cols", [(20, 20), (20, 40)],

@@ -342,6 +342,13 @@ class TestConvergecastDmSinkUtilization:
         with pytest.raises(ValueError, match=f"nodes_per_disk is not finite: {m!r}"):
             an.convergecast_dm_sink_utilization(m, 2)
 
+    @pytest.mark.parametrize("m,tolerance,message", [
+        (0.5, 1e-12, "nodes_per_disk must be >= 1, got 0.5"),
+        (10, 0.0, "tolerance must be > 0")], ids=["disk-below-1", "tolerance-0"])
+    def test_out_of_range_refused(self, m, tolerance, message):
+        with pytest.raises(ValueError, match=message):
+            an.convergecast_dm_sink_utilization(m, 2, tolerance=tolerance)
+
 
 class TestHarmonicOddSum:
     def test_single_term(self):
@@ -369,6 +376,15 @@ class TestHarmonicOddSum:
     def test_non_finite_refused_by_value(self, k, mode):
         # the approximate form gave nan or inf for these
         with pytest.raises(ValueError, match=f"max_hops is not finite: {k!r}"):
+            an.harmonic_odd_sum(k, mode)
+
+    @pytest.mark.parametrize("k,mode,message", [
+        (0.5, an.EXACT, "max_hops must be >= 1, got 0.5"),
+        (0, an.APPROXIMATE, "max_hops must be >= 1, got 0"),
+        (2, "exakt", "unknown mode 'exakt'")],
+        ids=["exact-below-1", "approximate-below-1", "unknown-mode"])
+    def test_out_of_range_refused(self, k, mode, message):
+        with pytest.raises(ValueError, match=message):
             an.harmonic_odd_sum(k, mode)
 
     def test_exact_mode_rejects_fraction(self):
@@ -399,6 +415,10 @@ class TestConvergecastEdfSinkUtilization:
     def test_non_finite_disk_refused_by_name(self, m):
         with pytest.raises(ValueError, match=f"nodes_per_disk is not finite: {m!r}"):
             an.convergecast_edf_sink_utilization(m, 2)
+
+    def test_disk_below_one_refused(self):
+        with pytest.raises(ValueError, match="nodes_per_disk must be >= 1, got 0.5"):
+            an.convergecast_edf_sink_utilization(0.5, 2)
 
     def test_dm_root_never_exceeds_edf(self):
         # the DM stage factor dominates the identity, so its root is smaller
@@ -446,6 +466,16 @@ class TestRtccConvergecast:
                 edf = an.rtcc_convergecast(an.EDF, p, mode=mode).value
                 assert dm <= edf * (1 + 1e-9)
 
+    @pytest.mark.parametrize("scheduler,mode,message", [
+        (an.DM, "exakt", "unknown mode 'exakt'"),
+        ("LIFO", an.EXACT, "unknown scheduler 'LIFO'")],
+        ids=["unknown-mode", "unknown-scheduler"])
+    def test_unknown_setting_refused(self, scheduler, mode, message):
+        p = an.AnalyticParams(node_count=100, bandwidth=1e6, nodes_per_disk=10,
+                              max_hops=4)
+        with pytest.raises(ValueError, match=message):
+            an.rtcc_convergecast(scheduler, p, mode=mode)
+
 
 class TestBalancedVsConvergecastRatio:
     def test_unity_at_single_hop(self):
@@ -491,6 +521,12 @@ class TestAnalyticParamsValidation:
         values[field] = value
         with pytest.raises(ValueError, match=f"{field} is not finite"):
             an.AnalyticParams(**values)
+
+    @pytest.mark.parametrize("field", [
+        "neighborhood_bound", "path_length", "nodes_per_disk", "max_hops"])
+    def test_below_one_refused_by_name(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            an.AnalyticParams(node_count=1, bandwidth=1.0, **{field: 0.5})
 
     def test_counts(self):
         with pytest.raises(ValueError):

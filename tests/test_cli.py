@@ -32,6 +32,12 @@ def header(text):
                 if ln.startswith("# ") and "=" in ln)
 
 
+# a sink sweep small enough to run twice in a test
+SMALL_SINK_SWEEP = ["--kind", "sink_sweep", "--values", "1,2", "--rows", "4",
+                    "--cols", "4", "--radio-range", "15", "--reps", "1",
+                    "--duration", "2"]
+
+
 class TestAnalyze:
     def test_edf_balanced_example(self):
         code, out = run_cli(["analyze", "--topology", "balanced",
@@ -265,6 +271,20 @@ class TestUsage:
         assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--rows", "3", "--cols", "3", "--radio-range", "15",
+         "--duration", "1", "--reps", "1"],
+        ["sweep", "--kind", "sink_sweep", "--values", "1", "--out-dir", "{tmp}"],
+    ], ids=["simulate", "sweep"])
+    def test_retired_sink_mode_rejected(self, tmp_path, argv, capsys):
+        # sinks are placed by the grid's shape alone
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        code, out = run_cli([*argv, "--sink-mode", "random"])
+        assert code == 1 and out == ""
+        assert ("unrecognized arguments: --sink-mode random"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("argv,message", [
         (["ratio", "--Kd", "-inf"], "max_hops is not finite"),
         (["simulate", "--rows", "3", "--cols", "3", "--reps", "1",
@@ -405,9 +425,9 @@ class TestConfigFile:
         assert "/nonexistent.args" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, argv, flag", [
-        ("--sink-mode grid\n", ["sweep", "--kind", "sink_sweep"], "--sink-mode"),
+        ("--mode exakt\n", ["sweep", "--kind", "sink_sweep"], "--mode"),
         ("--mode exakt\n", ["analyze"], "--mode"),
-    ], ids=["sweep-sink-mode", "analyze-mode"])
+    ], ids=["sweep-mode", "analyze-mode"])
     def test_values_checked_like_flags(self, tmp_path, capsys, text, argv, flag):
         args = tmp_path / "run.args"
         args.write_text(text)
@@ -538,12 +558,13 @@ class TestSweep:
         code, _ = run_cli(["sweep", "--kind", "sink_sweep", "--values", "1",
                            "--rows", "3", "--cols", "3", "--radio-range", "15",
                            "--duration", "2", "--reps", "1",
-                           "--deadlines", "0.25,0.5", "--sink-mode", "random",
-                           "--out-dir", str(tmp_path)])
+                           "--deadlines", "0.25,0.5", "--out-dir", str(tmp_path)])
         assert code == 0
         [csv] = tmp_path.glob("*.csv")
         recorded = header(csv.read_text())
-        assert recorded["sink_mode"] == "random"
+        # sinks are placed by the grid's shape and both bounds are exact:
+        # neither is a setting
+        assert "sink_mode" not in recorded and "mode" not in recorded
         assert "'deadline_set': (0.25, 0.5)" in recorded["sim"]
 
     def test_sim_sweep_small(self, tmp_path):
@@ -556,16 +577,15 @@ class TestSweep:
         csv = next(tmp_path.glob("sink_sweep_25_*.csv")).read_text()
         assert len(data_lines(csv)) == 3
 
-    @pytest.mark.parametrize("argv", [
-        ["--kind", "balanced_curves", "--values", "1,2,3"],
-        ["--kind", "sink_sweep", "--values", "1,2", "--rows", "4", "--cols", "4",
-         "--radio-range", "15", "--reps", "1", "--duration", "2"]],
-        ids=["balanced_curves", "sink_sweep"])
-    def test_unread_setting_keeps_file_name(self, tmp_path, argv):
-        # balanced curves read no network field, and a sink sweep's swept
-        # sink count replaces --sinks
-        flag, a, b = (("--rows", "5", "6") if "balanced_curves" in argv
-                      else ("--sinks", "2", "3"))
+    @pytest.mark.parametrize("argv,flag,a,b", [
+        (["--kind", "balanced_curves", "--values", "1,2,3"], "--rows", "5", "6"),
+        (SMALL_SINK_SWEEP, "--sinks", "2", "3"),
+        (SMALL_SINK_SWEEP, "--mode", "exact", "approximate")],
+        ids=["balanced_curves", "sink_sweep", "sink_sweep-mode"])
+    def test_unread_setting_keeps_file_name(self, tmp_path, argv, flag, a, b):
+        # balanced curves read no network field, a sink sweep's swept sink
+        # count replaces --sinks, and a simulated row's bounds are exact
+        # whatever --mode says
         written = []
         for value in (a, b):
             out_dir = tmp_path / value
@@ -702,10 +722,11 @@ class TestSweep:
         (["--kind", "balanced_curves", "--values", "1,1,2"],
          "swept value 1.0 is repeated"),
         (["--kind", "sink_sweep", "--values", "1,1.0"],
-         "swept value 1 is repeated")],
+         "swept value 1 is repeated"),
+        (["--kind", "radio_sweep"], "--values is required for radio_sweep")],
         ids=["alpha_3", "radio_nan", "balanced_nan", "convergecast_nan",
              "seed_negative", "values_empty", "balanced_repeated",
-             "sink_repeated"])
+             "sink_repeated", "radio_values_missing"])
     def test_bad_setting_fails_before_the_sweep(self, tmp_path, monkeypatch,
                                                 capsys, argv, key):
         # the spec refuses it, so no network is built and no row is written

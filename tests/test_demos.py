@@ -36,19 +36,19 @@ STDOUT_SHA256 = {
     "04_single_simulation.py":
         "657241d1ca53f687ab072af30575e0e468c3061e71c523fbd9fcf9847e374e02",
     "05_sink_sweep.py":
-        "fbbf4ab2bc8d08ab93f8842649fe12ebed6addd08d0a85ad34634a706a6b5220",
+        "719f98b72fbc3380d6c8871342a103bd2405df13e1614fd5bc0731a640b78ca4",
     "06_missratio_knee.py":
-        "c290776a55fef201335ee90349cc6b6981b9cc8dda2882207a1ae990b41dbb6a",
+        "973b1c74a8d8d3435ee09257333f2bfd17b4edd9ff804763225ebd99c08536f7",
 }
 
 # the file each sweep demo writes, and the sha256 of its bytes
 CSV_SHA256 = {
     "05_sink_sweep.py": (
-        "sink_sweep_400_5915727a1159.csv",
-        "4772f4dfb45271556fed336e7863270252e7baf19970a4e1459a8fe028653e76"),
+        "sink_sweep_400_c01828eef8a3.csv",
+        "37f0102dba1aca5926f715c111fd48458e8f75cc7f771e5c6963d170863e588a"),
     "06_missratio_knee.py": (
-        "missratio_sweep_144_e76956534aa3.csv",
-        "5510e1b3fe587b0cba818f59adb3a0aa947a73c26fee4d4defcc11a6a071b26b"),
+        "missratio_sweep_144_6b77304b9d21.csv",
+        "ad59fb6db62736a9411c24826fecc3a3a37ec59b897255a5744fbfc6b39722c3"),
 }
 
 

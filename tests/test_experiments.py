@@ -40,7 +40,7 @@ def spec_for(kind, values=(1, 2)):
 ALTERED = {
     "values": (1, 3), "mode": an.APPROXIMATE, "rows": 7, "cols": 7,
     "spacing": 12.0, "jitter": 0.1, "radio_range": 18.0, "sink_count": 3,
-    "sink_mode": "random", "inversion_factor": 1.0, "load_factor": 2.0,
+    "inversion_factor": 1.0, "load_factor": 2.0,
     "analytic.node_count": 7, "analytic.bandwidth": 1_000_000.0,
     "analytic.neighborhood_bound": 3, "analytic.inversion_factor": 1.0,
     "analytic.path_length": 9, "analytic.nodes_per_disk": 2,
@@ -150,10 +150,11 @@ class TestSweepSpec:
             ex.CurveSpec(kind="balanced_curves", values=(1,), analytic=ANALYTIC,
                          mode="exakt")
 
-    def test_sweep_spec_checks_mode(self):
-        # refused at construction, before any row builds its network
-        with pytest.raises(ValueError, match="unknown mode 'exakt'"):
-            small_sim_spec("sink_sweep", (1, 2), mode="exakt")
+    @pytest.mark.parametrize("kind,mode", [
+        ("balanced_curves", an.EXACT), ("convergecast_curves", an.APPROXIMATE)])
+    def test_hop_counts_below_one_refused(self, kind, mode):
+        with pytest.raises(ValueError, match="hop counts must be >= 1"):
+            ex.CurveSpec(kind=kind, values=(0.5, 2), analytic=ANALYTIC, mode=mode)
 
     def test_too_many_sinks(self):
         with pytest.raises(ValueError):
@@ -315,7 +316,7 @@ class TestFlaggedRows:
                             sim=sc.SimConfig(duration=1, replication_count=1))
         rows = ex.run_sweep(spec)
         assert [r.swept_value for r in rows] == [15, 20]
-        assert all(r.error == "ValueError: rows must be an integer, got 2.5"
+        assert all(r.error == "ValueError: rows must be an integer >= 1, got 2.5"
                    for r in rows)
 
 
@@ -334,7 +335,9 @@ class TestSimulationSweeps:
                 nodes_per_disk=row.nodes_per_disk, max_hops=row.max_hops,
                 sink_count=int(row.swept_value))
             assert row.analytic_dm == pytest.approx(
-                an.rtcc_convergecast(an.DM, params).value)
+                an.rtcc_convergecast(an.DM, params, mode=an.EXACT).value)
+            assert row.analytic_edf == pytest.approx(
+                an.rtcc_convergecast(an.EDF, params, mode=an.EXACT).value)
             assert row.seed_lo == 1 and row.seed_hi == 2
 
     def test_sink_sweep_measures_critical(self):

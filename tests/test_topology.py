@@ -284,44 +284,55 @@ class TestAdjacencyProperties:
 
 class TestSinkPlacement:
     def test_all_nodes(self):
-        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0, radio_range=10.0)
-        sinks = tp.place_sinks(topo, 9)
-        assert sinks == list(range(9))
-        assert all(v in sinks for v in range(topo.node_count))
+        assert tp.place_sinks(3, 3, 9) == list(range(9))
 
     def test_center_of_odd_square(self):
-        topo = tp.generate_perturbed_grid(5, 5, 10.0, 0.0, seed=0, radio_range=10.0)
-        assert tp.place_sinks(topo, 1) == [12]
+        assert tp.place_sinks(5, 5, 1) == [12]
 
     def test_quadrant_centers(self):
-        topo = tp.generate_perturbed_grid(20, 20, 10.0, 0.0, seed=0, radio_range=10.0)
-        sinks = tp.place_sinks(topo, 4)
+        sinks = tp.place_sinks(20, 20, 4)
         assert sinks == [5 * 20 + 5, 5 * 20 + 15, 15 * 20 + 5, 15 * 20 + 15]
 
     def test_too_many_rejected(self):
-        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0, radio_range=10.0)
         with pytest.raises(ValueError):
-            tp.place_sinks(topo, 5)
+            tp.place_sinks(2, 2, 5)
 
-    def test_random_mode_deterministic(self):
-        topo = tp.generate_perturbed_grid(6, 6, 10.0, 0.0, seed=0, radio_range=10.0)
-        a = tp.place_sinks(topo, 4, seed=9, mode="random")
-        b = tp.place_sinks(topo, 4, seed=9, mode="random")
-        assert a == b and len(a) == 4
+    @pytest.mark.parametrize("count", [0, 2.0, 1.5],
+                             ids=["none", "float", "fraction"])
+    def test_count_refused_by_name(self, count):
+        with pytest.raises(ValueError, match=rf"sink_count must be an integer "
+                                             rf"in \[1, 4\], got {count!r}"):
+            tp.place_sinks(2, 2, count)
+
+    @pytest.mark.parametrize("rows,cols,field", [
+        (0, 3, "rows"), (2, -1, "cols"), (2.5, 3, "rows"), (2, "3", "cols")])
+    def test_shape_refused_like_the_grid(self, rows, cols, field):
+        # one shape check serves both: the grid and its sinks refuse the
+        # same shapes with the same message
+        message = f"{field} must be an integer >= 1"
+        with pytest.raises(ValueError, match=message):
+            tp.place_sinks(rows, cols, 1)
+        with pytest.raises(ValueError, match=message):
+            tp.generate_perturbed_grid(rows, cols, 10.0, 0.0, radio_range=15.0)
 
     def test_writes_nothing(self):
         topo, routes = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=1,
                                        radio_range=12.0, sink_count=1)
         nodes = topo.nodes.copy()
-        tp.place_sinks(topo, 4)
-        tp.place_sinks(topo, 3, seed=2, mode="random")
+        tp.place_sinks(5, 5, 4)
         assert np.array_equal(topo.nodes, nodes)
         assert routes.sinks == (12,)
 
     def test_prime_count_falls_back_to_even_spacing(self):
-        topo = tp.generate_perturbed_grid(3, 3, 10.0, 0.0, seed=0, radio_range=10.0)
-        sinks = tp.place_sinks(topo, 7)
+        sinks = tp.place_sinks(3, 3, 7)
         assert len(sinks) == 7 and sinks == sorted(set(sinks))
+
+    def test_make_network_places_by_the_shape(self):
+        # the grid's seed moves the nodes, never the sinks
+        for seed in (0, 5):
+            _, routes = tp.make_network(6, 9, seed=seed, radio_range=20.5,
+                                        sink_count=6)
+            assert list(routes.sinks) == tp.place_sinks(6, 9, 6)
 
 
 class TestRoutes:
@@ -478,14 +489,13 @@ class TestPersistence:
         loaded, sinks = tp.load_topology(path)
         assert [(v, x, y, v in sinks) for v, (x, y) in enumerate(loaded.nodes.tolist())] == \
                [(v, x, y, v in routes.sinks) for v, (x, y) in enumerate(topo.nodes.tolist())]
-        assert loaded.grid == topo.grid
         assert loaded.radio_range == topo.radio_range
         assert loaded.adjacency == topo.adjacency
 
     def test_load_returns_saved_sinks(self, tmp_path):
-        topo, routes = tp.make_network(5, 5, spacing=10.0, jitter=0.25, seed=3,
-                                       radio_range=20.5, sink_count=3,
-                                       sink_mode="random")
+        topo = tp.generate_perturbed_grid(5, 5, 10.0, 0.25, seed=3,
+                                          radio_range=20.5)
+        routes = tp.build_routes(topo, [3, 11, 19])
         path = tmp_path / "topo.txt"
         tp.save_topology(topo, path, routes.sinks)
         loaded, sinks = tp.load_topology(path)
@@ -503,13 +513,15 @@ class TestPersistence:
         assert not path.exists()
 
     def test_header_records_parameters(self, tmp_path):
+        # the radio range is the one parameter a loaded topology reads
         topo, routes = tp.make_network(3, 3, spacing=5.0, jitter=0.1, seed=7,
                                        radio_range=6.0, sink_count=1)
         path = tmp_path / "topo.txt"
         tp.save_topology(topo, path, routes.sinks)
         head = path.read_text().splitlines()[:4]
-        assert any("jitter=0.1" in line for line in head)
-        assert any("radio_range=6.0" in line for line in head)
+        assert head[:3] == ["# rtcap topology v1", "# radio_range=6.0",
+                            "# columns: id x y is_sink"]
+        assert head[3].startswith("0 ")
 
     def test_file_without_radio_range_rejected(self, tmp_path):
         topo, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
@@ -556,16 +568,11 @@ class TestPersistence:
             f"{path}:{number}: expected 'id x y is_sink', got {bad!r}"
 
     @pytest.mark.parametrize("bad,expected", [
-        ("# grid rows=1", "grid"),
-        ("# grid rows=1 cols=2", "grid"),
-        ("# grid rows=1 cols=x spacing=10.0 jitter=0.25 seed=0", "grid"),
-        ("# grid rows", "grid"),
         ("# radio_range=abc", "radio_range")],
-        ids=["no_cols", "no_spacing", "cols_not_a_number", "no_equals",
-             "radio_range_not_a_number"])
+        ids=["radio_range_not_a_number"])
     def test_malformed_header_named_by_file_and_line(self, tmp_path, bad,
                                                      expected):
-        # each escaped as a bare KeyError or ValueError naming no file
+        # it escaped as a bare ValueError naming no file
         topo, routes = tp.make_network(3, 3, radio_range=15.0, sink_count=1)
         path = tmp_path / "topo.txt"
         tp.save_topology(topo, path, routes.sinks)
@@ -579,24 +586,51 @@ class TestPersistence:
         assert str(refused.value).startswith(f"{path}:{number}: expected '# {expected}")
         assert str(refused.value).endswith(f", got {bad!r}")
 
-    @pytest.mark.parametrize("rows,cols,count,mode,with_grid", [
-        (5, 5, 1, "subgrid", True), (4, 7, 4, "subgrid", True),
-        (6, 6, 3, "random", True), (3, 8, 2, "random", False)],
-        ids=["center", "subgrid", "random", "no-grid"])
+    @pytest.mark.parametrize("rows,cols,count,from_grid", [
+        (5, 5, 1, True), (4, 7, 4, True), (3, 8, 2, False), (3, 8, 13, True)],
+        ids=["center", "subgrid", "no-grid", "fallback"])
     def test_loaded_topology_routes_placed_sinks(self, tmp_path, rows, cols,
-                                                 count, mode, with_grid):
-        # place_sinks chooses positions and build_routes takes ids: on a
-        # loaded topology they must name the same nodes
+                                                 count, from_grid):
+        # place_sinks chooses ids from the grid's shape and build_routes
+        # takes ids: on a loaded topology, or one built from bare positions,
+        # they must name the same nodes
         topo = tp.generate_perturbed_grid(rows, cols, 10.0, 0.25, seed=5,
                                           radio_range=20.5)
-        if not with_grid:
+        if not from_grid:
             topo = tp.Topology(topo.nodes, topo.radio_range)
         path = tmp_path / "topo.txt"
         tp.save_topology(topo, path, ())
         loaded, _ = tp.load_topology(path)
-        sinks = tp.place_sinks(loaded, count, seed=5, mode=mode)
-        assert sinks == tp.place_sinks(topo, count, seed=5, mode=mode)
+        sinks = tp.place_sinks(rows, cols, count)
         assert tp.build_routes(loaded, sinks) == tp.build_routes(topo, sinks)
+
+    @pytest.mark.parametrize("grid_line", [
+        "# grid rows=4 cols=6 spacing=10.0 jitter=0.25 seed=11",
+        "# grid rows=1",
+        "# grid rows=1 cols=2",
+        "# grid rows=1 cols=x spacing=10.0 jitter=0.25 seed=0",
+        "# grid rows"],
+        ids=["well-formed", "no_cols", "no_spacing", "cols_not_a_number",
+             "no_equals"])
+    def test_file_with_a_grid_line_loads_alike(self, tmp_path, grid_line):
+        # files written before the grid record was retired carry a
+        # `# grid` line after the version line; it is a comment now, read
+        # by nothing, so even a malformed one loads
+        topo, routes = tp.make_network(4, 6, spacing=10.0, jitter=0.25, seed=11,
+                                       radio_range=15.0, sink_count=2)
+        lines = ["# rtcap topology v1", grid_line,
+                 f"# radio_range={topo.radio_range!r}",
+                 "# columns: id x y is_sink",
+                 *(f"{v} {x!r} {y!r} {int(v in routes.sinks)}"
+                   for v, (x, y) in enumerate(topo.nodes.tolist()))]
+        old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+        old.write_text("\n".join(lines) + "\n")
+        tp.save_topology(topo, new, routes.sinks)
+        assert new.read_text().splitlines() == lines[:1] + lines[2:]
+        (a, a_sinks), (b, b_sinks) = tp.load_topology(old), tp.load_topology(new)
+        assert a.nodes.tobytes() == b.nodes.tobytes() == topo.nodes.tobytes()
+        assert a.radio_range == b.radio_range == topo.radio_range
+        assert a_sinks == b_sinks == routes.sinks
 
     def test_full_determinism(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -624,19 +658,25 @@ class TestNetworkDigests:
                      for data in (repr(edges).encode(), repr(table).encode(),
                                   path.read_bytes()))
 
-    @pytest.mark.parametrize("network,expected", [
+    @pytest.mark.parametrize("network,sinks,expected", [
         # the criterion-6 network
         (dict(rows=20, cols=40, spacing=10.0, jitter=0.25, seed=0,
-              radio_range=20.5, sink_count=12),
+              radio_range=20.5, sink_count=12), None,
          ("c5faaf03e23d7bb90979ccf71902104a0700ef5c338f61e104abc1a48fed96d0",
           "6ce368ed76119f4da77e29a0214712d16bead2e46ed7fe533d7be26787c2b8ef",
-          "e36ab8f13f0a3ee10400769721008ddb823921be61d194da9a22b671410184e7")),
+          "d7a1f909344d28ab4e53eb6c2aed7d11b728da858d1a9ecb913b69dfdcc54c32")),
+        # five sinks at ids drawn uniformly at random
         (dict(rows=12, cols=12, spacing=10.0, jitter=0.25, seed=7,
-              radio_range=15.0, sink_count=5, sink_mode="random"),
+              radio_range=15.0),
+         sorted(np.random.default_rng(7).choice(144, size=5, replace=False).tolist()),
          ("4ae3287b419b98643500a29aeefc84811d2af61aeb7d8a8b767f88356cbc6769",
           "fe76336f9865882a3b516f19d0512c45ba01642d8c1441aded037a62abd2f75f",
-          "011071e9bfc5433202beac19b7531e6ab6469a6dc35b635be0896ac5282e9ea6")),
+          "7975e4a6c98f4f3d6b426ab96ab9d06f047e6cde1d33374c701a281b559ba862")),
     ], ids=["criterion6", "random-sinks"])
-    def test_digests(self, tmp_path, network, expected):
-        topo, routes = tp.make_network(**network)
+    def test_digests(self, tmp_path, network, sinks, expected):
+        if sinks is None:
+            topo, routes = tp.make_network(**network)
+        else:
+            topo = tp.generate_perturbed_grid(**network)
+            routes = tp.build_routes(topo, sinks)
         assert self.digests(topo, routes, tmp_path / "topo.txt") == expected
