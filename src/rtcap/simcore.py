@@ -9,11 +9,11 @@ the capacity consumed by deadline-live traffic at the instant of the first
 miss (a packet claims capacity from its arrival until its deadline passes;
 a missed packet's claim drops to zero).
 
-The scheduling policy lives in `priority_key` alone. A packet's key is
-computed once per packet, at its arrival, and carried hop by hop in the
-packet's one heap entry; the MAC (`admissible_transmissions`) grants
-candidates in the order of the keys it is given and knows no rule of its
-own.
+A packet is its position in the workload, and the scheduling policy
+lives in `priority_key` alone. A packet's key is computed once, at its
+arrival, and carried hop by hop in the packet's one heap entry; the MAC
+(`admissible_transmissions`) grants candidates in the order of the keys
+it is given and knows no rule of its own.
 
 Arbitration is by set membership. A `Medium` holds the busy endpoints,
 active senders and active receivers as sets, each grant and completion
@@ -65,7 +65,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -82,11 +82,11 @@ class InvariantError(RuntimeError):
 
 
 class Packet(NamedTuple):
-    """One packet's arrival: time, origin, relative deadline and priority
-    tie key. Size and per-hop time are the run's, the route the origin's,
-    and where the packet is belongs to the run that moves it."""
+    """One packet's arrival: origin, time, relative deadline and priority
+    tie key. Its identity is its position in the workload; size and
+    per-hop time are the run's, the route the origin's, and where the
+    packet is belongs to the run that moves it."""
 
-    id: int
     origin: int
     arrival_time: float
     relative_deadline: float
@@ -147,28 +147,26 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class Arrivals:
-    """A workload's arrivals in workload order as five read-only numpy
+    """A workload's arrivals in workload order as four read-only numpy
     columns, one per `Packet` field, read as `Packet`s that are built on
     demand. It supports `len`, integer indexing (so `bisect` works on it),
     iteration and equality with other `Arrivals` or with a tuple of
     packets.
 
-    The float columns must be finite, deadlines > 0, arrival times in
-    order and ids distinct: a NaN arrival never comes due, an infinite one
-    or a NaN deadline ends the run short, a deadline <= 0 misses before its
-    arrival, an arrival out of order would be read after later events, and
-    the run's priority keys tell packets apart by id. A breach raises
-    `ValueError` naming the field and the first offending packet id."""
+    The float columns must be finite, deadlines > 0 and arrival times in
+    order: a NaN arrival never comes due, an infinite one or a NaN deadline
+    ends the run short, a deadline <= 0 misses before its arrival, and an
+    arrival out of order would be read after later events. A breach raises
+    `ValueError` naming the field and the first offending packet by its
+    position."""
 
-    id: np.ndarray
     origin: np.ndarray
     arrival_time: np.ndarray
     relative_deadline: np.ndarray
     tie_key: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in zip(Packet._fields, (np.int64, np.int64, float,
-                                                float, float)):
+        for name, dtype in zip(Packet._fields, (np.int64, float, float, float)):
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -180,23 +178,17 @@ class Arrivals:
         times = self.arrival_time
         self._refuse(np.append(False, times[1:] < times[:-1]),
                      "arrival_time must not decrease")
-        ids = self.id
-        if not (ids[1:] > ids[:-1]).all():  # ascending ids are distinct
-            order = np.argsort(ids, kind="stable")
-            repeats = np.zeros(len(ids), dtype=bool)
-            repeats[order[1:][np.diff(ids[order]) == 0]] = True
-            self._refuse(repeats, "id must be unique")
 
-    def _refuse(self, bad: np.ndarray, rule: str) -> None:
+    @staticmethod
+    def _refuse(bad: np.ndarray, rule: str) -> None:
         if bad.any():
-            raise ValueError(f"{rule}, first broken by packet "
-                             f"{self.id[bad.argmax()]}")
+            raise ValueError(f"{rule}, first broken by packet {bad.argmax()}")
 
     def columns(self) -> tuple:
         return tuple(getattr(self, name) for name in Packet._fields)
 
     def __len__(self) -> int:
-        return len(self.id)
+        return len(self.origin)
 
     def __getitem__(self, index: int) -> Packet:
         return Packet._make(column[index].item() for column in self.columns())
@@ -218,18 +210,17 @@ class Arrivals:
 @dataclass(frozen=True)
 class Workload:
     """Packet arrivals in time order, held as `Arrivals` columns, and the
-    seed that drew them. Packets given by hand may come in any order: they
-    are sorted stably by arrival time, so same-time arrivals keep their
-    given order, and they keep their ids. `Arrivals` are taken as they
-    are, already in workload order."""
+    seed that drew them. Packets given by hand go into `Arrivals` as they
+    are listed, so they must already be in time order; each packet's
+    position in the list is its identity, and an arrival out of order is
+    refused by its position."""
 
     packets: Arrivals
     seed: int
 
     def __post_init__(self):
         if not isinstance(self.packets, Arrivals):
-            ordered = sorted(self.packets, key=attrgetter("arrival_time"))
-            columns = zip(*ordered) if ordered else [()] * len(Packet._fields)
+            columns = tuple(zip(*self.packets)) or [()] * len(Packet._fields)
             object.__setattr__(self, "packets", Arrivals(*columns))
 
 
@@ -263,10 +254,11 @@ class CriticalCapacity:
         return self.value is not None
 
 
-def priority_key(packet: Packet):
+def priority_key(packet: Packet, position: int):
     """Global deadline-monotonic transmission order: smallest relative
-    deadline first, ties broken by the packet's seeded random tie key."""
-    return (packet.relative_deadline, packet.tie_key, packet.id)
+    deadline first, ties broken by the packet's seeded random tie key, then
+    by its position in the workload."""
+    return (packet.relative_deadline, packet.tie_key, position)
 
 
 # arrivals each node draws per round of `generate_workload`
@@ -285,8 +277,8 @@ def generate_workload(topology: Topology, routes: RouteTable,
     node v. Sink rows are drawn and discarded, and rounds go on until every
     non-sink node has passed the duration. So a shorter run's workload is exactly the first part of a longer
     one's, and making a node a sink removes only that node's arrivals.
-    Packets are sorted by arrival time, then origin, and their ids are
-    their positions in that order. The workload holds the columns; its
+    Packets are sorted by arrival time, then origin, and a packet's place
+    in that order is its identity. The workload holds the columns; its
     packets are built when they are read.
     """
     origins = np.arange(topology.node_count)
@@ -312,7 +304,7 @@ def generate_workload(topology: Topology, routes: RouteTable,
     times, origin, deadline_index, ties = map(np.concatenate, zip(*drawn))
     order = np.lexsort((origin, times))
     deadlines = np.array(config.deadline_set, dtype=float)
-    packets = Arrivals(np.arange(len(order)), origin[order], times[order],
+    packets = Arrivals(origin[order], times[order],
                        deadlines[deadline_index[order]], ties[order])
     return Workload(packets=packets, seed=config.seed)
 
@@ -420,23 +412,29 @@ def _release_reach(adjacency: dict, next_hop: dict) -> dict:
 
 
 def _offered_demand(packets: Arrivals, routes: RouteTable,
-                    size: float) -> float:
-    """Bit-hops the packets inject, summed in workload order; over the
-    duration that is the time-averaged demand, since each packet claims
+                    config: SimConfig) -> float:
+    """Bit-hops the packets inject, summed in workload order, over the
+    duration: the time-averaged demand, since each packet claims
     size/deadline at every route node for its deadline window and the
-    deadline cancels. A packet whose origin is a sink or not a node is
-    refused with a `ValueError` naming the packet and the node."""
+    deadline cancels. A packet that arrives after the duration, or whose
+    origin is a sink or not a node, is refused with a `ValueError` naming
+    the packet by its position."""
+    late = int(np.searchsorted(packets.arrival_time, config.duration, "right"))
+    if late < len(packets):
+        raise ValueError(f"packet {late} arrives at "
+                         f"{packets.arrival_time[late].item()!r}, after the "
+                         f"duration {config.duration!r}")
     hop_count = routes.hop_count
-    demand = {v: hop_count[v] * size for v in routes.next_hop}
+    demand = {v: hop_count[v] * config.packet_size for v in routes.next_hop}
     origins = packets.origin.tolist()
     try:
-        return sum(map(demand.__getitem__, origins))
+        return sum(map(demand.__getitem__, origins)) / config.duration
     except KeyError:
         pos = next(i for i, v in enumerate(origins) if v not in demand)
         node = origins[pos]
         what = "a sink" if node in hop_count else "not a node"
-        raise ValueError(f"packet {packets.id[pos]} originates at node "
-                         f"{node}, which is {what}") from None
+        raise ValueError(f"packet {pos} originates at node {node}, which is "
+                         f"{what}") from None
 
 
 def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
@@ -458,8 +456,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     unchanged from its node's priority heap to the completion FIFO and on
     to the next node's heap, hop by hop. The run keeps its per-packet state
     by workload position: the node holding each packet from its arrival
-    until it leaves the network. Before the first event, a packet whose
-    origin is a sink or not a node is refused with a `ValueError`.
+    until it leaves the network. Before the first event, a packet that
+    arrives after the duration or whose origin is a sink or not a node is
+    refused with a `ValueError`.
 
     The `Medium` keeps the busy endpoints, active senders and active
     receivers as sets, added to once per grant and discarded from once per
@@ -494,7 +493,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     times = packets.arrival_time.tolist()
     arrivals = len(times)
     times.append(math.inf)     # past the last arrival
-    offered = _offered_demand(packets, routes, size) / config.duration
+    offered = _offered_demand(packets, routes, config)
 
     cursor = 0             # position of the next arrival in the workload
     completions = deque()  # (time, entry, (sender, receiver, position))
@@ -564,7 +563,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             origin, deadline = packet.origin, packet.absolute_deadline
             at[cursor] = origin
             push(queues.get(origin) or queues.setdefault(origin, []),
-                 (key_of(packet), cursor, deadline))
+                 (key_of(packet, cursor), cursor, deadline))
             touched.add(origin)
             push(expiries, (deadline, cursor))
             if log:
@@ -678,30 +677,29 @@ def format_events(trace: Iterable, workload: Workload):
     """The text lines of a run's event trace, one per record, in trace
     order:
 
-        <time> arrival <node> <pid> <deadline>
-        <time> enqueue <node> <pid>
-        <time> grant <sender>-><receiver> <pid>
-        <time> complete <sender>-><receiver> <pid>
-        <time> deliver <node> <pid>
-        <time> miss <node|air> <pid> dropped
+        <time> arrival <node> <pos> <deadline>
+        <time> enqueue <node> <pos>
+        <time> grant <sender>-><receiver> <pos>
+        <time> complete <sender>-><receiver> <pos>
+        <time> deliver <node> <pos>
+        <time> miss <node|air> <pos> dropped
 
-    `workload` is the run's own. A packet is named by its id and an arrival
-    carries its relative deadline, both read from the workload's columns by
-    position; a miss in the air has node -1. Times and deadlines are
-    written with repr, so they read back bit for bit."""
-    ids = workload.packets.id.tolist()
+    `workload` is the run's own. A packet is named by its position in the
+    workload, and an arrival carries its relative deadline, read from the
+    workload's column; a miss in the air has node -1. Times and deadlines
+    are written with repr, so they read back bit for bit."""
     deadlines = workload.packets.relative_deadline.tolist()
     for time, kind, node, receiver, pos in trace:
         if kind == ARRIVAL:
-            yield f"{time!r} arrival {node} {ids[pos]} {deadlines[pos]!r}"
+            yield f"{time!r} arrival {node} {pos} {deadlines[pos]!r}"
         elif kind == ENQUEUE:
-            yield f"{time!r} enqueue {node} {ids[pos]}"
+            yield f"{time!r} enqueue {node} {pos}"
         elif kind == GRANT:
-            yield f"{time!r} grant {node}->{receiver} {ids[pos]}"
+            yield f"{time!r} grant {node}->{receiver} {pos}"
         elif kind == COMPLETE:
-            yield f"{time!r} complete {node}->{receiver} {ids[pos]}"
+            yield f"{time!r} complete {node}->{receiver} {pos}"
         elif kind == DELIVER:
-            yield f"{time!r} deliver {node} {ids[pos]}"
+            yield f"{time!r} deliver {node} {pos}"
         else:
             where = "air" if node < 0 else node
-            yield f"{time!r} miss {where} {ids[pos]} dropped"
+            yield f"{time!r} miss {where} {pos} dropped"

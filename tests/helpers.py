@@ -18,12 +18,14 @@ def chain_network(n, radio_range=10.0, sink_at_end=True):
     return topo, tp.build_routes(topo, [sink])
 
 
-def mk_packet(pid, origin, at, deadline, tie=0.0):
-    return sc.Packet(id=pid, origin=origin, arrival_time=at,
+def mk_packet(origin, at, deadline, tie=0.0):
+    return sc.Packet(origin=origin, arrival_time=at,
                      relative_deadline=deadline, tie_key=tie)
 
 
 def mk_workload(packets):
+    """A workload of the packets as listed: each one's position is its
+    identity, so they must be in time order."""
     return sc.Workload(packets=tuple(packets), seed=0)
 
 
@@ -74,12 +76,12 @@ def replay_active_sets(log, adjacency):
         kind = parts[1]
         if kind == "grant":
             s, r = (int(x) for x in parts[2].split("->"))
-            pid = int(parts[3])
+            pos = int(parts[3])
             for (s0, r0) in active.values():
                 assert not ({s, r} & {s0, r0}), line
                 assert s not in adjacency[r0], line
                 assert r not in adjacency[s0], line
-            active[pid] = (s, r)
+            active[pos] = (s, r)
         elif kind == "complete":
             active.pop(int(parts[3]))
     assert not active
@@ -109,7 +111,7 @@ def audit_priority_order(log, adjacency, next_hop):
         (sa, ra), (sb, rb) = a, b
         return bool({sa, ra} & {sb, rb}) or sa in adjacency[rb] or sb in adjacency[ra]
 
-    queued = defaultdict(dict)   # node -> pid -> relative deadline
+    queued = defaultdict(dict)   # node -> position -> relative deadline
     deadlines = {}
     active = {}
     violations = []
@@ -117,16 +119,16 @@ def audit_priority_order(log, adjacency, next_hop):
         parts = line.split()
         kind = parts[1]
         if kind == "arrival":
-            node, pid, dl = int(parts[2]), int(parts[3]), float(parts[4])
-            deadlines[pid] = dl
-            queued[node][pid] = dl
+            node, pos, dl = int(parts[2]), int(parts[3]), float(parts[4])
+            deadlines[pos] = dl
+            queued[node][pos] = dl
         elif kind == "enqueue":
-            node, pid = int(parts[2]), int(parts[3])
-            queued[node][pid] = deadlines[pid]
+            node, pos = int(parts[2]), int(parts[3])
+            queued[node][pos] = deadlines[pos]
         elif kind == "grant":
             s, r = (int(x) for x in parts[2].split("->"))
-            pid = int(parts[3])
-            dl = deadlines[pid]
+            pos = int(parts[3])
+            dl = deadlines[pos]
             # within the node, the head must carry the minimal deadline
             assert dl <= min(queued[s].values()), line
             blockers = list(active.values())
@@ -139,14 +141,14 @@ def audit_priority_order(log, adjacency, next_hop):
                     blocked = any(conflicts(cand, b) for b in blockers)
                     if not blocked:
                         violations.append((line, v, head_dl))
-            del queued[s][pid]
-            active[pid] = (s, r)
+            del queued[s][pos]
+            active[pos] = (s, r)
         elif kind == "complete":
             active.pop(int(parts[3]))
         elif kind == "miss":
-            loc, pid = parts[2], int(parts[3])
+            loc, pos = parts[2], int(parts[3])
             if loc != "air":
-                queued[int(loc)].pop(pid, None)
+                queued[int(loc)].pop(pos, None)
     return violations
 
 

@@ -4,7 +4,7 @@ schedulability property (analytically feasible instances never miss)."""
 
 import copy
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,13 +82,13 @@ class TestGenerateWorkload:
         assert m.delivered > 0
         assert m.delivered + m.missed + m.in_flight_at_end == m.packets_generated
 
-    def test_sorted_with_sequential_ids(self):
+    def test_sorted_by_time_then_origin(self):
+        # that order is the packets' positions, their only identity
         topo, routes = self._network()
         cfg = sc.SimConfig(arrival_rate=3.0, duration=5.0)
         wl = sc.generate_workload(topo, routes, cfg)
-        times = [p.arrival_time for p in wl.packets]
-        assert times == sorted(times)
-        assert [p.id for p in wl.packets] == list(range(len(wl.packets)))
+        order = [(p.arrival_time, p.origin) for p in wl.packets]
+        assert len(order) > 1 and order == sorted(order)
 
     def test_route_fields(self):
         # a packet holds only its arrival; the route, size and per-hop time
@@ -97,26 +97,19 @@ class TestGenerateWorkload:
         cfg = sc.SimConfig(arrival_rate=1.0, duration=5.0)
         wl = sc.generate_workload(topo, routes, cfg)
         assert sc.Packet._fields == (
-            "id", "origin", "arrival_time", "relative_deadline", "tie_key")
+            "origin", "arrival_time", "relative_deadline", "tie_key")
+        assert [f.name for f in fields(sc.Arrivals)] == list(sc.Packet._fields)
         assert wl.packets
         for p in wl.packets:
             assert p.origin in routes.next_hop and routes.hop_count[p.origin] > 0
         assert cfg.tx_time == pytest.approx(cfg.packet_size / cfg.bandwidth)
 
     def test_packet_immutable(self):
-        p = mk_packet(0, 0, 0.0, 1.0)
-        for field in ("id", "origin", "arrival_time", "relative_deadline",
-                      "tie_key"):
+        p = mk_packet(0, 0.0, 1.0)
+        for field in sc.Packet._fields:
             with pytest.raises(AttributeError):
                 setattr(p, field, 1)
-        assert p == mk_packet(0, 0, 0.0, 1.0)
-
-    def test_hand_built_packets_sorted_stably(self):
-        early = mk_packet(1, 1, at=0.5, deadline=1.0)
-        first = mk_packet(2, 2, at=1.0, deadline=1.0)
-        second = mk_packet(0, 0, at=1.0, deadline=1.0)
-        wl = mk_workload([first, second, early])
-        assert wl.packets == (early, first, second)
+        assert p == mk_packet(0, 0.0, 1.0)
 
     @pytest.mark.parametrize("field", ["bandwidth", "packet_size",
                                        "arrival_rate", "duration"])
@@ -156,47 +149,56 @@ class TestGenerateWorkload:
 class TestMalformedInputs:
     """Hand-built arrivals and origins the run cannot serve are refused
     with a `ValueError` naming the field or node and the first offending
-    packet, before any run starts."""
+    packet by its workload position, before any run starts."""
 
     @pytest.mark.parametrize("field, packet", [
-        ("arrival_time", mk_packet(7, 0, at=float("nan"), deadline=1.0)),
-        ("arrival_time", mk_packet(7, 0, at=float("inf"), deadline=1.0)),
-        ("relative_deadline", mk_packet(7, 0, at=0.5, deadline=float("nan"))),
-        ("relative_deadline", mk_packet(7, 0, at=0.5, deadline=-1.0)),
-        ("relative_deadline", mk_packet(7, 0, at=0.5, deadline=0.0)),
-        ("tie_key", mk_packet(7, 0, at=0.5, deadline=1.0, tie=float("nan"))),
+        ("arrival_time", mk_packet(0, at=float("nan"), deadline=1.0)),
+        ("arrival_time", mk_packet(0, at=float("inf"), deadline=1.0)),
+        ("relative_deadline", mk_packet(0, at=0.5, deadline=float("nan"))),
+        ("relative_deadline", mk_packet(0, at=0.5, deadline=-1.0)),
+        ("relative_deadline", mk_packet(0, at=0.5, deadline=0.0)),
+        ("tie_key", mk_packet(0, at=0.5, deadline=1.0, tie=float("nan"))),
     ])
     def test_bad_float_column_refused(self, field, packet):
-        good = mk_packet(3, 1, at=0.0, deadline=1.0)
-        with pytest.raises(ValueError, match=rf"{field} .*packet 7\b"):
-            mk_workload([good, packet])
-
-    def test_repeated_id_refused(self):
-        # the first packet to repeat an earlier id, in workload order
-        packets = [mk_packet(4, 0, 0.0, 1.0), mk_packet(5, 0, 0.1, 1.0),
-                   mk_packet(9, 1, 0.2, 1.0), mk_packet(5, 1, 0.3, 1.0),
-                   mk_packet(4, 1, 0.4, 1.0)]
-        with pytest.raises(ValueError, match=r"id must be unique.*packet 5\b"):
-            mk_workload(packets)
+        good = mk_packet(1, at=0.0, deadline=1.0)
+        with pytest.raises(ValueError, match=rf"{field} .*packet 2\b"):
+            mk_workload([good, good, packet, packet])
 
     def test_arrivals_out_of_time_order_refused(self):
-        # a Workload sorts packets given by hand but takes Arrivals as they
-        # are, so a run would read the later-listed, earlier arrival after
-        # events that come after it
+        # nothing sorts arrivals, so a run would read the later-listed,
+        # earlier arrival after events that come after it; packets given by
+        # hand are refused alike (`test_hand_built_copy_runs_alike`)
         with pytest.raises(ValueError,
-                           match=r"arrival_time must not decrease.*packet 6\b"):
-            sc.Arrivals([5, 6, 7], [0, 1, 0], [1.0, 0.5, 2.0], [1.0] * 3,
-                        [0.1, 0.2, 0.3])
+                           match=r"arrival_time must not decrease.*packet 1\b"):
+            sc.Arrivals([0, 1, 0], [1.0, 0.5, 2.0], [1.0] * 3, [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("origin, what", [(2, "a sink"),
                                               (7, "not a node")])
     def test_origin_outside_the_route_table_refused(self, origin, what):
         topo, routes = chain_network(3)
-        wl = mk_workload([mk_packet(3, 0, 0.0, 1.0),
-                          mk_packet(8, origin, 0.1, 1.0)])
+        wl = mk_workload([mk_packet(0, 0.0, 1.0), mk_packet(origin, 0.1, 1.0)])
         with pytest.raises(ValueError,
-                           match=rf"packet 8 .*node {origin}, which is {what}"):
+                           match=rf"packet 1 .*node {origin}, which is {what}"):
             sc.run_simulation(topo, routes, wl, sc.SimConfig(duration=1.0))
+
+    def test_arrival_after_the_duration_refused(self):
+        # offered demand is averaged over the duration, so an arrival after
+        # it would be counted against time the run does not cover
+        topo, routes = chain_network(3)
+        cfg = sc.SimConfig(arrival_rate=5.0, duration=3.0)
+        wl = sc.generate_workload(topo, routes, cfg)
+        late = bisect_right(wl.packets, 1.0, key=lambda p: p.arrival_time)
+        assert 0 < late < len(wl.packets)
+        trace = []
+        with pytest.raises(ValueError, match=rf"packet {late} arrives at "
+                                             r".*after the duration 1\.0$"):
+            sc.run_simulation(topo, routes, wl, replace(cfg, duration=1.0),
+                              event_log=trace)
+        assert trace == []  # refused before the first event
+        # an arrival at the duration itself is in the run
+        at_end = mk_workload([mk_packet(0, 0.5, 1.0), mk_packet(1, 1.0, 1.0)])
+        m = sc.run_simulation(topo, routes, at_end, replace(cfg, duration=1.0))
+        assert m.offered_demand == pytest.approx(2000.0 + 1000.0)
 
 
 @pytest.fixture(scope="module")
@@ -261,8 +263,8 @@ class TestWorkloadStreams:
                                     float(ties[v, k])))
         # more than two blocks per source: at least three rounds
         assert len(raw) > 2 * sc._BLOCK * (len(topo.nodes) - 1)
-        expected = tuple(sc.Packet(pid, origin, t, d, tie)
-                         for pid, (t, origin, d, tie) in enumerate(sorted(raw)))
+        expected = tuple(sc.Packet(origin, t, d, tie)
+                         for t, origin, d, tie in sorted(raw))
         assert sc.generate_workload(topo, routes, cfg).packets == expected
 
     def test_extra_sink_removes_only_its_arrivals(self):
@@ -294,9 +296,9 @@ class TestWorkloadStreams:
                                       sc.SimConfig(arrival_rate=3.0,
                                                    duration=5.0))
         else:
-            wl = mk_workload([mk_packet(4, 1, 0.5, 1.0, 0.3),
-                              mk_packet(9, 2, 0.2, 2.0, 0.1),
-                              mk_packet(7, 1, 0.9, 0.5, 0.2)])
+            wl = mk_workload([mk_packet(2, 0.2, 2.0, 0.1),
+                              mk_packet(1, 0.5, 1.0, 0.3),
+                              mk_packet(1, 0.9, 0.5, 0.2)])
         packets = wl.packets
         listed = tuple(packets)
         assert len(packets) == len(listed) >= 3
@@ -307,18 +309,18 @@ class TestWorkloadStreams:
         assert bisect_right(packets, middle, key=lambda p: p.arrival_time) == \
             sum(p.arrival_time <= middle for p in listed)
         assert sc.Workload(packets=listed, seed=wl.seed) == wl
-        if built == "by hand":
-            assert [p.id for p in listed] == [9, 4, 7]
+        if built == "by hand":  # taken as listed
+            assert [p.origin for p in listed] == [2, 1, 1]
 
 
 # ---------------------------------------------------------------------------
 # Medium arbitration
 # ---------------------------------------------------------------------------
 
-def dm(packet, sender, receiver):
+def dm(packet, sender, receiver, position=0):
     """A MAC candidate keyed in deadline-monotonic order, as the run queues
-    it."""
-    return (sc.priority_key(packet), packet, sender, receiver)
+    the packet at that workload position."""
+    return (sc.priority_key(packet, position), packet, sender, receiver)
 
 
 class TestAdmissibleTransmissions:
@@ -331,64 +333,66 @@ class TestAdmissibleTransmissions:
 
     def test_single_candidate_granted(self):
         medium = self.medium(3)
-        pkt = mk_packet(0, 0, 0.0, 1.0)
+        pkt = mk_packet(0, 0.0, 1.0)
         grants = sc.admissible_transmissions([dm(pkt, 0, 1)], medium)
         assert grants == [(pkt, 0, 1)]
 
     def test_sender_near_active_receiver_blocked(self):
         medium = self.medium(4, [(0, 1, 99)])
-        pkt = mk_packet(0, 2, 0.0, 1.0)
+        pkt = mk_packet(2, 0.0, 1.0)
         assert sc.admissible_transmissions([dm(pkt, 2, 3)], medium) == []
 
     def test_receiver_near_active_sender_blocked(self):
         medium = self.medium(4, [(1, 0, 99)])
-        pkt = mk_packet(0, 3, 0.0, 1.0)
+        pkt = mk_packet(3, 0.0, 1.0)
         # receiver 2 is inside sender 1's range
         assert sc.admissible_transmissions([dm(pkt, 3, 2)], medium) == []
 
     def test_disjoint_neighborhoods_both_granted(self):
         medium = self.medium(6)
-        p1 = mk_packet(0, 0, 0.0, 1.0)
-        p2 = mk_packet(1, 4, 0.0, 1.0)
+        p1 = mk_packet(0, 0.0, 1.0)
+        p2 = mk_packet(4, 0.0, 1.0)
         grants = sc.admissible_transmissions([dm(p1, 0, 1), dm(p2, 4, 5)],
                                              medium)
         assert len(grants) == 2
 
     def test_priority_wins_shared_receiver(self):
         medium = self.medium(4)
-        urgent = mk_packet(0, 3, 0.0, 0.5)
-        lax = mk_packet(1, 1, 0.0, 2.0)
-        grants = sc.admissible_transmissions([dm(lax, 1, 2), dm(urgent, 3, 2)],
-                                             medium)
-        assert [g[0].id for g in grants] == [0]
+        urgent = mk_packet(3, 0.0, 0.5)
+        lax = mk_packet(1, 0.0, 2.0)
+        grants = sc.admissible_transmissions(
+            [dm(lax, 1, 2, 0), dm(urgent, 3, 2, 1)], medium)
+        assert grants == [(urgent, 3, 2)]
 
     def test_tie_breaks_by_key(self):
+        # the tie key decides before the position does
         medium = self.medium(4)
-        a = mk_packet(5, 1, 0.0, 1.0, tie=0.9)
-        b = mk_packet(9, 3, 0.0, 1.0, tie=0.1)
-        grants = sc.admissible_transmissions([dm(a, 1, 2), dm(b, 3, 2)], medium)
-        assert [g[0].id for g in grants] == [9]
+        a = mk_packet(1, 0.0, 1.0, tie=0.9)
+        b = mk_packet(3, 0.0, 1.0, tie=0.1)
+        grants = sc.admissible_transmissions([dm(a, 1, 2, 0), dm(b, 3, 2, 1)],
+                                             medium)
+        assert grants == [(b, 3, 2)]
 
     def test_grant_follows_the_given_keys(self):
         # keys by absolute deadline, as EDF gives them, invert DM's order:
         # the lax packet arrived first and is due first
         medium = self.medium(4)
-        lax = mk_packet(0, 1, at=0.0, deadline=2.0)
-        urgent = mk_packet(1, 3, at=1.8, deadline=0.5)
+        lax = mk_packet(1, at=0.0, deadline=2.0)
+        urgent = mk_packet(3, at=1.8, deadline=0.5)
         assert lax.absolute_deadline < urgent.absolute_deadline
-        assert sc.priority_key(urgent) < sc.priority_key(lax)
+        assert sc.priority_key(urgent, 1) < sc.priority_key(lax, 0)
 
-        def edf(packet, sender, receiver):
-            key = (packet.absolute_deadline, packet.tie_key, packet.id)
+        def edf(packet, position, sender, receiver):
+            key = (packet.absolute_deadline, packet.tie_key, position)
             return (key, packet, sender, receiver)
 
         grants = sc.admissible_transmissions(
-            [edf(urgent, 3, 2), edf(lax, 1, 2)], medium)
+            [edf(urgent, 1, 3, 2), edf(lax, 0, 1, 2)], medium)
         assert grants == [(lax, 1, 2)]
 
     def test_busy_endpoint_blocked(self):
         medium = self.medium(6, [(4, 5, 99)])
-        pkt = mk_packet(0, 4, 0.0, 1.0)
+        pkt = mk_packet(4, 0.0, 1.0)
         assert sc.admissible_transmissions([dm(pkt, 4, 3)], medium) == []
 
 
@@ -416,7 +420,7 @@ class TestMedium:
             else:
                 s = int(rng.choice(sorted(routes.next_hop)))
                 r = routes.next_hop[s]
-                pkt = mk_packet(step, s, 0.0, 1.0)
+                pkt = mk_packet(s, 0.0, 1.0)
                 if not sc.admissible_transmissions([dm(pkt, s, r)], medium):
                     continue
                 air = {v: tx for tx in active for v in tx[:2]}
@@ -441,7 +445,7 @@ class TestMedium:
         active = []
         for step, s in enumerate(rng.permutation(sorted(routes.next_hop))[:8]):
             s, r = int(s), routes.next_hop[int(s)]
-            pkt = mk_packet(step, s, 0.0, 1.0)
+            pkt = mk_packet(s, 0.0, 1.0)
             if sc.admissible_transmissions([dm(pkt, s, r)], medium):
                 active.append((s, r, step))
         air = {v: tx for tx in active for v in tx[:2]}
@@ -512,7 +516,9 @@ class TestMacProperties:
     @given(mac_cases())
     def test_grants_match_brute_force(self, case):
         adjacency, active, drawn = case
-        candidates = [((rank, i), mk_packet(i, s, 0.0, 1.0), s, r)
+        # the payload handed back is each candidate's index, so grants of
+        # two candidates on the same link stay apart
+        candidates = [((rank, i), i, s, r)
                       for i, ((s, r), rank) in enumerate(drawn)]
         medium = sc.Medium(adjacency)
         for s, r in active:
@@ -557,14 +563,14 @@ class TestRunSimulationTraces:
 
     def test_single_uncontended_hop(self):
         topo, routes = chain_network(2)
-        wl = mk_workload([mk_packet(0, 0, at=1.0, deadline=1.0)])
+        wl = mk_workload([mk_packet(0, at=1.0, deadline=1.0)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.delivered == 1 and m.missed == 0
         assert m.delays == (pytest.approx(0.4),)
 
     def test_two_hop_chain(self):
         topo, routes = chain_network(3)
-        wl = mk_workload([mk_packet(0, 0, at=0.0, deadline=2.0)])
+        wl = mk_workload([mk_packet(0, at=0.0, deadline=2.0)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.delivered == 1
         assert m.delays == (pytest.approx(0.8),)
@@ -572,8 +578,8 @@ class TestRunSimulationTraces:
     def test_dm_order_at_one_node(self):
         topo, routes = chain_network(2)
         wl = mk_workload([
-            mk_packet(0, 0, at=0.0, deadline=2.0),
-            mk_packet(1, 0, at=0.0, deadline=0.9),
+            mk_packet(0, at=0.0, deadline=2.0),
+            mk_packet(0, at=0.0, deadline=0.9),
         ])
         trace = []
         m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=trace)
@@ -585,7 +591,7 @@ class TestRunSimulationTraces:
 
     def test_delivery_exactly_at_deadline_counts(self):
         topo, routes = chain_network(2)
-        wl = mk_workload([mk_packet(0, 0, at=0.0, deadline=0.4)])
+        wl = mk_workload([mk_packet(0, at=0.0, deadline=0.4)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.delivered == 1 and m.missed == 0
 
@@ -595,8 +601,8 @@ class TestRunSimulationTraces:
         # already traversed
         topo, routes = chain_network(3)
         wl = mk_workload([
-            mk_packet(0, 0, at=0.0, deadline=0.45),
-            mk_packet(1, 1, at=0.0, deadline=5.0),
+            mk_packet(0, at=0.0, deadline=0.45),
+            mk_packet(1, at=0.0, deadline=5.0),
         ])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.missed == 1 and m.delivered == 1
@@ -612,9 +618,9 @@ class TestRunSimulationTraces:
         # busy node 2 and expires at 1.2.
         topo, routes = chain_network(4)
         wl = mk_workload([
-            mk_packet(0, 2, at=0.0, deadline=5.0),
-            mk_packet(1, 0, at=0.5, deadline=4.0),
-            mk_packet(2, 2, at=1.0, deadline=0.2),
+            mk_packet(2, at=0.0, deadline=5.0),
+            mk_packet(0, at=0.5, deadline=4.0),
+            mk_packet(2, at=1.0, deadline=0.2),
         ])
         trace = []
         m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=trace)
@@ -628,24 +634,46 @@ class TestRunSimulationTraces:
         assert m.capacity_consumption_at_first_miss == \
             pytest.approx(1000 / 5.0 + 1000 / 4.0)
 
-    def test_reversed_workload_runs_as_sorted(self):
+    @pytest.mark.parametrize("origins", [(0, 1), (1, 0)])
+    def test_full_tie_granted_in_listed_order(self, origins):
+        # one instant, one deadline and one tie key, on links 0->1 and 1->2
+        # that share node 1: the earlier-listed packet goes first, from
+        # whichever node it was listed at
+        topo, routes = chain_network(3)
+        wl = mk_workload([mk_packet(v, at=0.0, deadline=2.0, tie=0.5)
+                          for v in origins])
+        trace = []
+        m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=trace)
+        grants = [(now, node, pos) for now, kind, node, _, pos in trace
+                  if kind == sc.GRANT]
+        assert [g for g in grants if g[0] == 0.0] == [(0.0, origins[0], 0)]
+        assert m.delivered == 2
+
+    def test_hand_built_copy_runs_alike(self):
         topo, routes = tp.make_network(3, 3, spacing=10.0, jitter=0.2, seed=3,
                                        radio_range=15.0, sink_count=1)
         cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=6.0, duration=8.0,
                            seed=3)
-        packets = sc.generate_workload(topo, routes, cfg).packets
+        wl = sc.generate_workload(topo, routes, cfg)
         runs = []
-        for order in (packets, tuple(packets)[::-1]):
-            log = []
-            m = sc.run_simulation(topo, routes, mk_workload(order), cfg,
-                                  event_log=log)
-            runs.append((log, m))
+        for workload in (wl, sc.Workload(tuple(wl.packets), wl.seed)):
+            trace = []
+            m = sc.run_simulation(topo, routes, workload, cfg, event_log=trace)
+            runs.append((trace, m))
         assert runs[0][1].missed > 0
         assert runs[1] == runs[0]
+        # nothing sorts a hand-built workload, so its positions are the
+        # caller's: the reversed copy is refused at its first earlier arrival
+        backwards = tuple(wl.packets)[::-1]
+        first = next(i for i in range(1, len(backwards)) if
+                     backwards[i].arrival_time < backwards[i - 1].arrival_time)
+        with pytest.raises(ValueError, match=r"arrival_time must not decrease"
+                                             rf".*packet {first}$"):
+            sc.Workload(backwards, wl.seed)
 
     def test_no_miss_leaves_capacity_none(self):
         topo, routes = chain_network(2)
-        wl = mk_workload([mk_packet(0, 0, at=0.0, deadline=1.0)])
+        wl = mk_workload([mk_packet(0, at=0.0, deadline=1.0)])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.capacity_consumption_at_first_miss is None
         assert m.first_miss_time is None
@@ -653,8 +681,8 @@ class TestRunSimulationTraces:
     def test_offered_demand(self):
         topo, routes = chain_network(3)
         wl = mk_workload([
-            mk_packet(0, 0, at=0.0, deadline=1.0),
-            mk_packet(1, 1, at=3.0, deadline=1.0),
+            mk_packet(0, at=0.0, deadline=1.0),
+            mk_packet(1, at=3.0, deadline=1.0),
         ])
         m = sc.run_simulation(topo, routes, wl, self.CFG)
         assert m.offered_demand == pytest.approx((2 * 1000 + 1 * 1000) / 10.0)
@@ -832,63 +860,61 @@ class TestRunProperties:
 
 
 @st.composite
-def relabelled_workloads(draw):
-    """A small network and a hand-built workload on it with shuffled,
-    non-contiguous distinct ids and distinct tie keys, so ids never break a
-    priority tie."""
+def tied_workloads(draw):
+    """A small network and a hand-built workload on it, in time order, whose
+    tie keys are all zero, so equal deadlines fall to the position."""
     topo, routes = draw(small_networks())
     assume(routes.next_hop)  # a grid of sinks alone has no origin
     n = draw(st.integers(1, 30))
-    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
-                        unique=True))
     origins = draw(st.lists(st.sampled_from(sorted(routes.next_hop)),
                             min_size=n, max_size=n))
     # arrivals on a 0.1 s grid and 0.4 s hops give same-instant events
-    slots = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    slots = sorted(draw(st.lists(st.integers(0, 30), min_size=n, max_size=n)))
     deadlines = draw(st.lists(st.sampled_from([0.3, 0.8, 1.2, 2.0, 5.0]),
                               min_size=n, max_size=n))
-    ties = draw(st.permutations(range(n)))
-    packets = [mk_packet(pid, origin, 0.1 * slot, deadline, tie / n)
-               for pid, origin, slot, deadline, tie
-               in zip(ids, origins, slots, deadlines, ties)]
+    packets = [mk_packet(origin, 0.1 * slot, deadline)
+               for origin, slot, deadline in zip(origins, slots, deadlines)]
     return topo, routes, mk_workload(packets)
 
 
 class TestPositionIndexedRun:
-    """The run keeps per-packet state by workload position and computes
-    each packet's priority key once, at its arrival."""
+    """A packet is its workload position: the run keeps per-packet state by
+    it, breaks full priority ties by it, and computes each packet's
+    priority key once, at its arrival."""
 
     @settings(max_examples=60, deadline=None)
-    @given(relabelled_workloads(), st.booleans())
-    def test_ids_are_only_labels(self, case, stop):
+    @given(tied_workloads(), st.booleans())
+    def test_position_breaks_ties_like_a_tie_key(self, case, stop):
+        # tie keys rising with position order every packet as zero keys do
         topo, routes, wl = case
         cfg = sc.SimConfig(bandwidth=2500.0, duration=10.0,
                            stop_at_first_miss=stop)
-        positional = mk_workload([p._replace(id=i)
-                                  for i, p in enumerate(wl.packets)])
+        n = len(wl.packets)
+        rising = mk_workload([p._replace(tie_key=i / n)
+                              for i, p in enumerate(wl.packets)])
         traces = [], []
         runs = [sc.run_simulation(topo, routes, w, cfg, event_log=trace)
-                for w, trace in zip((wl, positional), traces)]
+                for w, trace in zip((wl, rising), traces)]
         assert runs[0] == runs[1]
-        # a trace names packets by workload position, not by id
         assert traces[0] == traces[1]
 
     def test_priority_key_once_per_arrival(self, monkeypatch):
         keyed = []
         key = sc.priority_key
 
-        def counting(packet):
-            keyed.append(packet.id)
-            return key(packet)
+        def counting(packet, position):
+            keyed.append((packet, position))
+            return key(packet, position)
 
         monkeypatch.setattr(sc, "priority_key", counting)
         trace = []
         _, _, _, wl, m = contended_run(seed=3, event_log=trace)
-        arrived = [wl.packets.id[pos] for _, kind, _, _, pos in trace
-                   if kind == sc.ARRIVAL]
+        arrived = [pos for _, kind, _, _, pos in trace if kind == sc.ARRIVAL]
         assert any(kind == sc.ENQUEUE for _, kind, *_ in trace)  # relayed
         assert len(arrived) == m.packets_generated > 0
-        assert sorted(keyed) == sorted(arrived)
+        # once per arrival, in arrival order, for the packet at that position
+        assert [pos for _, pos in keyed] == arrived
+        assert all(wl.packets[pos] == packet for packet, pos in keyed)
 
 
 # ---------------------------------------------------------------------------
