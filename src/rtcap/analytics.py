@@ -176,11 +176,6 @@ def stage_delay_term(vq: float) -> float:
         raise ValueError(f"neighborhood utilization must be >= 0, got {vq}")
     if vq >= 1.0:
         raise PoleError(f"delay bound diverges at utilization {vq} >= 1")
-    return _stage_delay_vec(vq)
-
-
-def _stage_delay_vec(vq):
-    # No pole/domain guard: callers keep vq inside [0, 1).
     return vq * (1.0 - 0.5 * vq) / (1.0 - vq)
 
 
@@ -292,15 +287,18 @@ def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
     if not (tolerance > 0):
         raise ValueError("tolerance must be > 0")
 
-    rings = (2.0 * np.arange(1, int(max_hops) + 1) - 1.0) * m
-    b = float(np.sum(1.0 / rings))
-    a = float(np.sum(0.5 / (rings * rings)))
+    # np.add.reduce skips np.sum's Python wrapper; the odd integers are exact
+    total = np.add.reduce
+    rings = np.arange(1.0, 2.0 * max_hops, 2.0) * m
+    b = float(total(1.0 / rings))
+    a = float(total(0.5 / (rings * rings)))
     d = 2.0 / (b + math.sqrt(b * b + 4.0 * a))
     lo, f_lo = 0.0, -1.0
     hi, f_hi = m, math.inf      # the innermost ring's pole
     for _ in range(200):
         v = d / rings
-        f = float(np.sum(_stage_delay_vec(v))) - 1.0
+        w = 1.0 - v  # v < 1 below the pole, so no guard
+        f = float(total(v * (1.0 - 0.5 * v) / w)) - 1.0  # stage_delay_term
         if abs(f) <= tolerance:
             return d
         if f > 0.0:
@@ -308,7 +306,7 @@ def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
         else:
             lo, f_lo = d, f
         # f'(D) = sum g'(v)/r_x with g'(v) = (1 + (1 - v)^-2) / 2
-        step = d - f / float(np.sum((0.5 + 0.5 / (1.0 - v) ** 2) / rings))
+        step = d - f / float(total((0.5 + 0.5 / w ** 2) / rings))
         d = step if lo < step < hi else 0.5 * (lo + hi)
     raise SolverError(
         f"Newton iteration did not reach residual {tolerance:g} within 200 "
@@ -332,7 +330,7 @@ def harmonic_odd_sum(max_hops: float, mode: str = EXACT) -> float:
         k = int(max_hops)
         if k != max_hops:
             raise ValueError(f"exact mode needs an integer hop count, got {max_hops}")
-        return float(np.sum(1.0 / (2.0 * np.arange(1, k + 1) - 1.0)))
+        return float(np.add.reduce(1.0 / np.arange(1.0, 2.0 * k, 2.0)))
     if mode == APPROXIMATE:
         return 1.0 + 0.5 * math.log(max_hops)
     raise ValueError(f"unknown mode {mode!r}, expected exact or approximate")

@@ -17,13 +17,13 @@ it is given and knows no rule of its own.
 
 Arbitration is by set membership. A `Medium` holds the busy endpoints,
 active senders and active receivers as sets, each grant and completion
-updating them in O(1). After a completion frees the link (s, next_hop[s]),
-only backlogged nodes in its reach, reach(s) | reach(next_hop[s]) with
-reach(x) = N[x] | {v : next_hop[v] in N[x]} (N[x] the closed
-neighbourhood), are re-arbitrated besides the nodes the instant touched: a
-head (v, next_hop[v]) is blocked by (s, r) only through v or next_hop[v]
-being s or r, v in N(r), or next_hop[v] in N(s), so freeing the link
-unblocks nothing outside its reach.
+updating them in O(1). A blocked head waits on its blocker, as a
+conditional event does in the three-phase method: each head the MAC
+refuses goes on the wait-list of one active transmission that blocks it,
+and when that transmission completes, only its endpoints and its
+wait-list are re-arbitrated besides the nodes the instant touched. A node
+keeps one head link, (v, next_hop[v]), so a head stays refused while its
+blocker is in the air.
 
 A workload is drawn in rounds of numpy blocks, one row per node, each
 round from its own child of `np.random.SeedSequence(config.seed)` (see
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from itertools import islice
 from operator import itemgetter
@@ -396,19 +396,21 @@ def _verify_exclusion(sender: int, receiver: int, air: dict,
                 f"receiver {receiver} inside range of sending node {v}")
 
 
-def _release_reach(adjacency: dict, next_hop: dict) -> dict:
-    """reach[s] = reach(s) | reach(next_hop[s]) for every sender s, with
-    reach(x) = N[x] | {v : next_hop[v] in N[x]}: every node whose
-    head-of-queue transmission freeing the link (s, next_hop[s]) can
-    unblock."""
-    senders_to = [[] for _ in adjacency]
-    for v, w in next_hop.items():
-        senders_to[w].append(v)
-    reach = {}
-    for s, r in next_hop.items():
-        ball = {s, r, *adjacency[s], *adjacency[r]}
-        reach[s] = frozenset(ball.union(*(senders_to[y] for y in ball)))
-    return reach
+def _blocker(sender: int, receiver: int, air: dict, adjacency: dict) -> int:
+    # the active sender whose transmission blocks the refused link
+    # sender->receiver, found against the live transmissions `air`: a busy
+    # receiver, else an active receiving node in range of the sender, else
+    # an active sending node in range of the receiver
+    if receiver in air:
+        return air[receiver][0]
+    for v in filter(air.__contains__, adjacency[sender]):
+        if air[v][1] == v:
+            return air[v][0]
+    for v in filter(air.__contains__, adjacency[receiver]):
+        if air[v][0] == v:
+            return v
+    raise InvariantError(
+        f"candidate {sender}->{receiver} refused with nothing blocking it")
 
 
 def _offered_demand(packets: Arrivals, routes: RouteTable,
@@ -464,16 +466,19 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     receivers as sets, added to once per grant and discarded from once per
     completion. After the phases of each instant that touched a node, the
     medium is re-arbitrated over the backlogged nodes (those with a heap)
-    the instant touched (arrivals, dropped heads) plus reach[s] for every
-    link (s, next_hop[s]) a completion freed. That gives the same grants as
-    a pass over the whole backlog: freeing the link can only unblock a head
-    (v, next_hop[v]) through v or next_hop[v] lying in N[s] or
-    N[next_hop[s]], every other idle head was blocked after the previous
-    pass by a transmission that is still active, and grants within a pass
-    only add blocking. The spatial exclusion invariant is re-verified on
-    every grant against the active transmissions, never against the
-    `Medium`, and a run that drains without stopping must leave
-    the medium idle. Deadline misses are detected eagerly by expiry timers so
+    the instant touched: arrivals, dropped heads, and for each completed
+    (s, r) the nodes s and r and the wait-list of s. After the pass, each
+    refused candidate that is no endpoint goes on the wait-list of one
+    active sender whose transmission blocks it: the one using its
+    receiver, else one receiving in range of it, else one sending in range
+    of its receiver. That gives the same grants as a pass over the whole
+    backlog: a node's head link never changes, so every idle head left out
+    is still blocked by the transmission it waits on, and a node left out
+    as an endpoint is touched when its own transmission ends. The spatial
+    exclusion invariant is re-verified on every grant, and every refusal
+    must find its blocker, against the active transmissions, never against
+    the `Medium`; a run that drains without stopping must leave the medium
+    idle. Deadline misses are detected eagerly by expiry timers so
     the capacity consumption at the first miss is sampled at the right
     instant. A missed packet leaves the network at once and is never sent
     on: a queued one's heap entry is discarded once it reaches the head,
@@ -485,7 +490,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     """
     adjacency = topology.adjacency
     next_hop, hop_count = routes.next_hop, routes.hop_count
-    reach = _release_reach(adjacency, next_hop)
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
@@ -510,6 +514,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     medium = Medium(adjacency)
     busy, release = medium.busy, medium.release
     air = {}               # busy endpoint -> its (sender, receiver, position)
+    # active sender -> the nodes whose head its transmission blocked
+    waiting = defaultdict(list)
     log = event_log.append if event_log is not None else None
 
     missed = 0
@@ -537,14 +543,17 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             s, r, pos = tx
             del air[s], air[r]
             release(s, r)
-            # the backlogged nodes in the freed link's reach, found by
-            # iterating the smaller of the reach and the backlog
-            near = reach[s]
-            touched |= (near.intersection(queues) if len(queues) < len(near)
-                        else queues.keys() & near)
+            # the sender and the heads the link blocked, if backlogged; the
+            # receiver is touched below, when it queues the packet or drops it
+            if s in queues:
+                touched.add(s)
+            if s in waiting:
+                touched.update(filter(queues.__contains__, waiting.pop(s)))
             if log:
                 log((now, COMPLETE, s, r, pos))
             if at[pos] is None:
+                if r in queues:
+                    touched.add(r)
                 continue  # missed mid-flight and dropped at hop boundary
             if r in next_hop:
                 at[pos] = r
@@ -625,6 +634,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             completions.append((now + tx_time, entry, tx))
             if log:
                 log((now, GRANT, s, r, entry[1]))
+        for _, _, v, r in candidates:
+            if v not in air:  # refused, and no endpoint of a grant since
+                waiting[_blocker(v, r, air, adjacency)].append(v)
 
     if not stop and not medium.is_idle():
         raise InvariantError("medium not idle after the run drained")

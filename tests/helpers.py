@@ -103,14 +103,16 @@ def receive_gaps(log):
     return gaps
 
 
+def links_conflict(adjacency, a, b):
+    """Two links (sender, receiver) conflict when they share a node or
+    either sender is in range of the other's receiver."""
+    (sa, ra), (sb, rb) = a, b
+    return bool({sa, ra} & {sb, rb}) or sa in adjacency[rb] or sb in adjacency[ra]
+
+
 def audit_priority_order(log, adjacency, next_hop):
     """No grant may leapfrog a strictly-smaller-deadline packet that was
     queued and unblocked in the same contention set at that instant."""
-
-    def conflicts(a, b):
-        (sa, ra), (sb, rb) = a, b
-        return bool({sa, ra} & {sb, rb}) or sa in adjacency[rb] or sb in adjacency[ra]
-
     queued = defaultdict(dict)   # node -> position -> relative deadline
     deadlines = {}
     active = {}
@@ -137,8 +139,9 @@ def audit_priority_order(log, adjacency, next_hop):
                     continue
                 head_dl = min(pending.values())
                 cand = (v, next_hop[v])
-                if head_dl < dl and conflicts(cand, (s, r)):
-                    blocked = any(conflicts(cand, b) for b in blockers)
+                if head_dl < dl and links_conflict(adjacency, cand, (s, r)):
+                    blocked = any(links_conflict(adjacency, cand, b)
+                                  for b in blockers)
                     if not blocked:
                         violations.append((line, v, head_dl))
             del queued[s][pos]
@@ -150,6 +153,50 @@ def audit_priority_order(log, adjacency, next_hop):
             if loc != "air":
                 queued[int(loc)].pop(pos, None)
     return violations
+
+
+def audit_work_conserving(log, adjacency, next_hop):
+    """At the end of every instant, each node that holds a queued packet and
+    is not an endpoint of an active transmission must have its head link
+    (node, next_hop[node]) in conflict with an active transmission: the MAC
+    leaves no grantable head idle. Reads a run's text event log alone; the
+    run must not stop at its first miss, which skips that instant's grants.
+    Returns the (time, node) pairs left idle."""
+    queued = defaultdict(set)   # node -> positions queued there
+    active = {}                 # position -> (sender, receiver)
+    idle = []
+
+    def audit(time):
+        links = list(active.values())
+        engaged = {v for link in links for v in link}
+        for v, pending in queued.items():
+            if pending and v not in engaged and not any(
+                    links_conflict(adjacency, (v, next_hop[v]), link)
+                    for link in links):
+                idle.append((time, v))
+
+    now = None
+    for line in log:
+        parts = line.split()
+        if parts[0] != now:
+            if now is not None:
+                audit(now)
+            now = parts[0]
+        kind = parts[1]
+        if kind in ("arrival", "enqueue"):
+            queued[int(parts[2])].add(int(parts[3]))
+        elif kind == "grant":
+            s, r = (int(x) for x in parts[2].split("->"))
+            pos = int(parts[3])
+            queued[s].discard(pos)
+            active[pos] = (s, r)
+        elif kind == "complete":
+            active.pop(int(parts[3]))
+        elif kind == "miss" and parts[2] != "air":
+            queued[int(parts[2])].discard(int(parts[3]))
+    if now is not None:
+        audit(now)
+    return idle
 
 
 def max_node_utilizations(topology, routes, workload, tx_time):

@@ -5,6 +5,7 @@ solvers defined at the top of this file and frozen; they never call the code
 path under test.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -333,6 +334,16 @@ class TestConvergecastDmSinkUtilization:
         assert 0 < d < m
         assert abs(d - bisect_convergecast_root(m, k)) <= 1e-8 * m
 
+    def test_seeded_roots_pinned_bit_for_bit(self):
+        # sha256 of the repr of 200 seeded roots: a faster form of the
+        # solver's reductions or rings must keep every root bit for bit
+        rng = np.random.default_rng(2026)
+        draws = [(float(rng.uniform(1.0, 100.0)), int(rng.integers(1, 257)))
+                 for _ in range(200)]
+        roots = [an.convergecast_dm_sink_utilization(m, k) for m, k in draws]
+        assert hashlib.sha256(repr(roots).encode()).hexdigest() == (
+            "87a981de4fda4c5e9d195e3eb44654aa4d6b5477d0b28204c460357809275c53")
+
     def test_rejects_fractional_hops(self):
         with pytest.raises(ValueError):
             an.convergecast_dm_sink_utilization(10, 2.5)
@@ -360,6 +371,12 @@ class TestHarmonicOddSum:
     def test_hundred_terms(self):
         assert an.harmonic_odd_sum(100) == pytest.approx(3.284342, abs=1e-5)
         assert an.harmonic_odd_sum(100, an.APPROXIMATE) == pytest.approx(3.302585, abs=1e-5)
+
+    def test_sums_pinned_bit_for_bit(self):
+        # sha256 of the repr of K = 1..256, frozen as for the DM roots
+        sums = [an.harmonic_odd_sum(k) for k in range(1, 257)]
+        assert hashlib.sha256(repr(sums).encode()).hexdigest() == (
+            "a560bda6cfba06313e7866a9f1be4ad130f30745cb76b0512abf3aa36c74624a")
 
     def test_matches_plain_loop(self):
         for k in (1, 2, 5, 37, 1000):

@@ -18,6 +18,7 @@ from rtcap import topology as tp
 from helpers import (
     EVAL_GRID,
     audit_priority_order,
+    audit_work_conserving,
     chain_network,
     contended_run,
     instance_is_dm_feasible,
@@ -467,7 +468,20 @@ class TestMedium:
             medium.receivers.discard(receiver)
 
         monkeypatch.setattr(sc.Medium, "release", leaky_release)
-        with pytest.raises(sc.InvariantError, match="medium not idle"):
+        # the stale sender makes the MAC refuse a link nothing in the air
+        # blocks, which the work-conservation check may see first
+        with pytest.raises(sc.InvariantError,
+                           match="medium not idle|nothing blocking"):
+            contended_run(seed=3)
+
+    def test_refusal_needs_a_blocker(self, monkeypatch):
+        # a MAC that refuses every candidate leaves the first head idle with
+        # nothing in the air to block it
+        monkeypatch.setattr(sc, "admissible_transmissions",
+                            lambda candidates, medium: [])
+        with pytest.raises(sc.InvariantError,
+                           match=r"candidate \d+->\d+ refused with nothing "
+                                 r"blocking it"):
             contended_run(seed=3)
 
 
@@ -525,19 +539,6 @@ class TestMacProperties:
             medium.occupy(s, r)
         assert sc.admissible_transmissions(candidates, medium) \
             == self.oracle(adjacency, active, candidates)
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_networks())
-    def test_link_reach_covers_every_head_it_can_unblock(self, network):
-        topo, routes = network
-        adjacency, next_hop = topo.adjacency, routes.next_hop
-        reach = sc._release_reach(adjacency, next_hop)
-        assert reach.keys() == next_hop.keys()
-        for s, r in next_hop.items():
-            ball = {s, r, *adjacency[s], *adjacency[r]}
-            unblockable = {v for v, w in next_hop.items()
-                           if v in ball or w in ball}
-            assert unblockable <= reach[s]
 
     def test_run_reaches_the_mac_through_the_module(self, monkeypatch):
         # a tracer times the MAC by replacing this module attribute
@@ -610,6 +611,22 @@ class TestRunSimulationTraces:
         # at t=0.45 the expiring packet has traversed 1 hop (1000 bits / 0.45 s)
         # and the relay packet none
         assert m.capacity_consumption_at_first_miss == pytest.approx(1000 / 0.45)
+
+    def test_receiver_sends_when_its_incoming_packet_missed_in_the_air(self):
+        # chain 0 -> 1 -> 2(sink): packet 0 expires at 0.2 on the hop 0 -> 1,
+        # and packet 1 queues at the receiving node 1 at 0.1; the hop's end
+        # at 0.4 frees node 1, which has nothing to forward and sends its own
+        topo, routes = chain_network(3)
+        wl = mk_workload([
+            mk_packet(0, at=0.0, deadline=0.2),
+            mk_packet(1, at=0.1, deadline=5.0),
+        ])
+        trace = []
+        m = sc.run_simulation(topo, routes, wl, self.CFG, event_log=trace)
+        assert [(t, s, r, pos) for t, kind, s, r, pos in trace
+                if kind == sc.GRANT] == [(0.0, 0, 1, 0), (0.4, 1, 2, 1)]
+        assert m.missed == 1 and m.delivered == 1
+        assert m.delays == (pytest.approx(0.7),)
 
     def test_first_miss_snapshot_counts_delivered_and_mid_route(self):
         # chain 0 -> 1 -> 2 -> 3(sink). Packet 0 is delivered at 0.4 but
@@ -938,6 +955,39 @@ class TestEventLogAudits:
         violations = audit_priority_order(sc.format_events(trace, wl),
                                           topo.adjacency, routes.next_hop)
         assert violations == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_no_grantable_head_left_idle(self, seed):
+        trace = []
+        topo, routes, _, wl, _ = contended_run(seed=seed, rate=8.0,
+                                               event_log=trace)
+        assert audit_work_conserving(sc.format_events(trace, wl),
+                                     topo.adjacency, routes.next_hop) == []
+
+    def test_work_conservation_audit_flags_an_idle_head(self):
+        # node 0 of a 3-chain queues a packet at 0.0 and is granted only at
+        # 0.5, with nothing in the air between
+        topo, routes = chain_network(3)
+        log = ["0.0 arrival 0 0 1.0", "0.5 grant 0->1 0", "0.6 complete 0->1 0",
+               "0.6 enqueue 1 0"]
+        assert audit_work_conserving(log, topo.adjacency, routes.next_hop) \
+            == [("0.0", 0), ("0.6", 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_networks(), st.integers(0, 2**16))
+    def test_heavy_load_audits(self, network, seed):
+        # 50 ms hops at 8 packets/s per node keep every contention set busy
+        topo, routes = network
+        cfg = sc.SimConfig(packet_size=12_500.0, arrival_rate=8.0,
+                           duration=3.0, seed=seed)
+        wl = sc.generate_workload(topo, routes, cfg)
+        trace = []
+        sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
+        log = list(sc.format_events(trace, wl))
+        replay_active_sets(log, topo.adjacency)
+        assert audit_priority_order(log, topo.adjacency, routes.next_hop) == []
+        assert audit_work_conserving(log, topo.adjacency,
+                                     routes.next_hop) == []
 
 
 # ---------------------------------------------------------------------------
