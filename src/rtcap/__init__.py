@@ -25,8 +25,6 @@ from .analytics import (
     dm_path_feasible,
     edf_path_feasible,
     harmonic_odd_sum,
-    neighborhood_utilization,
-    node_utilization,
     rtcc_balanced,
     rtcc_convergecast,
     stage_delay_term,
@@ -66,7 +64,6 @@ from .topology import (
     TopologyStats,
     build_routes,
     compute_adjacency,
-    contention_sets,
     generate_perturbed_grid,
     load_topology,
     make_network,

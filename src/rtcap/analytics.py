@@ -1,10 +1,10 @@
 """Closed-form real-time capacity bounds for multi-hop wireless sensor networks.
 
-Everything in this module is a pure function of its inputs: per-packet and
-per-node utilizations, the worst-case stage (per-hop) delay factor, path
-feasibility tests for deadline-monotonic (DM) and earliest-deadline-first
-(EDF) medium arbitration, and the network-wide capacity limits for the two
-extreme traffic patterns:
+Everything in this module is a pure function of its inputs: the
+worst-case stage (per-hop) delay factor, path feasibility tests for
+deadline-monotonic (DM) and earliest-deadline-first (EDF) medium
+arbitration, and the network-wide capacity limits for the two extreme
+traffic patterns:
 
 * load-balanced traffic, where every contention neighborhood carries the
   same utilization, and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -130,37 +130,6 @@ class FeasibilityReport:
     lhs_value: float
     bound: float
     margin: float
-
-
-def node_utilization(loads: Iterable) -> float:
-    """Sum of per-hop utilizations T/D over the packets claiming one node,
-    each given as a (tx_time, deadline) pair. A pair with tx_time or
-    deadline <= 0, or with tx_time beyond its deadline (a packet that can
-    never be delivered on time), is a ValueError."""
-    total = 0.0
-    for tx_time, deadline in loads:
-        if not (tx_time > 0):
-            raise ValueError(f"tx_time must be > 0, got {tx_time}")
-        if not (deadline > 0):
-            raise ValueError(f"deadline must be > 0, got {deadline}")
-        if tx_time > deadline:
-            raise ValueError(
-                f"tx_time {tx_time} exceeds deadline {deadline}: "
-                "such a packet can never be delivered on time")
-        total += tx_time / deadline
-    return total
-
-
-def neighborhood_utilization(node_utils: Mapping, neighborhood: Iterable) -> float:
-    """Total utilization of one contention neighborhood (the node plus everyone
-    sharing its channel)."""
-    total = 0.0
-    for node in neighborhood:
-        if node not in node_utils:
-            raise ValueError(f"utilization entry missing for neighborhood "
-                             f"member {node!r}")
-        total += node_utils[node]
-    return total
 
 
 def stage_delay_term(vq: float) -> float:

@@ -23,7 +23,9 @@ refuses goes on the wait-list of one active transmission that blocks it,
 and when that transmission completes, only its endpoints and its
 wait-list are re-arbitrated besides the nodes the instant touched. A node
 keeps one head link, (v, next_hop[v]), so a head stays refused while its
-blocker is in the air.
+blocker is in the air. One lookup, `_conflict`, finds the live
+transmission a link conflicts with, against the run's own record of the
+air: a grant must find none, and a refused head waits on the one it finds.
 
 A workload is drawn in rounds of numpy blocks, one row per node, each
 round from its own child of `np.random.SeedSequence(config.seed)` (see
@@ -374,69 +376,54 @@ def measured_capacity_consumption(claims: Iterable, packet_size: float) -> float
     return sum(hops * packet_size / deadline for hops, deadline in claims)
 
 
-def _verify_exclusion(sender: int, receiver: int, air: dict,
-                      adjacency: dict) -> None:
-    # independent re-check of every grant against the live transmissions,
-    # `air` mapping each busy endpoint to its transmission's (sender,
-    # receiver, ...) tuple; adjacency is symmetric, so only the two
-    # endpoints' neighbours can conflict
-    for v in (sender, receiver):
-        if v in air:
-            tx = air[v]
-            raise InvariantError(
-                f"node reuse: grant {sender}->{receiver} overlaps "
-                f"{tx[0]}->{tx[1]}")
+def _conflict(sender: int, receiver: int, air: dict,
+              adjacency: dict) -> Optional[tuple]:
+    # the live transmission the link sender->receiver conflicts with, or
+    # None, from `air` (busy endpoint -> its (sender, receiver, position)),
+    # not the `Medium`: one using either endpoint, else one receiving in
+    # range of the sender, else one sending in range of the receiver;
+    # adjacency is symmetric, so only the endpoints' neighbours can conflict
+    tx = air.get(sender) or air.get(receiver)
+    if tx:
+        return tx
     for v in filter(air.__contains__, adjacency[sender]):
         if air[v][1] == v:
-            raise InvariantError(
-                f"sender {sender} inside range of receiving node {v}")
+            return air[v]
     for v in filter(air.__contains__, adjacency[receiver]):
         if air[v][0] == v:
-            raise InvariantError(
-                f"receiver {receiver} inside range of sending node {v}")
-
-
-def _blocker(sender: int, receiver: int, air: dict, adjacency: dict) -> int:
-    # the active sender whose transmission blocks the refused link
-    # sender->receiver, found against the live transmissions `air`: a busy
-    # receiver, else an active receiving node in range of the sender, else
-    # an active sending node in range of the receiver
-    if receiver in air:
-        return air[receiver][0]
-    for v in filter(air.__contains__, adjacency[sender]):
-        if air[v][1] == v:
-            return air[v][0]
-    for v in filter(air.__contains__, adjacency[receiver]):
-        if air[v][0] == v:
-            return v
-    raise InvariantError(
-        f"candidate {sender}->{receiver} refused with nothing blocking it")
+            return air[v]
+    return None
 
 
 def _offered_demand(packets: Arrivals, routes: RouteTable,
                     config: SimConfig) -> float:
-    """Bit-hops the packets inject, summed in workload order, over the
-    duration: the time-averaged demand, since each packet claims
-    size/deadline at every route node for its deadline window and the
-    deadline cancels. A packet that arrives after the duration, or whose
-    origin is a sink or not a node, is refused with a `ValueError` naming
-    the packet by its position."""
+    """Bit-hops the packets inject over the duration: the time-averaged
+    demand, since each packet claims size/deadline at every route node for
+    its deadline window and the deadline cancels. The hops are summed as
+    integers, then scaled by the packet size. A packet that arrives after
+    the duration, or whose origin is a sink or not a node, is refused with
+    a `ValueError` naming the first such packet by its position."""
     late = int(np.searchsorted(packets.arrival_time, config.duration, "right"))
     if late < len(packets):
         raise ValueError(f"packet {late} arrives at "
                          f"{packets.arrival_time[late].item()!r}, after the "
                          f"duration {config.duration!r}")
     hop_count = routes.hop_count
-    demand = {v: hop_count[v] * config.packet_size for v in routes.next_hop}
-    origins = packets.origin.tolist()
-    try:
-        return sum(map(demand.__getitem__, origins)) / config.duration
-    except KeyError:
-        pos = next(i for i, v in enumerate(origins) if v not in demand)
-        node = origins[pos]
-        what = "a sink" if node in hop_count else "not a node"
-        raise ValueError(f"packet {pos} originates at node {node}, which is "
-                         f"{what}") from None
+    # route hops by node, a node being its index; 0 marks a sink, and an
+    # origin outside the array is not a node
+    hops = np.zeros(len(hop_count), np.int64)
+    hops[list(routes.next_hop)] = [hop_count[v] for v in routes.next_hop]
+    origin = packets.origin
+    node = (origin >= 0) & (origin < len(hops))
+    claimed = np.zeros(len(origin), np.int64)
+    claimed[node] = hops[origin[node]]
+    if not claimed.all():
+        pos = int(claimed.argmin())
+        v = origin[pos].item()
+        what = "a sink" if node[pos] else "not a node"
+        raise ValueError(f"packet {pos} originates at node {v}, which is "
+                         f"{what}")
+    return int(claimed.sum()) * config.packet_size / config.duration
 
 
 def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
@@ -468,18 +455,18 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     medium is re-arbitrated over the backlogged nodes (those with a heap)
     the instant touched: arrivals, dropped heads, and for each completed
     (s, r) the nodes s and r and the wait-list of s. After the pass, each
-    refused candidate that is no endpoint goes on the wait-list of one
-    active sender whose transmission blocks it: the one using its
-    receiver, else one receiving in range of it, else one sending in range
-    of its receiver. That gives the same grants as a pass over the whole
-    backlog: a node's head link never changes, so every idle head left out
-    is still blocked by the transmission it waits on, and a node left out
-    as an endpoint is touched when its own transmission ends. The spatial
-    exclusion invariant is re-verified on every grant, and every refusal
-    must find its blocker, against the active transmissions, never against
-    the `Medium`; a run that drains without stopping must leave the medium
-    idle. Deadline misses are detected eagerly by expiry timers so
-    the capacity consumption at the first miss is sampled at the right
+    refused candidate that is no endpoint goes on the wait-list of the
+    active sender whose transmission `_conflict` finds for it: the one
+    using its receiver, else one receiving in range of it, else one
+    sending in range of its receiver. That gives the same grants as a pass
+    over the whole backlog: a node's head link never changes, so every
+    idle head left out is still blocked by the transmission it waits on,
+    and a node left out as an endpoint is touched when its own
+    transmission ends. That one lookup, against the active transmissions,
+    never the `Medium`, must find no conflict for a grant and one for a
+    refusal, or the run raises `InvariantError`; a run that drains without
+    stopping must leave the medium idle. Deadline misses are detected
+    eagerly by expiry timers so the capacity consumption at the first miss is sampled at the right
     instant. A missed packet leaves the network at once and is never sent
     on: a queued one's heap entry is discarded once it reaches the head,
     and one in the air goes no further when its hop completes. Packet size
@@ -624,7 +611,10 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             else:
                 del queues[v]
         for entry, s, r in admissible_transmissions(candidates, medium):
-            _verify_exclusion(s, r, air, adjacency)
+            tx = _conflict(s, r, air, adjacency)
+            if tx:
+                raise InvariantError(f"grant {s}->{r} conflicts with live "
+                                     f"{tx[0]}->{tx[1]}")
             heap = queues[s]
             if pop(heap) is not entry:
                 raise InvariantError(f"queue head changed under grant at node {s}")
@@ -636,7 +626,11 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 log((now, GRANT, s, r, entry[1]))
         for _, _, v, r in candidates:
             if v not in air:  # refused, and no endpoint of a grant since
-                waiting[_blocker(v, r, air, adjacency)].append(v)
+                tx = _conflict(v, r, air, adjacency)
+                if not tx:
+                    raise InvariantError(f"candidate {v}->{r} refused with "
+                                         f"nothing blocking it")
+                waiting[tx[0]].append(v)
 
     if not stop and not medium.is_idle():
         raise InvariantError("medium not idle after the run drained")

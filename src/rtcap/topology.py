@@ -218,12 +218,6 @@ def _occupied_steps(cells: np.ndarray):
     return len(occupied), steps
 
 
-def contention_sets(topology: Topology) -> dict:
-    """Each node's contention set: its radio neighborhood plus itself (a
-    node's own queued traffic competes for the same channel)."""
-    return {x: frozenset((x, *nbrs)) for x, nbrs in topology.adjacency.items()}
-
-
 def _subgrid_factors(sink_count: int, rows: int, cols: int):
     """Factor pair (a, b), a*b == sink_count, with aspect closest to the grid's."""
     target = math.log(rows / cols)

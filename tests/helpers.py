@@ -224,7 +224,8 @@ def instance_is_dm_feasible(topology, routes, workload, tx_time):
     """Path-by-path fixed-priority feasibility check on measured (worst-case)
     neighborhood utilizations at per-hop time `tx_time`."""
     peaks = max_node_utilizations(topology, routes, workload, tx_time)
-    cont = tp.contention_sets(topology)
+    # a node's contention set: itself and its radio neighbours
+    cont = {x: (x, *nbrs) for x, nbrs in topology.adjacency.items()}
     vq = {x: sum(peaks[y] for y in members) for x, members in cont.items()}
     for origin in topology.adjacency:
         if origin in routes.sinks:

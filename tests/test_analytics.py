@@ -54,48 +54,6 @@ def odd_harmonic_loop(k):
 
 
 # ---------------------------------------------------------------------------
-# Utilization primitives
-# ---------------------------------------------------------------------------
-
-class TestNodeUtilization:
-    def test_empty(self):
-        assert an.node_utilization([]) == 0.0
-
-    def test_single_ratio(self):
-        assert an.node_utilization([(0.1, 1.0)]) == pytest.approx(0.1)
-
-    def test_sum_of_ratios(self):
-        loads = [(0.1, 1.0), (0.2, 2.0), (0.05, 0.5)]
-        assert an.node_utilization(loads) == pytest.approx(0.3)
-
-    @pytest.mark.parametrize("tx,dl", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -1.0)])
-    def test_invalid_load_rejected(self, tx, dl):
-        with pytest.raises(ValueError):
-            an.node_utilization([(tx, dl)])
-
-    def test_tx_beyond_deadline_rejected(self):
-        with pytest.raises(ValueError, match="exceeds deadline"):
-            an.node_utilization([(0.1, 1.0), (2.0, 1.0)])
-
-
-class TestNeighborhoodUtilization:
-    def test_singleton(self):
-        assert an.neighborhood_utilization({"a": 0.1}, {"a"}) == pytest.approx(0.1)
-
-    def test_subset_sum(self):
-        utils = {"a": 0.1, "b": 0.2, "c": 0.3}
-        assert an.neighborhood_utilization(utils, {"a", "b"}) == pytest.approx(0.3)
-
-    def test_all_zero(self):
-        utils = {"a": 0.0, "b": 0.0}
-        assert an.neighborhood_utilization(utils, {"a", "b"}) == 0.0
-
-    def test_missing_member_rejected(self):
-        with pytest.raises(ValueError, match="entry missing"):
-            an.neighborhood_utilization({"a": 0.1}, {"a", "b"})
-
-
-# ---------------------------------------------------------------------------
 # Stage delay and feasibility
 # ---------------------------------------------------------------------------
 

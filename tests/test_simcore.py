@@ -22,6 +22,7 @@ from helpers import (
     chain_network,
     contended_run,
     instance_is_dm_feasible,
+    links_conflict,
     measured_dm_bound,
     mk_packet,
     mk_workload,
@@ -425,7 +426,7 @@ class TestMedium:
                 if not sc.admissible_transmissions([dm(pkt, s, r)], medium):
                     continue
                 air = {v: tx for tx in active for v in tx[:2]}
-                sc._verify_exclusion(s, r, air, adjacency)
+                assert sc._conflict(s, r, air, adjacency) is None
                 active.append((s, r, step))
             assert (medium.busy, medium.senders, medium.receivers) \
                 == self.rebuilt(active)
@@ -435,8 +436,10 @@ class TestMedium:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_verify_exclusion_matches_brute_force(self, seed):
-        # every head-of-route pair against a random live set, checked against
-        # a scan of all live transmissions
+        # the conflict lookup for every head-of-route pair against a random
+        # live set, checked against a scan of all live transmissions: it
+        # finds nothing exactly when the scan does, and otherwise one of
+        # the live transmissions, which conflicts with the pair
         topo, routes = tp.make_network(6, 6, spacing=10.0, jitter=0.2,
                                        seed=seed, radio_range=15.0,
                                        sink_count=1)
@@ -453,12 +456,11 @@ class TestMedium:
         for s, r in routes.next_hop.items():
             conflict = any({s, r} & {ts, tr} or s in adjacency[tr]
                            or r in adjacency[ts] for ts, tr, _ in active)
-            try:
-                sc._verify_exclusion(s, r, air, adjacency)
-                raised = False
-            except sc.InvariantError:
-                raised = True
-            assert raised == conflict
+            tx = sc._conflict(s, r, air, adjacency)
+            assert (tx is not None) == conflict
+            if tx is not None:
+                assert tx in active
+                assert links_conflict(adjacency, (s, r), tx[:2])
 
     def test_run_must_leave_medium_idle(self, monkeypatch):
         # a release that forgets the sender leaves it in `senders`
@@ -472,6 +474,20 @@ class TestMedium:
         # blocks, which the work-conservation check may see first
         with pytest.raises(sc.InvariantError,
                            match="medium not idle|nothing blocking"):
+            contended_run(seed=3)
+
+    def test_conflicting_grant_raises(self, monkeypatch):
+        # a MAC that grants every candidate has its first conflicting grant
+        # caught by the per-grant check, against the transmissions in the air
+        def grant_all(candidates, medium):
+            for _, _, sender, receiver in candidates:
+                medium.occupy(sender, receiver)
+            return [(packet, s, r) for _, packet, s, r in candidates]
+
+        monkeypatch.setattr(sc, "admissible_transmissions", grant_all)
+        with pytest.raises(sc.InvariantError,
+                           match=r"grant \d+->\d+ conflicts with live "
+                                 r"\d+->\d+"):
             contended_run(seed=3)
 
     def test_refusal_needs_a_blocker(self, monkeypatch):

@@ -209,13 +209,6 @@ class TestAdjacency:
         assert all(w is ids[w] for nbrs in topo.adjacency.values() for w in nbrs)
         assert all(v is ids[v] and w is ids[w] for v, w in routes.next_hop.items())
 
-    def test_contention_sets_add_self(self):
-        topo = tp.generate_perturbed_grid(2, 2, 10.0, 0.0, seed=0, radio_range=10.0)
-        cont = tp.contention_sets(topo)
-        for node_id, members in cont.items():
-            assert node_id in members
-            assert len(members) == 3
-
     def test_compute_adjacency_writes_nothing(self):
         topo, _ = tp.make_network(4, 4, radio_range=15.0)
         before = dict(topo.adjacency)
