@@ -11,9 +11,11 @@ a missed packet's claim drops to zero).
 
 A packet is its position in the workload, and the scheduling policy
 lives in `priority_key` alone. A packet's key is computed once, at its
-arrival, and carried hop by hop in the packet's one heap entry; the MAC
-(`admissible_transmissions`) grants candidates in the order of the keys
-it is given and knows no rule of its own.
+arrival, from the arrival's fields as plain numbers; it is one flat tuple
+whose last field is the position, and that tuple is the packet's heap
+entry, carried hop by hop. The MAC (`admissible_transmissions`) grants
+candidates in the order of the keys it is given and knows no rule of its
+own.
 
 Arbitration is by set membership. A `Medium` holds the busy endpoints,
 active senders and active receivers as sets, each grant and completion
@@ -25,14 +27,17 @@ wait-list are re-arbitrated besides the nodes the instant touched. A node
 keeps one head link, (v, next_hop[v]), so a head stays refused while its
 blocker is in the air. One lookup, `_conflict`, finds the live
 transmission a link conflicts with, against the run's own record of the
-air: a grant must find none, and a refused head waits on the one it finds.
+air (each busy endpoint's transmission, and sets of the active senders
+and receivers, kept by the run apart from the `Medium`): a grant must
+find none, and a refused head waits on the one it finds.
 
 A workload is drawn in rounds of numpy blocks, one row per node, each
 round from its own child of `np.random.SeedSequence(config.seed)` (see
 `generate_workload`). A node's arrivals therefore depend on neither the
 duration nor which other nodes are sinks: a shorter run's workload is
 exactly the first part of a longer one's. The workload holds its arrivals
-as columns (`Arrivals`), and a `Packet` is built only when it is read.
+as columns (`Arrivals`), and a `Packet` is built only when it is read;
+`Arrivals.rows` reads chosen fields a slice of the columns at a time.
 
 A run reads the workload's arrivals in time order through a cursor over
 those columns; its event queues hold only transmission completions and
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -93,10 +99,6 @@ class Packet(NamedTuple):
     arrival_time: float
     relative_deadline: float
     tie_key: float
-
-    @property
-    def absolute_deadline(self) -> float:
-        return self.arrival_time + self.relative_deadline
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,18 @@ class SimConfig:
         return self.arrival_rate * self.tx_time >= 1.0
 
 
+# packets `Arrivals.rows` converts from the columns at a time
+_SLICE = 1024
+
+
 @dataclass(frozen=True, eq=False)
 class Arrivals:
     """A workload's arrivals in workload order as four read-only numpy
     columns, one per `Packet` field, read as `Packet`s that are built on
-    demand. It supports `len`, integer indexing (so `bisect` works on it),
-    iteration and equality with other `Arrivals` or with a tuple of
-    packets.
+    demand. It supports `len`, integer indexing (so `bisect` works on it;
+    any other index is a `TypeError`), iteration and equality with other
+    `Arrivals` or with a tuple of packets. `rows` reads chosen fields
+    without building packets.
 
     The float columns must be finite, deadlines > 0 and arrival times in
     order: a NaN arrival never comes due, an infinite one or a NaN deadline
@@ -193,15 +200,24 @@ class Arrivals:
         return len(self.origin)
 
     def __getitem__(self, index: int) -> Packet:
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise TypeError(f"Arrivals indices must be integers, not "
+                            f"{type(index).__name__}") from None
         return Packet._make(column[index].item() for column in self.columns())
 
+    def rows(self, *names: str):
+        """The named fields of each packet in workload order, as a tuple of
+        Python numbers, converted from the columns a slice at a time as
+        they are read."""
+        columns = [getattr(self, name) for name in names]
+        for start in range(0, len(self), _SLICE):
+            yield from zip(*(column[start:start + _SLICE].tolist()
+                             for column in columns))
+
     def __iter__(self):
-        # packets are built a slice of the columns at a time, as they are read
-        step = 1024
-        for start in range(0, len(self), step):
-            yield from map(Packet._make, zip(*(
-                column[start:start + step].tolist()
-                for column in self.columns())))
+        return map(Packet._make, self.rows(*Packet._fields))
 
     def __eq__(self, other):
         if isinstance(other, (Arrivals, tuple)):
@@ -256,11 +272,14 @@ class CriticalCapacity:
         return self.value is not None
 
 
-def priority_key(packet: Packet, position: int):
+def priority_key(arrival_time: float, relative_deadline: float,
+                 tie_key: float, position: int) -> tuple:
     """Global deadline-monotonic transmission order: smallest relative
     deadline first, ties broken by the packet's seeded random tie key, then
-    by its position in the workload."""
-    return (packet.relative_deadline, packet.tie_key, position)
+    by its position in the workload. Takes the arrival's fields as plain
+    numbers and returns one flat tuple, which the run uses as the packet's
+    heap entry: its last field must be the position."""
+    return (relative_deadline, tie_key, position)
 
 
 # arrivals each node draws per round of `generate_workload`
@@ -376,22 +395,23 @@ def measured_capacity_consumption(claims: Iterable, packet_size: float) -> float
     return sum(hops * packet_size / deadline for hops, deadline in claims)
 
 
-def _conflict(sender: int, receiver: int, air: dict,
-              adjacency: dict) -> Optional[tuple]:
+def _conflict(sender: int, receiver: int, air: dict, sending: set,
+              receiving: set, adjacency: dict) -> Optional[tuple]:
     # the live transmission the link sender->receiver conflicts with, or
-    # None, from `air` (busy endpoint -> its (sender, receiver, position)),
-    # not the `Medium`: one using either endpoint, else one receiving in
-    # range of the sender, else one sending in range of the receiver;
-    # adjacency is symmetric, so only the endpoints' neighbours can conflict
-    tx = air.get(sender) or air.get(receiver)
-    if tx:
-        return tx
-    for v in filter(air.__contains__, adjacency[sender]):
-        if air[v][1] == v:
-            return air[v]
-    for v in filter(air.__contains__, adjacency[receiver]):
-        if air[v][0] == v:
-            return air[v]
+    # None, from the run's own record of the air, not the `Medium`: `air`
+    # maps each busy endpoint to its (sender, receiver, position), and
+    # `sending` and `receiving` hold the active senders and receivers. It is
+    # one using either endpoint, else the first receiver among the sender's
+    # neighbours, else the first sender among the receiver's; adjacency is
+    # symmetric, so only the endpoints' neighbours can conflict
+    if sender in air or receiver in air:
+        return air.get(sender) or air[receiver]
+    near = adjacency[sender]
+    if not receiving.isdisjoint(near):
+        return air[next(filter(receiving.__contains__, near))]
+    near = adjacency[receiver]
+    if not sending.isdisjoint(near):
+        return air[next(filter(sending.__contains__, near))]
     return None
 
 
@@ -432,55 +452,66 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     Each instant runs three phases, then one grant pass: completions at
     `now`, arrivals at `now` (read in order through a cursor over the
-    workload's arrival columns, each packet built as the cursor reaches
-    it), and deadline expiries at `now`. Completions free the channel
-    before same-instant arrivals are queued, and a completion landing
-    exactly at the deadline counts as on time because expiries come last.
-    Every hop takes `tx_time`, so completions come due in grant order and
-    wait in a FIFO; expiries wait in a heap keyed by deadline and workload
-    position.
+    workload's arrival columns), and deadline expiries at `now`.
+    Completions free the channel before same-instant arrivals are queued,
+    and a completion landing exactly at the deadline counts as on time
+    because expiries come last. Every hop takes `tx_time`, so completions
+    come due in grant order and wait in a FIFO; expiries wait in a heap
+    keyed by deadline and workload position.
 
-    A packet's `priority_key` is computed once, at its arrival, into its
-    entry (key, workload position, absolute deadline). That one entry moves
-    unchanged from its node's priority heap to the completion FIFO and on
-    to the next node's heap, hop by hop. The run keeps its per-packet state
-    by workload position: the node holding each packet from its arrival
-    until it leaves the network. Before the first event, a packet that
-    arrives after the duration or whose origin is a sink or not a node is
-    refused with a `ValueError`.
+    The cursor reads each arrival's origin, relative deadline and tie key
+    through `Arrivals.rows`, which converts the columns a slice at a time:
+    no `Packet` is built, and no whole column but the arrival times is
+    made a list. A packet's `priority_key` is computed once, at its
+    arrival, from those numbers. The key is the packet's entry, a flat
+    tuple whose last field is its workload position ((relative deadline,
+    tie key, position) under DM): the node-heap entry, the completion-FIFO
+    entry and the MAC candidate key, moving unchanged from its node's heap
+    to the completion FIFO and on to the next node's heap, hop by hop. The
+    run keeps its per-packet state by workload position: the node holding
+    each packet from its arrival until it leaves the network. Before the
+    first event, a packet that arrives after the duration or whose origin
+    is a sink or not a node is refused with a `ValueError`.
 
     The `Medium` keeps the busy endpoints, active senders and active
-    receivers as sets, added to once per grant and discarded from once per
-    completion. After the phases of each instant that touched a node, the
-    medium is re-arbitrated over the backlogged nodes (those with a heap)
-    the instant touched: arrivals, dropped heads, and for each completed
-    (s, r) the nodes s and r and the wait-list of s. After the pass, each
-    refused candidate that is no endpoint goes on the wait-list of the
-    active sender whose transmission `_conflict` finds for it: the one
-    using its receiver, else one receiving in range of it, else one
-    sending in range of its receiver. That gives the same grants as a pass
-    over the whole backlog: a node's head link never changes, so every
-    idle head left out is still blocked by the transmission it waits on,
-    and a node left out as an endpoint is touched when its own
-    transmission ends. That one lookup, against the active transmissions,
-    never the `Medium`, must find no conflict for a grant and one for a
-    refusal, or the run raises `InvariantError`; a run that drains without
-    stopping must leave the medium idle. Deadline misses are detected
-    eagerly by expiry timers so the capacity consumption at the first miss is sampled at the right
-    instant. A missed packet leaves the network at once and is never sent
-    on: a queued one's heap entry is discarded once it reaches the head,
-    and one in the air goes no further when its hop completes. Packet size
-    and per-hop time come from `config`, hop counts from `routes`; a packet
-    is delivered when it reaches a sink, a node with no next hop. A given
-    `event_log` list receives one (time, kind, node, receiver, workload
-    position) tuple per event.
+    receivers as sets for the MAC, added to once per grant and discarded
+    from once per completion. The loop keeps its own record of the air
+    beside it, never through the `Medium`: `air` maps each busy endpoint
+    to its (sender, receiver, position), and two sets hold the active
+    senders and the active receivers. After the phases of each instant
+    that touched a node, the medium is re-arbitrated over the backlogged
+    nodes (those with a heap) the instant touched: arrivals, dropped
+    heads, and for each completed (s, r) the nodes s and r and the
+    wait-list of s. After the pass, each refused candidate that is no
+    endpoint goes on the wait-list of the active sender whose transmission
+    `_conflict` finds for it: the one using its receiver, else one
+    receiving in range of it, else one sending in range of its receiver.
+    That gives the same grants as a pass over the whole backlog: a node's
+    head link never changes, so every idle head left out is still blocked
+    by the transmission it waits on, and a node left out as an endpoint is
+    touched when its own transmission ends. That one lookup, against the
+    run's record, rules out a conflict by two endpoint lookups in `air`
+    and two `isdisjoint` tests of the sender and receiver sets against the
+    endpoints' neighbours. It must find no conflict for a grant and one
+    for a refusal, or the run raises `InvariantError`; a run that drains
+    without stopping must leave the medium idle. Deadline misses are
+    detected eagerly by expiry timers so the capacity consumption at the
+    first miss is sampled at the right instant. A missed packet leaves the
+    network at once and is never sent on: a queued one's heap entry is
+    discarded once it reaches the head, and one in the air goes no further
+    when its hop completes. Packet size and per-hop time come from
+    `config`, hop counts from `routes`; a packet is delivered when it
+    reaches a sink, a node with no next hop. A given `event_log` list
+    receives one (time, kind, node, receiver, workload position) tuple per
+    event.
     """
     adjacency = topology.adjacency
     next_hop, hop_count = routes.next_hop, routes.hop_count
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
-    pending = iter(packets)    # each packet is built when the cursor reads it
+    # the fields of each arrival, read a slice of the columns at a time
+    pending = packets.rows("origin", "relative_deadline", "tie_key")
     times = packets.arrival_time.tolist()
     arrivals = len(times)
     times.append(math.inf)     # past the last arrival
@@ -494,13 +525,16 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     # that took it on time, until its expiry; None before it arrives and
     # once it has left
     at = [None] * arrivals
-    # backlogged node -> heap of entries (key, position, absolute deadline),
-    # held only while the heap is non-empty; a dropped packet's entry leaves
-    # once it is the head
+    # backlogged node -> heap of entries, each a packet's priority key with
+    # its position last, held only while the heap is non-empty; a dropped
+    # packet's entry leaves once it is the head
     queues = {}
     medium = Medium(adjacency)
     busy, release = medium.busy, medium.release
+    # the run's own record of the air, kept apart from the `Medium`
     air = {}               # busy endpoint -> its (sender, receiver, position)
+    sending = set()        # active senders
+    receiving = set()      # active receivers
     # active sender -> the nodes whose head its transmission blocked
     waiting = defaultdict(list)
     log = event_log.append if event_log is not None else None
@@ -529,6 +563,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             _, entry, tx = completions.popleft()
             s, r, pos = tx
             del air[s], air[r]
+            sending.remove(s)
+            receiving.remove(r)
             release(s, r)
             # the sender and the heads the link blocked, if backlogged; the
             # receiver is touched below, when it queues the packet or drops it
@@ -555,13 +591,12 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                     log((now, DELIVER, r, -1, pos))
 
         while times[cursor] == now:
-            packet = next(pending)
-            origin, deadline = packet.origin, packet.absolute_deadline
+            origin, relative, tie = next(pending)
             at[cursor] = origin
             push(queues.get(origin) or queues.setdefault(origin, []),
-                 (key_of(packet, cursor), cursor, deadline))
+                 key_of(now, relative, tie, cursor))
             touched.add(origin)
-            push(expiries, (deadline, cursor))
+            push(expiries, (now + relative, cursor))
             if log:
                 log((now, ARRIVAL, origin, -1, cursor))
             cursor += 1
@@ -603,15 +638,15 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             if v in busy:
                 continue
             heap = queues[v]
-            while heap and at[heap[0][1]] is None:
+            while heap and at[heap[0][-1]] is None:
                 pop(heap)
             if heap:
                 entry = heap[0]
-                candidates.append((entry[0], entry, v, next_hop[v]))
+                candidates.append((entry, entry, v, next_hop[v]))
             else:
                 del queues[v]
         for entry, s, r in admissible_transmissions(candidates, medium):
-            tx = _conflict(s, r, air, adjacency)
+            tx = _conflict(s, r, air, sending, receiving, adjacency)
             if tx:
                 raise InvariantError(f"grant {s}->{r} conflicts with live "
                                      f"{tx[0]}->{tx[1]}")
@@ -620,13 +655,15 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 raise InvariantError(f"queue head changed under grant at node {s}")
             if not heap:
                 del queues[s]
-            tx = air[s] = air[r] = (s, r, entry[1])
+            tx = air[s] = air[r] = (s, r, entry[-1])
+            sending.add(s)
+            receiving.add(r)
             completions.append((now + tx_time, entry, tx))
             if log:
-                log((now, GRANT, s, r, entry[1]))
+                log((now, GRANT, s, r, entry[-1]))
         for _, _, v, r in candidates:
             if v not in air:  # refused, and no endpoint of a grant since
-                tx = _conflict(v, r, air, adjacency)
+                tx = _conflict(v, r, air, sending, receiving, adjacency)
                 if not tx:
                     raise InvariantError(f"candidate {v}->{r} refused with "
                                          f"nothing blocking it")

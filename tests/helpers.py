@@ -209,7 +209,7 @@ def max_node_utilizations(topology, routes, workload, tx_time):
         u = tx_time / p.relative_deadline
         for v in routes.route(p.origin):
             deltas[v].append((p.arrival_time, u))
-            deltas[v].append((p.absolute_deadline, -u))
+            deltas[v].append((p.arrival_time + p.relative_deadline, -u))
     peaks = {}
     for v in topology.adjacency:
         level = peak = 0.0

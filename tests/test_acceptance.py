@@ -209,11 +209,12 @@ def test_criterion_9b_exclusion_invariant():
     adjacency = {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1, 3}),
                  3: frozenset({2})}
     # the in-flight record maps each busy endpoint to its transmission, a
-    # (sender, receiver, workload position) tuple
+    # (sender, receiver, workload position) tuple, and holds the active
+    # senders and the active receivers
     tx = (0, 1, 99)
-    assert sc._conflict(2, 3, {0: tx, 1: tx}, adjacency) == tx  # sender 2 near receiver 1
+    assert sc._conflict(2, 3, {0: tx, 1: tx}, {0}, {1}, adjacency) == tx  # sender 2 near receiver 1
     tx = (1, 0, 9)
-    assert sc._conflict(3, 2, {0: tx, 1: tx}, adjacency) == tx  # receiver 2 near sender 1
+    assert sc._conflict(3, 2, {0: tx, 1: tx}, {1}, {0}, adjacency) == tx  # receiver 2 near sender 1
 
     trace = []
     topo, _, _, wl, metrics = contended_run(seed=13, rate=8.0,

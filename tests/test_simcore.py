@@ -314,15 +314,47 @@ class TestWorkloadStreams:
         if built == "by hand":  # taken as listed
             assert [p.origin for p in listed] == [2, 1, 1]
 
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_rows_across_slice_boundaries(self, n):
+        # the run reads three fields through `rows`, a slice of the columns
+        # at a time; the packets built one index at a time are the reference
+        rng = np.random.default_rng(n)
+        packets = sc.Arrivals(np.arange(n) % 7, np.arange(n) * 0.01,
+                              1.0 + np.arange(n) % 3, rng.random(n))
+        listed = tuple(packets)
+        assert listed == tuple(packets[i] for i in range(n))
+        run_fields = ("origin", "relative_deadline", "tie_key")
+        read = list(packets.rows(*run_fields))
+        assert read == [tuple(getattr(p, f) for f in run_fields)
+                        for p in listed]
+        assert list(packets.rows(*sc.Packet._fields)) == list(listed)
+        assert all(type(o) is int and type(d) is float and type(t) is float
+                   for o, d, t in read)
+
+    @pytest.mark.parametrize("index", [slice(1, 3), 1.0, "1", None])
+    def test_non_integer_index_refused(self, index):
+        packets = mk_workload([mk_packet(0, 0.1 * i, 1.0)
+                               for i in range(4)]).packets
+        with pytest.raises(TypeError, match=rf"not {type(index).__name__}$"):
+            packets[index]
+        assert packets[np.int64(1)] == packets[1] == packets[-3]
+
 
 # ---------------------------------------------------------------------------
 # Medium arbitration
 # ---------------------------------------------------------------------------
 
+def dm_key(packet, position):
+    """The packet's deadline-monotonic key, computed from its fields as the
+    run computes it at the packet's arrival at that workload position."""
+    return sc.priority_key(packet.arrival_time, packet.relative_deadline,
+                           packet.tie_key, position)
+
+
 def dm(packet, sender, receiver, position=0):
     """A MAC candidate keyed in deadline-monotonic order, as the run queues
     the packet at that workload position."""
-    return (sc.priority_key(packet, position), packet, sender, receiver)
+    return (dm_key(packet, position), packet, sender, receiver)
 
 
 class TestAdmissibleTransmissions:
@@ -381,13 +413,13 @@ class TestAdmissibleTransmissions:
         medium = self.medium(4)
         lax = mk_packet(1, at=0.0, deadline=2.0)
         urgent = mk_packet(3, at=1.8, deadline=0.5)
-        assert lax.absolute_deadline < urgent.absolute_deadline
-        assert sc.priority_key(urgent, 1) < sc.priority_key(lax, 0)
+        assert dm_key(urgent, 1) < dm_key(lax, 0)
 
         def edf(packet, position, sender, receiver):
-            key = (packet.absolute_deadline, packet.tie_key, position)
-            return (key, packet, sender, receiver)
+            _, at, deadline, tie = packet
+            return ((at + deadline, tie, position), packet, sender, receiver)
 
+        assert edf(lax, 0, 1, 2)[0] < edf(urgent, 1, 3, 2)[0]
         grants = sc.admissible_transmissions(
             [edf(urgent, 1, 3, 2), edf(lax, 0, 1, 2)], medium)
         assert grants == [(lax, 1, 2)]
@@ -405,6 +437,14 @@ class TestMedium:
         (sender, receiver, position) transmissions alone."""
         busy = {v for s, r, _ in active for v in (s, r)}
         return busy, {s for s, _, _ in active}, {r for _, r, _ in active}
+
+    @staticmethod
+    def record(active):
+        """The run's record of the air for the active transmissions: each
+        busy endpoint mapped to its transmission, the senders, the
+        receivers."""
+        air = {v: tx for tx in active for v in tx[:2]}
+        return air, {s for s, _, _ in active}, {r for _, r, _ in active}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_occupy_release_matches_rebuild(self, seed):
@@ -425,8 +465,8 @@ class TestMedium:
                 pkt = mk_packet(s, 0.0, 1.0)
                 if not sc.admissible_transmissions([dm(pkt, s, r)], medium):
                     continue
-                air = {v: tx for tx in active for v in tx[:2]}
-                assert sc._conflict(s, r, air, adjacency) is None
+                assert sc._conflict(s, r, *self.record(active),
+                                    adjacency) is None
                 active.append((s, r, step))
             assert (medium.busy, medium.senders, medium.receivers) \
                 == self.rebuilt(active)
@@ -452,15 +492,27 @@ class TestMedium:
             pkt = mk_packet(s, 0.0, 1.0)
             if sc.admissible_transmissions([dm(pkt, s, r)], medium):
                 active.append((s, r, step))
-        air = {v: tx for tx in active for v in tx[:2]}
+        record = self.record(active)
         for s, r in routes.next_hop.items():
             conflict = any({s, r} & {ts, tr} or s in adjacency[tr]
                            or r in adjacency[ts] for ts, tr, _ in active)
-            tx = sc._conflict(s, r, air, adjacency)
+            tx = sc._conflict(s, r, *record, adjacency)
             assert (tx is not None) == conflict
             if tx is not None:
                 assert tx in active
                 assert links_conflict(adjacency, (s, r), tx[:2])
+
+    @pytest.mark.parametrize("active, blocker", [
+        ([(0, 1, 7), (3, 4, 9)], (3, 4, 9)),  # an endpoint first
+        ([(4, 5, 8), (0, 1, 7)], (0, 1, 7)),  # then a receiver near 2
+        ([(4, 5, 8), (1, 0, 7)], (4, 5, 8)),  # then a sender near 3
+        ([(1, 0, 7), (5, 4, 8)], None)])
+    def test_conflict_lookup_order(self, active, blocker):
+        # on a chain, where v's neighbours are v - 1 and v + 1, the link
+        # 2->3 meets every kind of conflict; a refused head waits on the
+        # transmission found first, which decides the nodes re-arbitrated
+        adjacency = chain_network(6)[0].adjacency
+        assert sc._conflict(2, 3, *self.record(active), adjacency) == blocker
 
     def test_run_must_leave_medium_idle(self, monkeypatch):
         # a release that forgets the sender leaves it in `senders`
@@ -935,9 +987,9 @@ class TestPositionIndexedRun:
         keyed = []
         key = sc.priority_key
 
-        def counting(packet, position):
-            keyed.append((packet, position))
-            return key(packet, position)
+        def counting(arrival_time, relative_deadline, tie_key, position):
+            keyed.append((arrival_time, relative_deadline, tie_key, position))
+            return key(arrival_time, relative_deadline, tie_key, position)
 
         monkeypatch.setattr(sc, "priority_key", counting)
         trace = []
@@ -946,8 +998,9 @@ class TestPositionIndexedRun:
         assert any(kind == sc.ENQUEUE for _, kind, *_ in trace)  # relayed
         assert len(arrived) == m.packets_generated > 0
         # once per arrival, in arrival order, for the packet at that position
-        assert [pos for _, pos in keyed] == arrived
-        assert all(wl.packets[pos] == packet for packet, pos in keyed)
+        assert [pos for *_, pos in keyed] == arrived
+        assert all(wl.packets[pos][1:] == tuple(fields)
+                   for *fields, pos in keyed)
 
 
 # ---------------------------------------------------------------------------
