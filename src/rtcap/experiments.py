@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -108,12 +109,13 @@ class SweepSpec:
     """A simulated convergecast sweep: the swept variable plus the network,
     the workload and the settings of the measured bounds.
 
-    The grid, radio range, and sink count describe the network each row
-    builds, its sinks placed by `topology.place_sinks`; `sim` the workload,
-    the seed, the replication count and the channel bandwidth the bounds
-    are computed for. Both bounds are exact; `inversion_factor` scales them.
-    `load_factor` sets the probe load for critical-capacity runs as a
-    multiple of the measured-topology DM bound. The swept value replaces
+    The grid, radio range, and sink count describe each row's network, its
+    sinks placed by `topology.place_sinks` (rows of equal network settings
+    share one); `sim` the workload, the seed, the replication count and
+    the channel bandwidth the bounds are computed for. Both bounds are
+    exact; `inversion_factor` scales them. `load_factor` sets the probe
+    load for critical-capacity runs as a multiple of the measured-topology
+    DM bound. The swept value replaces
     `radio_range` (radio_sweep), `sink_count` (sink_sweep, whole numbers) or
     `load_factor` (missratio_sweep).
     """
@@ -224,23 +226,25 @@ def _measured_bounds(spec: SweepSpec, topo: tp.Topology, routes: tp.RouteTable):
     return stats, dm, edf
 
 
-def _simulation_row(spec: SweepSpec, value) -> dict:
-    """The cells of one simulated row: build the row's own network, measure
-    its bounds, and run seeded replications at a load that is a multiple of
-    the measured DM bound.
+def _simulation_row(spec: SweepSpec, value, network) -> dict:
+    """The cells of one simulated row: take the row's network and its
+    measured bounds from `network`, and run seeded replications at a load
+    that is a multiple of the measured DM bound.
 
     The swept value replaces the kind's `_SWEPT_FIELD` through the spec,
     whose checks apply to it: the radio range, the sink count, or the load
     multiple of missratio_sweep, whose runs go the full duration; the other
-    kinds stop each run at its first miss. The row's critical capacity is
-    the minimum first-miss consumption across replications.
+    kinds stop each run at its first miss. `network`, called with the row's
+    `make_network` arguments, returns its topology, routes, measured stats
+    and DM and EDF bounds, shared by the rows of equal arguments. The row's
+    critical capacity is the minimum first-miss consumption across
+    replications.
     """
     row = replace(spec, **{_SWEPT_FIELD[spec.kind]: value})
     missratio = row.kind == "missratio_sweep"
-    topo, routes = tp.make_network(row.rows, row.cols, row.spacing, row.jitter,
-                                   row.sim.seed, row.radio_range,
-                                   row.sink_count)
-    stats, dm, edf = _measured_bounds(row, topo, routes)
+    topo, routes, stats, dm, edf = network(
+        row.rows, row.cols, row.spacing, row.jitter, row.sim.seed,
+        row.radio_range, row.sink_count)
     cfg = replace(row.sim,
                   arrival_rate=probe_rate(row.load_factor * dm.value, routes,
                                           row.sim.packet_size),
@@ -277,8 +281,13 @@ def run_sweep(spec: CurveSpec | SweepSpec) -> list:
 
     A CurveSpec evaluates the closed forms directly. A SweepSpec builds the
     network for each swept value, measures its statistics, derives the
-    analytic bound from them, and aggregates seeded replications. A value
-    that fails flags its own row, with NaN bounds and the error as
+    analytic bound from them, and aggregates seeded replications. Rows
+    whose network settings are equal share one network, built once: the
+    sweep keeps the network of the last row that built one (its topology,
+    routes, measured stats and DM and EDF bounds, all immutable), and a
+    row with the same `make_network` arguments reuses it. A build that
+    raises is not kept, so the next row tries it again. A value that fails
+    flags its own row, with NaN bounds and the error as
     `"<Type>: <message>"`, and the sweep continues. Simulated rows carry
     their seed range, flagged or not.
     """
@@ -287,10 +296,18 @@ def run_sweep(spec: CurveSpec | SweepSpec) -> list:
     seeds = {} if curve else dict(
         seed_lo=spec.sim.seed,
         seed_hi=spec.sim.seed + spec.sim.replication_count - 1)
+
+    # the last network built; a build that raises is not cached
+    @functools.lru_cache(maxsize=1)
+    def network(*args):
+        topo, routes = tp.make_network(*args)
+        return (topo, routes, *_measured_bounds(spec, topo, routes))
+
     rows = []
     for value in spec.values:
         try:
-            cells = (_curve_row if curve else _simulation_row)(spec, value)
+            cells = (_curve_row(spec, value) if curve
+                     else _simulation_row(spec, value, network))
         except (tp.RoutingError, an.SolverError, sc.InvariantError, ValueError) as err:
             cells = dict(analytic_dm=math.nan, analytic_edf=math.nan,
                          error=f"{type(err).__name__}: {err}")

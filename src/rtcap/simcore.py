@@ -51,9 +51,13 @@ deadline expiries. Each instant runs three phases, then one grant pass:
 
 Packets are immutable records of their arrival. The run owns what moves,
 held per packet by workload position: the node that holds each packet
-until it leaves the network, which a packet that misses its deadline does
-at once. Hops traversed is hop_count[origin] - hop_count[node], since each
-route hop lowers the hop count by exactly one.
+until it leaves the network, delivered or missed (a packet that misses its
+deadline leaves at once). A delivered packet's deadline is no event: its
+expiry is discarded unread. Hops traversed is hop_count[origin] -
+hop_count[node] while a packet is in the network, since each route hop
+lowers the hop count by exactly one, and hop_count[origin] once it has
+been delivered. The capacity claimed at the first miss is read from the
+arrival columns by its definition (`_first_miss_claim`).
 
 A single run is strictly sequential and reproducible: identical
 (topology, routes, workload) inputs give bit-identical metrics. Replications
@@ -446,6 +450,26 @@ def _offered_demand(packets: Arrivals, routes: RouteTable,
     return int(claimed.sum()) * config.packet_size / config.duration
 
 
+def _first_miss_claim(packets: Arrivals, cursor: int, now: float, missing: int,
+                      at: list, hop_count: dict, packet_size: float) -> float:
+    """Capacity claimed at `now`, the instant packet `missing` is the first
+    to miss. A packet claims from its arrival until its deadline, even once
+    delivered: each arrived packet (position < `cursor`) whose arrival time
+    plus relative deadline is later than `now`, or equal to `now` at a
+    position at or after `missing` (the run expires equal deadlines in
+    workload order). A packet in the network claims the hops it has
+    traversed, a delivered one (`at` None, no hop count) its whole route;
+    the claims are summed in workload order."""
+    deadlines = packets.relative_deadline[:cursor]
+    expiry = packets.arrival_time[:cursor] + deadlines
+    claimants = np.flatnonzero(
+        (expiry > now) | ((expiry == now) & (np.arange(cursor) >= missing)))
+    hops = [hop_count[v] - hop_count.get(at[p], 0) for p, v in zip(
+        claimants.tolist(), packets.origin[claimants].tolist())]
+    return measured_capacity_consumption(
+        zip(hops, deadlines[claimants].tolist()), packet_size)
+
+
 def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                    config: SimConfig, event_log: Optional[list] = None) -> RunMetrics:
     """Event-driven run over the workload; returns the per-run metrics.
@@ -469,9 +493,12 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     entry and the MAC candidate key, moving unchanged from its node's heap
     to the completion FIFO and on to the next node's heap, hop by hop. The
     run keeps its per-packet state by workload position: the node holding
-    each packet from its arrival until it leaves the network. Before the
-    first event, a packet that arrives after the duration or whose origin
-    is a sink or not a node is refused with a `ValueError`.
+    each packet from its arrival until it leaves the network, whether
+    delivered or missed. A delivered packet's expiry is discarded when it
+    reaches the head of the heap, before the next instant is chosen, so
+    its deadline makes no instant. Before the first event, a packet that
+    arrives after the duration or whose origin is a sink or not a node is
+    refused with a `ValueError`.
 
     The `Medium` keeps the busy endpoints, active senders and active
     receivers as sets for the MAC, added to once per grant and discarded
@@ -496,14 +523,15 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     for a refusal, or the run raises `InvariantError`; a run that drains
     without stopping must leave the medium idle. Deadline misses are
     detected eagerly by expiry timers so the capacity consumption at the
-    first miss is sampled at the right instant. A missed packet leaves the
-    network at once and is never sent on: a queued one's heap entry is
-    discarded once it reaches the head, and one in the air goes no further
-    when its hop completes. Packet size and per-hop time come from
-    `config`, hop counts from `routes`; a packet is delivered when it
-    reaches a sink, a node with no next hop. A given `event_log` list
-    receives one (time, kind, node, receiver, workload position) tuple per
-    event.
+    first miss is sampled at the right instant; `_first_miss_claim` reads
+    it from the arrival columns, not from the run's queues. A missed
+    packet leaves the network at once and is never sent on: a queued one's
+    heap entry is discarded once it reaches the head, and one in the air
+    goes no further when its hop completes. Packet size and per-hop time
+    come from `config`, hop counts from `routes`; a packet is delivered
+    when it reaches a sink, a node with no next hop. A given `event_log`
+    list receives one (time, kind, node, receiver, workload position)
+    tuple per event.
     """
     adjacency = topology.adjacency
     next_hop, hop_count = routes.next_hop, routes.hop_count
@@ -519,11 +547,12 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     cursor = 0             # position of the next arrival in the workload
     completions = deque()  # (time, entry, (sender, receiver, position))
-    expiries = []          # heap of (absolute deadline, position)
+    # heap of (absolute deadline, position); a delivered packet's entry is
+    # discarded, unread, once it reaches the head
+    expiries = []
 
-    # position -> the node holding that packet: queued, sending, or the sink
-    # that took it on time, until its expiry; None before it arrives and
-    # once it has left
+    # position -> the node holding that packet, queued or sending; None
+    # before it arrives and once it has left, delivered or missed
     at = [None] * arrivals
     # backlogged node -> heap of entries, each a packet's priority key with
     # its position last, held only while the heap is non-empty; a dropped
@@ -585,7 +614,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 if log:
                     log((now, ENQUEUE, r, -1, pos))
             else:
-                at[pos] = r
+                at[pos] = None
                 delays.append(now - times[pos])
                 if log:
                     log((now, DELIVER, r, -1, pos))
@@ -601,26 +630,23 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 log((now, ARRIVAL, origin, -1, cursor))
             cursor += 1
 
-        while expiries and expiries[0][0] == now:  # once per packet
-            expiry = pop(expiries)
-            pos = expiry[1]
+        # expiries due now, and heads whose packet was delivered, so the
+        # next instant is never chosen by a delivered packet's deadline
+        while expiries:
+            deadline, pos = expiries[0]
             node = at[pos]
-            if node not in next_hop:
-                at[pos] = None  # delivered on time
+            if node is None:  # delivered, perhaps at this instant
+                pop(expiries)
                 continue
+            if deadline != now:
+                break
+            pop(expiries)
             tx = air.get(node)
             was_queued = tx is None or tx[2] != pos
             missed += 1
             if first_miss_capacity is None:
-                # a packet claims capacity from arrival until its expiry, even
-                # once delivered: before the first miss that is the expiry
-                # heap plus the packet just expired, summed in workload order
-                claimants = sorted(p for _, p in [*expiries, expiry])
-                hops = [hop_count[v] - hop_count[at[p]] for p, v in zip(
-                    claimants, packets.origin[claimants].tolist())]
-                first_miss_capacity = measured_capacity_consumption(
-                    zip(hops, packets.relative_deadline[claimants].tolist()),
-                    size)
+                first_miss_capacity = _first_miss_claim(
+                    packets, cursor, now, pos, at, hop_count, size)
                 first_miss_time = now
                 stop = config.stop_at_first_miss
             at[pos] = None

@@ -103,6 +103,34 @@ def receive_gaps(log):
     return gaps
 
 
+def first_miss_claim(trace, workload, packet_size):
+    """The capacity claimed at a run's first miss, from its definition and
+    the run's event trace alone: at the first miss, at time t by packet m,
+    each packet that has arrived claims packet_size times the hops it has
+    completed over its relative deadline while its deadline window is open,
+    delivered or not. A window closing at t is still open for m and for the
+    packets after m, whose expiries come after m's in the run's order, and
+    closed for those before it. Claims are summed in workload order; None
+    when nothing missed."""
+    misses = [i for i, record in enumerate(trace) if record[1] == sc.MISS]
+    if not misses:
+        return None
+    before = trace[:misses[0]]
+    t, m = trace[misses[0]][0], trace[misses[0]][4]
+    arrived = sorted(pos for _, kind, _, _, pos in before if kind == sc.ARRIVAL)
+    hops = defaultdict(int)
+    for _, kind, _, _, pos in before:
+        if kind == sc.COMPLETE:
+            hops[pos] += 1
+    total = 0.0
+    for pos in arrived:
+        p = workload.packets[pos]
+        end = p.arrival_time + p.relative_deadline
+        if end > t or (end == t and pos >= m):
+            total += hops[pos] * packet_size / p.relative_deadline
+    return total
+
+
 def links_conflict(adjacency, a, b):
     """Two links (sender, receiver) conflict when they share a node or
     either sender is in range of the other's receiver."""

@@ -368,6 +368,54 @@ class TestSimulationSweeps:
             assert row.simulated_critical is None
             assert row.offered_demand is not None
 
+    @staticmethod
+    def counted_builds(monkeypatch, fail_first=False):
+        """Record the arguments of every `tp.make_network` call the sweep
+        makes; with `fail_first`, the first call raises instead."""
+        calls, build = [], tp.make_network
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            if fail_first and len(calls) == 1:
+                raise ValueError("no network this time")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(tp, "make_network", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind,values,builds", [
+        ("missratio_sweep", (1.0, 2.0, 3.0), 1),
+        ("sink_sweep", (1, 2, 3), 3),
+        ("radio_sweep", (15.0, 18.0, 20.0), 3)])
+    def test_rows_of_one_network_build_it_once(self, monkeypatch, kind,
+                                               values, builds):
+        calls = self.counted_builds(monkeypatch)
+        rows = ex.run_sweep(small_sim_spec(kind, values))
+        assert all(r.error is None for r in rows)
+        assert len(calls) == builds
+
+    def test_shared_network_rows_match_one_value_sweeps(self):
+        spec = small_sim_spec("missratio_sweep", (1.0, 2.0, 3.0))
+        shared = ex.run_sweep(spec)
+        alone = [ex.run_sweep(replace(spec, values=(v,)))[0]
+                 for v in spec.values]
+        assert [replace(r, config_hash="") for r in shared] == \
+            [replace(r, config_hash="") for r in alone]
+        assert shared[-1].miss_ratio > 0
+
+    def test_failed_build_is_not_kept(self, monkeypatch):
+        # the first row's build raises and flags that row alone; the next
+        # row, with the same network settings, builds the network again
+        spec = small_sim_spec("missratio_sweep", (1.0, 2.0))
+        expected = ex.run_sweep(replace(spec, values=(2.0,)))[0]
+        calls = self.counted_builds(monkeypatch, fail_first=True)
+        rows = ex.run_sweep(spec)
+        assert rows[0].error == "ValueError: no network this time"
+        assert math.isnan(rows[0].analytic_dm)
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert replace(rows[1], config_hash="") == \
+            replace(expected, config_hash="")
+
     def test_replication_order_independent(self):
         topo, routes = tp.make_network(4, 4, spacing=10.0, jitter=0.2, seed=3,
                                        radio_range=15.0, sink_count=1)

@@ -21,6 +21,7 @@ from helpers import (
     audit_work_conserving,
     chain_network,
     contended_run,
+    first_miss_claim,
     instance_is_dm_feasible,
     links_conflict,
     measured_dm_bound,
@@ -718,6 +719,57 @@ class TestRunSimulationTraces:
         # none for packet 2
         assert m.capacity_consumption_at_first_miss == \
             pytest.approx(1000 / 5.0 + 1000 / 4.0)
+
+    # chain 0 -> 1 -> 2(sink), runs cut at the first miss or not
+    FIRST_MISS_CASES = {
+        # A is delivered at 0.4 and claims its hop until 3.0; B, delivered
+        # at 0.9, stops claiming at 1.0; C misses at 1.5 on its second hop;
+        # D waits at node 0 and E has not arrived when the run stops
+        "delivered_claims": (
+            [mk_packet(1, at=0.0, deadline=3.0),
+             mk_packet(1, at=0.5, deadline=0.5),
+             mk_packet(0, at=1.0, deadline=0.5),
+             mk_packet(0, at=1.2, deadline=5.0),
+             mk_packet(0, at=2.0, deadline=1.0)],
+            1.5, 1000 / 3.0 + 1000 / 0.5, 2),
+        # three windows close at 1.0: packet 0's (delivered at 0.4), packet
+        # 1's (queued behind packet 2 on the shared node 1, it misses) and
+        # packet 2's (delivered at 1.0 exactly); only the window after the
+        # missing packet's position claims
+        "equal_deadline_claims_after_the_miss": (
+            [mk_packet(1, at=0.0, deadline=1.0),
+             mk_packet(0, at=0.6, deadline=0.4, tie=0.9),
+             mk_packet(1, at=0.6, deadline=0.4, tie=0.1)],
+            1.0, 1000 / 0.4, 0),
+    }
+
+    @pytest.mark.parametrize("case", FIRST_MISS_CASES)
+    @pytest.mark.parametrize("stop", [False, True], ids=["drop", "stopped"])
+    def test_first_miss_claim_matches_its_definition(self, case, stop):
+        packets, when, claim, in_flight = self.FIRST_MISS_CASES[case]
+        topo, routes = chain_network(3)
+        wl = mk_workload(packets)
+        trace = []
+        m = sc.run_simulation(topo, routes, wl,
+                              replace(self.CFG, stop_at_first_miss=stop),
+                              event_log=trace)
+        assert m.first_miss_time == when
+        assert m.capacity_consumption_at_first_miss == \
+            first_miss_claim(trace, wl, self.CFG.packet_size)
+        assert m.capacity_consumption_at_first_miss == pytest.approx(claim)
+        assert m.delivered + m.missed + m.in_flight_at_end == len(packets)
+        if stop:
+            assert m.in_flight_at_end == in_flight
+        else:
+            assert m.in_flight_at_end == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_first_miss_claim_of_a_contended_run(self, seed):
+        trace = []
+        _, _, cfg, wl, m = contended_run(seed=seed, rate=8.0, event_log=trace)
+        assert m.capacity_consumption_at_first_miss is not None
+        assert m.capacity_consumption_at_first_miss == \
+            first_miss_claim(trace, wl, cfg.packet_size)
 
     @pytest.mark.parametrize("origins", [(0, 1), (1, 0)])
     def test_full_tie_granted_in_listed_order(self, origins):
