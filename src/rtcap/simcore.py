@@ -9,28 +9,6 @@ the capacity consumed by deadline-live traffic at the instant of the first
 miss (a packet claims capacity from its arrival until its deadline passes;
 a missed packet's claim drops to zero).
 
-A packet is its position in the workload, and the scheduling policy
-lives in `priority_key` alone. A packet's key is computed once, at its
-arrival, from the arrival's fields as plain numbers; it is one flat tuple
-whose last field is the position, and that tuple is the packet's heap
-entry, carried hop by hop. The MAC (`admissible_transmissions`) grants
-candidates in the order of the keys it is given and knows no rule of its
-own.
-
-Arbitration is by set membership. A `Medium` holds the busy endpoints,
-active senders and active receivers as sets, each grant and completion
-updating them in O(1). A blocked head waits on its blocker, as a
-conditional event does in the three-phase method: each head the MAC
-refuses goes on the wait-list of one active transmission that blocks it,
-and when that transmission completes, only its endpoints and its
-wait-list are re-arbitrated besides the nodes the instant touched. A node
-keeps one head link, (v, next_hop[v]), so a head stays refused while its
-blocker is in the air. One lookup, `_conflict`, finds the live
-transmission a link conflicts with, against the run's own record of the
-air (each busy endpoint's transmission, and sets of the active senders
-and receivers, kept by the run apart from the `Medium`): a grant must
-find none, and a refused head waits on the one it finds.
-
 A workload is drawn in rounds of numpy blocks, one row per node, each
 round from its own child of `np.random.SeedSequence(config.seed)` (see
 `generate_workload`). A node's arrivals therefore depend on neither the
@@ -39,9 +17,20 @@ exactly the first part of a longer one's. The workload holds its arrivals
 as columns (`Arrivals`), and a `Packet` is built only when it is read;
 `Arrivals.rows` reads chosen fields a slice of the columns at a time.
 
-A run reads the workload's arrivals in time order through a cursor over
-those columns; its event queues hold only transmission completions and
-deadline expiries. Each instant runs three phases, then one grant pass:
+A packet is its position in the workload, and the scheduling policy
+lives in `priority_key` alone. A packet's key is computed once, at its
+arrival, from the arrival's fields as plain numbers; it is one flat tuple
+whose last field is the position, and that tuple is the packet's entry:
+its node-heap entry, its completion-FIFO entry and its MAC candidate key,
+carried unchanged hop by hop. The MAC (`admissible_transmissions`) grants
+(key, sender, receiver) candidates in key order and knows no rule of its
+own.
+
+A run reads the arrivals in time order through a cursor over the columns,
+building no `Packet`. Its event queues hold only transmission completions,
+a FIFO since every hop takes `tx_time`, and deadline expiries, a heap of
+(absolute deadline, position). Each instant runs three phases, then one
+grant pass:
 
 1. completions at that instant, so the channel is freed before
    same-instant arrivals are queued;
@@ -49,15 +38,46 @@ deadline expiries. Each instant runs three phases, then one grant pass:
 3. expiries at that instant, so a completion landing exactly at the
    deadline still counts as on time.
 
-Packets are immutable records of their arrival. The run owns what moves,
-held per packet by workload position: the node that holds each packet
-until it leaves the network, delivered or missed (a packet that misses its
-deadline leaves at once). A delivered packet's deadline is no event: its
-expiry is discarded unread. Hops traversed is hop_count[origin] -
-hop_count[node] while a packet is in the network, since each route hop
-lowers the hop count by exactly one, and hop_count[origin] once it has
-been delivered. The capacity claimed at the first miss is read from the
-arrival columns by its definition (`_first_miss_claim`).
+Packets are immutable records of their arrival; the run owns what moves.
+`at[pos]` is the node holding packet pos, queued or sending, from its
+arrival until it leaves the network, delivered or missed, and None
+otherwise. Each node has one heap of entries, in a list indexed by node,
+so a node is backlogged exactly when its heap is non-empty. A sink is a
+node of hop count 0: a packet that reaches one is delivered, so no sink
+ever holds a packet. A packet that misses its deadline leaves at once and
+is never sent on: a queued one's entry is discarded once it reaches the
+head of its heap, and one in the air goes no further when its hop
+completes. A delivered packet's expiry is discarded unread once it
+reaches the head of the expiry heap, so its deadline makes no instant.
+Hops traversed is hop_count[origin] - hop_count[node] while a packet is in
+the network, since each route hop lowers the hop count by exactly one, and
+hop_count[origin] once it has been delivered. The capacity claimed at the
+first miss is read from the arrival columns by its definition
+(`_first_miss_claim`), not from the run's queues.
+
+Arbitration is by set membership. A `Medium` holds the busy endpoints,
+active senders and active receivers as sets for the MAC, each grant and
+completion updating them in O(1). The run keeps its own record of the air
+apart from the `Medium`: `air` maps each busy endpoint to its (sender,
+receiver, position), and two sets hold the active senders and receivers.
+One lookup, `_conflict`, finds the live transmission a link conflicts with
+against that record, ruling a conflict out by two endpoint lookups in
+`air` and two `isdisjoint` tests of the sender and receiver sets against
+the endpoints' neighbours: a grant must find none, and a refused head must
+find one.
+
+A blocked head waits on its blocker, as a conditional event does in the
+three-phase method. After the phases of each instant, the MAC arbitrates
+only the backlogged nodes the instant touched: arrivals, dropped heads,
+and for each completed (s, r) the nodes s and r and the wait-list of s.
+After the pass, each refused candidate that is no endpoint goes on the
+wait-list of the active sender whose transmission `_conflict` finds for
+it: the one using its receiver, else one receiving in range of it, else
+one sending in range of its receiver. That gives the same grants as a pass
+over the whole backlog: a node's head link (v, next_hop[v]) never changes,
+so every idle head left out is still blocked by the transmission it waits
+on, and a node left out as an endpoint is touched when its own
+transmission ends.
 
 A single run is strictly sequential and reproducible: identical
 (topology, routes, workload) inputs give bit-identical metrics. Replications
@@ -76,7 +96,6 @@ import math
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
-from itertools import islice
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -166,12 +185,13 @@ class Arrivals:
     `Arrivals` or with a tuple of packets. `rows` reads chosen fields
     without building packets.
 
-    The float columns must be finite, deadlines > 0 and arrival times in
-    order: a NaN arrival never comes due, an infinite one or a NaN deadline
-    ends the run short, a deadline <= 0 misses before its arrival, and an
-    arrival out of order would be read after later events. A breach raises
-    `ValueError` naming the field and the first offending packet by its
-    position."""
+    Origins must be whole numbers, since the int64 cast would truncate a
+    fractional one to another node. The float columns must be finite,
+    deadlines > 0 and arrival times in order: a NaN arrival never comes
+    due, an infinite one or a NaN deadline ends the run short, a deadline
+    <= 0 misses before its arrival, and an arrival out of order would be
+    read after later events. A breach raises `ValueError` naming the field
+    and the first offending packet by its position."""
 
     origin: np.ndarray
     arrival_time: np.ndarray
@@ -179,6 +199,11 @@ class Arrivals:
     tie_key: np.ndarray
 
     def __post_init__(self):
+        origin = np.asarray(self.origin)
+        if origin.dtype.kind not in "iu":  # an integer column is whole
+            origin = origin.astype(float)
+            self._refuse(~np.isfinite(origin) | (origin != np.floor(origin)),
+                         "origin must be a whole number")
         for name, dtype in zip(Packet._fields, (np.int64, float, float, float)):
             column = np.array(getattr(self, name), dtype=dtype)
             column.flags.writeable = False
@@ -368,27 +393,26 @@ def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
     """Grant head-of-queue transmissions in the order of their given keys
     under the spatial exclusion rule.
 
-    candidates are (key, packet, sender, receiver) tuples; the key is the
-    packet's priority, computed at its arrival, smallest first, and the
-    packet is whatever the caller wants back (the run passes its heap
-    entry). A candidate is granted iff its sender is outside radio range of
-    every receiving node, its receiver is outside radio range of every
-    sending node (counting both the already-active transmissions in
-    `medium` and grants made earlier in this pass), and neither endpoint is
-    already engaged. Each grant occupies the medium. Returns the granted
-    (packet, sender, receiver) triples in key order.
+    candidates are (key, sender, receiver) tuples; the key is the packet's
+    priority, computed at its arrival, smallest first. A candidate is
+    granted iff its sender is outside radio range of every receiving node,
+    its receiver is outside radio range of every sending node (counting
+    both the already-active transmissions in `medium` and grants made
+    earlier in this pass), and neither endpoint is already engaged. Each
+    grant occupies the medium. Returns the granted (key, sender, receiver)
+    triples in key order.
     """
     adjacency, busy = medium.adjacency, medium.busy
     senders, receivers = medium.senders, medium.receivers
     granted = []
-    for _, packet, sender, receiver in sorted(candidates, key=itemgetter(0)):
+    for key, sender, receiver in sorted(candidates, key=itemgetter(0)):
         if sender in busy or receiver in busy:
             continue
         if not (receivers.isdisjoint(adjacency[sender])
                 and senders.isdisjoint(adjacency[receiver])):
             continue
         medium.occupy(sender, receiver)
-        granted.append((packet, sender, receiver))
+        granted.append((key, sender, receiver))
     return granted
 
 
@@ -436,7 +460,7 @@ def _offered_demand(packets: Arrivals, routes: RouteTable,
     # route hops by node, a node being its index; 0 marks a sink, and an
     # origin outside the array is not a node
     hops = np.zeros(len(hop_count), np.int64)
-    hops[list(routes.next_hop)] = [hop_count[v] for v in routes.next_hop]
+    hops[list(hop_count)] = list(hop_count.values())
     origin = packets.origin
     node = (origin >= 0) & (origin < len(hops))
     claimed = np.zeros(len(origin), np.int64)
@@ -472,66 +496,21 @@ def _first_miss_claim(packets: Arrivals, cursor: int, now: float, missing: int,
 
 def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                    config: SimConfig, event_log: Optional[list] = None) -> RunMetrics:
-    """Event-driven run over the workload; returns the per-run metrics.
+    """Run the workload over the network; return its `RunMetrics`.
 
-    Each instant runs three phases, then one grant pass: completions at
-    `now`, arrivals at `now` (read in order through a cursor over the
-    workload's arrival columns), and deadline expiries at `now`.
-    Completions free the channel before same-instant arrivals are queued,
-    and a completion landing exactly at the deadline counts as on time
-    because expiries come last. Every hop takes `tx_time`, so completions
-    come due in grant order and wait in a FIFO; expiries wait in a heap
-    keyed by deadline and workload position.
-
-    The cursor reads each arrival's origin, relative deadline and tie key
-    through `Arrivals.rows`, which converts the columns a slice at a time:
-    no `Packet` is built, and no whole column but the arrival times is
-    made a list. A packet's `priority_key` is computed once, at its
-    arrival, from those numbers. The key is the packet's entry, a flat
-    tuple whose last field is its workload position ((relative deadline,
-    tie key, position) under DM): the node-heap entry, the completion-FIFO
-    entry and the MAC candidate key, moving unchanged from its node's heap
-    to the completion FIFO and on to the next node's heap, hop by hop. The
-    run keeps its per-packet state by workload position: the node holding
-    each packet from its arrival until it leaves the network, whether
-    delivered or missed. A delivered packet's expiry is discarded when it
-    reaches the head of the heap, before the next instant is chosen, so
-    its deadline makes no instant. Before the first event, a packet that
-    arrives after the duration or whose origin is a sink or not a node is
-    refused with a `ValueError`.
-
-    The `Medium` keeps the busy endpoints, active senders and active
-    receivers as sets for the MAC, added to once per grant and discarded
-    from once per completion. The loop keeps its own record of the air
-    beside it, never through the `Medium`: `air` maps each busy endpoint
-    to its (sender, receiver, position), and two sets hold the active
-    senders and the active receivers. After the phases of each instant
-    that touched a node, the medium is re-arbitrated over the backlogged
-    nodes (those with a heap) the instant touched: arrivals, dropped
-    heads, and for each completed (s, r) the nodes s and r and the
-    wait-list of s. After the pass, each refused candidate that is no
-    endpoint goes on the wait-list of the active sender whose transmission
-    `_conflict` finds for it: the one using its receiver, else one
-    receiving in range of it, else one sending in range of its receiver.
-    That gives the same grants as a pass over the whole backlog: a node's
-    head link never changes, so every idle head left out is still blocked
-    by the transmission it waits on, and a node left out as an endpoint is
-    touched when its own transmission ends. That one lookup, against the
-    run's record, rules out a conflict by two endpoint lookups in `air`
-    and two `isdisjoint` tests of the sender and receiver sets against the
-    endpoints' neighbours. It must find no conflict for a grant and one
-    for a refusal, or the run raises `InvariantError`; a run that drains
-    without stopping must leave the medium idle. Deadline misses are
-    detected eagerly by expiry timers so the capacity consumption at the
-    first miss is sampled at the right instant; `_first_miss_claim` reads
-    it from the arrival columns, not from the run's queues. A missed
-    packet leaves the network at once and is never sent on: a queued one's
-    heap entry is discarded once it reaches the head, and one in the air
-    goes no further when its hop completes. Packet size and per-hop time
-    come from `config`, hop counts from `routes`; a packet is delivered
-    when it reaches a sink, a node with no next hop. A given `event_log`
+    `topology` gives the radio adjacency, `routes` the next hops and hop
+    counts, and `config` the packet size, per-hop time, duration and stop
+    rule: with `config.stop_at_first_miss` the run ends at the instant of
+    its first miss, before that instant's grant pass. A given `event_log`
     list receives one (time, kind, node, receiver, workload position)
     tuple per event.
+
+    Before the first event, a packet that arrives after the duration or
+    whose origin is a sink or not a node is refused with a `ValueError`
+    naming it by its position. The run raises `InvariantError` if a grant
+    conflicts with a live transmission, if a node's heap head changes
+    under its grant, if a refused candidate has nothing blocking it, or if
+    a run that drains without stopping leaves the medium not idle.
     """
     adjacency = topology.adjacency
     next_hop, hop_count = routes.next_hop, routes.hop_count
@@ -547,17 +526,14 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     cursor = 0             # position of the next arrival in the workload
     completions = deque()  # (time, entry, (sender, receiver, position))
-    # heap of (absolute deadline, position); a delivered packet's entry is
-    # discarded, unread, once it reaches the head
-    expiries = []
+    expiries = []          # heap of (absolute deadline, position)
 
     # position -> the node holding that packet, queued or sending; None
     # before it arrives and once it has left, delivered or missed
     at = [None] * arrivals
-    # backlogged node -> heap of entries, each a packet's priority key with
-    # its position last, held only while the heap is non-empty; a dropped
-    # packet's entry leaves once it is the head
-    queues = {}
+    # node -> heap of entries, each a packet's priority key with its
+    # position last; a dropped packet's entry leaves once it is the head
+    queues = [[] for _ in range(topology.node_count)]
     medium = Medium(adjacency)
     busy, release = medium.busy, medium.release
     # the run's own record of the air, kept apart from the `Medium`
@@ -583,9 +559,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             now = completions[0][0]
         if expiries and expiries[0][0] < now:
             now = expiries[0][0]
-        # backlogged nodes whose head or admissibility may have changed; a
-        # node is added once it has a heap, and heaps are deleted only in
-        # the grant pass
+        # backlogged nodes whose head or admissibility may have changed
         touched = set()
 
         while completions and completions[0][0] == now:
@@ -597,19 +571,19 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             release(s, r)
             # the sender and the heads the link blocked, if backlogged; the
             # receiver is touched below, when it queues the packet or drops it
-            if s in queues:
+            if queues[s]:
                 touched.add(s)
             if s in waiting:
-                touched.update(filter(queues.__contains__, waiting.pop(s)))
+                touched.update(filter(queues.__getitem__, waiting.pop(s)))
             if log:
                 log((now, COMPLETE, s, r, pos))
             if at[pos] is None:
-                if r in queues:
+                if queues[r]:
                     touched.add(r)
                 continue  # missed mid-flight and dropped at hop boundary
-            if r in next_hop:
+            if hop_count[r]:
                 at[pos] = r
-                push(queues.get(r) or queues.setdefault(r, []), entry)
+                push(queues[r], entry)
                 touched.add(r)
                 if log:
                     log((now, ENQUEUE, r, -1, pos))
@@ -622,8 +596,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
         while times[cursor] == now:
             origin, relative, tie = next(pending)
             at[cursor] = origin
-            push(queues.get(origin) or queues.setdefault(origin, []),
-                 key_of(now, relative, tie, cursor))
+            push(queues[origin], key_of(now, relative, tie, cursor))
             touched.add(origin)
             push(expiries, (now + relative, cursor))
             if log:
@@ -667,27 +640,21 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             while heap and at[heap[0][-1]] is None:
                 pop(heap)
             if heap:
-                entry = heap[0]
-                candidates.append((entry, entry, v, next_hop[v]))
-            else:
-                del queues[v]
+                candidates.append((heap[0], v, next_hop[v]))
         for entry, s, r in admissible_transmissions(candidates, medium):
             tx = _conflict(s, r, air, sending, receiving, adjacency)
             if tx:
                 raise InvariantError(f"grant {s}->{r} conflicts with live "
                                      f"{tx[0]}->{tx[1]}")
-            heap = queues[s]
-            if pop(heap) is not entry:
+            if pop(queues[s]) is not entry:
                 raise InvariantError(f"queue head changed under grant at node {s}")
-            if not heap:
-                del queues[s]
             tx = air[s] = air[r] = (s, r, entry[-1])
             sending.add(s)
             receiving.add(r)
             completions.append((now + tx_time, entry, tx))
             if log:
                 log((now, GRANT, s, r, entry[-1]))
-        for _, _, v, r in candidates:
+        for _, v, r in candidates:
             if v not in air:  # refused, and no endpoint of a grant since
                 tx = _conflict(v, r, air, sending, receiving, adjacency)
                 if not tx:
@@ -699,10 +666,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
         raise InvariantError("medium not idle after the run drained")
 
     # counted from what the run still holds, not from the other counts:
-    # arrivals the cursor has not read, and packets at a non-sink node,
-    # queued or in the air
-    in_flight = arrivals - cursor + sum(
-        1 for node in islice(at, cursor) if node in next_hop)
+    # arrivals the cursor has not read, and packets queued or in the air
+    in_flight = arrivals - cursor + arrivals - at.count(None)
     return RunMetrics(
         packets_generated=arrivals,
         delivered=len(delays),

@@ -2,8 +2,12 @@
 acceptance suites."""
 
 import csv
+import heapq
 import itertools
+import math
 from collections import defaultdict
+
+import numpy as np
 
 from rtcap import analytics as an
 from rtcap import simcore as sc
@@ -16,6 +20,53 @@ def chain_network(n, radio_range=10.0, sink_at_end=True):
                                       radio_range=radio_range)
     sink = n - 1 if sink_at_end else 0
     return topo, tp.build_routes(topo, [sink])
+
+
+def star(n, radio_range=10.0):
+    """The sink, node 0, at the centre and `n` sources, nodes 1..n, evenly
+    spaced on a circle of radius 0.4 * radio_range around it. Every two
+    nodes are in range, so the exclusion rule lets one transmission at a
+    time, and every route is one hop."""
+    angles = 2 * math.pi * np.arange(n) / n
+    ring = 0.4 * radio_range * np.column_stack((np.cos(angles), np.sin(angles)))
+    topo = tp.Topology(np.vstack(([0.0, 0.0], ring)), radio_range)
+    return topo, tp.build_routes(topo, [0])
+
+
+def uniprocessor_reference(workload, tx_time):
+    """A one-hop star run by hand as a non-preemptive deadline-monotonic
+    uniprocessor with drop at the deadline. Returns ({position: delay} of
+    the delivered packets, miss count).
+
+    Work-conserving: whenever the channel is free, the packets that have
+    arrived by then wait in one heap in (relative deadline, tie key,
+    position) order. A head whose deadline is at or before the instant it
+    reaches the head is dropped as missed; any other is sent for `tx_time`,
+    and missed if its transmission ends after its deadline. Reads the
+    workload as `Packet`s and nothing else of the simulator."""
+    packets = list(workload.packets)
+    ready, delays = [], {}
+    missed = nxt = 0
+    now = 0.0
+    while nxt < len(packets) or ready:
+        if not ready:
+            now = max(now, packets[nxt].arrival_time)
+        while nxt < len(packets) and packets[nxt].arrival_time <= now:
+            p = packets[nxt]
+            heapq.heappush(ready, (p.relative_deadline, p.tie_key, nxt))
+            nxt += 1
+        pos = heapq.heappop(ready)[-1]
+        p = packets[pos]
+        deadline = p.arrival_time + p.relative_deadline
+        if deadline <= now:
+            missed += 1
+            continue
+        now += tx_time
+        if now > deadline:
+            missed += 1
+        else:
+            delays[pos] = now - p.arrival_time
+    return delays, missed
 
 
 def mk_packet(origin, at, deadline, tie=0.0):

@@ -28,6 +28,8 @@ from helpers import (
     mk_packet,
     mk_workload,
     replay_active_sets,
+    star,
+    uniprocessor_reference,
 )
 
 
@@ -166,6 +168,19 @@ class TestMalformedInputs:
         good = mk_packet(1, at=0.0, deadline=1.0)
         with pytest.raises(ValueError, match=rf"{field} .*packet 2\b"):
             mk_workload([good, good, packet, packet])
+
+    @pytest.mark.parametrize("origin", [1.7, -0.5, float("nan"),
+                                        float("inf"), float("-inf")])
+    def test_origin_not_a_whole_number_refused(self, origin):
+        # the int64 cast would truncate 1.7 to node 1 and send it from there
+        with pytest.raises(ValueError,
+                           match=r"origin must be a whole number.*packet 1\b"):
+            sc.Arrivals([2.0, origin], [0.0, 1.0], [1.0, 1.0], [0.1, 0.2])
+
+    def test_whole_float_origin_accepted(self):
+        packets = sc.Arrivals([1.0, 2.0], [0.0, 1.0], [1.0, 1.0], [0.1, 0.2])
+        assert packets.origin.tolist() == [1, 2]
+        assert packets.origin.dtype == np.int64
 
     def test_arrivals_out_of_time_order_refused(self):
         # nothing sorts arrivals, so a run would read the later-listed,
@@ -355,7 +370,7 @@ def dm_key(packet, position):
 def dm(packet, sender, receiver, position=0):
     """A MAC candidate keyed in deadline-monotonic order, as the run queues
     the packet at that workload position."""
-    return (dm_key(packet, position), packet, sender, receiver)
+    return (dm_key(packet, position), sender, receiver)
 
 
 class TestAdmissibleTransmissions:
@@ -370,7 +385,7 @@ class TestAdmissibleTransmissions:
         medium = self.medium(3)
         pkt = mk_packet(0, 0.0, 1.0)
         grants = sc.admissible_transmissions([dm(pkt, 0, 1)], medium)
-        assert grants == [(pkt, 0, 1)]
+        assert grants == [dm(pkt, 0, 1)]
 
     def test_sender_near_active_receiver_blocked(self):
         medium = self.medium(4, [(0, 1, 99)])
@@ -397,7 +412,7 @@ class TestAdmissibleTransmissions:
         lax = mk_packet(1, 0.0, 2.0)
         grants = sc.admissible_transmissions(
             [dm(lax, 1, 2, 0), dm(urgent, 3, 2, 1)], medium)
-        assert grants == [(urgent, 3, 2)]
+        assert grants == [dm(urgent, 3, 2, 1)]
 
     def test_tie_breaks_by_key(self):
         # the tie key decides before the position does
@@ -406,7 +421,7 @@ class TestAdmissibleTransmissions:
         b = mk_packet(3, 0.0, 1.0, tie=0.1)
         grants = sc.admissible_transmissions([dm(a, 1, 2, 0), dm(b, 3, 2, 1)],
                                              medium)
-        assert grants == [(b, 3, 2)]
+        assert grants == [dm(b, 3, 2, 1)]
 
     def test_grant_follows_the_given_keys(self):
         # keys by absolute deadline, as EDF gives them, invert DM's order:
@@ -418,12 +433,12 @@ class TestAdmissibleTransmissions:
 
         def edf(packet, position, sender, receiver):
             _, at, deadline, tie = packet
-            return ((at + deadline, tie, position), packet, sender, receiver)
+            return ((at + deadline, tie, position), sender, receiver)
 
         assert edf(lax, 0, 1, 2)[0] < edf(urgent, 1, 3, 2)[0]
         grants = sc.admissible_transmissions(
             [edf(urgent, 1, 3, 2), edf(lax, 0, 1, 2)], medium)
-        assert grants == [(lax, 1, 2)]
+        assert grants == [edf(lax, 0, 1, 2)]
 
     def test_busy_endpoint_blocked(self):
         medium = self.medium(6, [(4, 5, 99)])
@@ -533,9 +548,9 @@ class TestMedium:
         # a MAC that grants every candidate has its first conflicting grant
         # caught by the per-grant check, against the transmissions in the air
         def grant_all(candidates, medium):
-            for _, _, sender, receiver in candidates:
+            for _, sender, receiver in candidates:
                 medium.occupy(sender, receiver)
-            return [(packet, s, r) for _, packet, s, r in candidates]
+            return list(candidates)
 
         monkeypatch.setattr(sc, "admissible_transmissions", grant_all)
         with pytest.raises(sc.InvariantError,
@@ -587,21 +602,22 @@ class TestMacProperties:
         receiver."""
         on_air = list(active)
         granted = []
-        for _, packet, s, r in sorted(candidates, key=lambda c: c[0]):
+        for key, s, r in sorted(candidates, key=lambda c: c[0]):
             if any({s, r} & {s0, r0} or s in adjacency[r0]
                    or r in adjacency[s0] for s0, r0 in on_air):
                 continue
             on_air.append((s, r))
-            granted.append((packet, s, r))
+            granted.append((key, s, r))
         return granted
 
     @settings(max_examples=300, deadline=None)
     @given(mac_cases())
     def test_grants_match_brute_force(self, case):
         adjacency, active, drawn = case
-        # the payload handed back is each candidate's index, so grants of
-        # two candidates on the same link stay apart
-        candidates = [((rank, i), i, s, r)
+        # each key ends in the candidate's index, as a run's ends in the
+        # packet's position, so grants of two candidates on the same link
+        # stay apart
+        candidates = [((rank, i), s, r)
                       for i, ((s, r), rank) in enumerate(drawn)]
         medium = sc.Medium(adjacency)
         for s, r in active:
@@ -1053,6 +1069,48 @@ class TestPositionIndexedRun:
         assert [pos for *_, pos in keyed] == arrived
         assert all(wl.packets[pos][1:] == tuple(fields)
                    for *fields, pos in keyed)
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: the one-hop star
+# ---------------------------------------------------------------------------
+
+class TestStarOracle:
+    """On a star every two nodes are in range, so one transmission is in
+    the air at a time, and each source's heap head is its most urgent
+    packet: the network is a non-preemptive deadline-monotonic
+    uniprocessor with drop at the deadline, which
+    `uniprocessor_reference` runs by hand."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_star_is_one_contention_set(self, n):
+        topo, routes = star(n)
+        assert all(len(nbrs) == n for nbrs in topo.adjacency.values())
+        assert routes.sinks == (0,)
+        assert all(routes.hop_count[v] == 1 for v in range(1, n + 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**16), st.floats(0.3, 1.3))
+    def test_run_matches_the_uniprocessor(self, n, seed, load):
+        # `load` is the offered share of the one channel; 4-ms hops against
+        # 20-100 ms deadlines, so overloaded runs drop and miss in the air
+        topo, routes = star(n)
+        cfg = sc.SimConfig(deadline_set=(0.02, 0.05, 0.1), duration=3.0,
+                           seed=seed)
+        cfg = replace(cfg, arrival_rate=load / (n * cfg.tx_time))
+        wl = sc.generate_workload(topo, routes, cfg)
+        trace = []
+        m = sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
+        times = wl.packets.arrival_time
+        delivered = {pos: t - times[pos] for t, kind, _, _, pos in trace
+                     if kind == sc.DELIVER}
+        missed = sum(kind == sc.MISS for _, kind, *_ in trace)
+        delays, misses = uniprocessor_reference(wl, cfg.tx_time)
+        assert delivered.keys() == delays.keys()
+        assert all(abs(delivered[pos] - delays[pos]) <= 1e-9
+                   for pos in delays)
+        assert missed == misses == m.missed
+        assert len(delays) + misses == len(wl.packets)
 
 
 # ---------------------------------------------------------------------------
