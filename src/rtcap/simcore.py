@@ -24,7 +24,7 @@ whose last field is the position, and that tuple is the packet's entry:
 its node-heap entry, its completion-FIFO entry and its MAC candidate key,
 carried unchanged hop by hop. The MAC (`admissible_transmissions`) grants
 (key, sender, receiver) candidates in key order and knows no rule of its
-own.
+own. A run's keys are distinct, since each ends in the packet's position.
 
 A run reads the arrivals in time order through a cursor over the columns,
 building no `Packet`. Its event queues hold only transmission completions,
@@ -42,29 +42,32 @@ Packets are immutable records of their arrival; the run owns what moves.
 `at[pos]` is the node holding packet pos, queued or sending, from its
 arrival until it leaves the network, delivered or missed, and None
 otherwise. Each node has one heap of entries, in a list indexed by node,
-so a node is backlogged exactly when its heap is non-empty. A sink is a
-node of hop count 0: a packet that reaches one is delivered, so no sink
-ever holds a packet. A packet that misses its deadline leaves at once and
-is never sent on: a queued one's entry is discarded once it reaches the
-head of its heap, and one in the air goes no further when its hop
-completes. A delivered packet's expiry is discarded unread once it
-reaches the head of the expiry heap, so its deadline makes no instant.
-Hops traversed is hop_count[origin] - hop_count[node] while a packet is in
-the network, since each route hop lowers the hop count by exactly one, and
-hop_count[origin] once it has been delivered. The capacity claimed at the
-first miss is read from the arrival columns by its definition
-(`_first_miss_claim`), not from the run's queues.
+so a node is backlogged exactly when its heap is non-empty; the run reads
+next hops and hop counts from lists indexed by node too, built once from
+the route table. A sink is a node of hop count 0: a packet that reaches
+one is delivered, so no sink ever holds a packet. A packet that misses its
+deadline leaves at once and is never sent on: a queued one's entry is
+discarded once it reaches the head of its heap, and one in the air goes no
+further when its hop completes. A delivered packet's expiry is discarded
+unread once it reaches the head of the expiry heap, so its deadline makes
+no instant. Hops traversed is hop_count[origin] - hop_count[node] while a
+packet is in the network, since each route hop lowers the hop count by
+exactly one, and hop_count[origin] once it has been delivered. The
+capacity claimed at the first miss is read from the arrival columns by its
+definition (`_first_miss_claim`), not from the run's queues.
 
 Arbitration is by set membership. A `Medium` holds the busy endpoints,
-active senders and active receivers as sets for the MAC, each grant and
-completion updating them in O(1). The run keeps its own record of the air
+active senders and active receivers as sets for the MAC: the MAC adds each
+grant's endpoints to them, and the run removes a transmission's endpoints
+when it completes, each in O(1). The run keeps its own record of the air
 apart from the `Medium`: `air` maps each busy endpoint to its (sender,
 receiver, position), and two sets hold the active senders and receivers.
 One lookup, `_conflict`, finds the live transmission a link conflicts with
 against that record, ruling a conflict out by two endpoint lookups in
 `air` and two `isdisjoint` tests of the sender and receiver sets against
 the endpoints' neighbours: a grant must find none, and a refused head must
-find one.
+find one. A refused head whose receiver is busy reads its blocker from
+`air` at once, as `_conflict`'s first lookup would.
 
 A blocked head waits on its blocker, as a conditional event does in the
 three-phase method. After the phases of each instant, the MAC arbitrates
@@ -96,7 +99,6 @@ import math
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -363,7 +365,11 @@ class Medium:
     """The shared channel: the endpoints (`busy`), the senders and the
     receivers of the active transmissions, as sets. Adjacency is open (a
     node is not its own neighbour) and symmetric, so a node is in range of
-    an active receiver iff `receivers` meets its neighbours."""
+    an active receiver iff `receivers` meets its neighbours.
+
+    `admissible_transmissions` adds each grant's sender and receiver to the
+    sets, and whoever ends a transmission removes them again, as the run
+    does at its completion."""
 
     __slots__ = ("adjacency", "busy", "senders", "receivers")
 
@@ -372,18 +378,6 @@ class Medium:
         self.busy = set()
         self.senders = set()
         self.receivers = set()
-
-    def occupy(self, sender: int, receiver: int) -> None:
-        self.busy.add(sender)
-        self.busy.add(receiver)
-        self.senders.add(sender)
-        self.receivers.add(receiver)
-
-    def release(self, sender: int, receiver: int) -> None:
-        self.busy.discard(sender)
-        self.busy.discard(receiver)
-        self.senders.discard(sender)
-        self.receivers.discard(receiver)
 
     def is_idle(self) -> bool:
         return not (self.busy or self.senders or self.receivers)
@@ -394,25 +388,31 @@ def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
     under the spatial exclusion rule.
 
     candidates are (key, sender, receiver) tuples; the key is the packet's
-    priority, computed at its arrival, smallest first. A candidate is
-    granted iff its sender is outside radio range of every receiving node,
-    its receiver is outside radio range of every sending node (counting
-    both the already-active transmissions in `medium` and grants made
-    earlier in this pass), and neither endpoint is already engaged. Each
-    grant occupies the medium. Returns the granted (key, sender, receiver)
-    triples in key order.
+    priority, computed at its arrival, smallest first. Candidates are taken
+    in the order of the tuples themselves, so equal keys fall to the sender,
+    then the receiver. A candidate is granted iff its sender is outside
+    radio range of every receiving node, its receiver is outside radio
+    range of every sending node (counting both the already-active
+    transmissions in `medium` and grants made earlier in this pass), and
+    neither endpoint is already engaged. Each grant's endpoints are added
+    to the medium's sets. Returns the granted candidates, the tuples as
+    given, in that order.
     """
     adjacency, busy = medium.adjacency, medium.busy
     senders, receivers = medium.senders, medium.receivers
     granted = []
-    for key, sender, receiver in sorted(candidates, key=itemgetter(0)):
+    for candidate in sorted(candidates):
+        _, sender, receiver = candidate
         if sender in busy or receiver in busy:
             continue
         if not (receivers.isdisjoint(adjacency[sender])
                 and senders.isdisjoint(adjacency[receiver])):
             continue
-        medium.occupy(sender, receiver)
-        granted.append((key, sender, receiver))
+        busy.add(sender)
+        busy.add(receiver)
+        senders.add(sender)
+        receivers.add(receiver)
+        granted.append(candidate)
     return granted
 
 
@@ -513,7 +513,10 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     a run that drains without stopping leaves the medium not idle.
     """
     adjacency = topology.adjacency
-    next_hop, hop_count = routes.next_hop, routes.hop_count
+    # the route table by node; a sink's next hop, None, is never read
+    nodes = range(topology.node_count)
+    next_hop = [routes.next_hop.get(v) for v in nodes]
+    hop_count = [routes.hop_count[v] for v in nodes]
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
@@ -533,9 +536,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     at = [None] * arrivals
     # node -> heap of entries, each a packet's priority key with its
     # position last; a dropped packet's entry leaves once it is the head
-    queues = [[] for _ in range(topology.node_count)]
+    queues = [[] for _ in nodes]
     medium = Medium(adjacency)
-    busy, release = medium.busy, medium.release
+    busy, senders, receivers = medium.busy, medium.senders, medium.receivers
     # the run's own record of the air, kept apart from the `Medium`
     air = {}               # busy endpoint -> its (sender, receiver, position)
     sending = set()        # active senders
@@ -568,7 +571,10 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             del air[s], air[r]
             sending.remove(s)
             receiving.remove(r)
-            release(s, r)
+            busy.discard(s)
+            busy.discard(r)
+            senders.discard(s)
+            receivers.discard(r)
             # the sender and the heads the link blocked, if backlogged; the
             # receiver is touched below, when it queues the packet or drops it
             if queues[s]:
@@ -619,7 +625,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             missed += 1
             if first_miss_capacity is None:
                 first_miss_capacity = _first_miss_claim(
-                    packets, cursor, now, pos, at, hop_count, size)
+                    packets, cursor, now, pos, at, routes.hop_count, size)
                 first_miss_time = now
                 stop = config.stop_at_first_miss
             at[pos] = None
@@ -656,7 +662,10 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 log((now, GRANT, s, r, entry[-1]))
         for _, v, r in candidates:
             if v not in air:  # refused, and no endpoint of a grant since
-                tx = _conflict(v, r, air, sending, receiving, adjacency)
+                # at a busy receiver, the transmission using it, as
+                # `_conflict` would find it first
+                tx = air.get(r) or _conflict(v, r, air, sending, receiving,
+                                             adjacency)
                 if not tx:
                     raise InvariantError(f"candidate {v}->{r} refused with "
                                          f"nothing blocking it")

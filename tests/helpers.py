@@ -69,6 +69,99 @@ def uniprocessor_reference(workload, tx_time):
     return delays, missed
 
 
+def mark(medium, sender, receiver, on_air=True):
+    """Put the link sender->receiver on the medium's busy endpoints, senders
+    and receivers, as the MAC does at a grant; with on_air=False take it
+    off them, as the run does when the transmission completes."""
+    for members, node in ((medium.busy, sender), (medium.busy, receiver),
+                          (medium.senders, sender),
+                          (medium.receivers, receiver)):
+        if on_air:
+            members.add(node)
+        else:
+            members.discard(node)
+
+
+def reference_run(topology, routes, workload, config, key):
+    """A network run by a plain greedy pass over the whole backlog at every
+    instant; returns its event trace as (time, kind, node, receiver,
+    position) tuples, as `run_simulation` logs them.
+
+    `key(arrival_time, relative_deadline, tie_key, position)` is the
+    packets' priority, smallest first, ending in the position. An instant is
+    the earliest of the next arrival, the next hop's end and the next
+    deadline of a packet still in the network. It runs hops ending then, in
+    grant order (a packet that missed in the air goes no further; one that
+    reaches a sink is delivered), then arrivals in workload order, then
+    deadlines in position order: a queued packet leaves its node's queue, a
+    packet in the air is logged at node -1. With `config.stop_at_first_miss`
+    the run ends at the first instant with a miss. Otherwise every node
+    with a queued packet offers its most urgent one to its next hop, and in
+    key order a link is granted unless an endpoint is on the air, its
+    sender is in range of a receiving node or its receiver in range of a
+    sending node. Uses lists, dicts and sets alone; of the simulator it
+    reads only the workload's `Packet`s and the six event codes."""
+    packets = list(workload.packets)
+    adjacency, next_hop = topology.adjacency, routes.next_hop
+    sinks = set(routes.sinks)
+    tx_time = config.packet_size / config.bandwidth
+    deadline = [p.arrival_time + p.relative_deadline for p in packets]
+    queued = defaultdict(list)  # node -> keys of its queued packets
+    where = {}                  # position -> node holding it, queued or sending
+    air = {}                    # position -> (sender, receiver, end), by grant
+    trace, nxt = [], 0
+    while True:
+        due = [end for _, _, end in air.values()]
+        due += [deadline[pos] for pos in where]
+        if nxt < len(packets):
+            due.append(packets[nxt].arrival_time)
+        if not due:
+            return trace
+        now = min(due)
+        for pos, (s, r, end) in list(air.items()):
+            if end != now:
+                continue
+            del air[pos]
+            trace.append((now, sc.COMPLETE, s, r, pos))
+            if pos not in where:
+                continue
+            if r in sinks:
+                del where[pos]
+                trace.append((now, sc.DELIVER, r, -1, pos))
+            else:
+                where[pos] = r
+                p = packets[pos]
+                queued[r].append(key(p.arrival_time, p.relative_deadline,
+                                     p.tie_key, pos))
+                trace.append((now, sc.ENQUEUE, r, -1, pos))
+        while nxt < len(packets) and packets[nxt].arrival_time == now:
+            p = packets[nxt]
+            where[nxt] = p.origin
+            queued[p.origin].append(key(now, p.relative_deadline, p.tie_key,
+                                        nxt))
+            trace.append((now, sc.ARRIVAL, p.origin, -1, nxt))
+            nxt += 1
+        missed = sorted(pos for pos in where if deadline[pos] == now)
+        for pos in missed:
+            node = where.pop(pos)
+            if pos in air:
+                trace.append((now, sc.MISS, -1, -1, pos))
+            else:
+                queued[node] = [k for k in queued[node] if k[-1] != pos]
+                trace.append((now, sc.MISS, node, -1, pos))
+        if missed and config.stop_at_first_miss:
+            return trace
+        for head, v in sorted((min(keys), v) for v, keys in queued.items()
+                              if keys):
+            r = next_hop[v]
+            if any({v, r} & {s, t} or t in adjacency[v] or s in adjacency[r]
+                   for s, t, _ in air.values()):
+                continue
+            queued[v].remove(head)
+            air[head[-1]] = (v, r, now + tx_time)
+            trace.append((now, sc.GRANT, v, r, head[-1]))
+
+
 def mk_packet(origin, at, deadline, tie=0.0):
     return sc.Packet(origin=origin, arrival_time=at,
                      relative_deadline=deadline, tie_key=tie)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rtcap import analytics as an
 from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
@@ -24,9 +25,11 @@ from helpers import (
     first_miss_claim,
     instance_is_dm_feasible,
     links_conflict,
+    mark,
     measured_dm_bound,
     mk_packet,
     mk_workload,
+    reference_run,
     replay_active_sets,
     star,
     uniprocessor_reference,
@@ -378,7 +381,7 @@ class TestAdmissibleTransmissions:
         topo, _ = chain_network(n)
         medium = sc.Medium(topo.adjacency)
         for s, r, _ in active:
-            medium.occupy(s, r)
+            mark(medium, s, r)
         return medium
 
     def test_single_candidate_granted(self):
@@ -445,6 +448,17 @@ class TestAdmissibleTransmissions:
         pkt = mk_packet(4, 0.0, 1.0)
         assert sc.admissible_transmissions([dm(pkt, 4, 3)], medium) == []
 
+    @pytest.mark.parametrize("links", [
+        [(3, 2), (1, 2)],   # a shared receiver: the lower sender wins
+        [(1, 2), (1, 0)]])  # a shared sender: the lower receiver wins
+    def test_equal_keys_fall_to_sender_then_receiver(self, links):
+        # candidates are granted in the order of the whole tuples, and a
+        # granted candidate comes back as the tuple given
+        key = (1.0, 0.5, 0)
+        first, second = [(key, s, r) for s, r in links]
+        grants = sc.admissible_transmissions([first, second], self.medium(4))
+        assert len(grants) == 1 and grants[0] is second
+
 
 class TestMedium:
     @staticmethod
@@ -474,7 +488,7 @@ class TestMedium:
         for step in range(400):
             if active and rng.random() < 0.45:
                 s, r, _ = active.pop(int(rng.integers(len(active))))
-                medium.release(s, r)
+                mark(medium, s, r, on_air=False)
             else:
                 s = int(rng.choice(sorted(routes.next_hop)))
                 r = routes.next_hop[s]
@@ -487,7 +501,7 @@ class TestMedium:
             assert (medium.busy, medium.senders, medium.receivers) \
                 == self.rebuilt(active)
         for s, r, _ in active:
-            medium.release(s, r)
+            mark(medium, s, r, on_air=False)
         assert medium.is_idle()
 
     @pytest.mark.parametrize("seed", range(3))
@@ -531,17 +545,17 @@ class TestMedium:
         assert sc._conflict(2, 3, *self.record(active), adjacency) == blocker
 
     def test_run_must_leave_medium_idle(self, monkeypatch):
-        # a release that forgets the sender leaves it in `senders`
-        def leaky_release(medium, sender, receiver):
-            medium.busy.discard(sender)
-            medium.busy.discard(receiver)
-            medium.receivers.discard(receiver)
+        # a MAC that leaves a phantom sender, node -1, in `senders`, which no
+        # completion removes; it is no node, so the MAC never meets it and
+        # the run drains
+        mac = sc.admissible_transmissions
 
-        monkeypatch.setattr(sc.Medium, "release", leaky_release)
-        # the stale sender makes the MAC refuse a link nothing in the air
-        # blocks, which the work-conservation check may see first
-        with pytest.raises(sc.InvariantError,
-                           match="medium not idle|nothing blocking"):
+        def leaky(candidates, medium):
+            medium.senders.add(-1)
+            return mac(candidates, medium)
+
+        monkeypatch.setattr(sc, "admissible_transmissions", leaky)
+        with pytest.raises(sc.InvariantError, match="medium not idle"):
             contended_run(seed=3)
 
     def test_conflicting_grant_raises(self, monkeypatch):
@@ -549,7 +563,7 @@ class TestMedium:
         # caught by the per-grant check, against the transmissions in the air
         def grant_all(candidates, medium):
             for _, sender, receiver in candidates:
-                medium.occupy(sender, receiver)
+                mark(medium, sender, receiver)
             return list(candidates)
 
         monkeypatch.setattr(sc, "admissible_transmissions", grant_all)
@@ -621,7 +635,7 @@ class TestMacProperties:
                       for i, ((s, r), rank) in enumerate(drawn)]
         medium = sc.Medium(adjacency)
         for s, r in active:
-            medium.occupy(s, r)
+            mark(medium, s, r)
         assert sc.admissible_transmissions(candidates, medium) \
             == self.oracle(adjacency, active, candidates)
 
@@ -1072,6 +1086,34 @@ class TestPositionIndexedRun:
 
 
 # ---------------------------------------------------------------------------
+# Whole-network reference
+# ---------------------------------------------------------------------------
+
+class TestReferenceRun:
+    """The run arbitrates only the nodes an instant touched and files each
+    refused head on one blocker's wait-list; `reference_run` makes a plain
+    greedy pass over the whole backlog at every instant. Their traces must
+    be equal, tuple for tuple."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_networks(), st.integers(0, 2**16), st.floats(1.0, 16.0),
+           st.sampled_from([1000.0, 5000.0, 12_500.0]),
+           st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.5, 1.0, 2.0]),
+                    min_size=1, max_size=3, unique=True).map(tuple),
+           st.booleans())
+    def test_trace_equals_the_reference(self, network, seed, rate, size,
+                                        deadlines, stop):
+        topo, routes = network
+        cfg = sc.SimConfig(packet_size=size, deadline_set=deadlines,
+                           arrival_rate=rate, duration=3.0, seed=seed,
+                           stop_at_first_miss=stop)
+        wl = sc.generate_workload(topo, routes, cfg)
+        trace = []
+        sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
+        assert trace == reference_run(topo, routes, wl, cfg, sc.priority_key)
+
+
+# ---------------------------------------------------------------------------
 # Exact oracle: the one-hop star
 # ---------------------------------------------------------------------------
 
@@ -1111,6 +1153,37 @@ class TestStarOracle:
                    for pos in delays)
         assert missed == misses == m.missed
         assert len(delays) + misses == len(wl.packets)
+
+    def test_one_hop_test_misses_blocking(self):
+        """The paper's one-hop test passes an instance the run misses.
+        Two sources share the sink's channel with 4-ms hops: the lax packet
+        (D = 0.1 s) is released at t = 0 and the urgent one (D = 7.5 ms) 1 ns
+        later. Their utilization, 0.004/0.1 + 0.004/0.0075 = 0.5733, passes
+        both the DM path test (lhs 0.9585) and the EDF one. But the channel
+        is non-preemptive: the urgent packet is blocked for the lax one's
+        whole 4-ms hop, and 4 ms of blocking plus its own 4 ms exceed its
+        7.5 ms (non-preemptive blocking; George, Rivierre & Spuri 1996).
+        The run misses it in the air, as the exact uniprocessor does, and the
+        instance check that counts each packet at its sink too calls it
+        infeasible."""
+        topo, routes = star(2)
+        cfg = sc.SimConfig()
+        assert cfg.tx_time == 0.004
+        wl = mk_workload([mk_packet(1, 0.0, 0.1), mk_packet(2, 1e-9, 0.0075)])
+        vq = cfg.tx_time / 0.1 + cfg.tx_time / 0.0075
+        assert vq == pytest.approx(0.5733, abs=1e-4)
+        dm_report = an.dm_path_feasible([vq])
+        assert dm_report.feasible
+        assert dm_report.lhs_value == pytest.approx(0.9585, abs=1e-4)
+        assert an.edf_path_feasible([vq]).feasible
+        trace = []
+        m = sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
+        assert [record for record in trace if record[1] == sc.MISS] \
+            == [(pytest.approx(0.007500001, abs=1e-12), sc.MISS, -1, -1, 1)]
+        assert (m.delivered, m.missed) == (1, 1)
+        assert uniprocessor_reference(wl, cfg.tx_time) \
+            == ({0: pytest.approx(m.delays[0])}, m.missed)
+        assert not instance_is_dm_feasible(topo, routes, wl, cfg.tx_time)
 
 
 # ---------------------------------------------------------------------------
