@@ -25,6 +25,7 @@ simulation error. All diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from typing import NamedTuple, Optional
@@ -63,6 +64,7 @@ class _Option(NamedTuple):
     kind: object        # int, float, str, _floats, bool (a switch) or choices
     default: object
     commands: tuple     # commands that take it as a --flag
+    param: Optional[str] = None  # the library parameter it fills
     help: Optional[str] = None
 
 
@@ -79,49 +81,49 @@ _A, _F, _R, _S, _W = "analyze", "feasible", "ratio", "simulate", "sweep"
 
 # The one declaration of every flag a command takes: each row becomes a
 # --flag of each command it names, with the row's default, and argparse
-# parses its value by the row's kind. A new option is one row here.
+# parses its value by the row's kind. A row's `param` names the library
+# parameter the flag fills, so `_from_flags` passes the flag to every
+# AnalyticParams, SimConfig, make_network, CurveSpec or SweepSpec call that
+# takes that parameter. A new option is one row here.
 _OPTIONS = {
-    "n": _Option(int, 100, (_A, _W)),
-    "B": _Option(float, 250_000.0, (_A, _S, _W)),
-    "u": _Option(int, 10, (_A, _W)),
-    "alpha": _Option(float, 2.0, (_A, _W)),
-    "N": _Option(float, 5.0, (_A,)),
-    "m": _Option(float, 10.0, (_A, _W)),
-    "Kd": _Option(float, 4.0, (_A, _R)),
-    "sinks": _Option(int, 1, (_A, _S, _W)),
-    "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, (_A, _W)),
+    "n": _Option(int, 100, (_A, _W), "node_count"),
+    "B": _Option(float, 250_000.0, (_A, _S, _W), "bandwidth"),
+    "u": _Option(int, 10, (_A, _W), "neighborhood_bound"),
+    "alpha": _Option(float, 2.0, (_A, _W), "inversion_factor"),
+    # a sweep's swept value replaces path_length or max_hops, so `sweep`
+    # has no --N or --Kd
+    "N": _Option(float, 5.0, (_A,), "path_length"),
+    "m": _Option(float, 10.0, (_A, _W), "nodes_per_disk"),
+    "Kd": _Option(float, 4.0, (_A, _R), "max_hops"),
+    "sinks": _Option(int, 1, (_A, _S, _W), "sink_count"),
+    "mode": _Option((an.EXACT, an.APPROXIMATE), an.EXACT, (_A, _W), "mode"),
     "topology": _Option(("balanced", "convergecast"), "balanced", (_A,)),
     "scheduler": _Option(("dm", "edf", "both"), "both", (_A,)),
-    "csv": _Option(str, None, (_A,), "also write the bounds as CSV"),
-    "vqs": _Option(_floats, None, (_F,),
-                   "comma-separated neighborhood utilizations of the path"),
+    "csv": _Option(str, None, (_A,), help="also write the bounds as CSV"),
+    "vqs": _Option(_floats, None, (_F,), help=(
+        "comma-separated neighborhood utilizations of the path")),
     "delta": _Option(float, 1.0, (_F,)),
-    "rows": _Option(int, 20, (_S, _W)),
-    "cols": _Option(int, 20, (_S, _W)),
-    "spacing": _Option(float, 10.0, (_S, _W)),
-    "jitter": _Option(float, 0.25, (_S, _W)),
-    "radio_range": _Option(float, 20.0, (_S, _W)),
-    "rate": _Option(float, 1.0, (_S,)),
-    "duration": _Option(float, 30.0, (_S, _W)),
-    "packet_size": _Option(float, 1000.0, (_S, _W)),
-    "deadlines": _Option(_floats, "0.5,1.0,2.0", (_S, _W),
+    "rows": _Option(int, 20, (_S, _W), "rows"),
+    "cols": _Option(int, 20, (_S, _W), "cols"),
+    "spacing": _Option(float, 10.0, (_S, _W), "spacing"),
+    "jitter": _Option(float, 0.25, (_S, _W), "jitter"),
+    "radio_range": _Option(float, 20.0, (_S, _W), "radio_range"),
+    "rate": _Option(float, 1.0, (_S,), "arrival_rate"),
+    "duration": _Option(float, 30.0, (_S, _W), "duration"),
+    "packet_size": _Option(float, 1000.0, (_S, _W), "packet_size"),
+    "deadlines": _Option(_floats, "0.5,1.0,2.0", (_S, _W), "deadline_set",
                          "comma-separated deadline set, seconds"),
-    "seed": _Option(int, 0, (_S, _W)),
-    "reps": _Option(int, 10, (_S, _W)),
+    "seed": _Option(int, 0, (_S, _W), "seed"),
+    "reps": _Option(int, 10, (_S, _W), "replication_count"),
     "verbose": _Option(bool, False, (_S, _W)),
-    "event_log": _Option(str, None, (_S,),
-                         "write the first replication's event log here"),
-    "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", (_W,)),
-    "values": _Option(_floats, None, (_W,), "comma-separated swept values"),
-    "load_factor": _Option(float, 1.5, (_W,)),
-    "out_dir": _Option(str, ".", (_W,), "output directory"),
+    "event_log": _Option(str, None, (_S,), help=(
+        "write the first replication's event log here")),
+    "kind": _Option(ex.SWEEP_KINDS, "balanced_curves", (_W,), "kind"),
+    # sweep passes each kind's default values itself
+    "values": _Option(_floats, None, (_W,), help="comma-separated swept values"),
+    "load_factor": _Option(float, 1.5, (_W,), "load_factor"),
+    "out_dir": _Option(str, ".", (_W,), help="output directory"),
 }
-
-# the AnalyticParams field each option sets; a sweep's swept value replaces
-# path_length or max_hops, so `sweep` has no --N or --Kd
-_PARAM_FIELDS = {"n": "node_count", "B": "bandwidth", "u": "neighborhood_bound",
-                 "alpha": "inversion_factor", "N": "path_length",
-                 "m": "nodes_per_disk", "Kd": "max_hops", "sinks": "sink_count"}
 
 _DEFAULT_SWEPT_VALUES = {
     "balanced_curves": tuple(float(n) for n in range(1, 31)),
@@ -154,18 +156,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _params_from(cfg: dict) -> an.AnalyticParams:
-    return an.AnalyticParams(**{field: cfg[key] for key, field
-                                in _PARAM_FIELDS.items() if key in cfg})
-
-
-def _sim_from(cfg: dict, **fields) -> sc.SimConfig:
-    """The workload, seed and replication settings every simulating command
-    shares; `fields` adds the ones only some commands set."""
-    return sc.SimConfig(
-        bandwidth=cfg["B"], packet_size=cfg["packet_size"],
-        deadline_set=cfg["deadlines"], duration=cfg["duration"],
-        seed=cfg["seed"], replication_count=cfg["reps"], **fields)
+def _from_flags(target, cfg: dict, **given):
+    """Call `target` with `given` and with every flag of `cfg` whose row's
+    `param` is a parameter of `target`."""
+    takes = inspect.signature(target).parameters
+    return target(**{opt.param: cfg[key] for key, opt in _OPTIONS.items()
+                     if key in cfg and opt.param in takes}, **given)
 
 
 def _params_line(cfg: dict, keys) -> str:
@@ -174,7 +170,7 @@ def _params_line(cfg: dict, keys) -> str:
 
 def _cmd_analyze(cfg, out) -> int:
     # computed, and the CSV written, before stdout: a failure prints nothing
-    params = _params_from(cfg)
+    params = _from_flags(an.AnalyticParams, cfg)
     schedulers = {"dm": [an.DM], "edf": [an.EDF], "both": [an.DM, an.EDF]}
     bounds = [an.rtcc_balanced(s, params) if cfg["topology"] == "balanced"
               else an.rtcc_convergecast(s, params, mode=cfg["mode"])
@@ -218,13 +214,11 @@ def _cmd_ratio(cfg, out) -> int:
 
 
 def _cmd_simulate(cfg, out) -> int:
-    sim = _sim_from(cfg, arrival_rate=cfg["rate"])
+    sim = _from_flags(sc.SimConfig, cfg)
     if cfg["event_log"]:
         # a bad log path fails before the runs, not after
         open(cfg["event_log"], "w").close()
-    topo, routes = tp.make_network(cfg["rows"], cfg["cols"], cfg["spacing"],
-                                   cfg["jitter"], cfg["seed"],
-                                   cfg["radio_range"], cfg["sinks"])
+    topo, routes = _from_flags(tp.make_network, cfg)
     stats = tp.topology_stats(topo, routes)
     trace = [] if cfg["event_log"] else None
     results = sc.run_replications(topo, routes, sim, event_log=trace)
@@ -269,14 +263,11 @@ def _cmd_sweep(cfg, out) -> int:
             raise UsageError(f"--values is required for {kind}")
         values = _DEFAULT_SWEPT_VALUES[kind]
     if kind in ex.CURVE_KINDS:
-        spec = ex.CurveSpec(kind=kind, values=values, analytic=_params_from(cfg),
-                            mode=cfg["mode"])
+        spec = _from_flags(ex.CurveSpec, cfg, values=values,
+                           analytic=_from_flags(an.AnalyticParams, cfg))
     else:
-        spec = ex.SweepSpec(
-            kind=kind, values=values, sim=_sim_from(cfg), rows=cfg["rows"],
-            cols=cfg["cols"], spacing=cfg["spacing"], jitter=cfg["jitter"],
-            radio_range=cfg["radio_range"], sink_count=cfg["sinks"],
-            inversion_factor=cfg["alpha"], load_factor=cfg["load_factor"])
+        spec = _from_flags(ex.SweepSpec, cfg, values=values,
+                           sim=_from_flags(sc.SimConfig, cfg))
     # a bad output directory fails before the sweep runs, not after
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
