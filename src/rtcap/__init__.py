@@ -37,8 +37,10 @@ from .experiments import (
     csv_filename,
     emit_csv,
     load_multiplier_series,
+    measured_bounds,
     probe_rate,
     run_sweep,
+    sink_ceiling,
 )
 from .simcore import (
     Arrivals,

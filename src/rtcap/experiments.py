@@ -17,9 +17,14 @@ and a `SweepSpec` the three simulated convergecast kinds:
 Simulation rows always evaluate the analytic bound from the topology
 statistics actually measured on that row's network (neighborhood bound,
 disk population, hop radius), never from nominal inputs, and carry the seed
-range of their replications. Curve rows carry no seed range: no seed enters
-a closed form. Every row carries the sweep's configuration hash, and
-identical sweeps produce byte-identical CSV files.
+range of their replications. Beside the bounds they carry the network's
+sink ceiling (`sink_ceiling`): `max_drained`, the most sources one sink
+drains, and `ceiling`, the offered demand in bit-hops per second at which
+that sink's channel is full when every source sends at one rate. Curve
+rows carry neither, nor a seed range: no seed enters a closed form, and
+no network. Flagged rows leave the ceiling empty. Every row carries the
+sweep's configuration hash, and identical sweeps produce byte-identical
+CSV files.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import functools
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
@@ -157,6 +163,8 @@ class ResultRow:
     neighborhood_bound: Optional[int] = None
     nodes_per_disk: Optional[int] = None
     max_hops: Optional[int] = None
+    ceiling: Optional[float] = None
+    max_drained: Optional[int] = None
     seed_lo: Optional[int] = None
     seed_hi: Optional[int] = None
     config_hash: str = ""
@@ -210,14 +218,33 @@ def probe_rate(target_demand: float, routes: tp.RouteTable,
     return target_demand / (packet_size * total_hops)
 
 
-def _measured_bounds(spec: SweepSpec, topo: tp.Topology, routes: tp.RouteTable):
-    """Analytic convergecast bounds from the measured topology statistics."""
-    stats = tp.topology_stats(topo, routes)
+def sink_ceiling(routes: tp.RouteTable, bandwidth: float) -> tuple:
+    """The throughput ceiling of equal-rate sources on this route table,
+    and the most sources one sink drains: `(ceiling, max_drained)`.
+
+    A sink receives one packet at a time, so the sink that drains the most
+    sources caps the offered demand at bandwidth * (sum of source hop
+    counts) / max_drained, in bit-hops per second like the bounds. Read
+    from `routes.hop_count` and `routes.assigned_sink` alone; a source is a
+    node of hop count > 0."""
+    drained = Counter(routes.assigned_sink[v]
+                      for v, h in routes.hop_count.items() if h > 0)
+    if not drained:
+        raise ValueError("route table carries no multi-hop traffic")
+    max_drained = max(drained.values())
+    return bandwidth * sum(routes.hop_count.values()) / max_drained, max_drained
+
+
+def measured_bounds(topology: tp.Topology, routes: tp.RouteTable,
+                    bandwidth: float, inversion_factor: float) -> tuple:
+    """The exact DM and EDF convergecast bounds from the statistics
+    measured on this network: `(stats, dm, edf)`."""
+    stats = tp.topology_stats(topology, routes)
     params = an.AnalyticParams(
-        node_count=topo.node_count,
-        bandwidth=spec.sim.bandwidth,
+        node_count=topology.node_count,
+        bandwidth=bandwidth,
         neighborhood_bound=stats.neighborhood_bound,
-        inversion_factor=spec.inversion_factor,
+        inversion_factor=inversion_factor,
         nodes_per_disk=max(1, stats.nodes_per_disk),
         max_hops=max(1, stats.max_hops),
         sink_count=len(routes.sinks))
@@ -235,14 +262,14 @@ def _simulation_row(spec: SweepSpec, value, network) -> dict:
     whose checks apply to it: the radio range, the sink count, or the load
     multiple of missratio_sweep, whose runs go the full duration; the other
     kinds stop each run at its first miss. `network`, called with the row's
-    `make_network` arguments, returns its topology, routes, measured stats
-    and DM and EDF bounds, shared by the rows of equal arguments. The row's
-    critical capacity is the minimum first-miss consumption across
-    replications.
+    `make_network` arguments, returns its topology, routes, measured stats,
+    DM and EDF bounds and sink ceiling, shared by the rows of equal
+    arguments. The row's critical capacity is the minimum first-miss
+    consumption across replications.
     """
     row = replace(spec, **{_SWEPT_FIELD[spec.kind]: value})
     missratio = row.kind == "missratio_sweep"
-    topo, routes, stats, dm, edf = network(
+    topo, routes, stats, dm, edf, ceiling, max_drained = network(
         row.rows, row.cols, row.spacing, row.jitter, row.sim.seed,
         row.radio_range, row.sink_count)
     cfg = replace(row.sim,
@@ -257,7 +284,8 @@ def _simulation_row(spec: SweepSpec, value, network) -> dict:
                     if missratio else None),
         offered_demand=float(np.mean([m.offered_demand for m in metrics])),
         neighborhood_bound=stats.neighborhood_bound,
-        nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops)
+        nodes_per_disk=stats.nodes_per_disk, max_hops=stats.max_hops,
+        ceiling=ceiling, max_drained=max_drained)
 
 
 def _curve_row(curve: CurveSpec, value) -> dict:
@@ -284,10 +312,10 @@ def run_sweep(spec: CurveSpec | SweepSpec) -> list:
     analytic bound from them, and aggregates seeded replications. Rows
     whose network settings are equal share one network, built once: the
     sweep keeps the network of the last row that built one (its topology,
-    routes, measured stats and DM and EDF bounds, all immutable), and a
-    row with the same `make_network` arguments reuses it. A build that
-    raises is not kept, so the next row tries it again. A value that fails
-    flags its own row, with NaN bounds and the error as
+    routes, measured stats, DM and EDF bounds and sink ceiling, all
+    immutable), and a row with the same `make_network` arguments reuses
+    it. A build that raises is not kept, so the next row tries it again. A
+    value that fails flags its own row, with NaN bounds and the error as
     `"<Type>: <message>"`, and the sweep continues. Simulated rows carry
     their seed range, flagged or not.
     """
@@ -301,7 +329,10 @@ def run_sweep(spec: CurveSpec | SweepSpec) -> list:
     @functools.lru_cache(maxsize=1)
     def network(*args):
         topo, routes = tp.make_network(*args)
-        return (topo, routes, *_measured_bounds(spec, topo, routes))
+        bandwidth = spec.sim.bandwidth
+        return (topo, routes, *measured_bounds(topo, routes, bandwidth,
+                                               spec.inversion_factor),
+                *sink_ceiling(routes, bandwidth))
 
     rows = []
     for value in spec.values:

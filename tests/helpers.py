@@ -186,18 +186,6 @@ EVAL_GRID = dict(rows=20, cols=40, spacing=10.0, jitter=0.25, radio_range=20.5,
                  sink_count=12)
 
 
-def measured_dm_bound(topo, routes) -> float:
-    """Convergecast DM bound (inversion factor 1, 250 kbit/s) from the
-    statistics measured on this network."""
-    stats = tp.topology_stats(topo, routes)
-    params = an.AnalyticParams(
-        node_count=topo.node_count, bandwidth=250_000.0,
-        neighborhood_bound=stats.neighborhood_bound, inversion_factor=1.0,
-        nodes_per_disk=max(1, stats.nodes_per_disk),
-        max_hops=max(1, stats.max_hops), sink_count=len(routes.sinks))
-    return an.rtcc_convergecast(an.DM, params, mode=an.EXACT).value
-
-
 def contended_run(seed=3, rate=6.0, event_log=None):
     """3x3 grid under enough load (50 ms hops) to produce real contention.
     Returns the network, the config, the workload that ran and its metrics,

@@ -45,10 +45,10 @@ STDOUT_SHA256 = {
 CSV_SHA256 = {
     "05_sink_sweep.py": (
         "sink_sweep_400_c01828eef8a3.csv",
-        "37f0102dba1aca5926f715c111fd48458e8f75cc7f771e5c6963d170863e588a"),
+        "b40856c745337af375a111067590b9ffb3cdf7fc8a5bb1d71950c3bf58a3e08a"),
     "06_missratio_knee.py": (
         "missratio_sweep_144_6b77304b9d21.csv",
-        "ad59fb6db62736a9411c24826fecc3a3a37ec59b897255a5744fbfc6b39722c3"),
+        "5aeb3a2bd4ad0fb6bf09e6d8d93d8bf443d3f03975973710f7f7152402014e0b"),
 }
 
 

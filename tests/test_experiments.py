@@ -14,6 +14,8 @@ from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
 
+from helpers import EVAL_GRID, chain_network
+
 ANALYTIC = an.AnalyticParams(node_count=100, bandwidth=250_000.0,
                              neighborhood_bound=10, inversion_factor=2.0,
                              nodes_per_disk=10, max_hops=4, sink_count=4)
@@ -227,6 +229,70 @@ class TestProbeRate:
         routes = tp.build_routes(topo, [0])
         with pytest.raises(ValueError):
             ex.probe_rate(1000.0, routes, 1000.0)
+
+
+class TestSinkCeiling:
+    def test_chain(self):
+        # hop counts 3 + 2 + 1, all three sources drained by the one sink
+        _, routes = chain_network(4)
+        assert ex.sink_ceiling(routes, 250_000.0) == (250_000.0 * 6 / 3, 3)
+
+    def test_no_traffic_rejected(self):
+        # every node a sink
+        topo, _ = chain_network(2)
+        routes = tp.build_routes(topo, [0, 1])
+        with pytest.raises(ValueError, match="no multi-hop traffic"):
+            ex.sink_ceiling(routes, 250_000.0)
+
+    # (sum of source hops, most sources one sink drains) on grid seed 0 at
+    # range 20.5: criterion 6's network (ceiling 5,857,142.857 bit-hop/s),
+    # the same grid at 1, 4 and 16 sinks, and criterion 7's grid
+    @pytest.mark.parametrize("rows,cols,sinks,hops,drained", [
+        (20, 40, 12, 1804, 77), (20, 40, 1, 6156, 799),
+        (20, 40, 4, 3171, 216), (20, 40, 16, 1682, 62),
+        (12, 12, 4, 243, 49)])
+    def test_pinned_networks(self, rows, cols, sinks, hops, drained):
+        _, routes = tp.make_network(rows, cols, 10.0, 0.25, 0, 20.5, sinks)
+        assert sum(routes.hop_count.values()) == hops
+        ceiling, max_drained = ex.sink_ceiling(routes, 250_000.0)
+        assert max_drained == drained
+        assert ceiling == pytest.approx(250_000.0 * hops / drained, rel=1e-12)
+
+    def test_simulated_rows_carry_their_networks_ceiling(self):
+        sim = replace(SMALL_SIM, duration=2.0, replication_count=1)
+        spec = small_sim_spec("sink_sweep", (1, 4), sim=sim)
+        for row, sinks in zip(ex.run_sweep(spec), (1, 4)):
+            _, routes = tp.make_network(6, 6, 10.0, 0.2, 1, 15.0, sinks)
+            assert (row.ceiling, row.max_drained) == \
+                ex.sink_ceiling(routes, sim.bandwidth)
+        # curve rows and flagged rows have no network's ceiling
+        curve = ex.run_sweep(spec_for("balanced_curves"))
+        flagged = ex.run_sweep(small_sim_spec("radio_sweep", (5.0,), sim=sim))
+        for row in (*curve, *flagged):
+            assert row.ceiling is None and row.max_drained is None
+        assert flagged[0].error is not None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_steady_miss_below_the_busiest_sinks_channel(self, seed):
+        """Criterion 6's network, every source at one rate, offers 0.75 of
+        B into its busiest sink (the one that drains `max_drained`
+        sources): about 0.79 of the alpha = 1 DM bound. The greedy MAC keeps
+        that sink's channel up with its demand, so after the start-up
+        transient, which the largest deadline (2 s) bounds, no packet
+        misses in a full 30-s run."""
+        topo, routes = tp.make_network(seed=0, **EVAL_GRID)
+        bandwidth, packet_size = 250_000.0, 1000.0
+        _, max_drained = ex.sink_ceiling(routes, bandwidth)
+        cfg = sc.SimConfig(bandwidth=bandwidth, packet_size=packet_size,
+                           arrival_rate=0.75 * bandwidth
+                           / (packet_size * max_drained),
+                           duration=30.0, seed=seed)
+        trace = []
+        sc.run_simulation(topo, routes, sc.generate_workload(topo, routes, cfg),
+                          cfg, event_log=trace)
+        steady = max(cfg.deadline_set)
+        late = [t for t, kind, *_ in trace if kind == sc.MISS and t > steady]
+        assert late == [], f"{len(late)} misses after t = {steady} s"
 
 
 class TestAnalyticSweeps:

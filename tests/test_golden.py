@@ -27,8 +27,7 @@ from rtcap import experiments as ex
 from rtcap import simcore as sc
 from rtcap import topology as tp
 
-from helpers import (EVAL_GRID, contended_run, measured_dm_bound, receive_gaps,
-                     sweep_csv_rows)
+from helpers import EVAL_GRID, contended_run, receive_gaps, sweep_csv_rows
 
 GOLDEN = {
     "contended-13-drop":
@@ -44,7 +43,7 @@ GOLDEN = {
 
 # the CSV data rows of both sweeps below, without their config_hash column
 SWEEP_ROWS_GOLDEN = \
-    "a52ac0baf8337172f79837835ea5e63b21fb32690bd6f67eb19a8c7ef9cffe67"
+    "e1923e098f92a347026420d219d3b69229c80800967e25cb099467dd6ae09a2c"
 
 
 def digest(log, metrics) -> str:
@@ -56,8 +55,8 @@ def loaded_run(grid: dict, load: float, packet_size: float, duration: float,
     """Grid seed 0 and traffic seed 0, offered `load` times the network's
     measured DM bound. Returns the formatted event trace and the metrics."""
     topo, routes = tp.make_network(seed=0, **grid)
-    rate = ex.probe_rate(load * measured_dm_bound(topo, routes), routes,
-                         packet_size)
+    dm = ex.measured_bounds(topo, routes, 250_000.0, 1.0)[1].value
+    rate = ex.probe_rate(load * dm, routes, packet_size)
     cfg = sc.SimConfig(packet_size=packet_size, duration=duration,
                        arrival_rate=rate, seed=0,
                        stop_at_first_miss=stop_at_first_miss)

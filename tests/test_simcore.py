@@ -26,7 +26,6 @@ from helpers import (
     instance_is_dm_feasible,
     links_conflict,
     mark,
-    measured_dm_bound,
     mk_packet,
     mk_workload,
     reference_run,
@@ -227,7 +226,8 @@ def probe_network():
     """Criterion 6's network and its seed-0 probe config at 1.25x the
     measured DM bound, stopped at the first miss."""
     topo, routes = tp.make_network(seed=0, **EVAL_GRID)
-    rate = ex.probe_rate(1.25 * measured_dm_bound(topo, routes), routes, 1000.0)
+    dm = ex.measured_bounds(topo, routes, 250_000.0, 1.0)[1].value
+    rate = ex.probe_rate(1.25 * dm, routes, 1000.0)
     cfg = sc.SimConfig(packet_size=1000.0, duration=30.0, arrival_rate=rate,
                        seed=0, stop_at_first_miss=True)
     return topo, routes, cfg
