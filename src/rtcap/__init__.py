@@ -46,7 +46,6 @@ from .simcore import (
     Arrivals,
     CriticalCapacity,
     InvariantError,
-    Medium,
     Packet,
     RunMetrics,
     SimConfig,

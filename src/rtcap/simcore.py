@@ -56,13 +56,14 @@ exactly one, and hop_count[origin] once it has been delivered. The
 capacity claimed at the first miss is read from the arrival columns by its
 definition (`_first_miss_claim`), not from the run's queues.
 
-Arbitration is by set membership. A `Medium` holds the busy endpoints,
-active senders and active receivers as sets for the MAC: the MAC adds each
-grant's endpoints to them, and the run removes a transmission's endpoints
-when it completes, each in O(1). The run keeps its own record of the air
-apart from the `Medium`: `air` maps each busy endpoint to its (sender,
-receiver, position), and two sets hold the active senders and receivers.
-One lookup, `_conflict`, finds the live transmission a link conflicts with
+Arbitration is by set membership. The run owns three sets that it passes
+to the MAC: the busy endpoints, the active senders and the active
+receivers. The MAC adds each grant's endpoints to them, and the run
+removes a transmission's endpoints when it completes, each in O(1). The
+run keeps its own record of the air apart from those sets, and the MAC
+never writes it: `air` maps each busy endpoint to its (sender, receiver,
+position), and two sets hold the active senders and receivers. One
+lookup, `_conflict`, finds the live transmission a link conflicts with
 against that record, ruling a conflict out by two endpoint lookups in
 `air` and two `isdisjoint` tests of the sender and receiver sets against
 the endpoints' neighbours: a grant must find none, and a refused head must
@@ -327,8 +328,9 @@ def generate_workload(topology: Topology, routes: RouteTable,
     (node count x `_BLOCK`) matrices, of exponential gaps (cumulated onto
     each row's last arrival time), deadline indices and tie keys, row v for
     node v. Sink rows are drawn and discarded, and rounds go on until every
-    non-sink node has passed the duration. So a shorter run's workload is exactly the first part of a longer
-    one's, and making a node a sink removes only that node's arrivals.
+    non-sink node has passed the duration. So a shorter run's workload is
+    exactly the first part of a longer one's, and making a node a sink
+    removes only that node's arrivals.
     Packets are sorted by arrival time, then origin, and a packet's place
     in that order is its identity. The workload holds the columns; its
     packets are built when they are read.
@@ -361,45 +363,26 @@ def generate_workload(topology: Topology, routes: RouteTable,
     return Workload(packets=packets, seed=config.seed)
 
 
-class Medium:
-    """The shared channel: the endpoints (`busy`), the senders and the
-    receivers of the active transmissions, as sets. Adjacency is open (a
-    node is not its own neighbour) and symmetric, so a node is in range of
-    an active receiver iff `receivers` meets its neighbours.
-
-    `admissible_transmissions` adds each grant's sender and receiver to the
-    sets, and whoever ends a transmission removes them again, as the run
-    does at its completion."""
-
-    __slots__ = ("adjacency", "busy", "senders", "receivers")
-
-    def __init__(self, adjacency: dict):
-        self.adjacency = adjacency
-        self.busy = set()
-        self.senders = set()
-        self.receivers = set()
-
-    def is_idle(self) -> bool:
-        return not (self.busy or self.senders or self.receivers)
-
-
-def admissible_transmissions(candidates: Iterable, medium: Medium) -> list:
+def admissible_transmissions(candidates: Iterable, adjacency: dict, busy: set,
+                             senders: set, receivers: set) -> list:
     """Grant head-of-queue transmissions in the order of their given keys
     under the spatial exclusion rule.
 
     candidates are (key, sender, receiver) tuples; the key is the packet's
     priority, computed at its arrival, smallest first. Candidates are taken
     in the order of the tuples themselves, so equal keys fall to the sender,
-    then the receiver. A candidate is granted iff its sender is outside
-    radio range of every receiving node, its receiver is outside radio
-    range of every sending node (counting both the already-active
-    transmissions in `medium` and grants made earlier in this pass), and
-    neither endpoint is already engaged. Each grant's endpoints are added
-    to the medium's sets. Returns the granted candidates, the tuples as
+    then the receiver. `busy`, `senders` and `receivers` are the endpoints,
+    the senders and the receivers of the active transmissions. Adjacency is
+    open (a node is not its own neighbour) and symmetric, so a node is in
+    range of an active receiver iff `receivers` meets its neighbours. A
+    candidate is granted iff its sender is outside radio range of every
+    receiving node, its receiver is outside radio range of every sending
+    node (counting both the active transmissions and grants made earlier in
+    this pass), and neither endpoint is already engaged. Each grant's
+    endpoints are added to the three sets; whoever ends a transmission
+    removes them again. Returns the granted candidates, the tuples as
     given, in that order.
     """
-    adjacency, busy = medium.adjacency, medium.busy
-    senders, receivers = medium.senders, medium.receivers
     granted = []
     for candidate in sorted(candidates):
         _, sender, receiver = candidate
@@ -426,7 +409,7 @@ def measured_capacity_consumption(claims: Iterable, packet_size: float) -> float
 def _conflict(sender: int, receiver: int, air: dict, sending: set,
               receiving: set, adjacency: dict) -> Optional[tuple]:
     # the live transmission the link sender->receiver conflicts with, or
-    # None, from the run's own record of the air, not the `Medium`: `air`
+    # None, from the run's own record of the air, not the MAC's sets: `air`
     # maps each busy endpoint to its (sender, receiver, position), and
     # `sending` and `receiving` hold the active senders and receivers. It is
     # one using either endpoint, else the first receiver among the sender's
@@ -510,7 +493,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     naming it by its position. The run raises `InvariantError` if a grant
     conflicts with a live transmission, if a node's heap head changes
     under its grant, if a refused candidate has nothing blocking it, or if
-    a run that drains without stopping leaves the medium not idle.
+    a run that drains without stopping leaves one of the MAC's sets
+    non-empty, the medium not idle.
     """
     adjacency = topology.adjacency
     # the route table by node; a sink's next hop, None, is never read
@@ -537,9 +521,9 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     # node -> heap of entries, each a packet's priority key with its
     # position last; a dropped packet's entry leaves once it is the head
     queues = [[] for _ in nodes]
-    medium = Medium(adjacency)
-    busy, senders, receivers = medium.busy, medium.senders, medium.receivers
-    # the run's own record of the air, kept apart from the `Medium`
+    # the MAC's sets: busy endpoints, active senders, active receivers
+    busy, senders, receivers = set(), set(), set()
+    # the run's own record of the air, kept apart from the MAC's sets
     air = {}               # busy endpoint -> its (sender, receiver, position)
     sending = set()        # active senders
     receiving = set()      # active receivers
@@ -647,7 +631,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 pop(heap)
             if heap:
                 candidates.append((heap[0], v, next_hop[v]))
-        for entry, s, r in admissible_transmissions(candidates, medium):
+        for entry, s, r in admissible_transmissions(
+                candidates, adjacency, busy, senders, receivers):
             tx = _conflict(s, r, air, sending, receiving, adjacency)
             if tx:
                 raise InvariantError(f"grant {s}->{r} conflicts with live "
@@ -671,7 +656,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                                          f"nothing blocking it")
                 waiting[tx[0]].append(v)
 
-    if not stop and not medium.is_idle():
+    if not stop and (busy or senders or receivers):
         raise InvariantError("medium not idle after the run drained")
 
     # counted from what the run still holds, not from the other counts:

@@ -71,11 +71,12 @@ class Topology:
 @dataclass(frozen=True)
 class RouteTable:
     """Next hop, hop count to the assigned sink, and that sink, per node, as
-    read-only mappings, plus the sink ids, an ascending tuple: the one
-    record of which nodes are sinks.
+    read-only mappings, plus the sink ids, an ascending tuple.
 
     Sinks themselves appear in hop_count (0) and assigned_sink (self) but
-    have no next_hop entry.
+    have no next_hop entry. So hop count 0 marks the sinks as `sinks` does:
+    the run, `probe_rate` and `sink_ceiling` read hop count 0, and the
+    workload draw reads `sinks`.
     """
     next_hop: Mapping
     hop_count: Mapping

@@ -69,13 +69,53 @@ def uniprocessor_reference(workload, tx_time):
     return delays, missed
 
 
-def mark(medium, sender, receiver, on_air=True):
-    """Put the link sender->receiver on the medium's busy endpoints, senders
-    and receivers, as the MAC does at a grant; with on_air=False take it
-    off them, as the run does when the transmission completes."""
-    for members, node in ((medium.busy, sender), (medium.busy, receiver),
-                          (medium.senders, sender),
-                          (medium.receivers, receiver)):
+def np_dm_response_times(tasks, tx_time):
+    """Worst-case response times of periodic tasks on a non-preemptive
+    deadline-monotonic uniprocessor, by the exact level-i busy-period
+    analysis (Davis, Burns, Bril & Lukkien 2007). `tasks` are (period,
+    deadline) pairs with distinct deadlines, and every job takes
+    `tx_time`, one hop on the channel. Returns each task's worst response
+    time, in the order given.
+
+    For task i, blocking B is the longest lower-priority hop: `tx_time`
+    when a task has a larger deadline, else 0. The level-i busy period t
+    solves t = B + sum over i and the higher-priority tasks j of
+    ceil(t/T_j)*C and holds ceil(t/T_i) jobs of i. The q-th starts at the
+    fixed point of w = B + q*C + sum over the higher-priority j of
+    (floor(w/T_j) + 1)*C and responds at w - q*T_i + C; every job of the
+    busy period is checked. The utilization of i and the higher-priority
+    tasks must be below 1. Reads nothing of the simulator."""
+    def fixed_point(w, step):
+        while (nxt := step(w)) != w:
+            w = nxt
+        return w
+
+    c = tx_time
+    worst = []
+    for period, deadline in tasks:
+        higher = [t for t, d in tasks if d < deadline]
+        if c / period + sum(c / t for t in higher) >= 1:
+            raise ValueError(f"level-{deadline} utilization is not below 1")
+        blocking = c if any(d > deadline for _, d in tasks) else 0.0
+        busy = fixed_point(blocking + c * (1 + len(higher)), lambda t: (
+            blocking + c * sum(math.ceil(t / p) for p in [period, *higher])))
+        responses = []
+        for q in range(math.ceil(busy / period)):
+            start = fixed_point(blocking + c * (q + len(higher)), lambda w: (
+                blocking + c * (q + sum(math.floor(w / p) + 1
+                                        for p in higher))))
+            responses.append(start - q * period + c)
+        worst.append(max(responses))
+    return worst
+
+
+def mark(sets, sender, receiver, on_air=True):
+    """Put the link sender->receiver on the MAC's sets, (busy endpoints,
+    senders, receivers), as the MAC does at a grant; with on_air=False take
+    it off them, as the run does when the transmission completes."""
+    busy, senders, receivers = sets
+    for members, node in ((busy, sender), (busy, receiver),
+                          (senders, sender), (receivers, receiver)):
         if on_air:
             members.add(node)
         else:

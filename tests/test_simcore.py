@@ -28,6 +28,7 @@ from helpers import (
     mark,
     mk_packet,
     mk_workload,
+    np_dm_response_times,
     reference_run,
     replay_active_sets,
     star,
@@ -378,35 +379,38 @@ def dm(packet, sender, receiver, position=0):
 
 class TestAdmissibleTransmissions:
     def medium(self, n, active=()):
+        """The MAC's arguments after the candidates on an n-chain: its
+        adjacency, then the busy endpoints, senders and receivers of the
+        active transmissions."""
         topo, _ = chain_network(n)
-        medium = sc.Medium(topo.adjacency)
+        sets = (set(), set(), set())
         for s, r, _ in active:
-            mark(medium, s, r)
-        return medium
+            mark(sets, s, r)
+        return (topo.adjacency, *sets)
 
     def test_single_candidate_granted(self):
         medium = self.medium(3)
         pkt = mk_packet(0, 0.0, 1.0)
-        grants = sc.admissible_transmissions([dm(pkt, 0, 1)], medium)
+        grants = sc.admissible_transmissions([dm(pkt, 0, 1)], *medium)
         assert grants == [dm(pkt, 0, 1)]
 
     def test_sender_near_active_receiver_blocked(self):
         medium = self.medium(4, [(0, 1, 99)])
         pkt = mk_packet(2, 0.0, 1.0)
-        assert sc.admissible_transmissions([dm(pkt, 2, 3)], medium) == []
+        assert sc.admissible_transmissions([dm(pkt, 2, 3)], *medium) == []
 
     def test_receiver_near_active_sender_blocked(self):
         medium = self.medium(4, [(1, 0, 99)])
         pkt = mk_packet(3, 0.0, 1.0)
         # receiver 2 is inside sender 1's range
-        assert sc.admissible_transmissions([dm(pkt, 3, 2)], medium) == []
+        assert sc.admissible_transmissions([dm(pkt, 3, 2)], *medium) == []
 
     def test_disjoint_neighborhoods_both_granted(self):
         medium = self.medium(6)
         p1 = mk_packet(0, 0.0, 1.0)
         p2 = mk_packet(4, 0.0, 1.0)
         grants = sc.admissible_transmissions([dm(p1, 0, 1), dm(p2, 4, 5)],
-                                             medium)
+                                             *medium)
         assert len(grants) == 2
 
     def test_priority_wins_shared_receiver(self):
@@ -414,7 +418,7 @@ class TestAdmissibleTransmissions:
         urgent = mk_packet(3, 0.0, 0.5)
         lax = mk_packet(1, 0.0, 2.0)
         grants = sc.admissible_transmissions(
-            [dm(lax, 1, 2, 0), dm(urgent, 3, 2, 1)], medium)
+            [dm(lax, 1, 2, 0), dm(urgent, 3, 2, 1)], *medium)
         assert grants == [dm(urgent, 3, 2, 1)]
 
     def test_tie_breaks_by_key(self):
@@ -423,7 +427,7 @@ class TestAdmissibleTransmissions:
         a = mk_packet(1, 0.0, 1.0, tie=0.9)
         b = mk_packet(3, 0.0, 1.0, tie=0.1)
         grants = sc.admissible_transmissions([dm(a, 1, 2, 0), dm(b, 3, 2, 1)],
-                                             medium)
+                                             *medium)
         assert grants == [dm(b, 3, 2, 1)]
 
     def test_grant_follows_the_given_keys(self):
@@ -440,13 +444,13 @@ class TestAdmissibleTransmissions:
 
         assert edf(lax, 0, 1, 2)[0] < edf(urgent, 1, 3, 2)[0]
         grants = sc.admissible_transmissions(
-            [edf(urgent, 1, 3, 2), edf(lax, 0, 1, 2)], medium)
+            [edf(urgent, 1, 3, 2), edf(lax, 0, 1, 2)], *medium)
         assert grants == [edf(lax, 0, 1, 2)]
 
     def test_busy_endpoint_blocked(self):
         medium = self.medium(6, [(4, 5, 99)])
         pkt = mk_packet(4, 0.0, 1.0)
-        assert sc.admissible_transmissions([dm(pkt, 4, 3)], medium) == []
+        assert sc.admissible_transmissions([dm(pkt, 4, 3)], *medium) == []
 
     @pytest.mark.parametrize("links", [
         [(3, 2), (1, 2)],   # a shared receiver: the lower sender wins
@@ -456,7 +460,7 @@ class TestAdmissibleTransmissions:
         # granted candidate comes back as the tuple given
         key = (1.0, 0.5, 0)
         first, second = [(key, s, r) for s, r in links]
-        grants = sc.admissible_transmissions([first, second], self.medium(4))
+        grants = sc.admissible_transmissions([first, second], *self.medium(4))
         assert len(grants) == 1 and grants[0] is second
 
 
@@ -483,26 +487,26 @@ class TestMedium:
                                        sink_count=1)
         adjacency = topo.adjacency
         rng = np.random.default_rng(seed)
-        medium = sc.Medium(adjacency)
+        sets = (set(), set(), set())
         active = []
         for step in range(400):
             if active and rng.random() < 0.45:
                 s, r, _ = active.pop(int(rng.integers(len(active))))
-                mark(medium, s, r, on_air=False)
+                mark(sets, s, r, on_air=False)
             else:
                 s = int(rng.choice(sorted(routes.next_hop)))
                 r = routes.next_hop[s]
                 pkt = mk_packet(s, 0.0, 1.0)
-                if not sc.admissible_transmissions([dm(pkt, s, r)], medium):
+                if not sc.admissible_transmissions([dm(pkt, s, r)],
+                                                   adjacency, *sets):
                     continue
                 assert sc._conflict(s, r, *self.record(active),
                                     adjacency) is None
                 active.append((s, r, step))
-            assert (medium.busy, medium.senders, medium.receivers) \
-                == self.rebuilt(active)
+            assert sets == self.rebuilt(active)
         for s, r, _ in active:
-            mark(medium, s, r, on_air=False)
-        assert medium.is_idle()
+            mark(sets, s, r, on_air=False)
+        assert not any(sets)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_verify_exclusion_matches_brute_force(self, seed):
@@ -515,12 +519,12 @@ class TestMedium:
                                        sink_count=1)
         adjacency = topo.adjacency
         rng = np.random.default_rng(seed)
-        medium = sc.Medium(adjacency)
+        sets = (set(), set(), set())
         active = []
         for step, s in enumerate(rng.permutation(sorted(routes.next_hop))[:8]):
             s, r = int(s), routes.next_hop[int(s)]
             pkt = mk_packet(s, 0.0, 1.0)
-            if sc.admissible_transmissions([dm(pkt, s, r)], medium):
+            if sc.admissible_transmissions([dm(pkt, s, r)], adjacency, *sets):
                 active.append((s, r, step))
         record = self.record(active)
         for s, r in routes.next_hop.items():
@@ -550,9 +554,9 @@ class TestMedium:
         # the run drains
         mac = sc.admissible_transmissions
 
-        def leaky(candidates, medium):
-            medium.senders.add(-1)
-            return mac(candidates, medium)
+        def leaky(candidates, adjacency, busy, senders, receivers):
+            senders.add(-1)
+            return mac(candidates, adjacency, busy, senders, receivers)
 
         monkeypatch.setattr(sc, "admissible_transmissions", leaky)
         with pytest.raises(sc.InvariantError, match="medium not idle"):
@@ -561,9 +565,9 @@ class TestMedium:
     def test_conflicting_grant_raises(self, monkeypatch):
         # a MAC that grants every candidate has its first conflicting grant
         # caught by the per-grant check, against the transmissions in the air
-        def grant_all(candidates, medium):
+        def grant_all(candidates, adjacency, *sets):
             for _, sender, receiver in candidates:
-                mark(medium, sender, receiver)
+                mark(sets, sender, receiver)
             return list(candidates)
 
         monkeypatch.setattr(sc, "admissible_transmissions", grant_all)
@@ -572,11 +576,26 @@ class TestMedium:
                                  r"\d+->\d+"):
             contended_run(seed=3)
 
+    def test_grant_must_pop_the_queue_head(self, monkeypatch):
+        # a MAC that grants as the real one does but hands back each key as
+        # an equal copy: the run pops the node's head entry itself, which is
+        # not the granted key
+        mac = sc.admissible_transmissions
+
+        def copying(candidates, *state):
+            return [((*key,), s, r) for key, s, r in mac(candidates, *state)]
+
+        monkeypatch.setattr(sc, "admissible_transmissions", copying)
+        with pytest.raises(sc.InvariantError,
+                           match=r"queue head changed under grant at node "
+                                 r"\d+$"):
+            contended_run(seed=3)
+
     def test_refusal_needs_a_blocker(self, monkeypatch):
         # a MAC that refuses every candidate leaves the first head idle with
         # nothing in the air to block it
         monkeypatch.setattr(sc, "admissible_transmissions",
-                            lambda candidates, medium: [])
+                            lambda candidates, *state: [])
         with pytest.raises(sc.InvariantError,
                            match=r"candidate \d+->\d+ refused with nothing "
                                  r"blocking it"):
@@ -633,10 +652,10 @@ class TestMacProperties:
         # stay apart
         candidates = [((rank, i), s, r)
                       for i, ((s, r), rank) in enumerate(drawn)]
-        medium = sc.Medium(adjacency)
+        sets = (set(), set(), set())
         for s, r in active:
-            mark(medium, s, r)
-        assert sc.admissible_transmissions(candidates, medium) \
+            mark(sets, s, r)
+        assert sc.admissible_transmissions(candidates, adjacency, *sets) \
             == self.oracle(adjacency, active, candidates)
 
     def test_run_reaches_the_mac_through_the_module(self, monkeypatch):
@@ -644,9 +663,9 @@ class TestMacProperties:
         calls = []
         mac = sc.admissible_transmissions
 
-        def counting(candidates, medium):
+        def counting(candidates, *state):
             calls.append(len(candidates))
-            return mac(candidates, medium)
+            return mac(candidates, *state)
 
         monkeypatch.setattr(sc, "admissible_transmissions", counting)
         contended_run(seed=3)
@@ -1184,6 +1203,92 @@ class TestStarOracle:
         assert uniprocessor_reference(wl, cfg.tx_time) \
             == ({0: pytest.approx(m.delays[0])}, m.missed)
         assert not instance_is_dm_feasible(topo, routes, wl, cfg.tx_time)
+        # the exact non-preemptive analysis, each packet a periodic task with
+        # T = D, fails it: 4 ms blocked plus 4 ms sent
+        _, urgent = np_dm_response_times([(0.1, 0.1), (0.0075, 0.0075)],
+                                         cfg.tx_time)
+        assert urgent == pytest.approx(0.008, abs=1e-15) and urgent > 0.0075
+
+    # release offset of the task under test and its higher-priority tasks
+    # behind the blocking packet, which goes first at t = 0
+    OFFSET = 1e-9
+
+    def critical_instant(self, tasks, i, tx_time):
+        """Task i's critical instant on a star with source j + 1 for task
+        j: the lowest-priority packet, if any task is below i, at t = 0,
+        then i and every higher-priority task at `OFFSET` and periodically
+        after it, past i's level-i busy period. Returns the run's trace,
+        its metrics and the workload."""
+        _, deadline = tasks[i]
+        level = [j for j, (_, d) in enumerate(tasks) if d <= deadline]
+        lower = [j for j, (_, d) in enumerate(tasks) if d > deadline]
+        # bounds i's busy period, as t <= B + sum of (t/T_j + 1)*C over it
+        horizon = tx_time * (len(level) + 1) / (
+            1 - sum(tx_time / tasks[j][0] for j in level))
+        releases = [(self.OFFSET + k * tasks[j][0], j + 1, tasks[j][1])
+                    for j in level
+                    for k in range(int(horizon / tasks[j][0]) + 1)]
+        if lower:
+            k = max(lower, key=lambda j: tasks[j][1])
+            releases.append((0.0, k + 1, tasks[k][1]))
+        wl = mk_workload([mk_packet(v, t, d) for t, v, d in sorted(releases)])
+        topo, routes = star(len(tasks))
+        trace = []
+        cfg = sc.SimConfig(duration=horizon + 1.0)
+        assert cfg.tx_time == tx_time
+        m = sc.run_simulation(topo, routes, wl, cfg, event_log=trace)
+        return trace, m, wl
+
+    def responses(self, trace, wl, source):
+        """The response times of the packets from `source`, in delivery
+        order."""
+        times, origins = wl.packets.arrival_time, wl.packets.origin
+        return [t - times[pos] for t, kind, _, _, pos in trace
+                if kind == sc.DELIVER and origins[pos] == source]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_worst_response_is_the_np_analysis(self, n):
+        """Periodic sources, one task each with a distinct deadline D <= T,
+        drawn until the exact non-preemptive analysis finds every task
+        schedulable. From each task's critical instant the run misses
+        nothing, and the task's largest response equals the analysis: the
+        blocking packet goes first 1 ns early, so the run may be faster by
+        that offset."""
+        tx_time = 0.004
+        rng = np.random.default_rng(n)
+        drawn = 0
+        while drawn < 20:
+            deadlines = rng.uniform(2 * tx_time, (n + 1) * tx_time, n)
+            tasks = list(zip(deadlines * rng.uniform(1.0, 1.05, n),
+                             deadlines))
+            if (len(set(deadlines)) < n
+                    or sum(tx_time / t for t, _ in tasks) >= 0.98):
+                continue
+            analysis = np_dm_response_times(tasks, tx_time)
+            if any(r > d - 1e-6 for r, (_, d) in zip(analysis, tasks)):
+                continue
+            drawn += 1
+            for i in range(n):
+                trace, m, wl = self.critical_instant(tasks, i, tx_time)
+                assert m.missed == 0
+                worst = max(self.responses(trace, wl, i + 1))
+                assert abs(worst - analysis[i]) <= 1e-9 + self.OFFSET, \
+                    (tasks, i)
+
+    def test_a_later_job_can_be_the_worst(self):
+        """Three tasks with 4-ms hops (after Davis et al. 2007, scaled and
+        with periods nudged off common multiples): the lowest-priority
+        task's level busy period holds two of its jobs, and the second
+        responds later than the first, so an analysis that checked only the
+        first job would call 12 ms its worst."""
+        tasks = [(0.00999, 0.00999), (0.0139, 0.0135), (0.0141, 0.0141)]
+        analysis = np_dm_response_times(tasks, 0.004)
+        assert analysis == pytest.approx([0.008, 0.012, 0.0139], abs=1e-12)
+        trace, m, wl = self.critical_instant(tasks, 2, 0.004)
+        first, second, *_ = self.responses(trace, wl, 3)
+        assert m.missed == 0
+        assert first == pytest.approx(0.012, abs=1e-12)
+        assert second == pytest.approx(analysis[2], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
