@@ -13,9 +13,12 @@ A workload is drawn in rounds of numpy blocks, one row per node, each
 round from its own child of `np.random.SeedSequence(config.seed)` (see
 `generate_workload`). A node's arrivals therefore depend on neither the
 duration nor which other nodes are sinks: a shorter run's workload is
-exactly the first part of a longer one's. The workload holds its arrivals
-as columns (`Arrivals`), and a `Packet` is built only when it is read;
-`Arrivals.rows` reads chosen fields a slice of the columns at a time.
+exactly the first part of a longer one's. One node x `_BLOCK` matrix is
+live at a time, each cut to its kept entries before the next is drawn, so
+the draw's memory follows the node count and the packets kept. The
+workload holds its arrivals as columns (`Arrivals`), and a `Packet` is
+built only when it is read; `Arrivals.rows` reads chosen fields a slice of
+the columns at a time.
 
 A packet is its position in the workload, and the scheduling policy
 lives in `priority_key` alone. A packet's key is computed once, at its
@@ -27,10 +30,11 @@ carried unchanged hop by hop. The MAC (`admissible_transmissions`) grants
 own. A run's keys are distinct, since each ends in the packet's position.
 
 A run reads the arrivals in time order through a cursor over the columns,
-building no `Packet`. Its event queues hold only transmission completions,
-a FIFO since every hop takes `tx_time`, and deadline expiries, a heap of
-(absolute deadline, position). Each instant runs three phases, then one
-grant pass:
+each arrival's time with its other fields, building no `Packet`; a
+sentinel past the last arrival ends the read. Its event queues hold only
+transmission completions, a FIFO since every hop takes `tx_time`, and
+deadline expiries, a heap of (absolute deadline, position). Each instant
+runs three phases, then one grant pass:
 
 1. completions at that instant, so the channel is freed before
    same-instant arrivals are queued;
@@ -39,22 +43,25 @@ grant pass:
    deadline still counts as on time.
 
 Packets are immutable records of their arrival; the run owns what moves.
-`at[pos]` is the node holding packet pos, queued or sending, from its
-arrival until it leaves the network, delivered or missed, and None
-otherwise. Each node has one heap of entries, in a list indexed by node,
-so a node is backlogged exactly when its heap is non-empty; the run reads
-next hops and hop counts from lists indexed by node too, built once from
-the route table. A sink is a node of hop count 0: a packet that reaches
-one is delivered, so no sink ever holds a packet. A packet that misses its
-deadline leaves at once and is never sent on: a queued one's entry is
-discarded once it reaches the head of its heap, and one in the air goes no
-further when its hop completes. A delivered packet's expiry is discarded
-unread once it reaches the head of the expiry heap, so its deadline makes
-no instant. Hops traversed is hop_count[origin] - hop_count[node] while a
-packet is in the network, since each route hop lowers the hop count by
-exactly one, and hop_count[origin] once it has been delivered. The
-capacity claimed at the first miss is read from the arrival columns by its
-definition (`_first_miss_claim`), not from the run's queues.
+Its per-packet state grows with the arrivals read, so a run that stops at
+its first miss holds nothing for the unread tail: `times[pos]` is the
+arrival time of packet pos, and `at[pos]` the node holding it, queued or
+sending, from its arrival until it leaves the network, delivered or
+missed, and None after. Each node has one heap of entries, in a list
+indexed by node, so a node is backlogged exactly when its heap is
+non-empty; the run reads next hops and hop counts from lists indexed by
+node too, built once from the route table. A sink is a node of hop count
+0: a packet that reaches one is delivered, so no sink ever holds a packet.
+A packet that misses its deadline leaves at once and is never sent on: a
+queued one's entry is discarded once it reaches the head of its heap, and
+one in the air goes no further when its hop completes. A delivered
+packet's expiry is discarded unread once it reaches the head of the expiry
+heap, so its deadline makes no instant. Hops traversed is
+hop_count[origin] - hop_count[node] while a packet is in the network,
+since each route hop lowers the hop count by exactly one, and
+hop_count[origin] once it has been delivered. The capacity claimed at the
+first miss is read from the arrival columns by its definition
+(`_first_miss_claim`), not from the run's queues.
 
 Arbitration is by set membership. The run owns three sets that it passes
 to the MAC: the busy endpoints, the active senders and the active
@@ -100,6 +107,7 @@ import math
 import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -330,7 +338,8 @@ def generate_workload(topology: Topology, routes: RouteTable,
     node v. Sink rows are drawn and discarded, and rounds go on until every
     non-sink node has passed the duration. So a shorter run's workload is
     exactly the first part of a longer one's, and making a node a sink
-    removes only that node's arrivals.
+    removes only that node's arrivals. One matrix is live at a time: each
+    is cut to its kept entries before the next is drawn.
     Packets are sorted by arrival time, then origin, and a packet's place
     in that order is its identity. The workload holds the columns; its
     packets are built when they are read.
@@ -340,27 +349,43 @@ def generate_workload(topology: Topology, routes: RouteTable,
     shape = (len(origins), _BLOCK)
     rounds = np.random.SeedSequence(config.seed)
     last = np.zeros(len(origins))
-    # an empty first entry gives the columns their types when nothing is drawn
-    drawn = [(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64),
-              np.empty(0))]
+    # each column's kept entries, one piece per round; an empty first piece
+    # gives the columns their types when nothing is drawn
+    kept_times, kept_origin = [np.empty(0)], [np.empty(0, np.int64)]
+    kept_index, kept_ties = [np.empty(0, np.int64)], [np.empty(0)]
     while config.arrival_rate > 0 and (last[sources] <= config.duration).any():
         rng = np.random.default_rng(rounds.spawn(1)[0])
-        gaps = rng.exponential(1.0 / config.arrival_rate, shape)
-        gaps[:, 0] += last
-        times = np.cumsum(gaps, axis=1)
-        deadline_index = rng.integers(len(config.deadline_set), size=shape)
-        ties = rng.random(shape)
-        last = times[:, -1]
-        live = sources[:, None] & (times <= config.duration)
-        drawn.append((times[live],
-                      np.broadcast_to(origins[:, None], shape)[live],
-                      deadline_index[live], ties[live]))
-    times, origin, deadline_index, ties = map(np.concatenate, zip(*drawn))
+        # one matrix at a time, each cut to its live entries before the
+        # next is drawn: the gaps, cumulated in place onto each row's last
+        # arrival time, then the deadline indices, then the tie keys
+        times = rng.exponential(1.0 / config.arrival_rate, shape)
+        times[:, 0] += last
+        np.cumsum(times, axis=1, out=times)
+        last = times[:, -1].copy()
+        live = times <= config.duration
+        live &= sources[:, None]
+        kept_times.append(times[live])
+        del times
+        kept_origin.append(np.broadcast_to(origins[:, None], shape)[live])
+        kept_index.append(
+            rng.integers(len(config.deadline_set), size=shape)[live])
+        kept_ties.append(rng.random(shape)[live])
+    # the columns joined and sorted one at a time, each unsorted column
+    # freed as its sorted one is built
+    times, origin = _joined(kept_times), _joined(kept_origin)
     order = np.lexsort((origin, times))
+    times, origin = times[order], origin[order]
     deadlines = np.array(config.deadline_set, dtype=float)
-    packets = Arrivals(origin[order], times[order],
-                       deadlines[deadline_index[order]], ties[order])
+    deadlines = deadlines[_joined(kept_index)[order]]
+    packets = Arrivals(origin, times, deadlines, _joined(kept_ties)[order])
     return Workload(packets=packets, seed=config.seed)
+
+
+def _joined(pieces: list) -> np.ndarray:
+    # the pieces as one array, the list emptied so that they are freed
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
 
 
 def admissible_transmissions(candidates: Iterable, adjacency: dict, busy: set,
@@ -433,7 +458,8 @@ def _offered_demand(packets: Arrivals, routes: RouteTable,
     its deadline window and the deadline cancels. The hops are summed as
     integers, then scaled by the packet size. A packet that arrives after
     the duration, or whose origin is a sink or not a node, is refused with
-    a `ValueError` naming the first such packet by its position."""
+    a `ValueError` naming the first such packet by its position. Packets
+    are counted per origin, so only the refusal builds per-packet arrays."""
     late = int(np.searchsorted(packets.arrival_time, config.duration, "right"))
     if late < len(packets):
         raise ValueError(f"packet {late} arrives at "
@@ -445,16 +471,20 @@ def _offered_demand(packets: Arrivals, routes: RouteTable,
     hops = np.zeros(len(hop_count), np.int64)
     hops[list(hop_count)] = list(hop_count.values())
     origin = packets.origin
-    node = (origin >= 0) & (origin < len(hops))
-    claimed = np.zeros(len(origin), np.int64)
-    claimed[node] = hops[origin[node]]
-    if not claimed.all():
+    # packets sent by each node, when every origin is one
+    nodes_only = (not len(origin)
+                  or 0 <= origin.min() <= origin.max() < len(hops))
+    sent = np.bincount(origin, minlength=len(hops)) if nodes_only else None
+    if sent is None or sent[hops == 0].any():
+        node = (origin >= 0) & (origin < len(hops))
+        claimed = np.zeros(len(origin), np.int64)
+        claimed[node] = hops[origin[node]]
         pos = int(claimed.argmin())
         v = origin[pos].item()
         what = "a sink" if node[pos] else "not a node"
         raise ValueError(f"packet {pos} originates at node {v}, which is "
                          f"{what}")
-    return int(claimed.sum()) * config.packet_size / config.duration
+    return int(sent @ hops) * config.packet_size / config.duration
 
 
 def _first_miss_claim(packets: Arrivals, cursor: int, now: float, missing: int,
@@ -504,20 +534,22 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     size, tx_time = config.packet_size, config.tx_time
 
     packets = workload.packets
-    # the fields of each arrival, read a slice of the columns at a time
-    pending = packets.rows("origin", "relative_deadline", "tie_key")
-    times = packets.arrival_time.tolist()
-    arrivals = len(times)
-    times.append(math.inf)     # past the last arrival
+    arrivals = len(packets)
     offered = _offered_demand(packets, routes, config)
+    # the fields of each arrival, read a slice of the columns at a time,
+    # then a sentinel past the last arrival
+    pending = chain(packets.rows("arrival_time", "origin", "relative_deadline",
+                                 "tie_key"), [(math.inf, -1, 0.0, 0.0)])
+    next_time, origin, relative, tie = next(pending)
 
     cursor = 0             # position of the next arrival in the workload
+    times = []             # position -> arrival time, for each arrival read
     completions = deque()  # (time, entry, (sender, receiver, position))
     expiries = []          # heap of (absolute deadline, position)
 
-    # position -> the node holding that packet, queued or sending; None
-    # before it arrives and once it has left, delivered or missed
-    at = [None] * arrivals
+    # position -> the node holding that packet, queued or sending, for each
+    # arrival read; None once it has left, delivered or missed
+    at = []
     # node -> heap of entries, each a packet's priority key with its
     # position last; a dropped packet's entry leaves once it is the head
     queues = [[] for _ in nodes]
@@ -541,7 +573,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     push, pop = heapq.heappush, heapq.heappop
 
     while completions or cursor < arrivals or expiries:
-        now = times[cursor]
+        now = next_time
         if completions and completions[0][0] < now:
             now = completions[0][0]
         if expiries and expiries[0][0] < now:
@@ -583,15 +615,16 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                 if log:
                     log((now, DELIVER, r, -1, pos))
 
-        while times[cursor] == now:
-            origin, relative, tie = next(pending)
-            at[cursor] = origin
+        while next_time == now:
+            times.append(now)
+            at.append(origin)
             push(queues[origin], key_of(now, relative, tie, cursor))
             touched.add(origin)
             push(expiries, (now + relative, cursor))
             if log:
                 log((now, ARRIVAL, origin, -1, cursor))
             cursor += 1
+            next_time, origin, relative, tie = next(pending)
 
         # expiries due now, and heads whose packet was delivered, so the
         # next instant is never chosen by a delivered packet's deadline
@@ -661,7 +694,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     # counted from what the run still holds, not from the other counts:
     # arrivals the cursor has not read, and packets queued or in the air
-    in_flight = arrivals - cursor + arrivals - at.count(None)
+    in_flight = arrivals - at.count(None)
     return RunMetrics(
         packets_generated=arrivals,
         delivered=len(delays),

@@ -5,6 +5,7 @@ import csv
 import heapq
 import itertools
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -222,6 +223,16 @@ def sweep_csv_rows(path):
 
 
 # the 800-node, 12-sink evaluation network of criterion 6
+def traced_peak(fn):
+    """`fn()` run under tracemalloc: (its result, the peak of the memory
+    it traced, in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 EVAL_GRID = dict(rows=20, cols=40, spacing=10.0, jitter=0.25, radio_range=20.5,
                  sink_count=12)
 

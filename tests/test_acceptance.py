@@ -170,11 +170,16 @@ def test_criterion_8_sink_count_trend(rows, cols):
         rows=rows, cols=cols, spacing=10.0, jitter=0.25, radio_range=20.5,
         load_factor=2.5)
     out = ex.run_sweep(spec)
-    assert all(r.error is None for r in out)
+    assert all(r.error is None for r in out), "flagged rows: " + "; ".join(
+        f"{r.swept_value:.4g} sinks: {r.error}" for r in out
+        if r.error is not None)
     criticals = [r.simulated_critical for r in out]
     assert all(c is not None for c in criticals)
     rho = stats.spearmanr([r.swept_value for r in out], criticals).statistic
-    assert rho >= 0.9
+    assert rho >= 0.9, (
+        f"Spearman rho {rho:.4f} < 0.9; critical capacity per sink count: "
+        + ", ".join(f"{r.swept_value:.4g}:{c:.4g}"
+                    for r, c in zip(out, criticals)))
 
 
 def test_criterion_9a_schedulability_sufficiency():

@@ -32,6 +32,7 @@ from helpers import (
     reference_run,
     replay_active_sets,
     star,
+    traced_peak,
     uniprocessor_reference,
 )
 
@@ -111,6 +112,17 @@ class TestGenerateWorkload:
         for p in wl.packets:
             assert p.origin in routes.next_hop and routes.hop_count[p.origin] > 0
         assert cfg.tx_time == pytest.approx(cfg.packet_size / cfg.bandwidth)
+
+    def test_peak_is_one_round_matrix(self):
+        # one node x _BLOCK matrix is live at a time, cut to its live
+        # entries before the next is drawn; four at once peaked at 4.27
+        # matrices here
+        topo, routes = tp.make_network(100, 100, seed=0, radio_range=20.5,
+                                       sink_count=12)
+        cfg = sc.SimConfig(arrival_rate=0.05, duration=20.0)
+        wl, peak = traced_peak(lambda: sc.generate_workload(topo, routes, cfg))
+        assert len(wl.packets) > 0
+        assert peak <= 2 * topo.node_count * sc._BLOCK * 8
 
     def test_packet_immutable(self):
         p = mk_packet(0, 0.0, 1.0)
@@ -260,6 +272,23 @@ class TestWorkloadStreams:
         assert short.first_miss_time == long.first_miss_time
         assert short.capacity_consumption_at_first_miss == \
             long.capacity_consumption_at_first_miss
+
+    def test_first_miss_memory_does_not_depend_on_duration(self,
+                                                           probe_network):
+        # a run that stops at its first miss holds state for the arrivals
+        # it read, not for the unread tail: a run over every arrival peaked
+        # at 2.4 times the 8-s run here
+        topo, routes, cfg = probe_network
+        peaks = []
+        for duration in (8.0, 30.0):
+            run_cfg = replace(cfg, duration=duration)
+            wl = sc.generate_workload(topo, routes, run_cfg)
+            m, peak = traced_peak(
+                lambda: sc.run_simulation(topo, routes, wl, run_cfg))
+            assert m.first_miss_time is not None and m.first_miss_time < 8.0
+            peaks.append(peak)
+        short, long = peaks
+        assert long <= 1.25 * short
 
     def test_matches_a_per_arrival_loop(self):
         # the same rounds drawn, then walked one arrival at a time
