@@ -33,14 +33,17 @@ APPROXIMATE = "approximate"
 BALANCED = "balanced"
 CONVERGECAST = "convergecast"
 
+# the residual |f(D)| at which the convergecast DM root solve stops
+_TOLERANCE = 1e-10
+
 
 class PoleError(ValueError):
     """A neighborhood utilization sits at or beyond the delay-bound pole (>= 1)."""
 
 
 class SolverError(RuntimeError):
-    """The convergecast DM root solve failed to reach the requested residual
-    tolerance.
+    """The convergecast DM root solve failed to reach the residual tolerance
+    `_TOLERANCE`.
 
     Carries the final bracket so the caller can inspect how far the solve got.
     """
@@ -226,8 +229,8 @@ def rtcc_balanced(scheduler: str, params: AnalyticParams) -> CapacityBound:
                          mode=EXACT, utilization_at_bottleneck=vq)
 
 
-def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
-                                     tolerance: float = 1e-10) -> float:
+def convergecast_dm_sink_utilization(nodes_per_disk: float,
+                                     max_hops: int) -> float:
     """Largest sink-neighborhood utilization a convergecast DM network sustains.
 
     Traffic destined to a sink loads ring x (population r_x = (2x-1)*m) with
@@ -245,7 +248,7 @@ def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
     started at D0 therefore descends monotonically onto D; a step that
     leaves the bracket of the last points with f < 0 and f > 0 (rounding
     near the root) is replaced by bisection of that bracket. Returns the
-    first D with residual |f(D)| <= tolerance.
+    first D with residual |f(D)| <= `_TOLERANCE`.
     """
     _refuse_non_finite("nodes_per_disk", nodes_per_disk)
     m = float(nodes_per_disk)
@@ -253,8 +256,7 @@ def convergecast_dm_sink_utilization(nodes_per_disk: float, max_hops: int,
         raise ValueError(f"nodes_per_disk must be >= 1, got {nodes_per_disk}")
     if max_hops < 1 or not float(max_hops).is_integer():
         raise ValueError(f"max_hops must be an integer >= 1, got {max_hops}")
-    if not (tolerance > 0):
-        raise ValueError("tolerance must be > 0")
+    tolerance = _TOLERANCE
 
     # np.add.reduce skips np.sum's Python wrapper; the odd integers are exact
     total = np.add.reduce

@@ -63,19 +63,19 @@ hop_count[origin] once it has been delivered. The capacity claimed at the
 first miss is read from the arrival columns by its definition
 (`_first_miss_claim`), not from the run's queues.
 
-Arbitration is by set membership. The run owns three sets that it passes
-to the MAC: the busy endpoints, the active senders and the active
-receivers. The MAC adds each grant's endpoints to them, and the run
-removes a transmission's endpoints when it completes, each in O(1). The
-run keeps its own record of the air apart from those sets, and the MAC
-never writes it: `air` maps each busy endpoint to its (sender, receiver,
-position), and two sets hold the active senders and receivers. One
-lookup, `_conflict`, finds the live transmission a link conflicts with
-against that record, ruling a conflict out by two endpoint lookups in
-`air` and two `isdisjoint` tests of the sender and receiver sets against
-the endpoints' neighbours: a grant must find none, and a refused head must
-find one. A refused head whose receiver is busy reads its blocker from
-`air` at once, as `_conflict`'s first lookup would.
+Arbitration is by set membership. The run owns two sets that it passes to
+the MAC, the active senders and the active receivers; an endpoint is busy
+when it is in either. The MAC adds each grant's sender and receiver to
+them, and the run removes them when the transmission completes, each in
+O(1). The run keeps its own record of the air apart from those sets, and
+the MAC never writes it: `air` maps each busy endpoint to its (sender,
+receiver, position), and two sets hold the active senders and receivers.
+One lookup, `_conflict`, finds the live transmission a link conflicts with
+against that record, ruling a conflict out by two endpoint lookups in `air`
+and two `isdisjoint` tests of the sender and receiver sets against the
+endpoints' neighbours: a grant must find none, and a refused head must find
+one. A refused head whose receiver is busy reads its blocker from `air` at
+once, as `_conflict`'s first lookup would.
 
 A blocked head waits on its blocker, as a conditional event does in the
 three-phase method. After the phases of each instant, the MAC arbitrates
@@ -388,7 +388,7 @@ def _joined(pieces: list) -> np.ndarray:
     return joined
 
 
-def admissible_transmissions(candidates: Iterable, adjacency: dict, busy: set,
+def admissible_transmissions(candidates: Iterable, adjacency: dict,
                              senders: set, receivers: set) -> list:
     """Grant head-of-queue transmissions in the order of their given keys
     under the spatial exclusion rule.
@@ -396,28 +396,28 @@ def admissible_transmissions(candidates: Iterable, adjacency: dict, busy: set,
     candidates are (key, sender, receiver) tuples; the key is the packet's
     priority, computed at its arrival, smallest first. Candidates are taken
     in the order of the tuples themselves, so equal keys fall to the sender,
-    then the receiver. `busy`, `senders` and `receivers` are the endpoints,
-    the senders and the receivers of the active transmissions. Adjacency is
-    open (a node is not its own neighbour) and symmetric, so a node is in
-    range of an active receiver iff `receivers` meets its neighbours. A
-    candidate is granted iff its sender is outside radio range of every
-    receiving node, its receiver is outside radio range of every sending
-    node (counting both the active transmissions and grants made earlier in
-    this pass), and neither endpoint is already engaged. Each grant's
-    endpoints are added to the three sets; whoever ends a transmission
-    removes them again. Returns the granted candidates, the tuples as
-    given, in that order.
+    then the receiver. `senders` and `receivers` are the senders and the
+    receivers of the active transmissions. Adjacency is open (a node is
+    not its own neighbour) and symmetric, so a node is in range of an
+    active receiver iff `receivers` meets its neighbours. A candidate is
+    granted iff its sender is outside radio range of every receiving node,
+    its receiver is outside radio range of every sending node (counting
+    both the active transmissions and grants made earlier in this pass),
+    and neither endpoint is in either set: a link need not be in range,
+    since a hand-built route table may hold an out-of-range next hop. Each
+    grant's sender is added to `senders` and its receiver to `receivers`;
+    whoever ends a transmission removes them again. Returns the granted
+    candidates, the tuples as given, in that order.
     """
     granted = []
     for candidate in sorted(candidates):
         _, sender, receiver = candidate
-        if sender in busy or receiver in busy:
+        if (sender in senders or sender in receivers
+                or receiver in senders or receiver in receivers):
             continue
         if not (receivers.isdisjoint(adjacency[sender])
                 and senders.isdisjoint(adjacency[receiver])):
             continue
-        busy.add(sender)
-        busy.add(receiver)
         senders.add(sender)
         receivers.add(receiver)
         granted.append(candidate)
@@ -451,7 +451,7 @@ def _conflict(sender: int, receiver: int, air: dict, sending: set,
     return None
 
 
-def _offered_demand(packets: Arrivals, routes: RouteTable,
+def _offered_demand(packets: Arrivals, hop_count: list,
                     config: SimConfig) -> float:
     """Bit-hops the packets inject over the duration: the time-averaged
     demand, since each packet claims size/deadline at every route node for
@@ -465,11 +465,9 @@ def _offered_demand(packets: Arrivals, routes: RouteTable,
         raise ValueError(f"packet {late} arrives at "
                          f"{packets.arrival_time[late].item()!r}, after the "
                          f"duration {config.duration!r}")
-    hop_count = routes.hop_count
     # route hops by node, a node being its index; 0 marks a sink, and an
     # origin outside the array is not a node
-    hops = np.zeros(len(hop_count), np.int64)
-    hops[list(hop_count)] = list(hop_count.values())
+    hops = np.array(hop_count, np.int64)
     origin = packets.origin
     # packets sent by each node, when every origin is one
     nodes_only = (not len(origin)
@@ -535,7 +533,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
 
     packets = workload.packets
     arrivals = len(packets)
-    offered = _offered_demand(packets, routes, config)
+    offered = _offered_demand(packets, hop_count, config)
     # the fields of each arrival, read a slice of the columns at a time,
     # then a sentinel past the last arrival
     pending = chain(packets.rows("arrival_time", "origin", "relative_deadline",
@@ -553,8 +551,8 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
     # node -> heap of entries, each a packet's priority key with its
     # position last; a dropped packet's entry leaves once it is the head
     queues = [[] for _ in nodes]
-    # the MAC's sets: busy endpoints, active senders, active receivers
-    busy, senders, receivers = set(), set(), set()
+    # the MAC's sets: active senders, active receivers
+    senders, receivers = set(), set()
     # the run's own record of the air, kept apart from the MAC's sets
     air = {}               # busy endpoint -> its (sender, receiver, position)
     sending = set()        # active senders
@@ -587,8 +585,6 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             del air[s], air[r]
             sending.remove(s)
             receiving.remove(r)
-            busy.discard(s)
-            busy.discard(r)
             senders.discard(s)
             receivers.discard(r)
             # the sender and the heads the link blocked, if backlogged; the
@@ -657,7 +653,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             continue
         candidates = []
         for v in touched:
-            if v in busy:
+            if v in air:
                 continue
             heap = queues[v]
             while heap and at[heap[0][-1]] is None:
@@ -665,7 +661,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
             if heap:
                 candidates.append((heap[0], v, next_hop[v]))
         for entry, s, r in admissible_transmissions(
-                candidates, adjacency, busy, senders, receivers):
+                candidates, adjacency, senders, receivers):
             tx = _conflict(s, r, air, sending, receiving, adjacency)
             if tx:
                 raise InvariantError(f"grant {s}->{r} conflicts with live "
@@ -689,7 +685,7 @@ def run_simulation(topology: Topology, routes: RouteTable, workload: Workload,
                                          f"nothing blocking it")
                 waiting[tx[0]].append(v)
 
-    if not stop and (busy or senders or receivers):
+    if not stop and (senders or receivers):
         raise InvariantError("medium not idle after the run drained")
 
     # counted from what the run still holds, not from the other counts:

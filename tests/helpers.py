@@ -111,12 +111,11 @@ def np_dm_response_times(tasks, tx_time):
 
 
 def mark(sets, sender, receiver, on_air=True):
-    """Put the link sender->receiver on the MAC's sets, (busy endpoints,
-    senders, receivers), as the MAC does at a grant; with on_air=False take
-    it off them, as the run does when the transmission completes."""
-    busy, senders, receivers = sets
-    for members, node in ((busy, sender), (busy, receiver),
-                          (senders, sender), (receivers, receiver)):
+    """Put the link sender->receiver on the MAC's sets, (senders,
+    receivers), as the MAC does at a grant; with on_air=False take it off
+    them, as the run does when the transmission completes."""
+    senders, receivers = sets
+    for members, node in ((senders, sender), (receivers, receiver)):
         if on_air:
             members.add(node)
         else:

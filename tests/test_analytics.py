@@ -259,21 +259,23 @@ class TestConvergecastDmSinkUtilization:
         assert d == pytest.approx(5.222, abs=1e-2)
         assert d == pytest.approx(bisect_convergecast_root(10, 2), abs=1e-8)
 
-    def test_residual_contract(self):
+    def test_residual_contract(self, monkeypatch):
         rng = np.random.default_rng(17)
         for _ in range(50):
             m = rng.uniform(1, 100)
             k = int(rng.integers(1, 257))
             tol = 10.0 ** rng.uniform(-12, -6)
-            d = an.convergecast_dm_sink_utilization(m, k, tolerance=tol)
+            monkeypatch.setattr(an, "_TOLERANCE", tol)
+            d = an.convergecast_dm_sink_utilization(m, k)
             rings = (2 * np.arange(1, k + 1) - 1) * m
             resid = np.sum([an.stage_delay_term(d / r) for r in rings]) - 1.0
             assert abs(resid) <= tol
             assert 0 < d < m
 
-    def test_unreachable_tolerance_raises_with_bracket(self):
+    def test_unreachable_tolerance_raises_with_bracket(self, monkeypatch):
+        monkeypatch.setattr(an, "_TOLERANCE", 1e-30)
         with pytest.raises(an.SolverError) as exc:
-            an.convergecast_dm_sink_utilization(10, 4, tolerance=1e-30)
+            an.convergecast_dm_sink_utilization(10, 4)
         err = exc.value
         assert err.iterations == 200
         assert 0 <= err.lo < err.hi <= 10
@@ -311,12 +313,11 @@ class TestConvergecastDmSinkUtilization:
         with pytest.raises(ValueError, match=f"nodes_per_disk is not finite: {m!r}"):
             an.convergecast_dm_sink_utilization(m, 2)
 
-    @pytest.mark.parametrize("m,tolerance,message", [
-        (0.5, 1e-12, "nodes_per_disk must be >= 1, got 0.5"),
-        (10, 0.0, "tolerance must be > 0")], ids=["disk-below-1", "tolerance-0"])
-    def test_out_of_range_refused(self, m, tolerance, message):
+    @pytest.mark.parametrize("m,message", [
+        (0.5, "nodes_per_disk must be >= 1, got 0.5")], ids=["disk-below-1"])
+    def test_out_of_range_refused(self, m, message):
         with pytest.raises(ValueError, match=message):
-            an.convergecast_dm_sink_utilization(m, 2, tolerance=tolerance)
+            an.convergecast_dm_sink_utilization(m, 2)
 
 
 class TestHarmonicOddSum:

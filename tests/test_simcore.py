@@ -409,10 +409,10 @@ def dm(packet, sender, receiver, position=0):
 class TestAdmissibleTransmissions:
     def medium(self, n, active=()):
         """The MAC's arguments after the candidates on an n-chain: its
-        adjacency, then the busy endpoints, senders and receivers of the
-        active transmissions."""
+        adjacency, then the senders and receivers of the active
+        transmissions."""
         topo, _ = chain_network(n)
-        sets = (set(), set(), set())
+        sets = (set(), set())
         for s, r, _ in active:
             mark(sets, s, r)
         return (topo.adjacency, *sets)
@@ -494,12 +494,14 @@ class TestAdmissibleTransmissions:
 
 
 class TestMedium:
+    """The radio medium's state: the MAC's two sets, the run's record of
+    the air, and the run's checks against them."""
+
     @staticmethod
     def rebuilt(active):
-        """Busy endpoints, senders and receivers recomputed from the active
-        (sender, receiver, position) transmissions alone."""
-        busy = {v for s, r, _ in active for v in (s, r)}
-        return busy, {s for s, _, _ in active}, {r for _, r, _ in active}
+        """Senders and receivers recomputed from the active (sender,
+        receiver, position) transmissions alone."""
+        return {s for s, _, _ in active}, {r for _, r, _ in active}
 
     @staticmethod
     def record(active):
@@ -516,7 +518,7 @@ class TestMedium:
                                        sink_count=1)
         adjacency = topo.adjacency
         rng = np.random.default_rng(seed)
-        sets = (set(), set(), set())
+        sets = (set(), set())
         active = []
         for step in range(400):
             if active and rng.random() < 0.45:
@@ -548,7 +550,7 @@ class TestMedium:
                                        sink_count=1)
         adjacency = topo.adjacency
         rng = np.random.default_rng(seed)
-        sets = (set(), set(), set())
+        sets = (set(), set())
         active = []
         for step, s in enumerate(rng.permutation(sorted(routes.next_hop))[:8]):
             s, r = int(s), routes.next_hop[int(s)]
@@ -583,9 +585,9 @@ class TestMedium:
         # the run drains
         mac = sc.admissible_transmissions
 
-        def leaky(candidates, adjacency, busy, senders, receivers):
+        def leaky(candidates, adjacency, senders, receivers):
             senders.add(-1)
-            return mac(candidates, adjacency, busy, senders, receivers)
+            return mac(candidates, adjacency, senders, receivers)
 
         monkeypatch.setattr(sc, "admissible_transmissions", leaky)
         with pytest.raises(sc.InvariantError, match="medium not idle"):
@@ -645,14 +647,24 @@ def small_networks(draw):
 @st.composite
 def mac_cases(draw):
     """A network, random active links and random candidates over its
-    directed radio links: endpoints may repeat, within the candidates and
-    against the active links."""
+    directed radio links and over ordered pairs of distinct nodes out of
+    range of each other: endpoints may repeat, within the candidates and
+    against the active links. An out-of-range pair can share an endpoint
+    with an active link while in range of neither of its nodes, as a
+    hand-built route table's out-of-range next hop can, so the endpoint
+    test is pinned apart from the exclusion test."""
     topo, _ = draw(small_networks())
-    links = [(v, w) for v, nbrs in topo.adjacency.items() for w in nbrs]
-    active = draw(st.lists(st.sampled_from(links), max_size=4))
-    candidates = draw(st.lists(st.tuples(st.sampled_from(links),
-                                         st.integers(0, 3)), max_size=8))
-    return topo.adjacency, active, candidates
+    adjacency = topo.adjacency
+    links = [(v, w) for v, nbrs in adjacency.items() for w in nbrs]
+    pairs = st.sampled_from(links)
+    apart = [(v, w) for v in adjacency for w in adjacency
+             if v != w and w not in adjacency[v]]
+    if apart:
+        pairs |= st.sampled_from(apart)
+    active = draw(st.lists(pairs, max_size=4))
+    candidates = draw(st.lists(st.tuples(pairs, st.integers(0, 3)),
+                               max_size=8))
+    return adjacency, active, candidates
 
 
 class TestMacProperties:
@@ -681,7 +693,7 @@ class TestMacProperties:
         # stay apart
         candidates = [((rank, i), s, r)
                       for i, ((s, r), rank) in enumerate(drawn)]
-        sets = (set(), set(), set())
+        sets = (set(), set())
         for s, r in active:
             mark(sets, s, r)
         assert sc.admissible_transmissions(candidates, adjacency, *sets) \
